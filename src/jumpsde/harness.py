@@ -138,12 +138,17 @@ def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _map_chunks(worker, payload, n_paths: int, parallelism: int) -> list:
-    tasks = [(payload, lo, hi) for lo, hi in _chunk_ranges(n_paths, parallelism)]
+def _run_tasks(worker, tasks: list, parallelism: int) -> list:
+    """worker's results in task order, inline or from one process pool."""
     if parallelism <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _map_chunks(worker, payload, n_paths: int, parallelism: int) -> list:
+    tasks = [(payload, lo, hi) for lo, hi in _chunk_ranges(n_paths, parallelism)]
+    return _run_tasks(worker, tasks, parallelism)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,11 @@ def positivity_table(
     """
     if cfg is None:
         cfg = SolverConfig()
-    cells = []
+    # every cell's chunks go through one pool; results come back in
+    # (cell, chunk) order
+    ranges = _chunk_ranges(n_paths, parallelism)
+    keys = []
+    tasks = []
     for set_name, base_params in param_sets:
         params = replace(base_params, lam=lam)
         validate_params(params)
@@ -353,18 +362,22 @@ def positivity_table(
             for dt in dt_list:
                 m = _steps_for_dt(params.T, dt)
                 payload = (params, jump, m, global_seed, cfg, q)
-                parts = _map_chunks(_positivity_chunk, payload, n_paths, parallelism)
-                n_values = sum(p[0] for p in parts)
-                n_nonpositive = sum(p[1] for p in parts)
-                cells.append(
-                    PositivityCell(
-                        param_set=set_name,
-                        h_family=jump.label,
-                        dt=dt,
-                        n_values=n_values,
-                        n_nonpositive=n_nonpositive,
-                    )
-                )
+                keys.append((set_name, jump.label, dt))
+                tasks.extend((payload, lo, hi) for lo, hi in ranges)
+    parts = _run_tasks(_positivity_chunk, tasks, parallelism)
+    n_chunks = len(ranges)
+    cells = []
+    for i, (set_name, label, dt) in enumerate(keys):
+        cell_parts = parts[i * n_chunks:(i + 1) * n_chunks]
+        cells.append(
+            PositivityCell(
+                param_set=set_name,
+                h_family=label,
+                dt=dt,
+                n_values=sum(p[0] for p in cell_parts),
+                n_nonpositive=sum(p[1] for p in cell_parts),
+            )
+        )
     return PositivityReport(
         cells=tuple(cells), lam=lam, n_paths=n_paths, global_seed=global_seed
     )

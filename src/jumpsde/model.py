@@ -12,7 +12,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -116,10 +116,14 @@ def classify_regime(gamma: float, rho: float) -> Regime:
 def validate_params(params: ModelParams, requested_p: float | None = None) -> RegimeCheck:
     """Check positivity of all constants and classify the moment regime.
 
-    Raises InvalidModelError for non-positive constants, gamma/rho <= 1,
-    the invalid regime (gamma < 2*rho - 1), or a critical configuration whose
-    moment cap is <= 1 (no usable moment order).
+    Raises InvalidModelError for non-finite or non-positive constants,
+    gamma/rho <= 1, the invalid regime (gamma < 2*rho - 1), or a critical
+    configuration whose moment cap is <= 1 (no usable moment order).
     """
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise InvalidModelError(f"{field.name} must be finite, got {value}")
     for name in ("alpha_m1", "alpha0", "alpha1", "alpha2", "alpha3"):
         value = getattr(params, name)
         if not (value > 0.0):
@@ -499,6 +503,8 @@ def make_jump(family: str, param: float | None = None) -> JumpCoefficient:
         return zero_jump()
     if param is None:
         raise InvalidModelError(f"jump family {family!r} needs a coefficient")
+    if not math.isfinite(param):
+        raise InvalidModelError(f"jump coefficient must be finite, got {param}")
     builders = {"linear": linear_jump, "sine": sine_jump, "rational": rational_jump}
     if family not in builders:
         raise InvalidModelError(f"unknown jump family {family!r}")
@@ -551,6 +557,10 @@ def _closed_form_bounds(jump: JumpCoefficient, rho: float) -> JumpBounds | None:
     c = jump.param
     if jump.family == "zero":
         return JumpBounds(mu=0.0, r=1.0, mu1=1.0, mu2=1.0)
+    if c is not None and not math.isfinite(c):
+        raise InvalidModelError(
+            f"{jump.family} jump coefficient must be finite, got {c}"
+        )
     if jump.family == "linear":
         if c <= -1.0:
             raise AssumptionViolation(

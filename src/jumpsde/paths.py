@@ -89,6 +89,25 @@ def _match_nodes(fine_nodes: np.ndarray, targets: np.ndarray, T: float) -> np.nd
     return idx
 
 
+def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of values[idx[j]:idx[j + 1]], each started from 0.0.
+
+    The segments become rows of a zero-padded matrix whose first column is
+    0.0; accumulating along the rows adds each value, in order, to its
+    segment's running sum, and the padding adds exact zeros. The result is
+    therefore bitwise that of a plain sequential loop, whatever summation
+    algorithm the interpreter's sum() uses.
+    """
+    starts = idx[:-1]
+    lengths = np.diff(idx)
+    width = int(lengths.max(initial=0))
+    cols = np.arange(width)
+    inside = cols < lengths[:, None]
+    rows = np.zeros((starts.size, width + 1))
+    rows[:, 1:][inside] = values[(starts[:, None] + cols)[inside]]
+    return np.add.accumulate(rows, axis=1)[:, -1]
+
+
 def coarsen_increments(
     bundle: PathBundle, m_coarse: int
 ) -> tuple[JumpAdaptedMesh, np.ndarray]:
@@ -106,10 +125,7 @@ def coarsen_increments(
         )
     coarse = build_mesh(m_coarse, bundle.T, bundle.jump_times)
     idx = _match_nodes(bundle.fine_mesh.nodes, coarse.nodes, bundle.T)
-    fine = bundle.dw_fine.tolist()
-    out = np.empty(coarse.n_intervals, dtype=float)
-    for j in range(coarse.n_intervals):
-        out[j] = sum(fine[idx[j]:idx[j + 1]], 0.0)
+    out = _segment_sums(bundle.dw_fine, idx)
     out.setflags(write=False)
     return coarse, out
 
@@ -129,9 +145,6 @@ def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarr
     bounds = np.arange(M + 1, dtype=float) * (T / M)
     bounds[-1] = T
     idx = _match_nodes(bundle.fine_mesh.nodes, bounds, T)
-    fine = bundle.dw_fine.tolist()
-    dw = np.empty(M, dtype=float)
-    for k in range(M):
-        dw[k] = sum(fine[idx[k]:idx[k + 1]], 0.0)
+    dw = _segment_sums(bundle.dw_fine, idx)
     counts = np.diff(np.searchsorted(bundle.jump_times, bounds, side="right"))
     return dw, counts.astype(np.int64)

@@ -2,8 +2,15 @@
 
 Each step solves z - dt*F(z) = rhs for the unique positive root of a strictly
 increasing map (the one-sided bound Q makes G' >= 1 - Q*dt > 0, and G spans
-all of R), via safeguarded Newton with a bisection fallback inside a bracket
-that is expanded geometrically until it straddles the root.
+all of R). The path loops run a Newton-first step inline: plain Newton from
+the previous state, with F and F' evaluated together from shared powers and
+a bracket (lo, hi) narrowed by the sign of each residual. The step is
+accepted at |residual| <= residual_tol * max(1, |rhs|), the same contract as
+the bracketed solver. As soon as an iterate leaves (lo, hi), 1 - dt*F' is not
+positive, a power overflows or max_iter runs out, the unchanged step goes to
+_implicit_solve: safeguarded Newton with a bisection fallback inside a
+bracket that is expanded geometrically until it straddles the root. That
+solver also backs implicit_step_z and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .model import (
     JumpCoefficient,
     ModelParams,
     Regime,
+    _drift_terms,
     classify_regime,
     drift_one_sided_lipschitz,
     make_drift,
@@ -239,7 +247,12 @@ def tjabem_path(
     _check_step_guard(Q, mesh.base_dt, cfg)
 
     value, slope = make_transformed_drift(params)
+    # the third and fifth terms are c3*z and c5/z
+    (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = _drift_terms(params)
+    d1, d2, d4 = c1 * e1, c2 * e2, c4 * e4
     noise_coef = (1.0 - params.rho) * params.alpha3
+    rtol, floor, cap = cfg.residual_tol, cfg.bracket_lo_floor, _BRACKET_CAP
+    iters = range(cfg.max_iter)
     dt = mesh.dt.tolist()
     flags = mesh.is_jump.tolist()
     dws = np.asarray(increments, dtype=float).tolist()
@@ -247,9 +260,48 @@ def tjabem_path(
     z = lamperti_forward(params.rho, params.x0)
     z_pre = [z]
     z_post = [z]
+    # fz = F(z_eval) and fpz = F'(z_eval): a step starts where the previous
+    # one was accepted, so its first iteration reuses them unless a jump or
+    # the fallback moved z
+    z_eval = 0.0
     for k in range(n):
+        dt_k = dt[k]
+        z_prev = z
         rhs = z + noise_coef * dws[k]
-        z = _implicit_solve(value, slope, dt[k], rhs, cfg, z)
+        # rtol * max(1, |rhs|), without the slower builtin calls
+        tol = rtol * rhs if rhs > 1.0 else (-rtol * rhs if rhs < -1.0 else rtol)
+        lo, hi = floor, cap
+        solved = False
+        for _ in iters:
+            if z != z_eval:
+                # F and F' share the powers z^e (z^(e-1) = z^e / z)
+                inv = 1.0 / z
+                try:
+                    p1 = z**e1
+                    p2 = z**e2
+                    p4 = z**e4
+                except OverflowError:
+                    break
+                fz = c1 * p1 + c2 * p2 + c3 * z + c4 * p4 + c5 * inv
+                fpz = (d1 * p1 + d2 * p2 + d4 * p4 - c5 * inv) * inv + c3
+                z_eval = z
+            res = (z - rhs) - dt_k * fz
+            if -tol <= res <= tol:
+                solved = True
+                break
+            if res < 0.0:
+                lo = z
+            else:
+                hi = z
+            d = 1.0 - dt_k * fpz
+            if not d > 0.0:
+                break
+            z_new = z - res / d
+            if not lo < z_new < hi:
+                break
+            z = z_new
+        if not solved:
+            z = _implicit_solve(value, slope, dt_k, rhs, cfg, z_prev)
         z_pre.append(z)
         if flags[k + 1]:
             z = jump_map(params, jump, z)
@@ -273,9 +325,9 @@ def bem_path(
     """Drift-implicit scheme on the uniform M-step grid, in original coordinates.
 
     Each step solves x_{k+1} - dt*f(x_{k+1}) = x_k + g(x_k)*dW_k + h(x_k)*dN_k
-    with the same bracketing machinery as the transformed step; the guard
-    constant is the clamped supremum of f'. Jump counts may exceed one per
-    interval. Returns the terminal state.
+    with the same Newton-first step and fallback as the transformed scheme;
+    the guard constant is the clamped supremum of f'. Jump counts may exceed
+    one per interval. Returns the terminal state.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -289,20 +341,57 @@ def bem_path(
     _check_step_guard(q_drift, dt, cfg)
 
     value, slope = make_drift(params)
+    am1, a0, a1 = params.alpha_m1, params.alpha0, params.alpha1
+    a2, g = params.alpha2, params.gamma
+    a2g = a2 * g
     a3, rho = params.alpha3, params.rho
     h = jump.h
-    exp = math.exp
-    log = math.log
+    rtol, floor, cap = cfg.residual_tol, cfg.bracket_lo_floor, _BRACKET_CAP
+    iters = range(cfg.max_iter)
     dws = np.asarray(increments, dtype=float).tolist()
     dns = np.asarray(jump_counts).tolist()
 
     x = params.x0
+    # fx = f(x_eval) and fpx = f'(x_eval), reused as in tjabem_path
+    x_eval = 0.0
     for k in range(M):
-        rhs = x + a3 * exp(rho * log(x)) * dws[k]
+        x_prev = x
+        rhs = x + a3 * x**rho * dws[k]
         dn = dns[k]
         if dn:
             rhs += h(x) * dn
-        x = _implicit_solve(value, slope, dt, rhs, cfg, x)
+        # rtol * max(1, |rhs|), without the slower builtin calls
+        tol = rtol * rhs if rhs > 1.0 else (-rtol * rhs if rhs < -1.0 else rtol)
+        lo, hi = floor, cap
+        solved = False
+        for _ in iters:
+            if x != x_eval:
+                # f and f' share the power x^g (x^(g-1) = x^g / x)
+                inv = 1.0 / x
+                try:
+                    pg = x**g
+                except OverflowError:
+                    break
+                fx = am1 * inv - a0 + a1 * x - a2 * pg
+                fpx = (-am1 * inv - a2g * pg) * inv + a1
+                x_eval = x
+            res = (x - rhs) - dt * fx
+            if -tol <= res <= tol:
+                solved = True
+                break
+            if res < 0.0:
+                lo = x
+            else:
+                hi = x
+            d = 1.0 - dt * fpx
+            if not d > 0.0:
+                break
+            x_new = x - res / d
+            if not lo < x_new < hi:
+                break
+            x = x_new
+        if not solved:
+            x = _implicit_solve(value, slope, dt, rhs, cfg, x_prev)
     return x
 
 

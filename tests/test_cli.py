@@ -223,3 +223,27 @@ def test_fast_flag_halves_ladder(tmp_path):
 
 def test_unknown_preset_fails(capsys):
     assert main(["validate", "--preset", "set9"]) == 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["linear:nan", "sine:nan", "linear:inf", "rational:-inf"]
+)
+def test_validate_rejects_non_finite_jump_coefficient(spec, capsys):
+    assert main(["validate", "--preset", "set1", "--h", spec]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("key", ["alpha2", "gamma", "x0", "lambda"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_finite_parameter_exits_1(tmp_path, capsys, key, command):
+    path = _write_config(tmp_path)
+    lines = path.read_text().splitlines()
+    lines = [f"{key} = inf" if line.startswith(f"{key} =") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "must be finite" in captured.out + captured.err

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import jumpsde.harness
 from jumpsde import (
     InvalidModelError,
     PathFailure,
@@ -171,6 +172,35 @@ def test_positivity_reproducible_across_parallelism(set1):
     a = positivity_table([("set1", set1)], [linear_jump(0.5)], **kwargs)
     b = positivity_table([("set1", set1)], [linear_jump(0.5)], parallelism=2, **kwargs)
     assert a == b
+
+
+class _CountingPool:
+    """Inline stand-in for ProcessPoolExecutor that counts pool starts."""
+
+    starts = 0
+
+    def __init__(self, max_workers=None):
+        type(self).starts += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_positivity_starts_one_pool_for_all_cells(set1, set2, monkeypatch):
+    args = ([("set1", set1), ("set2", set2)], [linear_jump(0.5)], [0.125, 0.0625])
+    kwargs = dict(lam=2.0, n_paths=10, global_seed=8)
+    serial = positivity_table(*args, **kwargs)
+    monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
+    pooled = positivity_table(*args, parallelism=2, **kwargs)
+    assert _CountingPool.starts == 1
+    assert len(pooled.cells) == 4
+    assert pooled == serial
 
 
 def test_moment_zeroth_order_is_one(set1):

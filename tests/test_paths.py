@@ -12,6 +12,7 @@ from jumpsde import (
     generate_bundle,
     regular_increments,
 )
+from jumpsde.paths import _segment_sums
 
 
 def _left_to_right(values):
@@ -167,3 +168,31 @@ def test_regular_increments_requires_divisibility(set1):
     bundle = generate_bundle(set1, 16, 5, 0)
     with pytest.raises(MeshError):
         regular_increments(bundle, 3)
+
+
+def test_segment_sums_equal_a_sequential_loop():
+    rng = np.random.Generator(np.random.Philox(11))
+    # wide magnitude range, so that any reordering or compensation shows
+    values = rng.standard_normal(400) * np.exp(rng.uniform(-30.0, 30.0, 400))
+    cuts = np.sort(rng.choice(np.arange(1, 400), 37, replace=False))
+    idx = np.concatenate(([0], cuts, [400]))
+    idx[5] = idx[4]  # an empty segment sums to 0.0
+    sums = _segment_sums(values, idx)
+    expected = [_left_to_right(values[a:b].tolist()) for a, b in zip(idx, idx[1:])]
+    assert sums.tobytes() == np.array(expected).tobytes()
+
+
+def test_coarse_and_regular_sums_are_sequential(set1):
+    params = replace(set1, lam=5.0)
+    bundle = generate_bundle(params, 256, 99, 7)
+    fine = bundle.dw_fine.tolist()
+    nodes = bundle.fine_mesh.nodes
+    for m in (1, 4, 32, 256):
+        coarse, inc = coarsen_increments(bundle, m)
+        idx = np.searchsorted(nodes, coarse.nodes)
+        expected = [_left_to_right(fine[a:b]) for a, b in zip(idx, idx[1:])]
+        assert inc.tobytes() == np.array(expected).tobytes()
+        dw, _ = regular_increments(bundle, m)
+        idx = np.searchsorted(nodes, np.arange(m + 1) / m)
+        expected = [_left_to_right(fine[a:b]) for a, b in zip(idx, idx[1:])]
+        assert dw.tobytes() == np.array(expected).tobytes()

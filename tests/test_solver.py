@@ -24,7 +24,14 @@ from jumpsde import (
     transformed_drift,
     zero_jump,
 )
+import jumpsde.solver
 from jumpsde.mesh import JumpAdaptedMesh
+from jumpsde.model import (
+    drift_one_sided_lipschitz,
+    make_drift,
+    make_transformed_drift,
+)
+from jumpsde.solver import _implicit_solve
 
 
 def test_solver_config_validation():
@@ -268,3 +275,127 @@ def test_diagnostics_require_supercritical(set1):
     critical = replace(set1, gamma=2.0)
     with pytest.raises(SolverError, match="supercritical"):
         step_size_diagnostics(critical, 0.0, 2.0**-5, 0.01)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _implicit_solve(*args)
+
+    monkeypatch.setattr(jumpsde.solver, "_implicit_solve", counted)
+    return calls
+
+
+def _assert_step_matches_oracle(fval, fslope, dt, rhs, z_new, z_start, cfg, q):
+    # both roots meet the residual contract, and G' >= 1 - q*dt bounds their gap
+    tol = cfg.residual_tol * max(1.0, abs(rhs))
+    assert abs((z_new - rhs) - dt * fval(z_new)) <= tol
+    z_oracle = _implicit_solve(fval, fslope, dt, rhs, cfg, z_start)
+    assert abs(z_new - z_oracle) <= 2.0 * tol / (1.0 - q * dt)
+
+
+@pytest.mark.parametrize("jump", [linear_jump(-0.5), linear_jump(1.0)])
+def test_tjabem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    for params in (replace(set1, lam=5.0), replace(set2, lam=5.0)):
+        q = one_sided_lipschitz(params)
+        fval, fslope = make_transformed_drift(params)
+        noise_coef = (1.0 - params.rho) * params.alpha3
+        for i in range(3):
+            bundle = generate_bundle(params, 256, 71, i)
+            mesh = bundle.fine_mesh
+            assert mesh.is_jump.any()
+            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q, cfg)
+            for k in range(mesh.n_intervals):
+                z_start = trajectory.z_post[k]
+                rhs = z_start + noise_coef * bundle.dw_fine[k]
+                _assert_step_matches_oracle(
+                    fval, fslope, mesh.dt[k], rhs, trajectory.z_pre[k + 1],
+                    z_start, cfg, q,
+                )
+    assert fallbacks == []  # every step above was solved by the Newton-first step
+
+
+@pytest.mark.parametrize("jump", [linear_jump(-0.5), linear_jump(1.0)])
+def test_bem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    M = 64
+    for params in (replace(set1, lam=5.0), replace(set2, lam=5.0)):
+        q = drift_one_sided_lipschitz(params)
+        fval, fslope = make_drift(params)
+        dt = params.T / M
+        bundle = generate_bundle(params, M, 72, 0)
+        dw, dn = regular_increments(bundle, M)
+        assert dn.any()
+        # node k is the terminal state of the first k steps: with T = 1 and M
+        # a power of two, the prefix horizon k*dt split into k steps is dt
+        # exactly, so the prefix run repeats the full run's arithmetic
+        nodes = [params.x0] + [
+            bem_path(replace(params, T=k * dt), jump, k, dw[:k], dn[:k], cfg, q)
+            for k in range(1, M + 1)
+        ]
+        for k in range(M):
+            x = nodes[k]
+            rhs = x + params.alpha3 * x**params.rho * dw[k] + jump.h(x) * dn[k]
+            _assert_step_matches_oracle(fval, fslope, dt, rhs, nodes[k + 1], x, cfg, q)
+    assert fallbacks == []
+
+
+def test_tjabem_hands_a_failed_newton_step_to_the_bracketed_solver(
+    set1, monkeypatch
+):
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    params = replace(set1, lam=0.0)
+    fval, _ = make_transformed_drift(params)
+    noise_coef = (1.0 - params.rho) * params.alpha3
+    z0 = lamperti_forward(params.rho, params.x0)
+    # a large negative rhs: the first Newton iterate from z0 lands below zero;
+    # a huge positive one: the iterates reach z where z^5 overflows
+    for T, dw in ((2.0**-10, 100.0), (1.0, -1e70)):
+        mesh = build_mesh(1, T, [])
+        trajectory, _ = tjabem_path(
+            replace(params, T=T), zero_jump(), mesh, [dw], 0.0, cfg
+        )
+        rhs = z0 + noise_coef * dw
+        z = trajectory.z_pre[-1]
+        assert z > 0.0
+        assert abs((z - rhs) - T * fval(z)) <= cfg.residual_tol * max(1.0, abs(rhs))
+    assert len(fallbacks) == 2
+
+
+def test_newton_step_falls_back_on_the_stiff_model(monkeypatch):
+    # Q > 0 lets G' fall to 1 - Q*dt; a negative rhs sends the first Newton
+    # iterate out of the bracket, while rhs > 0 stays on the Newton path
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    params = replace(_stiff_params(), T=2.0**-11)
+    q = one_sided_lipschitz(params)
+    assert 0.0 < q * params.T < 0.25
+    fval, _ = make_transformed_drift(params)
+    noise_coef = (1.0 - params.rho) * params.alpha3
+    mesh = build_mesh(1, params.T, [])
+    for dw, expected_fallbacks in ((0.0, 0), (1.0, 0), (2.5, 1), (20.0, 2)):
+        trajectory, _ = tjabem_path(params, zero_jump(), mesh, [dw], q, cfg)
+        rhs = trajectory.z_post[0] + noise_coef * dw
+        z = trajectory.z_pre[1]
+        assert z > 0.0
+        tol = cfg.residual_tol * max(1.0, abs(rhs))
+        assert abs((z - rhs) - params.T * fval(z)) <= tol
+        assert len(fallbacks) == expected_fallbacks
+
+
+def test_bem_hands_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    params = replace(set1, lam=0.0, T=2.0**-10)
+    fval, _ = make_drift(params)
+    # rhs = 1 + 1*(-50) = -49: Newton from x0 = 1 overshoots below zero
+    x = bem_path(params, zero_jump(), 1, [-50.0], [0], cfg)
+    assert x > 0.0
+    assert abs((x + 49.0) - params.T * fval(x)) <= cfg.residual_tol * 49.0
+    assert len(fallbacks) == 1
