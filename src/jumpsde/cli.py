@@ -71,7 +71,7 @@ class ExperimentConfig:
     formats: tuple[str, ...]
 
     def echo(self) -> dict:
-        """Result-affecting fields only; parallelism and paths are execution detail."""
+        """Result-affecting fields only; parallelism is execution detail."""
         return {
             "model": {
                 "alpha_m1": self.params.alpha_m1,
@@ -140,6 +140,12 @@ def load_config(path: Path) -> ExperimentConfig:
         formats = parser.get("output", "formats", fallback="csv, json")
     except (KeyError, configparser.Error, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed config {path}: {exc}") from exc
+    if n_paths < 1:
+        raise InvalidModelError(f"n_paths must be at least 1 in {path}, got {n_paths}")
+    if parallelism < 1:
+        raise InvalidModelError(
+            f"parallelism must be at least 1 in {path}, got {parallelism}"
+        )
 
     return ExperimentConfig(
         params=params,
@@ -158,8 +164,22 @@ def load_config(path: Path) -> ExperimentConfig:
 
 def _parse_jump_flag(spec: str) -> JumpCoefficient:
     family, _, raw = spec.partition(":")
-    param = float(raw) if raw else None
+    try:
+        param = float(raw) if raw else None
+    except ValueError:
+        raise InvalidModelError(
+            f"malformed --h {spec!r}: parameter {raw!r} is not a number"
+        ) from None
     return make_jump(family, param)
+
+
+def _parse_p_list(spec: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in spec.split(",") if tok.strip())
+    except ValueError:
+        raise InvalidModelError(
+            f"malformed --p-list {spec!r}: expected comma-separated numbers"
+        ) from None
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
@@ -176,8 +196,14 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, scheme=args.scheme)
     if getattr(args, "seed", None) is not None:
         config = replace(config, global_seed=args.seed)
-    if os.environ.get(ENV_SEED):
-        config = replace(config, global_seed=int(os.environ[ENV_SEED]))
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed:
+        try:
+            config = replace(config, global_seed=int(env_seed))
+        except ValueError:
+            raise InvalidModelError(
+                f"{ENV_SEED} must be an integer, got {env_seed!r}"
+            ) from None
     if getattr(args, "out", None):
         config = replace(config, out_dir=args.out)
     if getattr(args, "fast", False):
@@ -416,8 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(config)
         if args.command == "moments":
-            p_list = tuple(float(tok) for tok in args.p_list.split(",") if tok.strip())
-            return cmd_moments(config, p_list)
+            return cmd_moments(config, _parse_p_list(args.p_list))
         raise AssertionError(f"unhandled command {args.command}")
     except PathFailure as exc:
         print(

@@ -302,31 +302,41 @@ def strong_error_ladder(
 # ---------------------------------------------------------------------------
 
 def _positivity_chunk(task):
-    (params, jump, m, global_seed, cfg, q), lo, hi = task
-    n_values = 0
-    n_nonpositive = 0
+    """Per-cell (n_values, n_nonpositive) of one (T, m) group over paths lo..hi.
+
+    Each path's bundle is built once and serves every cell of the group: a
+    bundle depends only on (lam, T, m, global_seed, path_index), and all the
+    group's cells share those.
+    """
+    (m, global_seed, cfg, cells), lo, hi = task
+    bundle_params = cells[0][0]
+    counts = [[0, 0] for _ in cells]
     for i in range(lo, hi):
+        cell = cells[0]  # a failed bundle is reported against the group's first cell
         try:
-            bundle = generate_bundle(params, m, global_seed, i)
-            trajectory, _ = tjabem_path(
-                params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
-            )
+            bundle = generate_bundle(bundle_params, m, global_seed, i)
+            for cell, count in zip(cells, counts):
+                params, jump, q, _ = cell
+                trajectory, _ = tjabem_path(
+                    params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
+                )
+                count[0] += trajectory.z_post.size
+                count[1] += int(np.count_nonzero(trajectory.z_post <= 0.0))
         except (SolverError, MeshError, ValueError, OverflowError) as exc:
+            set_name, label, dt = cell[3]
             raise PathFailure(
-                f"path failed: {exc} (replay with global_seed={global_seed}, "
-                f"path_index={i})",
+                f"path failed in cell (set={set_name}, jump={label}, dt={dt!r}): "
+                f"{exc} (replay with global_seed={global_seed}, path_index={i})",
                 global_seed,
                 i,
             ) from exc
-        n_values += trajectory.z_post.size
-        n_nonpositive += int(np.count_nonzero(trajectory.z_post <= 0.0))
-    return n_values, n_nonpositive
+    return counts
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
     m = round(T / dt)
     if m < 1 or abs(m * dt - T) > 1e-9 * T:
-        raise ValueError(f"dt = {dt} does not divide the horizon T = {T}")
+        raise InvalidModelError(f"dt = {dt} does not divide the horizon T = {T}")
     return m
 
 
@@ -344,15 +354,17 @@ def positivity_table(
 
     Counting is per node value over the post-jump states of every simulated
     trajectory (the original-state signs are identical). The jump intensity
-    lam overrides the per-set value so all cells share one intensity.
+    lam overrides the per-set value so all cells share one intensity. Cells
+    are grouped by (T, M = T/dt): one bundle per path and group serves every
+    (set, jump) cell of the group, since a bundle depends only on lam, T, M,
+    the seed and the path index.
     """
     if cfg is None:
         cfg = SolverConfig()
-    # every cell's chunks go through one pool; results come back in
-    # (cell, chunk) order
-    ranges = _chunk_ranges(n_paths, parallelism)
-    keys = []
-    tasks = []
+    if n_paths < 1:
+        raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
+    cells = []  # (params, jump, q, (set, jump label, dt)) in report order
+    groups: dict[tuple[float, int], list[int]] = {}  # (T, M) -> cell indices
     for set_name, base_params in param_sets:
         params = replace(base_params, lam=lam)
         validate_params(params)
@@ -361,25 +373,38 @@ def positivity_table(
             validate_jump(jump, params)
             for dt in dt_list:
                 m = _steps_for_dt(params.T, dt)
-                payload = (params, jump, m, global_seed, cfg, q)
-                keys.append((set_name, jump.label, dt))
-                tasks.extend((payload, lo, hi) for lo, hi in ranges)
-    parts = _run_tasks(_positivity_chunk, tasks, parallelism)
-    n_chunks = len(ranges)
-    cells = []
-    for i, (set_name, label, dt) in enumerate(keys):
-        cell_parts = parts[i * n_chunks:(i + 1) * n_chunks]
-        cells.append(
-            PositivityCell(
-                param_set=set_name,
-                h_family=label,
-                dt=dt,
-                n_values=sum(p[0] for p in cell_parts),
-                n_nonpositive=sum(p[1] for p in cell_parts),
+                groups.setdefault((params.T, m), []).append(len(cells))
+                cells.append((params, jump, q, (set_name, jump.label, dt)))
+    # largest meshes first, so the pool's tail is made of the short tasks
+    order = sorted(groups, key=lambda group: -group[1])
+    ranges = _chunk_ranges(n_paths, parallelism)
+    tasks = [
+        ((m, global_seed, cfg, tuple(cells[c] for c in groups[(T, m)])), lo, hi)
+        for T, m in order
+        for lo, hi in ranges
+    ]
+    parts = iter(_run_tasks(_positivity_chunk, tasks, parallelism))
+    totals = [(0, 0)] * len(cells)
+    for group in order:
+        chunk_parts = [next(parts) for _ in ranges]
+        for j, c in enumerate(groups[group]):
+            totals[c] = (
+                sum(part[j][0] for part in chunk_parts),
+                sum(part[j][1] for part in chunk_parts),
             )
+    report_cells = tuple(
+        PositivityCell(
+            param_set=set_name,
+            h_family=label,
+            dt=dt,
+            n_values=n_values,
+            n_nonpositive=n_nonpositive,
         )
+        for (_, _, _, (set_name, label, dt)), (n_values, n_nonpositive)
+        in zip(cells, totals)
+    )
     return PositivityReport(
-        cells=tuple(cells), lam=lam, n_paths=n_paths, global_seed=global_seed
+        cells=report_cells, lam=lam, n_paths=n_paths, global_seed=global_seed
     )
 
 
@@ -430,6 +455,8 @@ def moment_probe(
     """
     if cfg is None:
         cfg = SolverConfig()
+    if n_paths < 1:
+        raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
     p_list = tuple(float(p) for p in p_list)
     for p in p_list:
         moment_admissible(params, p)

@@ -28,7 +28,6 @@ __all__ = [
     "InvalidModelError",
     "AssumptionViolation",
     "drift",
-    "drift_prime",
     "diffusion",
     "transformed_drift",
     "transformed_drift_prime",
@@ -101,7 +100,6 @@ class RegimeCheck:
 
     regime: Regime
     critical_moment_cap: Optional[float] = None
-    requested_p: Optional[float] = None
 
 
 def classify_regime(gamma: float, rho: float) -> Regime:
@@ -113,7 +111,7 @@ def classify_regime(gamma: float, rho: float) -> Regime:
     return Regime.INVALID
 
 
-def validate_params(params: ModelParams, requested_p: float | None = None) -> RegimeCheck:
+def validate_params(params: ModelParams) -> RegimeCheck:
     """Check positivity of all constants and classify the moment regime.
 
     Raises InvalidModelError for non-finite or non-positive constants,
@@ -150,8 +148,8 @@ def validate_params(params: ModelParams, requested_p: float | None = None) -> Re
             raise InvalidModelError(
                 f"critical moment cap {cap} <= 1: no usable moment order"
             )
-        return RegimeCheck(regime, critical_moment_cap=cap, requested_p=requested_p)
-    return RegimeCheck(regime, requested_p=requested_p)
+        return RegimeCheck(regime, critical_moment_cap=cap)
+    return RegimeCheck(regime)
 
 
 def moment_admissible(params: ModelParams, p: float) -> RegimeCheck:
@@ -160,7 +158,7 @@ def moment_admissible(params: ModelParams, p: float) -> RegimeCheck:
     All real p are admissible in the supercritical regime; in the critical
     regime p must stay below the moment cap.
     """
-    check = validate_params(params, requested_p=p)
+    check = validate_params(params)
     if check.regime is Regime.CRITICAL and p >= check.critical_moment_cap:
         raise InvalidModelError(
             f"moment order p={p} not admissible in the critical regime "
@@ -187,19 +185,6 @@ def drift(params: ModelParams, x: float) -> float:
         + params.alpha1 * x
         - params.alpha2 * _pow_extended(x, params.gamma)
     )
-
-
-def drift_prime(params: ModelParams, x: float) -> float:
-    """Derivative of the original drift: -a_m1/x^2 + a1 - a2*gamma*x^(gamma-1)."""
-    _require_positive(x, "x")
-    try:
-        return (
-            -params.alpha_m1 / (x * x)
-            + params.alpha1
-            - params.alpha2 * params.gamma * _pow_extended(x, params.gamma - 1.0)
-        )
-    except ZeroDivisionError:
-        return -math.inf
 
 
 def diffusion(params: ModelParams, x: float) -> float:

@@ -247,3 +247,58 @@ def test_non_finite_parameter_exits_1(tmp_path, capsys, key, command):
     captured = capsys.readouterr()
     assert "all gates passed" not in captured.out
     assert "must be finite" in captured.out + captured.err
+
+
+def _edit_config(path, **values):
+    lines = path.read_text().splitlines()
+    for key, value in values.items():
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "positivity", "moments"])
+def test_empty_run_exits_1(tmp_path, capsys, command):
+    path = _write_config(tmp_path, n_paths=0)
+    flag = "--presets" if command == "positivity" else "--config"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "n_paths must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_validate_rejects_parallelism_below_one(tmp_path, capsys, value):
+    path = _edit_config(_write_config(tmp_path), parallelism=value)
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "parallelism must be at least 1" in captured.err
+
+
+def test_malformed_jump_flag_exits_1(capsys):
+    assert main(["validate", "--preset", "set1", "--h", "linear:abc"]) == 1
+    assert "validation failure: malformed --h 'linear:abc'" in capsys.readouterr().err
+
+
+def test_malformed_env_seed_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("JUMPSDE_SEED", "x")
+    assert main(["validate", "--preset", "set1"]) == 1
+    assert "validation failure: JUMPSDE_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_malformed_p_list_exits_1(tmp_path, capsys):
+    path = _write_config(tmp_path, n_paths=4)
+    argv = ["moments", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--p-list", "2,x"]
+    assert main(argv) == 1
+    assert "validation failure: malformed --p-list '2,x'" in capsys.readouterr().err
+
+
+def test_positivity_with_indivisible_horizon_exits_1(tmp_path, capsys):
+    path = _edit_config(_write_config(tmp_path, name="short.cfg"), T="0.7")
+    argv = ["positivity", "--presets", f"set1,{path}", "--fast",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "does not divide the horizon T = 0.7" in capsys.readouterr().err

@@ -1,23 +1,34 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jumpsde.harness
 from jumpsde import (
     InvalidModelError,
     PathFailure,
+    PositivityReport,
     SolverConfig,
+    SolverError,
     fit_order,
+    generate_bundle,
     linear_jump,
     make_jump,
     moment_probe,
+    one_sided_lipschitz,
     positivity_table,
     sine_jump,
     strong_error_ladder,
+    tjabem_path,
     zero_jump,
 )
+from jumpsde.harness import PositivityCell
+
+DEFAULT_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 
 
 def test_fit_order_two_point_exact():
@@ -201,6 +212,132 @@ def test_positivity_starts_one_pool_for_all_cells(set1, set2, monkeypatch):
     assert _CountingPool.starts == 1
     assert len(pooled.cells) == 4
     assert pooled == serial
+
+
+def _positivity_oracle(param_sets, jumps, dt_list, lam, n_paths, global_seed):
+    """The positivity table built cell by cell, one bundle per cell and path."""
+    cells = []
+    for set_name, base_params in param_sets:
+        params = replace(base_params, lam=lam)
+        q = one_sided_lipschitz(params)
+        for jump in jumps:
+            for dt in dt_list:
+                m = round(params.T / dt)
+                n_values = n_nonpositive = 0
+                for i in range(n_paths):
+                    bundle = generate_bundle(params, m, global_seed, i)
+                    trajectory, _ = tjabem_path(
+                        params, jump, bundle.fine_mesh, bundle.dw_fine, q
+                    )
+                    n_values += trajectory.z_post.size
+                    n_nonpositive += int(np.count_nonzero(trajectory.z_post <= 0.0))
+                cells.append(
+                    PositivityCell(set_name, jump.label, dt, n_values, n_nonpositive)
+                )
+    return PositivityReport(tuple(cells), lam, n_paths, global_seed)
+
+
+def test_positivity_shares_bundles_across_cells(set1, set2, monkeypatch):
+    # different horizons: (T, M) groups (1, 8), (1, 16), (0.5, 4), (0.5, 8)
+    sets = [("set1", set1), ("set2", replace(set2, T=0.5))]
+    jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
+    args = (sets, jumps, [1.0 / 8, 1.0 / 16])
+    kwargs = dict(lam=3.0, n_paths=7, global_seed=19)
+    expected = _positivity_oracle(*args, **kwargs)
+
+    calls = []
+
+    def counting_bundle(*bundle_args):
+        calls.append(bundle_args)
+        return generate_bundle(*bundle_args)
+
+    monkeypatch.setattr(jumpsde.harness, "generate_bundle", counting_bundle)
+    serial = positivity_table(*args, **kwargs)
+    assert len(calls) == 7 * 4
+    assert serial == expected
+
+    monkeypatch.undo()
+    assert positivity_table(*args, parallelism=2, **kwargs) == expected
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n_paths=st.integers(1, 6),
+    jump_indices=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+    horizons=st.tuples(st.sampled_from([0.5, 1.0]), st.sampled_from([0.5, 1.0])),
+    dt_list=st.lists(
+        st.sampled_from([0.25, 0.125]), min_size=1, max_size=2, unique=True
+    ),
+    global_seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_table_equals_per_cell_oracle(
+    set1, set2, n_paths, jump_indices, horizons, dt_list, global_seed
+):
+    sets = [
+        ("set1", replace(set1, T=horizons[0])),
+        ("set2", replace(set2, T=horizons[1])),
+    ]
+    jumps = [make_jump(*DEFAULT_JUMPS[j]) for j in jump_indices]
+    args = (sets, jumps, dt_list, 2.0, n_paths, global_seed)
+    assert positivity_table(*args) == _positivity_oracle(*args)
+
+
+def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
+    # real cells of one (T, M) group all count the same mesh nodes and no
+    # nonpositive value; a stand-in path gives every cell its own counts
+    jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
+
+    def marked_path(params, jump, mesh, increments, q, cfg):
+        k = 3 * int(params.alpha_m1) + jumps.index(jump) + mesh.n_intervals
+        z_post = np.array([-1.0] * k + [1.0])
+        return SimpleNamespace(z_post=z_post), 1.0
+
+    monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(jumpsde.harness, "tjabem_path", marked_path)
+    report = positivity_table(
+        [("set1", set1), ("set2", set2)], jumps, [0.25, 0.125],
+        lam=0.0, n_paths=5, global_seed=4, parallelism=2,
+    )
+    expected = [
+        3 * a + j + m for a in (2, 1) for j in range(3) for m in (4, 8)
+    ]
+    assert [cell.n_nonpositive for cell in report.cells] == [5 * k for k in expected]
+    assert [cell.n_values for cell in report.cells] == [5 * (k + 1) for k in expected]
+
+
+def test_positivity_failure_names_its_cell(set1, monkeypatch):
+    real_path = jumpsde.harness.tjabem_path
+
+    def failing_path(params, jump, *rest):
+        if jump.label == "linear:0.5":
+            raise SolverError("forced failure")
+        return real_path(params, jump, *rest)
+
+    monkeypatch.setattr(jumpsde.harness, "tjabem_path", failing_path)
+    with pytest.raises(PathFailure) as excinfo:
+        positivity_table(
+            [("set1", set1)], [linear_jump(-0.5), linear_jump(0.5)], [0.125],
+            lam=1.0, n_paths=3, global_seed=23,
+        )
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (23, 0)
+    message = str(excinfo.value)
+    assert "set=set1, jump=linear:0.5, dt=0.125" in message
+    assert "forced failure" in message
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_empty_runs_rejected(set1, n_paths):
+    with pytest.raises(InvalidModelError, match="n_paths"):
+        positivity_table(
+            [("set1", set1)], [zero_jump()], [0.25], lam=0.0, n_paths=n_paths,
+            global_seed=0,
+        )
+    with pytest.raises(InvalidModelError, match="n_paths"):
+        moment_probe(set1, zero_jump(), 8, n_paths, [1.0], global_seed=0)
 
 
 def test_moment_zeroth_order_is_one(set1):
