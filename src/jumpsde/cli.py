@@ -62,13 +62,12 @@ class ExperimentConfig:
     jump: JumpCoefficient
     scheme: str
     m_list: tuple[int, ...]
-    m_ref: int
+    m_ref: int | None  # None when [ladder] has no m_ref
     n_paths: int
     global_seed: int
     parallelism: int
     fast_mode: bool
     out_dir: str
-    formats: tuple[str, ...]
 
     def echo(self) -> dict:
         """Result-affecting fields only; parallelism is execution detail."""
@@ -129,7 +128,7 @@ def load_config(path: Path) -> ExperimentConfig:
         scheme = parser.get("scheme", "scheme", fallback="tjabem").strip().lower()
         ladder = parser["ladder"]
         m_list = tuple(
-            int(tok) for tok in ladder.get("m_list").replace(",", " ").split()
+            int(tok) for tok in ladder["m_list"].replace(",", " ").split()
         )
         m_ref = ladder.getint("m_ref")
         n_paths = parser.getint("run", "n_paths", fallback=5000)
@@ -140,6 +139,17 @@ def load_config(path: Path) -> ExperimentConfig:
         formats = parser.get("output", "formats", fallback="csv, json")
     except (KeyError, configparser.Error, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed config {path}: {exc}") from exc
+    if [tok.strip() for tok in formats.split(",")] != ["csv", "json"]:
+        raise InvalidModelError(
+            f"formats must be 'csv, json' in {path} (every report is written "
+            f"as both), got {formats!r}"
+        )
+    if not m_list or min(m_list) < 1:
+        raise InvalidModelError(
+            f"m_list must be one or more step counts >= 1 in {path}, got {m_list}"
+        )
+    if m_ref is not None and m_ref < 1:
+        raise InvalidModelError(f"m_ref must be at least 1 in {path}, got {m_ref}")
     if n_paths < 1:
         raise InvalidModelError(f"n_paths must be at least 1 in {path}, got {n_paths}")
     if parallelism < 1:
@@ -158,7 +168,6 @@ def load_config(path: Path) -> ExperimentConfig:
         parallelism=parallelism,
         fast_mode=fast_mode,
         out_dir=out_dir,
-        formats=tuple(tok.strip() for tok in formats.split(",") if tok.strip()),
     )
 
 
@@ -286,6 +295,8 @@ def cmd_validate(config: ExperimentConfig) -> int:
 
 def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> int:
     """Write one trajectory (or just its mesh) for inspection."""
+    if path_index < 0:
+        raise InvalidModelError(f"--path-index must be at least 0, got {path_index}")
     validate_params(config.params)
     validate_jump(config.jump, config.params)
     m = config.m_list[0]
@@ -304,6 +315,8 @@ def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> 
 
 
 def cmd_convergence(config: ExperimentConfig) -> int:
+    if config.m_ref is None:
+        raise InvalidModelError("convergence needs m_ref in the [ladder] section")
     validate_params(config.params)
     validate_jump(config.jump, config.params)
     reports = strong_error_ladder(
@@ -316,9 +329,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
         config.global_seed,
         parallelism=config.parallelism,
     )
-    written = write_convergence_reports(
-        reports, Path(config.out_dir), config.echo(), config.formats
-    )
+    written = write_convergence_reports(reports, Path(config.out_dir), config.echo())
     for name, report in reports.items():
         print(
             f"{name}: slope={report.slope:.4f} r_squared={report.r_squared:.4f} "
@@ -357,9 +368,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         base.global_seed,
         parallelism=base.parallelism,
     )
-    written = write_positivity_report(
-        report, Path(base.out_dir), base.echo(), base.formats
-    )
+    written = write_positivity_report(report, Path(base.out_dir), base.echo())
     worst = max((cell.percent for cell in report.cells), default=0.0)
     print(f"{len(report.cells)} cells, max nonpositive percent = {worst!r}")
     for path in written:
@@ -377,9 +386,7 @@ def cmd_moments(config: ExperimentConfig, p_list: tuple[float, ...]) -> int:
         config.global_seed,
         parallelism=config.parallelism,
     )
-    written = write_moment_report(
-        report, Path(config.out_dir), config.echo(), config.formats
-    )
+    written = write_moment_report(report, Path(config.out_dir), config.echo())
     for row in report.rows:
         print(
             f"p={row.p:g}: sup={row.sup_moment!r} (se {row.sup_stderr:.3g}) "

@@ -1,9 +1,11 @@
 """Monte Carlo experiments: strong-error ladders, positivity and moment tables.
 
-Paths are independent work items distributed over contiguous index chunks;
-every per-path quantity is assembled by path index before reduction, so
-reports are bit-identical regardless of the worker count. A failed path
-aborts the experiment carrying its (global_seed, path_index) for replay.
+Every experiment runs through one path runner: it builds each path's bundle
+and hands it to the experiment's row function, which returns that path's
+result row. Paths are independent work items distributed over contiguous
+index chunks; rows are assembled by path index before reduction, so reports
+are bit-identical regardless of the worker count. A failed path aborts the
+experiment carrying its (global_seed, path_index) for replay.
 With parallelism > 1 the jump coefficient must be picklable (built-in
 families always are; custom ones need module-level callables).
 """
@@ -132,23 +134,54 @@ class MomentReport:
 # Work distribution
 # ---------------------------------------------------------------------------
 
+# errors of one path's bundle or solve; anything else is a bug and propagates
+_PATH_ERRORS = (SolverError, MeshError, ValueError, OverflowError)
+
+
 def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
     n_chunks = max(1, min(n, parallelism * 4))
     size = math.ceil(n / n_chunks)
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _run_tasks(worker, tasks: list, parallelism: int) -> list:
-    """worker's results in task order, inline or from one process pool."""
+def _run_chunk(task) -> np.ndarray:
+    """The rows of paths lo..hi of one run, stacked into one array.
+
+    A run is (path_row, args, bundle_params, m, global_seed): each path's
+    bundle is generate_bundle(bundle_params, m, global_seed, i), and its row
+    is path_row(bundle, *args).
+    """
+    (path_row, args, bundle_params, m, global_seed), lo, hi = task
+    rows = []
+    for i in range(lo, hi):
+        try:
+            bundle = generate_bundle(bundle_params, m, global_seed, i)
+            rows.append(path_row(bundle, *args))
+        except _PATH_ERRORS as exc:
+            raise PathFailure(
+                f"path failed: {exc} (replay with global_seed={global_seed}, "
+                f"path_index={i})",
+                global_seed,
+                i,
+            ) from exc
+    return np.array(rows)
+
+
+def _map_runs(runs: list, n_paths: int, parallelism: int) -> list[np.ndarray]:
+    """Each run's rows over paths 0..n_paths-1, in path order.
+
+    Every run is split into the same path chunks, and all the chunks go
+    through one process pool (inline at parallelism 1).
+    """
+    ranges = _chunk_ranges(n_paths, parallelism)
+    tasks = [(run, lo, hi) for run in runs for lo, hi in ranges]
     if parallelism <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _map_chunks(worker, payload, n_paths: int, parallelism: int) -> list:
-    tasks = [(payload, lo, hi) for lo, hi in _chunk_ranges(n_paths, parallelism)]
-    return _run_tasks(worker, tasks, parallelism)
+        parts = [_run_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            parts = list(pool.map(_run_chunk, tasks))
+    n = len(ranges)
+    return [np.concatenate(parts[k : k + n]) for k in range(0, len(parts), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +212,22 @@ def fit_order(points: Sequence[tuple[float, float]]) -> tuple[float, float, floa
 # Strong-error ladder
 # ---------------------------------------------------------------------------
 
-def _ladder_chunk(task):
-    (params, jump, schemes, m_list, m_ref, global_seed, cfg, q_transformed,
-     q_drift), lo, hi = task
-    n_m = len(m_list)
-    out = {s: np.empty((hi - lo, n_m)) for s in schemes}
-    for i in range(lo, hi):
-        try:
-            bundle = generate_bundle(params, m_ref, global_seed, i)
-            _, x_ref = tjabem_path(
-                params, jump, bundle.fine_mesh, bundle.dw_fine, q_transformed, cfg
-            )
-            for j, m in enumerate(m_list):
-                if "tjabem" in schemes:
-                    mesh_c, dw_c = coarsen_increments(bundle, m)
-                    _, x_num = tjabem_path(params, jump, mesh_c, dw_c, q_transformed, cfg)
-                    out["tjabem"][i - lo, j] = abs(x_ref - x_num)
-                if "bem" in schemes:
-                    dw_r, dn_r = regular_increments(bundle, m)
-                    x_num = bem_path(params, jump, m, dw_r, dn_r, cfg, q_drift)
-                    out["bem"][i - lo, j] = abs(x_ref - x_num)
-        except (SolverError, MeshError, ValueError, OverflowError) as exc:
-            raise PathFailure(
-                f"path failed: {exc} (replay with global_seed={global_seed}, "
-                f"path_index={i})",
-                global_seed,
-                i,
-            ) from exc
-    return out
+def _ladder_row(bundle, params, jump, schemes, m_list, cfg, q_transformed, q_drift):
+    """|x_ref - x_num| per (scheme, M) on one path's bundle."""
+    _, x_ref = tjabem_path(
+        params, jump, bundle.fine_mesh, bundle.dw_fine, q_transformed, cfg
+    )
+    row = np.empty((len(schemes), len(m_list)))
+    for j, m in enumerate(m_list):
+        for s, scheme in enumerate(schemes):
+            if scheme == "tjabem":
+                mesh_c, dw_c = coarsen_increments(bundle, m)
+                _, x_num = tjabem_path(params, jump, mesh_c, dw_c, q_transformed, cfg)
+            else:
+                dw_r, dn_r = regular_increments(bundle, m)
+                x_num = bem_path(params, jump, m, dw_r, dn_r, cfg, q_drift)
+            row[s, j] = abs(x_ref - x_num)
+    return row
 
 
 def strong_error_ladder(
@@ -242,30 +263,31 @@ def strong_error_ladder(
     elif scheme in SCHEMES:
         schemes = (scheme,)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected tjabem, bem or both")
+        raise InvalidModelError(
+            f"unknown scheme {scheme!r}; expected tjabem, bem or both"
+        )
     m_list = tuple(int(m) for m in m_list)
     if len(m_list) < 2:
-        raise ValueError("the ladder needs at least two step counts")
+        raise InvalidModelError("the ladder needs at least two step counts")
     if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be strictly increasing")
+        raise InvalidModelError("m_list must be strictly increasing")
     for m in m_list:
         if m_ref % m != 0:
             raise MeshError(f"ladder entry M = {m} does not divide m_ref = {m_ref}")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
 
     q_transformed = one_sided_lipschitz(params)
     q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
-    payload = (
-        params, jump, schemes, m_list, m_ref, global_seed, cfg, q_transformed,
-        q_drift,
+    args = (params, jump, schemes, m_list, cfg, q_transformed, q_drift)
+    (rows,) = _map_runs(
+        [(_ladder_row, args, params, m_ref, global_seed)], n_paths, parallelism
     )
-    chunks = _map_chunks(_ladder_chunk, payload, n_paths, parallelism)
 
     dt_list = tuple(params.T / m for m in m_list)
     reports: dict[str, ConvergenceReport] = {}
-    for s in schemes:
-        errors = np.vstack([c[s] for c in chunks])
+    for k, s in enumerate(schemes):
+        errors = rows[:, k]
         mean = errors.mean(axis=0)
         stderr = errors.std(axis=0, ddof=1) / math.sqrt(n_paths)
         l2 = np.sqrt((errors**2).mean(axis=0))
@@ -301,36 +323,21 @@ def strong_error_ladder(
 # Positivity table
 # ---------------------------------------------------------------------------
 
-def _positivity_chunk(task):
-    """Per-cell (n_values, n_nonpositive) of one (T, m) group over paths lo..hi.
-
-    Each path's bundle is built once and serves every cell of the group: a
-    bundle depends only on (lam, T, m, global_seed, path_index), and all the
-    group's cells share those.
-    """
-    (m, global_seed, cfg, cells), lo, hi = task
-    bundle_params = cells[0][0]
-    counts = [[0, 0] for _ in cells]
-    for i in range(lo, hi):
-        cell = cells[0]  # a failed bundle is reported against the group's first cell
+def _positivity_row(bundle, cells, cfg):
+    """(n_values, n_nonpositive) per cell of one (T, M) group on one bundle."""
+    row = []
+    for params, jump, q, (set_name, label, dt) in cells:
         try:
-            bundle = generate_bundle(bundle_params, m, global_seed, i)
-            for cell, count in zip(cells, counts):
-                params, jump, q, _ = cell
-                trajectory, _ = tjabem_path(
-                    params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
-                )
-                count[0] += trajectory.z_post.size
-                count[1] += int(np.count_nonzero(trajectory.z_post <= 0.0))
-        except (SolverError, MeshError, ValueError, OverflowError) as exc:
-            set_name, label, dt = cell[3]
-            raise PathFailure(
-                f"path failed in cell (set={set_name}, jump={label}, dt={dt!r}): "
-                f"{exc} (replay with global_seed={global_seed}, path_index={i})",
-                global_seed,
-                i,
+            trajectory, _ = tjabem_path(
+                params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
+            )
+        except _PATH_ERRORS as exc:
+            raise SolverError(
+                f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}"
             ) from exc
-    return counts
+        z = trajectory.z_post
+        row.append((z.size, np.count_nonzero(z <= 0.0)))
+    return row
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -377,34 +384,23 @@ def positivity_table(
                 cells.append((params, jump, q, (set_name, jump.label, dt)))
     # largest meshes first, so the pool's tail is made of the short tasks
     order = sorted(groups, key=lambda group: -group[1])
-    ranges = _chunk_ranges(n_paths, parallelism)
-    tasks = [
-        ((m, global_seed, cfg, tuple(cells[c] for c in groups[(T, m)])), lo, hi)
-        for T, m in order
-        for lo, hi in ranges
-    ]
-    parts = iter(_run_tasks(_positivity_chunk, tasks, parallelism))
-    totals = [(0, 0)] * len(cells)
+    runs = []
     for group in order:
-        chunk_parts = [next(parts) for _ in ranges]
-        for j, c in enumerate(groups[group]):
-            totals[c] = (
-                sum(part[j][0] for part in chunk_parts),
-                sum(part[j][1] for part in chunk_parts),
-            )
-    report_cells = tuple(
-        PositivityCell(
-            param_set=set_name,
-            h_family=label,
-            dt=dt,
-            n_values=n_values,
-            n_nonpositive=n_nonpositive,
+        group_cells = tuple(cells[c] for c in groups[group])
+        # the group's cells share lam, T and M, so one bundle serves them all
+        runs.append(
+            (_positivity_row, (group_cells, cfg), group_cells[0][0], group[1],
+             global_seed)
         )
-        for (_, _, _, (set_name, label, dt)), (n_values, n_nonpositive)
-        in zip(cells, totals)
-    )
+    report_cells = [None] * len(cells)
+    for group, rows in zip(order, _map_runs(runs, n_paths, parallelism)):
+        for c, (n_values, n_nonpositive) in zip(groups[group], rows.sum(axis=0)):
+            set_name, label, dt = cells[c][3]
+            report_cells[c] = PositivityCell(
+                set_name, label, dt, int(n_values), int(n_nonpositive)
+            )
     return PositivityReport(
-        cells=report_cells, lam=lam, n_paths=n_paths, global_seed=global_seed
+        cells=tuple(report_cells), lam=lam, n_paths=n_paths, global_seed=global_seed
     )
 
 
@@ -412,29 +408,15 @@ def positivity_table(
 # Moment probe
 # ---------------------------------------------------------------------------
 
-def _moment_chunk(task):
-    (params, jump, m, p_list, global_seed, cfg, q), lo, hi = task
-    inv_exp = 1.0 / (1.0 - params.rho)
-    out = np.empty((hi - lo, len(p_list), 2))
-    for i in range(lo, hi):
-        try:
-            bundle = generate_bundle(params, m, global_seed, i)
-            trajectory, _ = tjabem_path(
-                params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
-            )
-        except (SolverError, MeshError, ValueError, OverflowError) as exc:
-            raise PathFailure(
-                f"path failed: {exc} (replay with global_seed={global_seed}, "
-                f"path_index={i})",
-                global_seed,
-                i,
-            ) from exc
-        x = trajectory.z_post**inv_exp
-        for j, p in enumerate(p_list):
-            powered = x**p
-            out[i - lo, j, 0] = powered.max()
-            out[i - lo, j, 1] = powered[-1]
-    return out
+def _moment_row(bundle, params, jump, p_list, cfg, q):
+    """(sup, terminal) of x**p per order p on one path's bundle."""
+    trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg)
+    x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
+    row = np.empty((len(p_list), 2))
+    for j, p in enumerate(p_list):
+        powered = x**p
+        row[j] = powered.max(), powered[-1]
+    return row
 
 
 def moment_probe(
@@ -455,16 +437,17 @@ def moment_probe(
     """
     if cfg is None:
         cfg = SolverConfig()
-    if n_paths < 1:
-        raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
+    if n_paths < 2:
+        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
     p_list = tuple(float(p) for p in p_list)
     for p in p_list:
         moment_admissible(params, p)
     validate_jump(jump, params)
     q = one_sided_lipschitz(params)
-    payload = (params, jump, M, p_list, global_seed, cfg, q)
-    parts = _map_chunks(_moment_chunk, payload, n_paths, parallelism)
-    samples = np.vstack(parts)
+    args = (params, jump, p_list, cfg, q)
+    (samples,) = _map_runs(
+        [(_moment_row, args, params, M, global_seed)], n_paths, parallelism
+    )
     rows = []
     sqrt_n = math.sqrt(n_paths)
     for j, p in enumerate(p_list):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
@@ -32,42 +33,40 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_convergence_reports(
-    reports: Mapping[str, ConvergenceReport],
-    out_dir: Path,
-    config_echo: dict,
-    formats: tuple[str, ...] = ("csv", "json"),
+def _write_table(
+    out_dir: Path, stem: str, header: list[str], rows: list[list], payload: dict
 ) -> list[Path]:
-    """Write convergence CSV, companion JSON, and per-scheme plot data."""
+    """Write <stem>.csv (header, then rows) and <stem>.json (payload)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    csv_path = out_dir / f"{stem}.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    json_path = out_dir / f"{stem}.json"
+    with open(json_path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [csv_path, json_path]
 
-    if "csv" in formats:
-        csv_path = out_dir / "convergence.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["scheme", "dt", "error_l1", "stderr", "error_l2", "n_paths"]
-            )
-            for name, report in reports.items():
-                for j, dt in enumerate(report.dt_list):
-                    writer.writerow(
-                        [
-                            name,
-                            _fmt(dt),
-                            _fmt(report.error_l1[j]),
-                            _fmt(report.stderr[j]),
-                            _fmt(report.error_l2[j]),
-                            report.n_paths,
-                        ]
-                    )
-        written.append(csv_path)
-    if "json" not in formats:
-        if "csv" in formats:
-            written.extend(_write_plotdata(reports, out_dir))
-        return written
 
+def write_convergence_reports(
+    reports: Mapping[str, ConvergenceReport], out_dir: Path, config_echo: dict
+) -> list[Path]:
+    """Write convergence CSV, companion JSON, and per-scheme plot data."""
+    rows = [
+        [
+            name,
+            _fmt(dt),
+            _fmt(report.error_l1[j]),
+            _fmt(report.stderr[j]),
+            _fmt(report.error_l2[j]),
+            report.n_paths,
+        ]
+        for name, report in reports.items()
+        for j, dt in enumerate(report.dt_list)
+    ]
     payload = {
         "config": config_echo,
         "schemes": {
@@ -88,15 +87,14 @@ def write_convergence_reports(
             for name, report in reports.items()
         },
     }
-    json_path = out_dir / "convergence.json"
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(json_path)
-
-    if "csv" in formats:
-        written.extend(_write_plotdata(reports, out_dir))
-    return written
+    written = _write_table(
+        out_dir,
+        "convergence",
+        ["scheme", "dt", "error_l1", "stderr", "error_l2", "n_paths"],
+        rows,
+        payload,
+    )
+    return written + _write_plotdata(reports, Path(out_dir))
 
 
 def _write_plotdata(
@@ -125,121 +123,52 @@ def _write_plotdata(
 
 
 def write_positivity_report(
-    report: PositivityReport,
-    out_dir: Path,
-    config_echo: dict,
-    formats: tuple[str, ...] = ("csv", "json"),
+    report: PositivityReport, out_dir: Path, config_echo: dict
 ) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        csv_path = out_dir / "positivity.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["param_set", "h_family", "dt", "n_values", "n_nonpositive", "percent"]
-            )
-            for cell in report.cells:
-                writer.writerow(
-                    [
-                        cell.param_set,
-                        cell.h_family,
-                        _fmt(cell.dt),
-                        cell.n_values,
-                        cell.n_nonpositive,
-                        _fmt(cell.percent),
-                    ]
-                )
-        written.append(csv_path)
-    if "json" not in formats:
-        return written
-    json_path = out_dir / "positivity.json"
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "config": config_echo,
-                "lam": report.lam,
-                "n_paths": report.n_paths,
-                "global_seed": report.global_seed,
-                "cells": [
-                    {
-                        "param_set": c.param_set,
-                        "h_family": c.h_family,
-                        "dt": c.dt,
-                        "n_values": c.n_values,
-                        "n_nonpositive": c.n_nonpositive,
-                        "percent": c.percent,
-                    }
-                    for c in report.cells
-                ],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    written.append(json_path)
-    return written
+    rows = [
+        [c.param_set, c.h_family, _fmt(c.dt), c.n_values, c.n_nonpositive,
+         _fmt(c.percent)]
+        for c in report.cells
+    ]
+    payload = {
+        "config": config_echo,
+        "lam": report.lam,
+        "n_paths": report.n_paths,
+        "global_seed": report.global_seed,
+        "cells": [{**asdict(c), "percent": c.percent} for c in report.cells],
+    }
+    return _write_table(
+        out_dir,
+        "positivity",
+        ["param_set", "h_family", "dt", "n_values", "n_nonpositive", "percent"],
+        rows,
+        payload,
+    )
 
 
 def write_moment_report(
-    report: MomentReport,
-    out_dir: Path,
-    config_echo: dict,
-    formats: tuple[str, ...] = ("csv", "json"),
+    report: MomentReport, out_dir: Path, config_echo: dict
 ) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        csv_path = out_dir / "moments.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["p", "sup_moment", "sup_stderr", "terminal_moment",
-                 "terminal_stderr", "n_paths"]
-            )
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        _fmt(row.p),
-                        _fmt(row.sup_moment),
-                        _fmt(row.sup_stderr),
-                        _fmt(row.terminal_moment),
-                        _fmt(row.terminal_stderr),
-                        report.n_paths,
-                    ]
-                )
-        written.append(csv_path)
-    if "json" not in formats:
-        return written
-    json_path = out_dir / "moments.json"
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "config": config_echo,
-                "M": report.M,
-                "n_paths": report.n_paths,
-                "global_seed": report.global_seed,
-                "rows": [
-                    {
-                        "p": r.p,
-                        "sup_moment": r.sup_moment,
-                        "sup_stderr": r.sup_stderr,
-                        "terminal_moment": r.terminal_moment,
-                        "terminal_stderr": r.terminal_stderr,
-                    }
-                    for r in report.rows
-                ],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    written.append(json_path)
-    return written
+    rows = [
+        [_fmt(r.p), _fmt(r.sup_moment), _fmt(r.sup_stderr),
+         _fmt(r.terminal_moment), _fmt(r.terminal_stderr), report.n_paths]
+        for r in report.rows
+    ]
+    payload = {
+        "config": config_echo,
+        "M": report.M,
+        "n_paths": report.n_paths,
+        "global_seed": report.global_seed,
+        "rows": [asdict(r) for r in report.rows],
+    }
+    return _write_table(
+        out_dir,
+        "moments",
+        ["p", "sup_moment", "sup_stderr", "terminal_moment", "terminal_stderr",
+         "n_paths"],
+        rows,
+        payload,
+    )
 
 
 def write_trajectory_csv(

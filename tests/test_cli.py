@@ -302,3 +302,74 @@ def test_positivity_with_indivisible_horizon_exits_1(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "does not divide the horizon T = 0.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"n_paths": "1"}, "n_paths must be at least 2"),
+        ({"scheme": "euler"}, "unknown scheme 'euler'"),
+        ({"m_list": "64, 32"}, "m_list must be strictly increasing"),
+    ],
+    ids=["n_paths=1", "scheme=euler", "m_list=64,32"],
+)
+def test_bad_ladder_input_exits_1(tmp_path, capsys, values, message):
+    path = _edit_config(_write_config(tmp_path), **values)
+    assert main(["convergence", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"validation failure: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_without_m_ref_exits_1(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().replace("m_ref = 128\n", ""))
+    assert main(["convergence", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "validation failure: convergence needs m_ref" in capsys.readouterr().err
+
+
+def test_single_path_moments_exit_1(tmp_path, capsys):
+    path = _write_config(tmp_path, n_paths=1)
+    argv = ["moments", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "validation failure: n_paths must be at least 2" in captured.err
+    assert "se nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("validate", {"m_list": ""}, "m_list must be one or more step counts"),
+        ("validate", {"m_list": "0, 32"}, "m_list must be one or more step counts"),
+        ("validate", {"m_list": "-32, 64"}, "m_list must be one or more step counts"),
+        ("validate", {"m_ref": "0"}, "m_ref must be at least 1"),
+        ("moments", {"m_list": "0, 32"}, "m_list must be one or more step counts"),
+        ("positivity", {"m_list": ""}, "m_list must be one or more step counts"),
+        ("validate", {"formats": "csv"}, "formats must be 'csv, json'"),
+    ],
+    ids=[
+        "validate-empty-m_list", "validate-zero-m", "validate-negative-m",
+        "validate-zero-m_ref", "moments-zero-m", "positivity-empty-m_list",
+        "validate-formats=csv",
+    ],
+)
+def test_bad_config_exits_1(tmp_path, capsys, command, values, message):
+    path = _edit_config(_write_config(tmp_path), **values)
+    target = f"set1,{path}" if command == "positivity" else str(path)
+    flag = "--presets" if command == "positivity" else "--config"
+    assert main([command, flag, target, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert f"validation failure: {message}" in captured.err
+    assert "all gates passed" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_path_index_exits_1(tmp_path, capsys):
+    argv = ["simulate", "--preset", "set1", "--path-index", "-1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "validation failure: --path-index must be at least 0" in (
+        capsys.readouterr().err
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import jumpsde.harness
 from jumpsde import (
     InvalidModelError,
+    MeshError,
     PathFailure,
     PositivityReport,
     SolverConfig,
@@ -111,11 +112,13 @@ def test_ladder_reproducible_across_parallelism(set1):
 
 
 def test_ladder_validates_inputs(set1):
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(InvalidModelError, match="strictly increasing"):
         strong_error_ladder(set1, zero_jump(), "tjabem", (16, 8), 64, 4, 0)
-    with pytest.raises(Exception, match="does not divide"):
+    with pytest.raises(InvalidModelError, match="two step counts"):
+        strong_error_ladder(set1, zero_jump(), "tjabem", (8,), 64, 4, 0)
+    with pytest.raises(MeshError, match="does not divide"):
         strong_error_ladder(set1, zero_jump(), "tjabem", (8, 24), 64, 4, 0)
-    with pytest.raises(ValueError, match="scheme"):
+    with pytest.raises(InvalidModelError, match="scheme"):
         strong_error_ladder(set1, zero_jump(), "euler", (8, 16), 64, 4, 0)
 
 
@@ -212,6 +215,53 @@ def test_positivity_starts_one_pool_for_all_cells(set1, set2, monkeypatch):
     assert _CountingPool.starts == 1
     assert len(pooled.cells) == 4
     assert pooled == serial
+
+    # the ladder and the moment probe share the path runner and its one pool
+    for run in (
+        lambda par: strong_error_ladder(
+            set1, linear_jump(0.5), "both", (8, 16), 64, 10, 8, parallelism=par
+        ),
+        lambda par: moment_probe(set1, linear_jump(0.5), 8, 10, [2.0], 8,
+                                 parallelism=par),
+    ):
+        serial = run(1)
+        _CountingPool.starts = 0
+        assert run(2) == serial
+        assert _CountingPool.starts == 1
+
+
+def _failing_bundle(params, m, global_seed, path_index):
+    if path_index == 3:
+        raise MeshError("forced bundle failure")
+    return generate_bundle(params, m, global_seed, path_index)
+
+
+EXPERIMENTS = {
+    "ladder": lambda params, par: strong_error_ladder(
+        params, linear_jump(-0.5), "both", (8, 16), 64, 6, 29, parallelism=par
+    ),
+    "positivity": lambda params, par: positivity_table(
+        [("set1", params)], [linear_jump(-0.5), linear_jump(0.5)], [0.25, 0.125],
+        lam=1.0, n_paths=6, global_seed=29, parallelism=par,
+    ),
+    "moments": lambda params, par: moment_probe(
+        params, linear_jump(-0.5), 8, 6, [1.0, -1.0], 29, parallelism=par
+    ),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_bundle_failure_carries_replay_info(set1, monkeypatch, experiment,
+                                            parallelism):
+    monkeypatch.setattr(jumpsde.harness, "generate_bundle", _failing_bundle)
+    monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "starts", 0)
+    with pytest.raises(PathFailure) as excinfo:
+        EXPERIMENTS[experiment](set1, parallelism)
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (29, 3)
+    assert "forced bundle failure" in str(excinfo.value)
+    assert _CountingPool.starts == (1 if parallelism > 1 else 0)
 
 
 def _positivity_oracle(param_sets, jumps, dt_list, lam, n_paths, global_seed):
@@ -329,15 +379,19 @@ def test_positivity_failure_names_its_cell(set1, monkeypatch):
     assert "forced failure" in message
 
 
-@pytest.mark.parametrize("n_paths", [0, -1])
+@pytest.mark.parametrize("n_paths", [0, -1, 1])
 def test_empty_runs_rejected(set1, n_paths):
-    with pytest.raises(InvalidModelError, match="n_paths"):
-        positivity_table(
-            [("set1", set1)], [zero_jump()], [0.25], lam=0.0, n_paths=n_paths,
-            global_seed=0,
-        )
-    with pytest.raises(InvalidModelError, match="n_paths"):
+    # a table needs one path; a standard error needs two
+    if n_paths < 1:
+        with pytest.raises(InvalidModelError, match="n_paths"):
+            positivity_table(
+                [("set1", set1)], [zero_jump()], [0.25], lam=0.0, n_paths=n_paths,
+                global_seed=0,
+            )
+    with pytest.raises(InvalidModelError, match="n_paths must be at least 2"):
         moment_probe(set1, zero_jump(), 8, n_paths, [1.0], global_seed=0)
+    with pytest.raises(InvalidModelError, match="n_paths must be at least 2"):
+        strong_error_ladder(set1, zero_jump(), "tjabem", (8, 16), 64, n_paths, 0)
 
 
 def test_moment_zeroth_order_is_one(set1):
