@@ -18,7 +18,9 @@ from importlib import resources
 from pathlib import Path
 
 from .harness import (
+    _PATH_ERRORS,
     PathFailure,
+    _replay_failure,
     moment_probe,
     positivity_table,
     strong_error_ladder,
@@ -42,7 +44,13 @@ from .reports import (
     write_positivity_report,
     write_trajectory_csv,
 )
-from .solver import SolverConfig, SolverError, step_size_diagnostics, tjabem_path
+from .solver import (
+    SolverConfig,
+    SolverError,
+    _epsilon_bound,
+    step_size_diagnostics,
+    tjabem_path,
+)
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -277,10 +285,9 @@ def cmd_validate(config: ExperimentConfig) -> int:
             )
             return 1
 
-    if check.regime is Regime.SUPERCRITICAL:
-        gamma, rho = config.params.gamma, config.params.rho
-        eps_max = 2.0 * (gamma + 1.0 - 2.0 * rho) / (3.0 * rho * (gamma - 1.0))
-        epsilon = eps_max / 2.0
+    epsilon = _epsilon_bound(config.params) / 2.0
+    # gamma barely above 2*rho - 1 can round the epsilon interval to empty
+    if check.regime is Regime.SUPERCRITICAL and epsilon > 0.0:
         diag = step_size_diagnostics(
             config.params, q, config.params.T / config.m_list[0], epsilon
         )
@@ -300,16 +307,22 @@ def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> 
     validate_params(config.params)
     validate_jump(config.jump, config.params)
     m = config.m_list[0]
-    bundle = generate_bundle(config.params, m, config.global_seed, path_index)
     out_dir = Path(config.out_dir)
-    if mesh_only:
-        path = write_mesh_csv(bundle.fine_mesh, out_dir / "mesh.csv")
-        print(f"wrote {path}")
-        return 0
-    trajectory, x_terminal = tjabem_path(
-        config.params, config.jump, bundle.fine_mesh, bundle.dw_fine
-    )
-    path = write_trajectory_csv(config.params, trajectory, out_dir / "trajectory.csv")
+    try:
+        bundle = generate_bundle(config.params, m, config.global_seed, path_index)
+        if mesh_only:
+            path = write_mesh_csv(bundle.fine_mesh, out_dir / "mesh.csv")
+            print(f"wrote {path}")
+            return 0
+        trajectory, x_terminal = tjabem_path(
+            config.params, config.jump, bundle.fine_mesh, bundle.dw_fine
+        )
+        path = write_trajectory_csv(
+            config.params, trajectory, out_dir / "trajectory.csv"
+        )
+    except _PATH_ERRORS as exc:
+        # a path that fails after validation is a runtime failure (exit 2)
+        raise _replay_failure(exc, config.global_seed, path_index) from exc
     print(f"wrote {path} (terminal x = {x_terminal!r})")
     return 0
 

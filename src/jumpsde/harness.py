@@ -138,6 +138,16 @@ class MomentReport:
 _PATH_ERRORS = (SolverError, MeshError, ValueError, OverflowError)
 
 
+def _replay_failure(exc: Exception, global_seed: int, path_index: int) -> PathFailure:
+    """exc as the failure of one path, naming the seed and index to replay it."""
+    return PathFailure(
+        f"path failed: {exc} (replay with global_seed={global_seed}, "
+        f"path_index={path_index})",
+        global_seed,
+        path_index,
+    )
+
+
 def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
     n_chunks = max(1, min(n, parallelism * 4))
     size = math.ceil(n / n_chunks)
@@ -158,12 +168,7 @@ def _run_chunk(task) -> np.ndarray:
             bundle = generate_bundle(bundle_params, m, global_seed, i)
             rows.append(path_row(bundle, *args))
         except _PATH_ERRORS as exc:
-            raise PathFailure(
-                f"path failed: {exc} (replay with global_seed={global_seed}, "
-                f"path_index={i})",
-                global_seed,
-                i,
-            ) from exc
+            raise _replay_failure(exc, global_seed, i) from exc
     return np.array(rows)
 
 
@@ -440,6 +445,8 @@ def moment_probe(
     if n_paths < 2:
         raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
     p_list = tuple(float(p) for p in p_list)
+    if not p_list:
+        raise InvalidModelError("p_list needs at least one moment order")
     for p in p_list:
         moment_admissible(params, p)
     validate_jump(jump, params)

@@ -176,21 +176,14 @@ def _require_positive(x: float, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive, got {x}")
 
 
-def drift(params: ModelParams, x: float) -> float:
-    """a_m1/x - a0 + a1*x - a2*x^gamma for x > 0."""
-    _require_positive(x, "x")
+def _original_drift_terms(params: ModelParams) -> tuple[tuple[float, float], ...]:
+    """(coefficient, exponent) pairs of the original drift."""
     return (
-        params.alpha_m1 / x
-        - params.alpha0
-        + params.alpha1 * x
-        - params.alpha2 * _pow_extended(x, params.gamma)
+        (params.alpha_m1, -1.0),
+        (-params.alpha0, 0.0),
+        (params.alpha1, 1.0),
+        (-params.alpha2, params.gamma),
     )
-
-
-def diffusion(params: ModelParams, x: float) -> float:
-    """a3 * x^rho for x > 0."""
-    _require_positive(x, "x")
-    return params.alpha3 * _pow_extended(x, params.rho)
 
 
 def _drift_terms(params: ModelParams) -> tuple[tuple[float, float], ...]:
@@ -211,7 +204,11 @@ def _diff_terms(terms: Sequence[tuple[float, float]]) -> tuple[tuple[float, floa
 
 
 def _powsum(terms: Sequence[tuple[float, float]], z: float) -> float:
-    """Evaluate sum(c * z^e) with overflow handled by the dominant term's sign."""
+    """Evaluate sum(c * z^e) with overflow handled by the dominant term's sign.
+
+    Powers are exp(e*log(z)), so no term divides (a subnormal z cannot raise
+    ZeroDivisionError) and none raises OverflowError.
+    """
     lz = math.log(z)
     overflow_t = None
     overflow_c = 0.0
@@ -228,12 +225,16 @@ def _powsum(terms: Sequence[tuple[float, float]], z: float) -> float:
     return acc
 
 
-def _pow_extended(x: float, e: float) -> float:
-    """x^e for x > 0, returning inf instead of raising on overflow."""
-    try:
-        return x**e
-    except OverflowError:
-        return math.inf
+def drift(params: ModelParams, x: float) -> float:
+    """a_m1/x - a0 + a1*x - a2*x^gamma for x > 0."""
+    _require_positive(x, "x")
+    return _powsum(_original_drift_terms(params), x)
+
+
+def diffusion(params: ModelParams, x: float) -> float:
+    """a3 * x^rho for x > 0."""
+    _require_positive(x, "x")
+    return _powsum(((params.alpha3, params.rho),), x)
 
 
 def transformed_drift(params: ModelParams, z: float) -> float:
@@ -258,62 +259,24 @@ def transformed_drift_second(params: ModelParams, z: float) -> float:
     return _powsum(_diff_terms(_diff_terms(_drift_terms(params))), z)
 
 
+def _value_and_slope(
+    terms: tuple[tuple[float, float], ...],
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    return partial(_powsum, terms), partial(_powsum, _diff_terms(terms))
+
+
 def make_transformed_drift(
     params: ModelParams,
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Specialized (F, F') closures for hot loops.
-
-    Precomputes coefficients; the linear and 1/z terms avoid exp/log. Falls
-    back to the guarded evaluator near overflow.
-    """
-    terms = _drift_terms(params)
-    dterms = _diff_terms(terms)
-    (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = terms
-    (d1, f1), (d2, f2), (d3, _), (d4, f4), (d5, _) = dterms
-    exp = math.exp
-    log = math.log
-
-    def value(z: float) -> float:
-        lz = log(z)
-        try:
-            return c1 * exp(e1 * lz) + c2 * exp(e2 * lz) + c3 * z + c4 * exp(e4 * lz) + c5 / z
-        except OverflowError:
-            return _powsum(terms, z)
-
-    def slope(z: float) -> float:
-        lz = log(z)
-        try:
-            return d1 * exp(f1 * lz) + d2 * exp(f2 * lz) + d3 + d4 * exp(f4 * lz) + d5 / (z * z)
-        except (OverflowError, ZeroDivisionError):
-            # z*z can underflow to 0 for subnormal z; _powsum avoids divisions
-            return _powsum(dterms, z)
-
-    return value, slope
+    """(F, F') of the transformed drift, both evaluated by _powsum."""
+    return _value_and_slope(_drift_terms(params))
 
 
 def make_drift(
     params: ModelParams,
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Specialized (f, f') closures for the original drift."""
-    am1, a0, a1 = params.alpha_m1, params.alpha0, params.alpha1
-    a2, g = params.alpha2, params.gamma
-    exp = math.exp
-    log = math.log
-
-    def value(x: float) -> float:
-        try:
-            return am1 / x - a0 + a1 * x - a2 * exp(g * log(x))
-        except OverflowError:
-            return -math.inf
-
-    def slope(x: float) -> float:
-        try:
-            return -am1 / (x * x) + a1 - a2 * g * exp((g - 1.0) * log(x))
-        except (OverflowError, ZeroDivisionError):
-            # both tails of the derivative diverge to -inf
-            return -math.inf
-
-    return value, slope
+    """(f, f') of the original drift, both evaluated by _powsum."""
+    return _value_and_slope(_original_drift_terms(params))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +320,12 @@ def _sup_on_positive_axis(fn: Callable[[float], float]) -> float:
     return best
 
 
+def _slope_sup(terms: tuple[tuple[float, float], ...]) -> float:
+    """max(0, sup over the positive axis of the table's derivative)."""
+    _, slope = _value_and_slope(terms)
+    return max(0.0, _sup_on_positive_axis(slope))
+
+
 @lru_cache(maxsize=128)
 def one_sided_lipschitz(params: ModelParams) -> float:
     """Q = max(0, sup of the transformed drift's derivative over z > 0).
@@ -365,16 +334,14 @@ def one_sided_lipschitz(params: ModelParams) -> float:
     supercritical or critical regime (both derivative limits are -inf there).
     """
     validate_params(params)
-    _, slope = make_transformed_drift(params)
-    return max(0.0, _sup_on_positive_axis(slope))
+    return _slope_sup(_drift_terms(params))
 
 
 @lru_cache(maxsize=128)
 def drift_one_sided_lipschitz(params: ModelParams) -> float:
     """max(0, sup of the original drift's derivative over x > 0)."""
     validate_params(params)
-    _, slope = make_drift(params)
-    return max(0.0, _sup_on_positive_axis(slope))
+    return _slope_sup(_original_drift_terms(params))
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +451,12 @@ def custom_jump(
 def make_jump(family: str, param: float | None = None) -> JumpCoefficient:
     """Build a jump coefficient from a family tag and optional coefficient."""
     family = family.lower()
+    if param is not None and not math.isfinite(param):
+        raise InvalidModelError(f"jump coefficient must be finite, got {param}")
     if family == "zero":
         return zero_jump()
     if param is None:
         raise InvalidModelError(f"jump family {family!r} needs a coefficient")
-    if not math.isfinite(param):
-        raise InvalidModelError(f"jump coefficient must be finite, got {param}")
     builders = {"linear": linear_jump, "sine": sine_jump, "rational": rational_jump}
     if family not in builders:
         raise InvalidModelError(f"unknown jump family {family!r}")

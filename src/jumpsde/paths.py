@@ -108,6 +108,24 @@ def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.add.accumulate(rows, axis=1)[:, -1]
 
 
+def _mesh_sums(
+    bundle: PathBundle, m: int, name: str, jump_times
+) -> tuple[JumpAdaptedMesh, np.ndarray]:
+    """The m-step mesh with these jump times and the fine increments' sums.
+
+    Interval j gets the left-to-right sum of the fine increments it contains.
+    Its nodes must be a subset of the fine nodes, which m dividing m_ref
+    guarantees; name labels m in the errors.
+    """
+    if m < 1:
+        raise ValueError(f"{name} must be a positive integer, got {m}")
+    if bundle.m_ref % m != 0:
+        raise MeshError(f"{name} = {m} does not divide m_ref = {bundle.m_ref}")
+    mesh = build_mesh(m, bundle.T, jump_times)
+    idx = _match_nodes(bundle.fine_mesh.nodes, mesh.nodes, bundle.T)
+    return mesh, _segment_sums(bundle.dw_fine, idx)
+
+
 def coarsen_increments(
     bundle: PathBundle, m_coarse: int
 ) -> tuple[JumpAdaptedMesh, np.ndarray]:
@@ -117,15 +135,7 @@ def coarsen_increments(
     interval contains; coarse nodes must be a subset of fine nodes, which
     m_coarse dividing m_ref guarantees.
     """
-    if m_coarse < 1:
-        raise ValueError(f"m_coarse must be a positive integer, got {m_coarse}")
-    if bundle.m_ref % m_coarse != 0:
-        raise MeshError(
-            f"m_coarse = {m_coarse} does not divide m_ref = {bundle.m_ref}"
-        )
-    coarse = build_mesh(m_coarse, bundle.T, bundle.jump_times)
-    idx = _match_nodes(bundle.fine_mesh.nodes, coarse.nodes, bundle.T)
-    out = _segment_sums(bundle.dw_fine, idx)
+    coarse, out = _mesh_sums(bundle, m_coarse, "m_coarse", bundle.jump_times)
     out.setflags(write=False)
     return coarse, out
 
@@ -137,14 +147,6 @@ def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarr
     (k*T/M, (k+1)*T/M] and the number of jump times in that half-open
     interval; used by regular-grid schemes on the same coupled bundle.
     """
-    if M < 1:
-        raise ValueError(f"M must be a positive integer, got {M}")
-    if bundle.m_ref % M != 0:
-        raise MeshError(f"M = {M} does not divide m_ref = {bundle.m_ref}")
-    T = bundle.T
-    bounds = np.arange(M + 1, dtype=float) * (T / M)
-    bounds[-1] = T
-    idx = _match_nodes(bundle.fine_mesh.nodes, bounds, T)
-    dw = _segment_sums(bundle.dw_fine, idx)
-    counts = np.diff(np.searchsorted(bundle.jump_times, bounds, side="right"))
+    grid, dw = _mesh_sums(bundle, M, "M", ())
+    counts = np.diff(np.searchsorted(bundle.jump_times, grid.nodes, side="right"))
     return dw, counts.astype(np.int64)

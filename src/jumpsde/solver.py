@@ -10,7 +10,9 @@ the bracketed solver. As soon as an iterate leaves (lo, hi), 1 - dt*F' is not
 positive, a power overflows or max_iter runs out, the unchanged step goes to
 _implicit_solve: safeguarded Newton with a bisection fallback inside a
 bracket that is expanded geometrically until it straddles the root. That
-solver also backs implicit_step_z and is the tests' oracle.
+solver also backs implicit_step_z and is the tests' oracle. The loops take
+their coefficients and exponents from the drift's term table in model, and
+the fallback evaluates the same table with model's guarded evaluator.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .model import (
     ModelParams,
     Regime,
     _drift_terms,
+    _original_drift_terms,
     classify_regime,
     drift_one_sided_lipschitz,
     make_drift,
@@ -341,9 +344,9 @@ def bem_path(
     _check_step_guard(q_drift, dt, cfg)
 
     value, slope = make_drift(params)
-    am1, a0, a1 = params.alpha_m1, params.alpha0, params.alpha1
-    a2, g = params.alpha2, params.gamma
-    a2g = a2 * g
+    # the first three terms are c1/x, c2 and c3*x
+    (c1, _), (c2, _), (c3, _), (c4, g) = _original_drift_terms(params)
+    d4 = c4 * g
     a3, rho = params.alpha3, params.rho
     h = jump.h
     rtol, floor, cap = cfg.residual_tol, cfg.bracket_lo_floor, _BRACKET_CAP
@@ -372,8 +375,8 @@ def bem_path(
                     pg = x**g
                 except OverflowError:
                     break
-                fx = am1 * inv - a0 + a1 * x - a2 * pg
-                fpx = (-am1 * inv - a2g * pg) * inv + a1
+                fx = c1 * inv + c2 + c3 * x + c4 * pg
+                fpx = (-c1 * inv + d4 * pg) * inv + c3
                 x_eval = x
             res = (x - rhs) - dt * fx
             if -tol <= res <= tol:
@@ -395,6 +398,12 @@ def bem_path(
     return x
 
 
+def _epsilon_bound(params: ModelParams) -> float:
+    """2(gamma+1-2rho)/(3rho(gamma-1)): the p-free upper end of epsilon's range."""
+    gamma, rho = params.gamma, params.rho
+    return 2.0 * (gamma + 1.0 - 2.0 * rho) / (3.0 * rho * (gamma - 1.0))
+
+
 def step_size_diagnostics(
     params: ModelParams,
     Q: float,
@@ -412,7 +421,7 @@ def step_size_diagnostics(
     if classify_regime(params.gamma, params.rho) is not Regime.SUPERCRITICAL:
         raise SolverError("step-size diagnostics require the supercritical regime")
     gamma, rho = params.gamma, params.rho
-    eps_max = 2.0 * (gamma + 1.0 - 2.0 * rho) / (3.0 * rho * (gamma - 1.0))
+    eps_max = _epsilon_bound(params)
     if p is not None:
         if not p >= 1.0:
             raise ValueError(f"moment order p must be >= 1, got {p}")

@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpsde import generate_bundle
 from jumpsde.cli import _preset_path, load_config, main
@@ -226,7 +232,7 @@ def test_unknown_preset_fails(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec", ["linear:nan", "sine:nan", "linear:inf", "rational:-inf"]
+    "spec", ["linear:nan", "sine:nan", "linear:inf", "rational:-inf", "zero:nan"]
 )
 def test_validate_rejects_non_finite_jump_coefficient(spec, capsys):
     assert main(["validate", "--preset", "set1", "--h", spec]) == 1
@@ -373,3 +379,113 @@ def test_negative_path_index_exits_1(tmp_path, capsys):
     assert "validation failure: --path-index must be at least 0" in (
         capsys.readouterr().err
     )
+
+
+def test_empty_p_list_exits_1(tmp_path, capsys):
+    argv = ["moments", "--preset", "set1", "--fast", "--p-list", ",",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "validation failure: p_list needs at least one moment order" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_path_failure_exits_2(tmp_path, capsys):
+    # a jump of size 1e300*x: x + h(x) overflows the transform back to z
+    path = _edit_config(_write_config(tmp_path), rho="3.0", gamma="6.0")
+    flags = ["--config", str(path), "--h", "linear:1e300", "--lambda", "5"]
+    assert main(["validate", *flags]) == 0
+    assert "all gates passed" in capsys.readouterr().out
+    assert main(["simulate", *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: path failed: forward transform")
+    assert "(global_seed=11, path_index=0)" in err
+
+
+def test_validate_survives_an_epsilon_interval_rounded_to_empty(tmp_path, capsys):
+    # gamma = 7 + ulp is supercritical, but gamma + 1 - 2*rho rounds to 0
+    path = _edit_config(_write_config(tmp_path), rho="4.0", gamma="7.000000000000001")
+    assert main(["validate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "regime: supercritical" in out
+    assert "small-step diagnostics" not in out
+    assert "all gates passed" in out
+
+
+MODEL_KEYS = ("alpha_m1", "alpha0", "alpha1", "alpha2", "alpha3", "gamma", "rho",
+              "lambda", "x0", "T")
+# positive constants spread over several decades
+DECADES = st.floats(-3.0, 3.0).map(lambda u: 10.0**u)
+JUMP_COEFFICIENTS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.floats(-3.0, 300.0).map(lambda u: 10.0**u),
+    st.floats(-3.0, 300.0).map(lambda u: -(10.0**u)),
+)
+
+
+@st.composite
+def finite_configs(draw):
+    """Finite config-file values with gamma above 2*rho - 1 and M <= 32."""
+    rho = draw(st.floats(1.0, 4.0, exclude_min=True))
+    values = {key: draw(DECADES) for key in ("alpha_m1", "alpha0", "alpha1",
+                                             "alpha2", "alpha3", "x0")}
+    values.update(
+        rho=rho,
+        gamma=2.0 * rho - 1.0 + draw(st.floats(0.0, 10.0, exclude_min=True)),
+        T=draw(st.floats(-2.0, 1.0).map(lambda u: 10.0**u)),
+        family=draw(st.sampled_from(["linear", "sine", "rational", "zero"])),
+        param=draw(JUMP_COEFFICIENTS),
+        m_list=", ".join(
+            str(m) for m in draw(st.lists(st.integers(1, 32), min_size=1, max_size=3))
+        ),
+        global_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    values["lambda"] = draw(st.floats(0.0, 20.0))
+    return {key: repr(v) if isinstance(v, float) else v for key, v in values.items()}
+
+
+def _config_text(values):
+    model = "\n".join(f"{key} = {values[key]}" for key in MODEL_KEYS)
+    return (
+        f"[model]\n{model}\n\n"
+        f"[jump]\nfamily = {values['family']}\nparam = {values['param']}\n\n"
+        f"[ladder]\nm_list = {values['m_list']}\n\n"
+        f"[run]\nn_paths = 2\nglobal_seed = {values['global_seed']}\n"
+    )
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(values=finite_configs(), path_index=st.integers(0, 1000))
+def test_validated_configs_simulate_or_exit_2(values, path_index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(_config_text(values))
+        gate = _run_quietly(["validate", "--config", str(path)])
+        assert gate in (0, 1)
+        if gate == 0:
+            argv = ["simulate", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                    "--path-index", str(path_index)]
+            assert _run_quietly(argv) in (0, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=finite_configs(),
+    key=st.sampled_from(MODEL_KEYS + ("param",)),
+    bad=st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", ""]),
+    command=st.sampled_from(["validate", "simulate"]),
+)
+def test_non_finite_or_malformed_values_exit_1(values, key, bad, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(_config_text({**values, key: bad}))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        assert _run_quietly(argv) == 1

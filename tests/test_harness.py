@@ -432,3 +432,8 @@ def test_moment_negative_orders_finite(set1):
         assert math.isfinite(row.sup_moment)
         assert math.isfinite(row.terminal_moment)
         assert row.sup_moment >= 1.0  # x0 = 1 is in every trajectory
+
+
+def test_moment_empty_order_list_rejected(set1):
+    with pytest.raises(InvalidModelError, match="at least one moment order"):
+        moment_probe(set1, linear_jump(-0.5), 8, 4, [], global_seed=0)
