@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .harness import (
     _PATH_ERRORS,
-    PathFailure,
     _replay_failure,
+    check_ladder,
     moment_probe,
     positivity_table,
     strong_error_ladder,
@@ -271,6 +271,13 @@ def cmd_validate(config: ExperimentConfig) -> int:
             "theory unavailable (positivity unaffected)"
         )
 
+    if config.m_ref is not None:
+        try:
+            check_ladder(config.m_list, config.m_ref)
+        except (InvalidModelError, MeshError) as exc:
+            print(f"FAIL ladder gate: {exc}")
+            return 1
+
     q = one_sided_lipschitz(config.params)
     print(f"Q: {q!r}")
     cfg = SolverConfig()
@@ -464,17 +471,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "moments":
             return cmd_moments(config, _parse_p_list(args.p_list))
         raise AssertionError(f"unhandled command {args.command}")
-    except PathFailure as exc:
-        print(
-            f"runtime failure: {exc} (global_seed={exc.global_seed}, "
-            f"path_index={exc.path_index})",
-            file=sys.stderr,
-        )
-        return 2
     except (InvalidModelError, MeshError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
+        # a PathFailure's message already names its replay pair
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,14 @@
 """Monte Carlo experiments: strong-error ladders, positivity and moment tables.
 
-Every experiment runs through one path runner: it builds each path's bundle
-and hands it to the experiment's row function, which returns that path's
-result row. Paths are independent work items distributed over contiguous
-index chunks; rows are assembled by path index before reduction, so reports
-are bit-identical regardless of the worker count. A failed path aborts the
-experiment carrying its (global_seed, path_index) for replay.
+Every experiment runs through one path runner: paths are independent work
+items distributed over contiguous index chunks, and the runner hands a
+chunk's bundles, built one at a time in path order, to the experiment's chunk
+function. The ladder and the moment probe turn each bundle into that path's
+result row; the positivity table steps every (cell, path) lane of the chunk
+together and returns one row of counts summed over the chunk. Rows are
+assembled in chunk order before reduction, so reports are bit-identical
+regardless of the worker count. A failed path aborts the experiment carrying
+its (global_seed, path_index) for replay.
 With parallelism > 1 the jump coefficient must be picklable (built-in
 families always are; custom ones need module-level callables).
 """
@@ -32,7 +35,14 @@ from .model import (
     validate_params,
 )
 from .paths import coarsen_increments, generate_bundle, regular_increments
-from .solver import SolverConfig, SolverError, bem_path, tjabem_path
+from .solver import (
+    LaneFailure,
+    SolverConfig,
+    SolverError,
+    bem_path,
+    tjabem_lanes,
+    tjabem_path,
+)
 
 __all__ = [
     "SCHEMES",
@@ -43,6 +53,7 @@ __all__ = [
     "MomentRow",
     "MomentReport",
     "fit_order",
+    "check_ladder",
     "strong_error_ladder",
     "positivity_table",
     "moment_probe",
@@ -154,21 +165,35 @@ def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _run_chunk(task) -> np.ndarray:
-    """The rows of paths lo..hi of one run, stacked into one array.
-
-    A run is (path_row, args, bundle_params, m, global_seed): each path's
-    bundle is generate_bundle(bundle_params, m, global_seed, i), and its row
-    is path_row(bundle, *args).
-    """
-    (path_row, args, bundle_params, m, global_seed), lo, hi = task
-    rows = []
+def _bundles(bundle_params, m, global_seed, lo, hi):
+    """The bundles of paths lo..hi, generated one at a time in path order."""
     for i in range(lo, hi):
         try:
             bundle = generate_bundle(bundle_params, m, global_seed, i)
-            rows.append(path_row(bundle, *args))
         except _PATH_ERRORS as exc:
             raise _replay_failure(exc, global_seed, i) from exc
+        yield bundle
+
+
+def _run_chunk(task) -> np.ndarray:
+    """The rows of paths lo..hi of one run, stacked into one array.
+
+    A run is (chunk_rows, args, bundle_params, m, global_seed): chunk_rows
+    gets the bundles of paths lo..hi, each generate_bundle(bundle_params, m,
+    global_seed, i), and args, and returns the chunk's rows.
+    """
+    (chunk_rows, args, bundle_params, m, global_seed), lo, hi = task
+    return chunk_rows(_bundles(bundle_params, m, global_seed, lo, hi), *args)
+
+
+def _each_path(bundles, path_row, *args) -> np.ndarray:
+    """path_row(bundle, *args) of each bundle, holding one bundle at a time."""
+    rows = []
+    for bundle in bundles:
+        try:
+            rows.append(path_row(bundle, *args))
+        except _PATH_ERRORS as exc:
+            raise _replay_failure(exc, bundle.global_seed, bundle.path_index) from exc
     return np.array(rows)
 
 
@@ -216,6 +241,23 @@ def fit_order(points: Sequence[tuple[float, float]]) -> tuple[float, float, floa
 # ---------------------------------------------------------------------------
 # Strong-error ladder
 # ---------------------------------------------------------------------------
+
+def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
+    """The ladder's step counts as ints, once they pass the ladder's checks.
+
+    m_list needs at least two strictly increasing entries, each dividing
+    m_ref, so that every coarse mesh is made of fine-mesh intervals.
+    """
+    m_list = tuple(int(m) for m in m_list)
+    if len(m_list) < 2:
+        raise InvalidModelError("the ladder needs at least two step counts")
+    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
+        raise InvalidModelError("m_list must be strictly increasing")
+    for m in m_list:
+        if m_ref % m != 0:
+            raise MeshError(f"ladder entry M = {m} does not divide m_ref = {m_ref}")
+    return m_list
+
 
 def _ladder_row(bundle, params, jump, schemes, m_list, cfg, q_transformed, q_drift):
     """|x_ref - x_num| per (scheme, M) on one path's bundle."""
@@ -271,14 +313,7 @@ def strong_error_ladder(
         raise InvalidModelError(
             f"unknown scheme {scheme!r}; expected tjabem, bem or both"
         )
-    m_list = tuple(int(m) for m in m_list)
-    if len(m_list) < 2:
-        raise InvalidModelError("the ladder needs at least two step counts")
-    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
-        raise InvalidModelError("m_list must be strictly increasing")
-    for m in m_list:
-        if m_ref % m != 0:
-            raise MeshError(f"ladder entry M = {m} does not divide m_ref = {m_ref}")
+    m_list = check_ladder(m_list, m_ref)
     if n_paths < 2:
         raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
 
@@ -286,7 +321,9 @@ def strong_error_ladder(
     q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
     args = (params, jump, schemes, m_list, cfg, q_transformed, q_drift)
     (rows,) = _map_runs(
-        [(_ladder_row, args, params, m_ref, global_seed)], n_paths, parallelism
+        [(_each_path, (_ladder_row, *args), params, m_ref, global_seed)],
+        n_paths,
+        parallelism,
     )
 
     dt_list = tuple(params.T / m for m in m_list)
@@ -328,21 +365,51 @@ def strong_error_ladder(
 # Positivity table
 # ---------------------------------------------------------------------------
 
-def _positivity_row(bundle, cells, cfg):
-    """(n_values, n_nonpositive) per cell of one (T, M) group on one bundle."""
-    row = []
-    for params, jump, q, (set_name, label, dt) in cells:
+# paths per tjabem_lanes call: it holds their bundles and padded arrays, a
+# few MB at 512 paths, so that a chunk of any size fits in a worker
+_LANE_PATHS = 512
+
+
+def _lane_counts(batch, cells, cfg) -> np.ndarray:
+    """(n_values, n_nonpositive) per cell, summed over the lanes of a batch."""
+    try:
+        _, nonpositive = tjabem_lanes(
+            [cell[:3] for cell in cells],
+            [bundle.fine_mesh for bundle in batch],
+            [bundle.dw_fine for bundle in batch],
+            cfg,
+        )
+    except LaneFailure as exc:
+        set_name, label, dt = cells[exc.cell][3]
+        bundle = batch[exc.path]
+        error = SolverError(f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}")
+        raise _replay_failure(error, bundle.global_seed, bundle.path_index) from exc
+    n_values = sum(bundle.fine_mesh.n_intervals + 1 for bundle in batch)
+    return np.array([(n_values, n) for n in nonpositive.sum(axis=1).tolist()])
+
+
+def _positivity_rows(bundles, cells, cfg) -> np.ndarray:
+    """(n_values, n_nonpositive) per cell of one (T, M) group, summed over a chunk.
+
+    The chunk's paths step through tjabem_lanes in path order, at most
+    _LANE_PATHS at a time, so a failure names the lowest failing path. The
+    result is one row of shape (cells, 2).
+    """
+    counts = np.zeros((len(cells), 2), dtype=np.int64)
+    while True:
+        batch = []
         try:
-            trajectory, _ = tjabem_path(
-                params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg
-            )
-        except _PATH_ERRORS as exc:
-            raise SolverError(
-                f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}"
-            ) from exc
-        z = trajectory.z_post
-        row.append((z.size, np.count_nonzero(z <= 0.0)))
-    return row
+            for bundle in bundles:
+                batch.append(bundle)
+                if len(batch) == _LANE_PATHS:
+                    break
+        except PathFailure:
+            # a path before the one whose bundle failed can fail first
+            _lane_counts(batch, cells, cfg)
+            raise
+        if not batch:
+            return counts[None]
+        counts += _lane_counts(batch, cells, cfg)
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -394,7 +461,7 @@ def positivity_table(
         group_cells = tuple(cells[c] for c in groups[group])
         # the group's cells share lam, T and M, so one bundle serves them all
         runs.append(
-            (_positivity_row, (group_cells, cfg), group_cells[0][0], group[1],
+            (_positivity_rows, (group_cells, cfg), group_cells[0][0], group[1],
              global_seed)
         )
     report_cells = [None] * len(cells)
@@ -453,7 +520,9 @@ def moment_probe(
     q = one_sided_lipschitz(params)
     args = (params, jump, p_list, cfg, q)
     (samples,) = _map_runs(
-        [(_moment_row, args, params, M, global_seed)], n_paths, parallelism
+        [(_each_path, (_moment_row, *args), params, M, global_seed)],
+        n_paths,
+        parallelism,
     )
     rows = []
     sqrt_n = math.sqrt(n_paths)

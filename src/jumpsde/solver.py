@@ -13,6 +13,12 @@ bracket that is expanded geometrically until it straddles the root. That
 solver also backs implicit_step_z and is the tests' oracle. The loops take
 their coefficients and exponents from the drift's term table in model, and
 the fallback evaluates the same table with model's guarded evaluator.
+
+tjabem_lanes takes the transformed scheme's step on a (cells, paths) grid of
+lanes held in numpy arrays, for many cells and paths at once. Each lane stops
+on its own tolerance, falls back to _implicit_solve on its own and jumps
+through jump_map on its own; only numpy's powers set it apart from
+tjabem_path, which it therefore matches to rounding.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
     "StepSizeDiagnostics",
     "implicit_step_z",
     "tjabem_path",
+    "tjabem_lanes",
+    "LaneFailure",
     "bem_path",
     "step_size_diagnostics",
 ]
@@ -314,6 +322,170 @@ def tjabem_path(
         mesh=mesh, z_pre=np.asarray(z_pre), z_post=np.asarray(z_post)
     )
     return trajectory, lamperti_inverse(params.rho, z)
+
+
+class LaneFailure(SolverError):
+    """Lane (cell, path) of tjabem_lanes failed with error, whose message it keeps."""
+
+    def __init__(self, error: Exception, cell: int, path: int):
+        super().__init__(str(error))
+        self.cell = cell
+        self.path = path
+
+
+# errors of one lane's guard, fallback solve or jump; anything else is a bug
+_LANE_ERRORS = (SolverError, ValueError, OverflowError)
+
+
+def tjabem_lanes(
+    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]],
+    meshes: Sequence[JumpAdaptedMesh],
+    increments: Sequence[Sequence[float]],
+    cfg: SolverConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run tjabem_path on every (cell, path) lane at once.
+
+    Cell c is (params, jump, Q); lane (c, p) runs it on meshes[p] with
+    increments[p]. Lanes take the same Newton-first steps as tjabem_path,
+    with numpy arrays of shape (cells, paths): each lane stops on its own
+    tolerance and goes to _implicit_solve on its own, and jumps are per-lane
+    jump_map calls. Shorter meshes are padded with zero steps, which no lane
+    takes. Only the powers are numpy's rather than CPython's, so a lane
+    matches tjabem_path to rounding, and no lane depends on the others.
+    Returns the lanes' terminal z and their counts of nonpositive post-jump
+    states, both of shape (cells, paths). A failure raises LaneFailure for
+    the lowest failing path and, within it, the first failing cell.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    steps = np.array([mesh.n_intervals for mesh in meshes], dtype=int)
+    if len(increments) != len(meshes) or any(
+        len(dw) != n for dw, n in zip(increments, steps.tolist())
+    ):
+        raise ValueError("increments must match the mesh intervals path by path")
+    n_cells, n_paths = len(cells), len(meshes)
+    width = int(steps.max(initial=0))
+    dts = np.zeros((width, n_paths))
+    dws = np.zeros((width, n_paths))
+    # jumped[k, p]: path p jumps at node k + 1
+    jumped = np.zeros((width, n_paths), dtype=bool)
+    for p, (mesh, dw) in enumerate(zip(meshes, increments)):
+        n = mesh.n_intervals
+        dts[:n, p] = mesh.dt
+        dws[:n, p] = dw
+        jumped[:n, p] = mesh.is_jump[1:]
+
+    shape = (n_cells, n_paths)
+
+    def spread(column):
+        # a (cells, 1) column over every lane: numpy is slower to broadcast
+        # a small array than to combine two of the same shape
+        return np.ascontiguousarray(np.broadcast_to(column, shape))
+
+    # the third and fifth terms are c3*z and c5/z
+    terms = np.array([_drift_terms(params) for params, _, _ in cells]).reshape(
+        n_cells, 5, 2
+    )
+    (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = (
+        (spread(terms[:, j, 0:1]), spread(terms[:, j, 1:2])) for j in range(5)
+    )
+    d1, d2, d4 = c1 * e1, c2 * e2, c4 * e4
+    noise_coef = spread(
+        np.array([(1.0 - p.rho) * p.alpha3 for p, _, _ in cells]).reshape(n_cells, 1)
+    )
+    drifts = [make_transformed_drift(params) for params, _, _ in cells]
+    rtol = cfg.residual_tol
+    bracket = (np.full(shape, cfg.bracket_lo_floor), np.full(shape, _BRACKET_CAP))
+    dt_k = np.empty(shape)
+
+    failures: dict[tuple[int, int], Exception] = {}  # (path, cell) -> error
+    alive = np.ones(shape, dtype=bool)
+
+    def fail(c, p, exc):
+        failures.setdefault((p, c), exc)
+        alive[c, p] = False
+
+    by_base_dt: dict[float, list[int]] = {}
+    for p, mesh in enumerate(meshes):
+        by_base_dt.setdefault(mesh.base_dt, []).append(p)
+    z = np.ones(shape)
+    for c, (params, _, q) in enumerate(cells):
+        for base_dt, paths in by_base_dt.items():
+            try:
+                # the guard, then the initial state, as in tjabem_path
+                _check_step_guard(q, base_dt, cfg)
+                z[c, paths] = lamperti_forward(params.rho, params.x0)
+            except _LANE_ERRORS as exc:
+                for p in paths:
+                    fail(c, p, exc)
+    n_nonpositive = (z <= 0.0).astype(int)
+    # fz = F(z) and fpz = F'(z) for every lane; a step starts from them unless
+    # a jump or a fallback moved some z since they were evaluated
+    stale = True
+    with np.errstate(all="ignore"):
+        for k in range(width):
+            live = alive & (k < steps)
+            if not live.any():
+                break
+            dt_k[:] = dts[k]
+            rhs = z + noise_coef * dws[k]
+            tol = rtol * np.maximum(1.0, np.abs(rhs))
+            lo, hi = bracket
+            z_prev = z
+            active = live
+            for _ in range(cfg.max_iter):
+                if stale:
+                    # F and F' share the powers z^e (z^(e-1) = z^e / z); an
+                    # overflowing power makes them non-finite, so its lane
+                    # stops unsolved at the bracket check
+                    inv = 1.0 / z
+                    p1 = z**e1
+                    p2 = z**e2
+                    p4 = z**e4
+                    t5 = c5 * inv
+                    fz = c1 * p1 + c2 * p2 + c3 * z + c4 * p4 + t5
+                    fpz = (d1 * p1 + d2 * p2 + d4 * p4 - t5) * inv + c3
+                res = (z - rhs) - dt_k * fz
+                unsolved = ~(np.abs(res) <= tol)
+                active = active & unsolved
+                if not active.any():
+                    break
+                below = res < 0.0
+                lo = np.where(below, z, lo)
+                hi = np.where(below, hi, z)
+                d = 1.0 - dt_k * fpz
+                z_new = z - res / d
+                active &= (d > 0.0) & (lo < z_new) & (z_new < hi)
+                z = np.where(active, z_new, z)
+                stale = True
+            # a lane that stopped unsolved kept its z, so its last residual
+            # is still unsolved; a lane still active ran out of iterations
+            fallback = live & unsolved
+            stale = bool(fallback.any())
+            if stale:
+                for c, p in np.argwhere(fallback).tolist():
+                    value, slope = drifts[c]
+                    try:
+                        z[c, p] = _implicit_solve(
+                            value, slope, float(dts[k, p]), float(rhs[c, p]), cfg,
+                            float(z_prev[c, p]),
+                        )
+                    except _LANE_ERRORS as exc:
+                        fail(c, p, exc)
+            for p in np.flatnonzero(jumped[k]).tolist():
+                stale = True
+                for c, (params, jump, _) in enumerate(cells):
+                    if alive[c, p]:
+                        try:
+                            z[c, p] = jump_map(params, jump, float(z[c, p]))
+                        except _LANE_ERRORS as exc:
+                            fail(c, p, exc)
+            n_nonpositive += live & (z <= 0.0)
+    if failures:
+        p, c = min(failures)
+        error = failures[p, c]
+        raise LaneFailure(error, c, p) from error
+    return z, n_nonpositive
 
 
 def bem_path(

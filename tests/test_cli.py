@@ -327,6 +327,25 @@ def test_bad_ladder_input_exits_1(tmp_path, capsys, values, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "m_list, m_ref",
+    [("32, 64", 100), ("64, 32", 128), ("32", 128)],
+    ids=["m_ref=100", "m_list=64,32", "one entry"],
+)
+def test_validate_runs_the_ladder_checks(tmp_path, capsys, m_list, m_ref):
+    # validate fails exactly where convergence would, with the same message
+    path = _write_config(tmp_path, m_list=m_list, m_ref=m_ref)
+    assert main(["convergence", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ")
+    message = err.removeprefix("validation failure: ").strip()
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL ladder gate: {message}\n" in out
+    assert "all gates passed" not in out
+
+
 def test_convergence_without_m_ref_exits_1(tmp_path, capsys):
     path = _write_config(tmp_path)
     path.write_text(path.read_text().replace("m_ref = 128\n", ""))
@@ -400,7 +419,8 @@ def test_simulate_path_failure_exits_2(tmp_path, capsys):
     assert main(["simulate", *flags, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: path failed: forward transform")
-    assert "(global_seed=11, path_index=0)" in err
+    assert "(replay with global_seed=11, path_index=0)" in err
+    assert err.count("global_seed=") == 1
 
 
 def test_validate_survives_an_epsilon_interval_rounded_to_empty(tmp_path, capsys):

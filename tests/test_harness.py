@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from jumpsde import (
     PositivityReport,
     SolverConfig,
     SolverError,
+    build_mesh,
     fit_order,
     generate_bundle,
     linear_jump,
@@ -184,8 +184,11 @@ def test_positivity_rejects_bad_dt(set1):
 def test_positivity_reproducible_across_parallelism(set1):
     kwargs = dict(dt_list=[0.125], lam=1.0, n_paths=16, global_seed=8)
     a = positivity_table([("set1", set1)], [linear_jump(0.5)], **kwargs)
-    b = positivity_table([("set1", set1)], [linear_jump(0.5)], parallelism=2, **kwargs)
-    assert a == b
+    for parallelism in (2, 3):
+        b = positivity_table(
+            [("set1", set1)], [linear_jump(0.5)], parallelism=parallelism, **kwargs
+        )
+        assert a == b
 
 
 class _CountingPool:
@@ -308,6 +311,9 @@ def test_positivity_shares_bundles_across_cells(set1, set2, monkeypatch):
 
     monkeypatch.undo()
     assert positivity_table(*args, parallelism=2, **kwargs) == expected
+    # the lanes of a chunk can step in batches of any size
+    monkeypatch.setattr(jumpsde.harness, "_LANE_PATHS", 1)
+    assert positivity_table(*args, **kwargs) == expected
 
 
 @settings(
@@ -338,16 +344,19 @@ def test_positivity_table_equals_per_cell_oracle(
 
 def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
     # real cells of one (T, M) group all count the same mesh nodes and no
-    # nonpositive value; a stand-in path gives every cell its own counts
+    # nonpositive value; stand-in lanes give every cell its own count
     jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
 
-    def marked_path(params, jump, mesh, increments, q, cfg):
-        k = 3 * int(params.alpha_m1) + jumps.index(jump) + mesh.n_intervals
-        z_post = np.array([-1.0] * k + [1.0])
-        return SimpleNamespace(z_post=z_post), 1.0
+    def marked_lanes(cells, meshes, increments, cfg):
+        counts = [
+            [3 * int(params.alpha_m1) + jumps.index(jump) + mesh.n_intervals
+             for mesh in meshes]
+            for params, jump, _ in cells
+        ]
+        return np.ones((len(cells), len(meshes))), np.array(counts)
 
     monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(jumpsde.harness, "tjabem_path", marked_path)
+    monkeypatch.setattr(jumpsde.harness, "tjabem_lanes", marked_lanes)
     report = positivity_table(
         [("set1", set1), ("set2", set2)], jumps, [0.25, 0.125],
         lam=0.0, n_paths=5, global_seed=4, parallelism=2,
@@ -356,27 +365,62 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
         3 * a + j + m for a in (2, 1) for j in range(3) for m in (4, 8)
     ]
     assert [cell.n_nonpositive for cell in report.cells] == [5 * k for k in expected]
-    assert [cell.n_values for cell in report.cells] == [5 * (k + 1) for k in expected]
+    assert [cell.n_values for cell in report.cells] == [
+        5 * (m + 1) for _ in range(6) for m in (4, 8)
+    ]
 
 
 def test_positivity_failure_names_its_cell(set1, monkeypatch):
-    real_path = jumpsde.harness.tjabem_path
+    # paths 0-2 share a chunk; path 2 jumps first (t = 0.0014), path 0 later
+    # (t = 0.53): the failure named is the lowest path's, in the first
+    # failing cell
+    real_map = jumpsde.solver.jump_map
 
-    def failing_path(params, jump, *rest):
+    def failing_map(params, jump, z):
         if jump.label == "linear:0.5":
             raise SolverError("forced failure")
-        return real_path(params, jump, *rest)
+        return real_map(params, jump, z)
 
-    monkeypatch.setattr(jumpsde.harness, "tjabem_path", failing_path)
+    monkeypatch.setattr(jumpsde.solver, "jump_map", failing_map)
     with pytest.raises(PathFailure) as excinfo:
         positivity_table(
             [("set1", set1)], [linear_jump(-0.5), linear_jump(0.5)], [0.125],
-            lam=1.0, n_paths=3, global_seed=23,
+            lam=1.0, n_paths=12, global_seed=23,
         )
     assert (excinfo.value.global_seed, excinfo.value.path_index) == (23, 0)
     message = str(excinfo.value)
     assert "set=set1, jump=linear:0.5, dt=0.125" in message
     assert "forced failure" in message
+
+
+@pytest.mark.parametrize("lane_paths", [512, 2])
+def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
+                                                          lane_paths):
+    # with rho = 3 a jump of size 1e300*x underflows the transform back to z:
+    # path 4 jumps at t = 0.1, path 2 at t = 0.9, in one chunk of paths 0-4,
+    # stepped as one batch or as batches (0, 1), (2, 3), (4,); path-by-path
+    # stepping meets path 2's failure first, so it is named
+    monkeypatch.setattr(jumpsde.harness, "_LANE_PATHS", lane_paths)
+    params = replace(set1, rho=3.0, gamma=6.0)
+    jump_times = {2: [0.9], 4: [0.1]}
+
+    def staged_bundle(bundle_params, m, global_seed, i):
+        bundle = generate_bundle(replace(bundle_params, lam=0.0), m, global_seed, i)
+        times = np.array(jump_times.get(i, []))
+        mesh = build_mesh(m, bundle_params.T, times)
+        dw = np.full(mesh.n_intervals, 0.01)
+        return replace(bundle, jump_times=times, fine_mesh=mesh, dw_fine=dw)
+
+    monkeypatch.setattr(jumpsde.harness, "generate_bundle", staged_bundle)
+    with pytest.raises(PathFailure) as excinfo:
+        positivity_table(
+            [("set1", params)], [linear_jump(-0.5), make_jump("linear", 1e300)],
+            [0.125], lam=1.0, n_paths=20, global_seed=31,
+        )
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (31, 2)
+    message = str(excinfo.value)
+    assert "in cell (set=set1, jump=linear:1e+300, dt=0.125)" in message
+    assert "forward transform" in message
 
 
 @pytest.mark.parametrize("n_paths", [0, -1, 1])

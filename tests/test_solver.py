@@ -17,6 +17,7 @@ from jumpsde import (
     lamperti_forward,
     lamperti_inverse,
     linear_jump,
+    make_jump,
     one_sided_lipschitz,
     regular_increments,
     step_size_diagnostics,
@@ -31,7 +32,7 @@ from jumpsde.model import (
     make_drift,
     make_transformed_drift,
 )
-from jumpsde.solver import _implicit_solve
+from jumpsde.solver import _implicit_solve, tjabem_lanes
 
 
 def test_solver_config_validation():
@@ -399,3 +400,114 @@ def test_bem_hands_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatc
     assert x > 0.0
     assert abs((x + 49.0) - params.T * fval(x)) <= cfg.residual_tol * 49.0
     assert len(fallbacks) == 1
+
+
+DEFAULT_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
+
+
+def _lane_cells(param_sets, jump_specs):
+    return [
+        (params, make_jump(*spec), one_sided_lipschitz(params))
+        for params in param_sets
+        for spec in jump_specs
+    ]
+
+
+def _run_lanes(cells, bundles, cfg=None):
+    return tjabem_lanes(
+        cells, [b.fine_mesh for b in bundles], [b.dw_fine for b in bundles], cfg
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+@pytest.mark.parametrize("M", [8, 64])
+def test_lanes_match_the_path_loop(set1, set2, lam, M):
+    # Q = 0 for both sets, so G' >= 1: two solutions of one step that both meet
+    # |residual| <= residual_tol*max(1, |rhs|) differ by at most twice that,
+    # and a solve does not amplify an earlier difference; each default jump
+    # at most doubles a z-difference (|dz'/dz| = |1 + h'(x)| (x/(x+h(x)))^rho)
+    cfg = SolverConfig()
+    sets = [replace(set1, lam=lam), replace(set2, lam=lam)]
+    cells = _lane_cells(sets, DEFAULT_JUMPS + (("zero",),))
+    assert all(q == 0.0 for _, _, q in cells)
+    bundles = [generate_bundle(sets[0], M, 83, i) for i in range(12)]
+    z_lanes, n_nonpositive = _run_lanes(cells, bundles, cfg)
+    assert z_lanes.shape == n_nonpositive.shape == (len(cells), len(bundles))
+    assert not n_nonpositive.any()
+    for c, (params, jump, q) in enumerate(cells):
+        noise_coef = (1.0 - params.rho) * params.alpha3
+        for p, bundle in enumerate(bundles):
+            mesh = bundle.fine_mesh
+            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q, cfg)
+            rhs = trajectory.z_post[:-1] + noise_coef * bundle.dw_fine
+            n_jumps = int(mesh.is_jump.sum())
+            bound = (2.0**n_jumps * mesh.n_intervals * 2.0 * cfg.residual_tol
+                     * max(1.0, float(np.abs(rhs).max())))
+            assert abs(z_lanes[c, p] - trajectory.z_post[-1]) <= bound
+    if lam:
+        assert any(b.fine_mesh.is_jump.any() for b in bundles)
+
+
+def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
+    # the lanes of test_newton_step_falls_back_on_the_stiff_model, side by side:
+    # dW = 2.5 and 20 leave Newton's bracket and go to the bracketed solver
+    fallbacks = _count_fallbacks(monkeypatch)
+    cfg = SolverConfig()
+    params = replace(_stiff_params(), T=2.0**-11)
+    q = one_sided_lipschitz(params)
+    assert 0.0 < q * params.T < 0.25
+    fval, _ = make_transformed_drift(params)
+    dws = [0.0, 1.0, 2.5, 20.0]
+    mesh = build_mesh(1, params.T, [])
+    z, n_nonpositive = tjabem_lanes(
+        [(params, zero_jump(), q)], [mesh] * 4, [[dw] for dw in dws], cfg
+    )
+    assert not n_nonpositive.any()
+    z0 = lamperti_forward(params.rho, params.x0)
+    noise_coef = (1.0 - params.rho) * params.alpha3
+    for z_lane, dw in zip(z[0].tolist(), dws):
+        rhs = z0 + noise_coef * dw
+        assert z_lane > 0.0
+        tol = cfg.residual_tol * max(1.0, abs(rhs))
+        assert abs((z_lane - rhs) - params.T * fval(z_lane)) <= tol
+    assert [call[3] for call in fallbacks] == [z0 + noise_coef * dw for dw in (2.5, 20.0)]
+
+
+def test_lanes_do_not_depend_on_their_chunk(set1, set2):
+    # a path's lanes alone, in a chunk of 7 and at other positions in a
+    # reversed chunk of 125 paths, all of whose meshes have their own lengths
+    sets = [replace(set1, lam=5.0), replace(set2, lam=5.0)]
+    cells = _lane_cells(sets, DEFAULT_JUMPS)
+    bundles = [generate_bundle(sets[0], 32, 84, i) for i in range(125)]
+    assert len({b.fine_mesh.n_intervals for b in bundles[:7]}) > 1
+    z7, n7 = _run_lanes(cells, bundles[:7])
+    z125, n125 = _run_lanes(cells, bundles[::-1])
+    for p in range(7):
+        z1, n1 = _run_lanes(cells, bundles[p : p + 1])
+        assert np.array_equal(z1[:, 0], z7[:, p])
+        assert np.array_equal(z1[:, 0], z125[:, 124 - p])
+        assert np.array_equal(n1[:, 0], n125[:, 124 - p])
+
+
+def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
+    # a stand-in jump map that flips the sign of z makes nonpositive states;
+    # the lanes count them as the path loop's trajectories show them (whose
+    # terminal x, undefined for z <= 0, is left out). The first path jumps
+    # at its last node, T, and is shorter than the second, so its negative
+    # terminal state must not be counted again on the padded steps.
+    monkeypatch.setattr(jumpsde.solver, "jump_map", lambda params, jump, z: -z)
+    monkeypatch.setattr(jumpsde.solver, "lamperti_inverse", lambda rho, z: z)
+    sets = [replace(set1, lam=5.0), replace(set2, lam=5.0)]
+    cells = _lane_cells(sets, DEFAULT_JUMPS[:1])
+    meshes = [build_mesh(16, 1.0, [1.0 - 1e-13]), build_mesh(16, 1.0, [0.3, 0.6])]
+    increments = [np.full(mesh.n_intervals, 0.05) for mesh in meshes]
+    for i in range(6):
+        bundle = generate_bundle(sets[0], 16, 85, i)
+        meshes.append(bundle.fine_mesh)
+        increments.append(bundle.dw_fine)
+    _, n_nonpositive = tjabem_lanes(cells, meshes, increments)
+    for c, (params, jump, q) in enumerate(cells):
+        for p, (mesh, dw) in enumerate(zip(meshes, increments)):
+            trajectory, _ = tjabem_path(params, jump, mesh, dw, q)
+            assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
+    assert n_nonpositive.min() > 0
