@@ -38,7 +38,6 @@ from .model import (
 )
 from .paths import PathBundle, coarsen_increments, generate_bundle, regular_increments
 from .solver import (
-    SolverConfig,
     SolverError,
     StepSizeDiagnostics,
     TrajectoryZ,

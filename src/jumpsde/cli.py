@@ -31,6 +31,7 @@ from .model import (
     JumpCoefficient,
     ModelParams,
     Regime,
+    drift_one_sided_lipschitz,
     make_jump,
     one_sided_lipschitz,
     validate_jump,
@@ -45,7 +46,7 @@ from .reports import (
     write_trajectory_csv,
 )
 from .solver import (
-    SolverConfig,
+    STEP_SAFETY,
     SolverError,
     _epsilon_bound,
     step_size_diagnostics,
@@ -280,15 +281,24 @@ def cmd_validate(config: ExperimentConfig) -> int:
 
     q = one_sided_lipschitz(config.params)
     print(f"Q: {q!r}")
-    cfg = SolverConfig()
     for m in config.m_list:
         q_dt = q * config.params.T / m
-        status = "ok" if q_dt <= cfg.step_safety else "FAIL"
+        status = "ok" if q_dt <= STEP_SAFETY else "FAIL"
         print(f"M={m}: Q*dt={q_dt!r} {status}")
-        if q_dt > cfg.step_safety:
+        if q_dt > STEP_SAFETY:
             print(
                 f"FAIL step-size gate: Q*dt = {q_dt} exceeds step_safety "
-                f"{cfg.step_safety} at M={m}"
+                f"{STEP_SAFETY} at M={m}"
+            )
+            return 1
+    if config.scheme in ("bem", "both"):
+        # bem steps the original drift, guarded by its own one-sided bound
+        m = min(config.m_list)
+        q_dt = drift_one_sided_lipschitz(config.params) * config.params.T / m
+        if q_dt > STEP_SAFETY:
+            print(
+                f"FAIL step-size gate: bem's drift bound gives Q*dt = {q_dt}, "
+                f"which exceeds step_safety {STEP_SAFETY} at M={m}"
             )
             return 1
 

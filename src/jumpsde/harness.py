@@ -16,6 +16,7 @@ families always are; custom ones need module-level callables).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,7 +38,6 @@ from .model import (
 from .paths import coarsen_increments, generate_bundle, regular_increments
 from .solver import (
     LaneFailure,
-    SolverConfig,
     SolverError,
     bem_path,
     tjabem_lanes,
@@ -201,14 +201,16 @@ def _map_runs(runs: list, n_paths: int, parallelism: int) -> list[np.ndarray]:
     """Each run's rows over paths 0..n_paths-1, in path order.
 
     Every run is split into the same path chunks, and all the chunks go
-    through one process pool (inline at parallelism 1).
+    through one process pool (inline at parallelism 1) of at most one worker
+    per CPU. The chunks depend on parallelism alone, never on the CPUs.
     """
     ranges = _chunk_ranges(n_paths, parallelism)
     tasks = [(run, lo, hi) for run in runs for lo, hi in ranges]
     if parallelism <= 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        workers = min(parallelism, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     n = len(ranges)
     return [np.concatenate(parts[k : k + n]) for k in range(0, len(parts), n)]
@@ -246,7 +248,8 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     """The ladder's step counts as ints, once they pass the ladder's checks.
 
     m_list needs at least two strictly increasing entries, each dividing
-    m_ref, so that every coarse mesh is made of fine-mesh intervals.
+    m_ref, so that every coarse mesh is made of fine-mesh intervals, and each
+    below m_ref, so that no level is the reference itself.
     """
     m_list = tuple(int(m) for m in m_list)
     if len(m_list) < 2:
@@ -256,23 +259,28 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     for m in m_list:
         if m_ref % m != 0:
             raise MeshError(f"ladder entry M = {m} does not divide m_ref = {m_ref}")
+    if m_list[-1] >= m_ref:
+        raise InvalidModelError(
+            f"ladder entry M = {m_list[-1]} is not below m_ref = {m_ref}; the "
+            "reference must be finer than every level"
+        )
     return m_list
 
 
-def _ladder_row(bundle, params, jump, schemes, m_list, cfg, q_transformed, q_drift):
+def _ladder_row(bundle, params, jump, schemes, m_list, q_transformed, q_drift):
     """|x_ref - x_num| per (scheme, M) on one path's bundle."""
     _, x_ref = tjabem_path(
-        params, jump, bundle.fine_mesh, bundle.dw_fine, q_transformed, cfg
+        params, jump, bundle.fine_mesh, bundle.dw_fine, q_transformed
     )
     row = np.empty((len(schemes), len(m_list)))
     for j, m in enumerate(m_list):
         for s, scheme in enumerate(schemes):
             if scheme == "tjabem":
                 mesh_c, dw_c = coarsen_increments(bundle, m)
-                _, x_num = tjabem_path(params, jump, mesh_c, dw_c, q_transformed, cfg)
+                _, x_num = tjabem_path(params, jump, mesh_c, dw_c, q_transformed)
             else:
                 dw_r, dn_r = regular_increments(bundle, m)
-                x_num = bem_path(params, jump, m, dw_r, dn_r, cfg, q_drift)
+                x_num = bem_path(params, jump, m, dw_r, dn_r, q_drift)
             row[s, j] = abs(x_ref - x_num)
     return row
 
@@ -285,7 +293,6 @@ def strong_error_ladder(
     m_ref: int,
     n_paths: int,
     global_seed: int,
-    cfg: SolverConfig | None = None,
     parallelism: int = 1,
 ) -> dict[str, ConvergenceReport]:
     """Coupled multi-resolution strong errors against the fine reference.
@@ -296,8 +303,6 @@ def strong_error_ladder(
     scheme is "tjabem", "bem", or "both"; the result maps scheme name to its
     report (both schemes see identical bundles).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     validate_params(params)
     bounds = validate_jump(jump, params)
     if not bounds.band_positive:
@@ -319,7 +324,7 @@ def strong_error_ladder(
 
     q_transformed = one_sided_lipschitz(params)
     q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
-    args = (params, jump, schemes, m_list, cfg, q_transformed, q_drift)
+    args = (params, jump, schemes, m_list, q_transformed, q_drift)
     (rows,) = _map_runs(
         [(_each_path, (_ladder_row, *args), params, m_ref, global_seed)],
         n_paths,
@@ -333,7 +338,13 @@ def strong_error_ladder(
         mean = errors.mean(axis=0)
         stderr = errors.std(axis=0, ddof=1) / math.sqrt(n_paths)
         l2 = np.sqrt((errors**2).mean(axis=0))
-        slope, intercept, r_squared = fit_order(list(zip(dt_list, mean)))
+        try:
+            slope, intercept, r_squared = fit_order(list(zip(dt_list, mean)))
+        except ValueError as exc:
+            # a degenerate model can leave a level's every path on the reference
+            raise SolverError(
+                f"scheme {s}: no order fit to mean errors {mean.tolist()}: {exc}"
+            ) from exc
         monotone = tuple(
             bool(mean[j] > mean[j + 1]) for j in range(len(m_list) - 1)
         )
@@ -370,14 +381,13 @@ def strong_error_ladder(
 _LANE_PATHS = 512
 
 
-def _lane_counts(batch, cells, cfg) -> np.ndarray:
+def _lane_counts(batch, cells) -> np.ndarray:
     """(n_values, n_nonpositive) per cell, summed over the lanes of a batch."""
     try:
         _, nonpositive = tjabem_lanes(
             [cell[:3] for cell in cells],
             [bundle.fine_mesh for bundle in batch],
             [bundle.dw_fine for bundle in batch],
-            cfg,
         )
     except LaneFailure as exc:
         set_name, label, dt = cells[exc.cell][3]
@@ -388,7 +398,7 @@ def _lane_counts(batch, cells, cfg) -> np.ndarray:
     return np.array([(n_values, n) for n in nonpositive.sum(axis=1).tolist()])
 
 
-def _positivity_rows(bundles, cells, cfg) -> np.ndarray:
+def _positivity_rows(bundles, cells) -> np.ndarray:
     """(n_values, n_nonpositive) per cell of one (T, M) group, summed over a chunk.
 
     The chunk's paths step through tjabem_lanes in path order, at most
@@ -405,11 +415,11 @@ def _positivity_rows(bundles, cells, cfg) -> np.ndarray:
                     break
         except PathFailure:
             # a path before the one whose bundle failed can fail first
-            _lane_counts(batch, cells, cfg)
+            _lane_counts(batch, cells)
             raise
         if not batch:
             return counts[None]
-        counts += _lane_counts(batch, cells, cfg)
+        counts += _lane_counts(batch, cells)
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -426,7 +436,6 @@ def positivity_table(
     lam: float,
     n_paths: int,
     global_seed: int,
-    cfg: SolverConfig | None = None,
     parallelism: int = 1,
 ) -> PositivityReport:
     """Count nonpositive trajectory values per (set, jump, dt) cell.
@@ -438,8 +447,6 @@ def positivity_table(
     (set, jump) cell of the group, since a bundle depends only on lam, T, M,
     the seed and the path index.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if n_paths < 1:
         raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
     cells = []  # (params, jump, q, (set, jump label, dt)) in report order
@@ -461,8 +468,7 @@ def positivity_table(
         group_cells = tuple(cells[c] for c in groups[group])
         # the group's cells share lam, T and M, so one bundle serves them all
         runs.append(
-            (_positivity_rows, (group_cells, cfg), group_cells[0][0], group[1],
-             global_seed)
+            (_positivity_rows, (group_cells,), group_cells[0][0], group[1], global_seed)
         )
     report_cells = [None] * len(cells)
     for group, rows in zip(order, _map_runs(runs, n_paths, parallelism)):
@@ -480,9 +486,9 @@ def positivity_table(
 # Moment probe
 # ---------------------------------------------------------------------------
 
-def _moment_row(bundle, params, jump, p_list, cfg, q):
+def _moment_row(bundle, params, jump, p_list, q):
     """(sup, terminal) of x**p per order p on one path's bundle."""
-    trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine, q, cfg)
+    trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine, q)
     x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
     row = np.empty((len(p_list), 2))
     for j, p in enumerate(p_list):
@@ -498,7 +504,6 @@ def moment_probe(
     n_paths: int,
     p_list: Sequence[float],
     global_seed: int,
-    cfg: SolverConfig | None = None,
     parallelism: int = 1,
 ) -> MomentReport:
     """Sample running-supremum and terminal moments of the simulated state.
@@ -507,8 +512,6 @@ def moment_probe(
     through the inverse transform. Every order must be admissible for the
     configuration's regime.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if n_paths < 2:
         raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
     p_list = tuple(float(p) for p in p_list)
@@ -518,7 +521,7 @@ def moment_probe(
         moment_admissible(params, p)
     validate_jump(jump, params)
     q = one_sided_lipschitz(params)
-    args = (params, jump, p_list, cfg, q)
+    args = (params, jump, p_list, q)
     (samples,) = _map_runs(
         [(_each_path, (_moment_row, *args), params, M, global_seed)],
         n_paths,

@@ -581,11 +581,7 @@ def sampled_jump_bounds(
     return JumpBounds(mu=mu, r=r, mu1=mu1, mu2=mu2, sampled=True)
 
 
-def validate_jump(
-    jump: JumpCoefficient,
-    params: ModelParams,
-    probes: np.ndarray | None = None,
-) -> JumpBounds:
+def validate_jump(jump: JumpCoefficient, params: ModelParams) -> JumpBounds:
     """Derive and check the jump-coefficient constants.
 
     Built-in families return closed-form constants (conservative band bounds
@@ -595,8 +591,7 @@ def validate_jump(
     bounded away from zero is reported via mu1 = 0, not raised: positivity
     of the scheme needs only the growth hypothesis.
     """
-    if probes is None:
-        probes = default_probe_grid()
+    probes = default_probe_grid()
     bounds = _closed_form_bounds(jump, params.rho)
     if bounds is None:
         bounds = sampled_jump_bounds(jump, params.rho, probes)

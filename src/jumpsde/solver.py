@@ -5,14 +5,15 @@ increasing map (the one-sided bound Q makes G' >= 1 - Q*dt > 0, and G spans
 all of R). The path loops run a Newton-first step inline: plain Newton from
 the previous state, with F and F' evaluated together from shared powers and
 a bracket (lo, hi) narrowed by the sign of each residual. The step is
-accepted at |residual| <= residual_tol * max(1, |rhs|), the same contract as
+accepted at |residual| <= RESIDUAL_TOL * max(1, |rhs|), the same contract as
 the bracketed solver. As soon as an iterate leaves (lo, hi), 1 - dt*F' is not
-positive, a power overflows or max_iter runs out, the unchanged step goes to
+positive, a power overflows or MAX_ITER runs out, the unchanged step goes to
 _implicit_solve: safeguarded Newton with a bisection fallback inside a
 bracket that is expanded geometrically until it straddles the root. That
 solver also backs implicit_step_z and is the tests' oracle. The loops take
 their coefficients and exponents from the drift's term table in model, and
-the fallback evaluates the same table with model's guarded evaluator.
+the fallback evaluates the same table with model's guarded evaluator. Every
+step is refused when Q*dt exceeds STEP_SAFETY.
 
 tjabem_lanes takes the transformed scheme's step on a (cells, paths) grid of
 lanes held in numpy arrays, for many cells and paths at once. Each lane stops
@@ -46,7 +47,9 @@ from .model import (
 from .transform import jump_map, lamperti_forward, lamperti_inverse
 
 __all__ = [
-    "SolverConfig",
+    "RESIDUAL_TOL",
+    "MAX_ITER",
+    "STEP_SAFETY",
     "SolverError",
     "TrajectoryZ",
     "StepSizeDiagnostics",
@@ -60,33 +63,17 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve failed or a step-size guard was violated."""
+    """A run failed: a nonlinear solve, a step-size guard or an order fit."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Nonlinear-solver controls.
-
-    residual_tol bounds |z - dt*F(z) - rhs| relative to max(1, |rhs|);
-    step_safety is the required bound on Q*base_dt (must stay below 1 for the
-    implicit step to be well posed; solves are refused above it and warned
-    about above 0.25); bracket_lo_floor guards the bracket against underflow.
-    """
-
-    residual_tol: float = 1e-12
-    max_iter: int = 200
-    step_safety: float = 0.5
-    bracket_lo_floor: float = 1e-300
-
-    def __post_init__(self):
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-        if not (0.0 < self.step_safety < 1.0):
-            raise ValueError("step_safety must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if not self.bracket_lo_floor > 0.0:
-            raise ValueError("bracket_lo_floor must be positive")
+# RESIDUAL_TOL bounds |z - dt*F(z) - rhs| relative to max(1, |rhs|);
+# STEP_SAFETY is the required bound on Q*base_dt (it must stay below 1 for the
+# implicit step to be well posed; solves are refused above it and warned
+# about above 0.25); _BRACKET_FLOOR guards the bracket against underflow.
+RESIDUAL_TOL = 1e-12
+MAX_ITER = 200
+STEP_SAFETY = 0.5
+_BRACKET_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -127,12 +114,11 @@ def _implicit_solve(
     fslope: Callable[[float], float],
     dt: float,
     rhs: float,
-    cfg: SolverConfig,
     z_init: float | None,
 ) -> float:
     """Unique positive root of z - dt*fval(z) = rhs via safeguarded Newton."""
-    tol = cfg.residual_tol * max(1.0, abs(rhs))
-    floor = cfg.bracket_lo_floor
+    tol = RESIDUAL_TOL * max(1.0, abs(rhs))
+    floor = _BRACKET_FLOOR
 
     if z_init is not None and z_init > 0.0:
         z = z_init
@@ -163,7 +149,7 @@ def _implicit_solve(
     if not (lo <= z <= hi):
         z = math.sqrt(lo * hi)
 
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         res = (z - rhs) - dt * fval(z)
         if abs(res) <= tol:
             return z
@@ -186,17 +172,17 @@ def _implicit_solve(
                 )
         z = zn
     raise SolverError(
-        f"implicit solve did not converge within {cfg.max_iter} iterations "
+        f"implicit solve did not converge within {MAX_ITER} iterations "
         f"(rhs={rhs}, dt={dt})"
     )
 
 
-def _check_step_guard(q: float, base_dt: float, cfg: SolverConfig) -> float:
+def _check_step_guard(q: float, base_dt: float) -> float:
     q_dt = q * base_dt
-    if q_dt > cfg.step_safety:
+    if q_dt > STEP_SAFETY:
         raise SolverError(
             f"step-size guard violated: Q*dt = {q_dt} exceeds step_safety = "
-            f"{cfg.step_safety}"
+            f"{STEP_SAFETY}"
         )
     if q_dt > 0.25:
         warnings.warn(
@@ -213,7 +199,6 @@ def implicit_step_z(
     Q: float,
     rhs: float,
     dt: float,
-    cfg: SolverConfig | None = None,
     z_init: float | None = None,
 ) -> float:
     """Solve z - dt*F(z) = rhs for the unique positive z.
@@ -222,13 +207,11 @@ def implicit_step_z(
     is strictly increasing (G' >= 1 - Q*dt > 0) with G -> -inf as z -> 0+ and
     G -> +inf as z -> inf. z_init seeds the bracket (defaults to a heuristic).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
-    _check_step_guard(Q, dt, cfg)
+    _check_step_guard(Q, dt)
     value, slope = make_transformed_drift(params)
-    return _implicit_solve(value, slope, dt, rhs, cfg, z_init)
+    return _implicit_solve(value, slope, dt, rhs, z_init)
 
 
 def tjabem_path(
@@ -237,7 +220,6 @@ def tjabem_path(
     mesh: JumpAdaptedMesh,
     increments: Sequence[float],
     Q: float | None = None,
-    cfg: SolverConfig | None = None,
 ) -> tuple[TrajectoryZ, float]:
     """Run the transformed jump-adapted implicit scheme along one path.
 
@@ -246,8 +228,6 @@ def tjabem_path(
     the transformed jump update at jump nodes. Returns the transformed
     trajectory and the terminal state mapped back to original coordinates.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if Q is None:
         Q = one_sided_lipschitz(params)
     n = mesh.n_intervals
@@ -255,15 +235,15 @@ def tjabem_path(
         raise ValueError(
             f"increments length {len(increments)} != mesh intervals {n}"
         )
-    _check_step_guard(Q, mesh.base_dt, cfg)
+    _check_step_guard(Q, mesh.base_dt)
 
     value, slope = make_transformed_drift(params)
     # the third and fifth terms are c3*z and c5/z
     (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = _drift_terms(params)
     d1, d2, d4 = c1 * e1, c2 * e2, c4 * e4
     noise_coef = (1.0 - params.rho) * params.alpha3
-    rtol, floor, cap = cfg.residual_tol, cfg.bracket_lo_floor, _BRACKET_CAP
-    iters = range(cfg.max_iter)
+    rtol, floor, cap = RESIDUAL_TOL, _BRACKET_FLOOR, _BRACKET_CAP
+    iters = range(MAX_ITER)
     dt = mesh.dt.tolist()
     flags = mesh.is_jump.tolist()
     dws = np.asarray(increments, dtype=float).tolist()
@@ -312,7 +292,7 @@ def tjabem_path(
                 break
             z = z_new
         if not solved:
-            z = _implicit_solve(value, slope, dt_k, rhs, cfg, z_prev)
+            z = _implicit_solve(value, slope, dt_k, rhs, z_prev)
         z_pre.append(z)
         if flags[k + 1]:
             z = jump_map(params, jump, z)
@@ -341,7 +321,6 @@ def tjabem_lanes(
     cells: Sequence[tuple[ModelParams, JumpCoefficient, float]],
     meshes: Sequence[JumpAdaptedMesh],
     increments: Sequence[Sequence[float]],
-    cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run tjabem_path on every (cell, path) lane at once.
 
@@ -356,8 +335,6 @@ def tjabem_lanes(
     states, both of shape (cells, paths). A failure raises LaneFailure for
     the lowest failing path and, within it, the first failing cell.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     steps = np.array([mesh.n_intervals for mesh in meshes], dtype=int)
     if len(increments) != len(meshes) or any(
         len(dw) != n for dw, n in zip(increments, steps.tolist())
@@ -394,8 +371,8 @@ def tjabem_lanes(
         np.array([(1.0 - p.rho) * p.alpha3 for p, _, _ in cells]).reshape(n_cells, 1)
     )
     drifts = [make_transformed_drift(params) for params, _, _ in cells]
-    rtol = cfg.residual_tol
-    bracket = (np.full(shape, cfg.bracket_lo_floor), np.full(shape, _BRACKET_CAP))
+    rtol = RESIDUAL_TOL
+    bracket = (np.full(shape, _BRACKET_FLOOR), np.full(shape, _BRACKET_CAP))
     dt_k = np.empty(shape)
 
     failures: dict[tuple[int, int], Exception] = {}  # (path, cell) -> error
@@ -413,7 +390,7 @@ def tjabem_lanes(
         for base_dt, paths in by_base_dt.items():
             try:
                 # the guard, then the initial state, as in tjabem_path
-                _check_step_guard(q, base_dt, cfg)
+                _check_step_guard(q, base_dt)
                 z[c, paths] = lamperti_forward(params.rho, params.x0)
             except _LANE_ERRORS as exc:
                 for p in paths:
@@ -433,7 +410,7 @@ def tjabem_lanes(
             lo, hi = bracket
             z_prev = z
             active = live
-            for _ in range(cfg.max_iter):
+            for _ in range(MAX_ITER):
                 if stale:
                     # F and F' share the powers z^e (z^(e-1) = z^e / z); an
                     # overflowing power makes them non-finite, so its lane
@@ -467,7 +444,7 @@ def tjabem_lanes(
                     value, slope = drifts[c]
                     try:
                         z[c, p] = _implicit_solve(
-                            value, slope, float(dts[k, p]), float(rhs[c, p]), cfg,
+                            value, slope, float(dts[k, p]), float(rhs[c, p]),
                             float(z_prev[c, p]),
                         )
                     except _LANE_ERRORS as exc:
@@ -494,7 +471,6 @@ def bem_path(
     M: int,
     increments: Sequence[float],
     jump_counts: Sequence[int],
-    cfg: SolverConfig | None = None,
     q_drift: float | None = None,
 ) -> float:
     """Drift-implicit scheme on the uniform M-step grid, in original coordinates.
@@ -504,8 +480,6 @@ def bem_path(
     the guard constant is the clamped supremum of f'. Jump counts may exceed
     one per interval. Returns the terminal state.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
     if len(increments) != M or len(jump_counts) != M:
@@ -513,7 +487,7 @@ def bem_path(
     if q_drift is None:
         q_drift = drift_one_sided_lipschitz(params)
     dt = params.T / M
-    _check_step_guard(q_drift, dt, cfg)
+    _check_step_guard(q_drift, dt)
 
     value, slope = make_drift(params)
     # the first three terms are c1/x, c2 and c3*x
@@ -521,8 +495,8 @@ def bem_path(
     d4 = c4 * g
     a3, rho = params.alpha3, params.rho
     h = jump.h
-    rtol, floor, cap = cfg.residual_tol, cfg.bracket_lo_floor, _BRACKET_CAP
-    iters = range(cfg.max_iter)
+    rtol, floor, cap = RESIDUAL_TOL, _BRACKET_FLOOR, _BRACKET_CAP
+    iters = range(MAX_ITER)
     dws = np.asarray(increments, dtype=float).tolist()
     dns = np.asarray(jump_counts).tolist()
 
@@ -566,7 +540,7 @@ def bem_path(
                 break
             x = x_new
         if not solved:
-            x = _implicit_solve(value, slope, dt, rhs, cfg, x_prev)
+            x = _implicit_solve(value, slope, dt, rhs, x_prev)
     return x
 
 
@@ -588,7 +562,7 @@ def step_size_diagnostics(
     Only defined in the supercritical regime. epsilon must lie in the
     admissible open interval (0, 2(gamma+1-2rho)/(3rho(gamma-1))), further
     capped by (rho-1)/(8*rho*p) when a moment order p is supplied. Stepping
-    itself is gated solely by Q*base_dt against the solver's step_safety.
+    itself is gated solely by Q*base_dt against STEP_SAFETY.
     """
     if classify_regime(params.gamma, params.rho) is not Regime.SUPERCRITICAL:
         raise SolverError("step-size diagnostics require the supercritical regime")

@@ -14,7 +14,6 @@ from scipy.optimize import brentq
 
 from jumpsde import (
     ModelParams,
-    SolverConfig,
     coarsen_increments,
     drift,
     diffusion,
@@ -123,7 +122,6 @@ def test_criterion_3_scheme_comparison():
 
 def test_criterion_4_solver_property_suite():
     """1e5 implicit solves: residual contract, positivity, monotonicity."""
-    cfg = SolverConfig()
     rng = np.random.Generator(np.random.Philox(20240804))
     n_per_combo = 6250  # 2 params x 8 step sizes x 6250 = 1e5 solves
     total = 0
@@ -139,7 +137,7 @@ def test_criterion_4_solver_property_suite():
             rhs_values.sort()
             prev_z = None
             for rhs in rhs_values:
-                z = implicit_step_z(params, q, float(rhs), dt, cfg, z_init=prev_z)
+                z = implicit_step_z(params, q, float(rhs), dt, z_init=prev_z)
                 assert z > 0.0
                 residual = z - dt * transformed_drift(params, z) - rhs
                 assert abs(residual) <= 1e-12 * max(1.0, abs(rhs))

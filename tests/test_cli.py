@@ -329,8 +329,8 @@ def test_bad_ladder_input_exits_1(tmp_path, capsys, values, message):
 
 @pytest.mark.parametrize(
     "m_list, m_ref",
-    [("32, 64", 100), ("64, 32", 128), ("32", 128)],
-    ids=["m_ref=100", "m_list=64,32", "one entry"],
+    [("32, 64", 100), ("64, 32", 128), ("32", 128), ("16, 32, 64", 64)],
+    ids=["m_ref=100", "m_list=64,32", "one entry", "entry=m_ref"],
 )
 def test_validate_runs_the_ladder_checks(tmp_path, capsys, m_list, m_ref):
     # validate fails exactly where convergence would, with the same message
@@ -344,6 +344,35 @@ def test_validate_runs_the_ladder_checks(tmp_path, capsys, m_list, m_ref):
     out = capsys.readouterr().out
     assert f"FAIL ladder gate: {message}\n" in out
     assert "all gates passed" not in out
+
+
+def test_validate_runs_the_bem_step_size_gate(tmp_path, capsys):
+    # alpha1 = 40 leaves the transformed drift's Q at 0 but gives the
+    # original drift a one-sided bound of 29.05, which bem steps with
+    path = _edit_config(_write_config(tmp_path, scheme="both"), alpha1="40")
+    assert main(["convergence", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "step-size guard violated" in capsys.readouterr().err
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL step-size gate: bem's drift bound gives Q*dt = 3.63" in out
+    assert "all gates passed" not in out
+    assert main(["validate", "--config", str(path), "--scheme", "tjabem"]) == 0
+
+
+def test_zero_mean_error_exits_2(tmp_path, capsys):
+    # rho one ulp above 1 leaves every level on the reference: no order fit
+    path = _edit_config(
+        _write_config(tmp_path, lam=0.0, m_list="2, 4", m_ref=32, n_paths=4),
+        alpha_m1="1.0", alpha2="1.0", alpha1="1.0",
+        rho="1.0000000000000002", gamma="2.0000000000000004",
+    )
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["convergence", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: scheme tjabem: no order fit to mean "
+                          "errors [0.0, 0.0]: all errors must be strictly positive")
 
 
 def test_convergence_without_m_ref_exits_1(tmp_path, capsys):
@@ -468,10 +497,12 @@ def finite_configs(draw):
 
 def _config_text(values):
     model = "\n".join(f"{key} = {values[key]}" for key in MODEL_KEYS)
+    m_ref = f"m_ref = {values['m_ref']}\n" if "m_ref" in values else ""
     return (
         f"[model]\n{model}\n\n"
         f"[jump]\nfamily = {values['family']}\nparam = {values['param']}\n\n"
-        f"[ladder]\nm_list = {values['m_list']}\n\n"
+        f"[scheme]\nscheme = {values.get('scheme', 'tjabem')}\n\n"
+        f"[ladder]\nm_list = {values['m_list']}\n{m_ref}\n"
         f"[run]\nn_paths = 2\nglobal_seed = {values['global_seed']}\n"
     )
 
@@ -494,6 +525,29 @@ def test_validated_configs_simulate_or_exit_2(values, path_index):
             argv = ["simulate", "--config", str(path), "--out", str(Path(tmp) / "out"),
                     "--path-index", str(path_index)]
             assert _run_quietly(argv) in (0, 2)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    values=finite_configs(),
+    m_ref=st.sampled_from([32, 64]),
+    ladder=st.lists(st.sampled_from([2, 4, 8, 16, 32]), min_size=2, unique=True),
+)
+def test_validated_configs_converge_or_exit_cleanly(values, m_ref, ladder):
+    # exit 1 stays allowed: validate does not yet run the band check
+    values = {**values, "scheme": "both", "m_ref": m_ref,
+              "m_list": ", ".join(str(m) for m in sorted(ladder))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(_config_text(values))
+        if _run_quietly(["validate", "--config", str(path)]) == 0:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = main(["convergence", "--config", str(path),
+                               "--out", str(Path(tmp) / "out")])
+            assert status in (0, 1, 2)
+            assert not (status == 2 and "step-size guard" in err.getvalue())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from jumpsde import (
     MeshError,
     PathFailure,
     PositivityReport,
-    SolverConfig,
     SolverError,
     build_mesh,
     fit_order,
@@ -127,24 +127,24 @@ def test_ladder_rejects_degenerate_band(set1):
         strong_error_ladder(set1, sine_jump(1.0), "tjabem", (8, 16), 64, 4, 0)
 
 
-def test_ladder_path_failure_carries_replay_info(set1):
-    cfg = SolverConfig(max_iter=1)
+def test_ladder_path_failure_carries_replay_info(set1, monkeypatch):
+    monkeypatch.setattr(jumpsde.solver, "MAX_ITER", 1)
     with pytest.raises(PathFailure) as excinfo:
         strong_error_ladder(
             set1, linear_jump(-0.5), "tjabem",
-            m_list=(8, 16), m_ref=64, n_paths=4, global_seed=21, cfg=cfg,
+            m_list=(8, 16), m_ref=64, n_paths=4, global_seed=21,
         )
     assert excinfo.value.global_seed == 21
     assert excinfo.value.path_index == 0
 
 
-def test_ladder_path_failure_through_worker_pool(set1):
-    cfg = SolverConfig(max_iter=1)
+def test_ladder_path_failure_through_worker_pool(set1, monkeypatch):
+    # the forked workers inherit the patched limit
+    monkeypatch.setattr(jumpsde.solver, "MAX_ITER", 1)
     with pytest.raises(PathFailure) as excinfo:
         strong_error_ladder(
             set1, linear_jump(-0.5), "tjabem",
-            m_list=(8, 16), m_ref=64, n_paths=4, global_seed=21, cfg=cfg,
-            parallelism=2,
+            m_list=(8, 16), m_ref=64, n_paths=4, global_seed=21, parallelism=2,
         )
     assert excinfo.value.path_index >= 0
 
@@ -195,9 +195,11 @@ class _CountingPool:
     """Inline stand-in for ProcessPoolExecutor that counts pool starts."""
 
     starts = 0
+    max_workers = None
 
     def __init__(self, max_workers=None):
         type(self).starts += 1
+        type(self).max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -231,6 +233,20 @@ def test_positivity_starts_one_pool_for_all_cells(set1, set2, monkeypatch):
         _CountingPool.starts = 0
         assert run(2) == serial
         assert _CountingPool.starts == 1
+
+
+def test_pool_is_capped_at_the_cpus(set1, monkeypatch):
+    # the chunks still follow parallelism, so the report cannot move
+    kwargs = dict(lam=2.0, n_paths=10, global_seed=8)
+    args = ([("set1", set1)], [linear_jump(0.5)], [0.125])
+    serial = positivity_table(*args, **kwargs)
+    monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert positivity_table(*args, parallelism=500, **kwargs) == serial
+    assert _CountingPool.max_workers == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert positivity_table(*args, parallelism=2, **kwargs) == serial
+    assert _CountingPool.max_workers == 1
 
 
 def _failing_bundle(params, m, global_seed, path_index):
@@ -347,7 +363,7 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
     # nonpositive value; stand-in lanes give every cell its own count
     jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
 
-    def marked_lanes(cells, meshes, increments, cfg):
+    def marked_lanes(cells, meshes, increments):
         counts = [
             [3 * int(params.alpha_m1) + jumps.index(jump) + mesh.n_intervals
              for mesh in meshes]

@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 
 from jumpsde import (
     ModelParams,
-    SolverConfig,
     SolverError,
     build_mesh,
     bem_path,
@@ -32,16 +31,7 @@ from jumpsde.model import (
     make_drift,
     make_transformed_drift,
 )
-from jumpsde.solver import _implicit_solve, tjabem_lanes
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_safety=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+from jumpsde.solver import RESIDUAL_TOL, _implicit_solve, tjabem_lanes
 
 
 def test_constructed_root(set1):
@@ -64,16 +54,15 @@ def test_frozen_regression_root(set1):
 
 
 def test_residual_contract_random_battery(set1, set2):
-    cfg = SolverConfig()
     rng = np.random.Generator(np.random.Philox(5))
     for params in (set1, set2):
         for _ in range(250):
             rhs = float(rng.uniform(-10.0, 10.0))
             dt = float(2.0 ** -rng.integers(5, 13))
-            z = implicit_step_z(params, 0.0, rhs, dt, cfg)
+            z = implicit_step_z(params, 0.0, rhs, dt)
             assert z > 0.0
             residual = z - dt * transformed_drift(params, z) - rhs
-            assert abs(residual) <= cfg.residual_tol * max(1.0, abs(rhs))
+            assert abs(residual) <= RESIDUAL_TOL * max(1.0, abs(rhs))
 
 
 def test_monotone_in_rhs(set1):
@@ -200,10 +189,9 @@ def test_increment_length_mismatch(set1):
 
 
 def test_bem_unrolled_single_step(set1):
-    cfg = SolverConfig()
-    x1 = bem_path(set1, zero_jump(), 1, [0.0], [0], cfg)
+    x1 = bem_path(set1, zero_jump(), 1, [0.0], [0])
     residual = x1 - 1.0 * drift(set1, x1) - set1.x0
-    assert abs(residual) <= cfg.residual_tol
+    assert abs(residual) <= RESIDUAL_TOL
     oracle = brentq(
         lambda x: x - drift(set1, x) - set1.x0, 1e-8, 10.0, xtol=1e-14, rtol=8.9e-16
     )
@@ -289,18 +277,17 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-def _assert_step_matches_oracle(fval, fslope, dt, rhs, z_new, z_start, cfg, q):
+def _assert_step_matches_oracle(fval, fslope, dt, rhs, z_new, z_start, q):
     # both roots meet the residual contract, and G' >= 1 - q*dt bounds their gap
-    tol = cfg.residual_tol * max(1.0, abs(rhs))
+    tol = RESIDUAL_TOL * max(1.0, abs(rhs))
     assert abs((z_new - rhs) - dt * fval(z_new)) <= tol
-    z_oracle = _implicit_solve(fval, fslope, dt, rhs, cfg, z_start)
+    z_oracle = _implicit_solve(fval, fslope, dt, rhs, z_start)
     assert abs(z_new - z_oracle) <= 2.0 * tol / (1.0 - q * dt)
 
 
 @pytest.mark.parametrize("jump", [linear_jump(-0.5), linear_jump(1.0)])
 def test_tjabem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     for params in (replace(set1, lam=5.0), replace(set2, lam=5.0)):
         q = one_sided_lipschitz(params)
         fval, fslope = make_transformed_drift(params)
@@ -309,13 +296,13 @@ def test_tjabem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
             bundle = generate_bundle(params, 256, 71, i)
             mesh = bundle.fine_mesh
             assert mesh.is_jump.any()
-            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q, cfg)
+            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q)
             for k in range(mesh.n_intervals):
                 z_start = trajectory.z_post[k]
                 rhs = z_start + noise_coef * bundle.dw_fine[k]
                 _assert_step_matches_oracle(
                     fval, fslope, mesh.dt[k], rhs, trajectory.z_pre[k + 1],
-                    z_start, cfg, q,
+                    z_start, q,
                 )
     assert fallbacks == []  # every step above was solved by the Newton-first step
 
@@ -323,7 +310,6 @@ def test_tjabem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
 @pytest.mark.parametrize("jump", [linear_jump(-0.5), linear_jump(1.0)])
 def test_bem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     M = 64
     for params in (replace(set1, lam=5.0), replace(set2, lam=5.0)):
         q = drift_one_sided_lipschitz(params)
@@ -336,13 +322,13 @@ def test_bem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
         # a power of two, the prefix horizon k*dt split into k steps is dt
         # exactly, so the prefix run repeats the full run's arithmetic
         nodes = [params.x0] + [
-            bem_path(replace(params, T=k * dt), jump, k, dw[:k], dn[:k], cfg, q)
+            bem_path(replace(params, T=k * dt), jump, k, dw[:k], dn[:k], q)
             for k in range(1, M + 1)
         ]
         for k in range(M):
             x = nodes[k]
             rhs = x + params.alpha3 * x**params.rho * dw[k] + jump.h(x) * dn[k]
-            _assert_step_matches_oracle(fval, fslope, dt, rhs, nodes[k + 1], x, cfg, q)
+            _assert_step_matches_oracle(fval, fslope, dt, rhs, nodes[k + 1], x, q)
     assert fallbacks == []
 
 
@@ -350,7 +336,6 @@ def test_tjabem_hands_a_failed_newton_step_to_the_bracketed_solver(
     set1, monkeypatch
 ):
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     params = replace(set1, lam=0.0)
     fval, _ = make_transformed_drift(params)
     noise_coef = (1.0 - params.rho) * params.alpha3
@@ -359,13 +344,11 @@ def test_tjabem_hands_a_failed_newton_step_to_the_bracketed_solver(
     # a huge positive one: the iterates reach z where z^5 overflows
     for T, dw in ((2.0**-10, 100.0), (1.0, -1e70)):
         mesh = build_mesh(1, T, [])
-        trajectory, _ = tjabem_path(
-            replace(params, T=T), zero_jump(), mesh, [dw], 0.0, cfg
-        )
+        trajectory, _ = tjabem_path(replace(params, T=T), zero_jump(), mesh, [dw], 0.0)
         rhs = z0 + noise_coef * dw
         z = trajectory.z_pre[-1]
         assert z > 0.0
-        assert abs((z - rhs) - T * fval(z)) <= cfg.residual_tol * max(1.0, abs(rhs))
+        assert abs((z - rhs) - T * fval(z)) <= RESIDUAL_TOL * max(1.0, abs(rhs))
     assert len(fallbacks) == 2
 
 
@@ -373,7 +356,6 @@ def test_newton_step_falls_back_on_the_stiff_model(monkeypatch):
     # Q > 0 lets G' fall to 1 - Q*dt; a negative rhs sends the first Newton
     # iterate out of the bracket, while rhs > 0 stays on the Newton path
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     params = replace(_stiff_params(), T=2.0**-11)
     q = one_sided_lipschitz(params)
     assert 0.0 < q * params.T < 0.25
@@ -381,24 +363,23 @@ def test_newton_step_falls_back_on_the_stiff_model(monkeypatch):
     noise_coef = (1.0 - params.rho) * params.alpha3
     mesh = build_mesh(1, params.T, [])
     for dw, expected_fallbacks in ((0.0, 0), (1.0, 0), (2.5, 1), (20.0, 2)):
-        trajectory, _ = tjabem_path(params, zero_jump(), mesh, [dw], q, cfg)
+        trajectory, _ = tjabem_path(params, zero_jump(), mesh, [dw], q)
         rhs = trajectory.z_post[0] + noise_coef * dw
         z = trajectory.z_pre[1]
         assert z > 0.0
-        tol = cfg.residual_tol * max(1.0, abs(rhs))
+        tol = RESIDUAL_TOL * max(1.0, abs(rhs))
         assert abs((z - rhs) - params.T * fval(z)) <= tol
         assert len(fallbacks) == expected_fallbacks
 
 
 def test_bem_hands_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     params = replace(set1, lam=0.0, T=2.0**-10)
     fval, _ = make_drift(params)
     # rhs = 1 + 1*(-50) = -49: Newton from x0 = 1 overshoots below zero
-    x = bem_path(params, zero_jump(), 1, [-50.0], [0], cfg)
+    x = bem_path(params, zero_jump(), 1, [-50.0], [0])
     assert x > 0.0
-    assert abs((x + 49.0) - params.T * fval(x)) <= cfg.residual_tol * 49.0
+    assert abs((x + 49.0) - params.T * fval(x)) <= RESIDUAL_TOL * 49.0
     assert len(fallbacks) == 1
 
 
@@ -413,9 +394,9 @@ def _lane_cells(param_sets, jump_specs):
     ]
 
 
-def _run_lanes(cells, bundles, cfg=None):
+def _run_lanes(cells, bundles):
     return tjabem_lanes(
-        cells, [b.fine_mesh for b in bundles], [b.dw_fine for b in bundles], cfg
+        cells, [b.fine_mesh for b in bundles], [b.dw_fine for b in bundles]
     )
 
 
@@ -423,25 +404,24 @@ def _run_lanes(cells, bundles, cfg=None):
 @pytest.mark.parametrize("M", [8, 64])
 def test_lanes_match_the_path_loop(set1, set2, lam, M):
     # Q = 0 for both sets, so G' >= 1: two solutions of one step that both meet
-    # |residual| <= residual_tol*max(1, |rhs|) differ by at most twice that,
+    # |residual| <= RESIDUAL_TOL*max(1, |rhs|) differ by at most twice that,
     # and a solve does not amplify an earlier difference; each default jump
     # at most doubles a z-difference (|dz'/dz| = |1 + h'(x)| (x/(x+h(x)))^rho)
-    cfg = SolverConfig()
     sets = [replace(set1, lam=lam), replace(set2, lam=lam)]
     cells = _lane_cells(sets, DEFAULT_JUMPS + (("zero",),))
     assert all(q == 0.0 for _, _, q in cells)
     bundles = [generate_bundle(sets[0], M, 83, i) for i in range(12)]
-    z_lanes, n_nonpositive = _run_lanes(cells, bundles, cfg)
+    z_lanes, n_nonpositive = _run_lanes(cells, bundles)
     assert z_lanes.shape == n_nonpositive.shape == (len(cells), len(bundles))
     assert not n_nonpositive.any()
     for c, (params, jump, q) in enumerate(cells):
         noise_coef = (1.0 - params.rho) * params.alpha3
         for p, bundle in enumerate(bundles):
             mesh = bundle.fine_mesh
-            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q, cfg)
+            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q)
             rhs = trajectory.z_post[:-1] + noise_coef * bundle.dw_fine
             n_jumps = int(mesh.is_jump.sum())
-            bound = (2.0**n_jumps * mesh.n_intervals * 2.0 * cfg.residual_tol
+            bound = (2.0**n_jumps * mesh.n_intervals * 2.0 * RESIDUAL_TOL
                      * max(1.0, float(np.abs(rhs).max())))
             assert abs(z_lanes[c, p] - trajectory.z_post[-1]) <= bound
     if lam:
@@ -452,7 +432,6 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     # the lanes of test_newton_step_falls_back_on_the_stiff_model, side by side:
     # dW = 2.5 and 20 leave Newton's bracket and go to the bracketed solver
     fallbacks = _count_fallbacks(monkeypatch)
-    cfg = SolverConfig()
     params = replace(_stiff_params(), T=2.0**-11)
     q = one_sided_lipschitz(params)
     assert 0.0 < q * params.T < 0.25
@@ -460,7 +439,7 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     dws = [0.0, 1.0, 2.5, 20.0]
     mesh = build_mesh(1, params.T, [])
     z, n_nonpositive = tjabem_lanes(
-        [(params, zero_jump(), q)], [mesh] * 4, [[dw] for dw in dws], cfg
+        [(params, zero_jump(), q)], [mesh] * 4, [[dw] for dw in dws]
     )
     assert not n_nonpositive.any()
     z0 = lamperti_forward(params.rho, params.x0)
@@ -468,7 +447,7 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     for z_lane, dw in zip(z[0].tolist(), dws):
         rhs = z0 + noise_coef * dw
         assert z_lane > 0.0
-        tol = cfg.residual_tol * max(1.0, abs(rhs))
+        tol = RESIDUAL_TOL * max(1.0, abs(rhs))
         assert abs((z_lane - rhs) - params.T * fval(z_lane)) <= tol
     assert [call[3] for call in fallbacks] == [z0 + noise_coef * dw for dw in (2.5, 20.0)]
 
