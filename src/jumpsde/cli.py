@@ -20,6 +20,7 @@ from pathlib import Path
 from .harness import (
     _PATH_ERRORS,
     _replay_failure,
+    check_band,
     check_ladder,
     moment_probe,
     positivity_table,
@@ -266,7 +267,14 @@ def cmd_validate(config: ExperimentConfig) -> int:
         f"band=[{bounds.mu1!r}, {bounds.mu2!r}]"
         + (" (sampled only)" if bounds.sampled else "")
     )
-    if not bounds.band_positive:
+    if config.m_ref is not None:
+        # the config has a ladder, which convergence refuses to run
+        try:
+            check_band(config.jump, bounds)
+        except InvalidModelError as exc:
+            print(f"FAIL band gate: {exc}")
+            return 1
+    elif not bounds.band_positive:
         print(
             "warning: transform band not bounded away from zero; convergence "
             "theory unavailable (positivity unaffected)"

@@ -1,14 +1,16 @@
 """Monte Carlo experiments: strong-error ladders, positivity and moment tables.
 
 Every experiment runs through one path runner: paths are independent work
-items distributed over contiguous index chunks, and the runner hands a
-chunk's bundles, built one at a time in path order, to the experiment's chunk
-function. The ladder and the moment probe turn each bundle into that path's
-result row; the positivity table steps every (cell, path) lane of the chunk
-together and returns one row of counts summed over the chunk. Rows are
-assembled in chunk order before reduction, so reports are bit-identical
-regardless of the worker count. A failed path aborts the experiment carrying
-its (global_seed, path_index) for replay.
+items distributed over contiguous index chunks, and each chunk goes to the
+experiment's chunk function. The ladder steps its chunk's paths as numpy
+lanes, a batch at a time: the reference, every tjabem level and every bem
+level, drawing each path's noise block by block in time. The moment probe
+turns each path's bundle into that path's row, and the positivity table
+steps every (cell, path) lane of the chunk together and returns one row of
+counts summed over the chunk. Rows are assembled in chunk order before
+reduction, and no lane depends on the others of its batch, so reports are
+bit-identical regardless of the worker count. A failed path aborts the
+experiment carrying its (global_seed, path_index) for replay.
 With parallelism > 1 the jump coefficient must be picklable (built-in
 families always are; custom ones need module-level callables).
 """
@@ -24,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import MeshError
+from .mesh import MeshError, place_jumps
 from .model import (
     InvalidModelError,
+    JumpBounds,
     JumpCoefficient,
     ModelParams,
     drift_one_sided_lipschitz,
@@ -35,14 +38,28 @@ from .model import (
     validate_jump,
     validate_params,
 )
-from .paths import coarsen_increments, generate_bundle, regular_increments
-from .solver import (
+# coarsen_increments, regular_increments and bem_path have no caller here
+# since the ladder steps lanes; the benchmark's tracer wraps them as names of
+# this module
+from .paths import (  # noqa: F401
+    coarse_block,
+    coarsen_increments,
+    fine_block,
+    generate_bundle,
+    open_path,
+    regular_increments,
+)
+from .solver import (  # noqa: F401
+    BemLanes,
     LaneFailure,
     SolverError,
+    TjabemLanes,
+    _check_step_guard,
     bem_path,
     tjabem_lanes,
     tjabem_path,
 )
+from .transform import lamperti_forward
 
 __all__ = [
     "SCHEMES",
@@ -53,6 +70,7 @@ __all__ = [
     "MomentRow",
     "MomentReport",
     "fit_order",
+    "check_band",
     "check_ladder",
     "strong_error_ladder",
     "positivity_table",
@@ -159,8 +177,8 @@ def _replay_failure(exc: Exception, global_seed: int, path_index: int) -> PathFa
     )
 
 
-def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
-    n_chunks = max(1, min(n, parallelism * 4))
+def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
+    n_chunks = max(1, min(n, n_chunks))
     size = math.ceil(n / n_chunks)
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
@@ -176,35 +194,20 @@ def _bundles(bundle_params, m, global_seed, lo, hi):
 
 
 def _run_chunk(task) -> np.ndarray:
-    """The rows of paths lo..hi of one run, stacked into one array.
-
-    A run is (chunk_rows, args, bundle_params, m, global_seed): chunk_rows
-    gets the bundles of paths lo..hi, each generate_bundle(bundle_params, m,
-    global_seed, i), and args, and returns the chunk's rows.
-    """
-    (chunk_rows, args, bundle_params, m, global_seed), lo, hi = task
-    return chunk_rows(_bundles(bundle_params, m, global_seed, lo, hi), *args)
+    """The rows of paths lo..hi of one run: a run (chunk_rows, args) gives
+    chunk_rows(lo, hi, *args)."""
+    (chunk_rows, args), lo, hi = task
+    return chunk_rows(lo, hi, *args)
 
 
-def _each_path(bundles, path_row, *args) -> np.ndarray:
-    """path_row(bundle, *args) of each bundle, holding one bundle at a time."""
-    rows = []
-    for bundle in bundles:
-        try:
-            rows.append(path_row(bundle, *args))
-        except _PATH_ERRORS as exc:
-            raise _replay_failure(exc, bundle.global_seed, bundle.path_index) from exc
-    return np.array(rows)
-
-
-def _map_runs(runs: list, n_paths: int, parallelism: int) -> list[np.ndarray]:
+def _map_runs(runs: list, n_paths: int, n_chunks: int, parallelism: int) -> list[np.ndarray]:
     """Each run's rows over paths 0..n_paths-1, in path order.
 
-    Every run is split into the same path chunks, and all the chunks go
-    through one process pool (inline at parallelism 1) of at most one worker
-    per CPU. The chunks depend on parallelism alone, never on the CPUs.
+    Every run is split into the same n_chunks path chunks, and all the
+    chunks go through one process pool (inline at parallelism 1) of at most
+    one worker per CPU. The chunks never depend on the CPUs.
     """
-    ranges = _chunk_ranges(n_paths, parallelism)
+    ranges = _chunk_ranges(n_paths, n_chunks)
     tasks = [(run, lo, hi) for run in runs for lo, hi in ranges]
     if parallelism <= 1:
         parts = [_run_chunk(task) for task in tasks]
@@ -244,6 +247,16 @@ def fit_order(points: Sequence[tuple[float, float]]) -> tuple[float, float, floa
 # Strong-error ladder
 # ---------------------------------------------------------------------------
 
+def check_band(jump: JumpCoefficient, bounds: JumpBounds) -> None:
+    """Raise unless the jump's transform band is bounded away from zero,
+    which the convergence theory behind the ladder needs."""
+    if not bounds.band_positive:
+        raise InvalidModelError(
+            "convergence experiments require the transform band to be bounded "
+            f"away from zero (jump {jump.label} has band [{bounds.mu1}, {bounds.mu2}])"
+        )
+
+
 def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     """The ladder's step counts as ints, once they pass the ladder's checks.
 
@@ -267,22 +280,165 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     return m_list
 
 
-def _ladder_row(bundle, params, jump, schemes, m_list, q_transformed, q_drift):
-    """|x_ref - x_num| per (scheme, M) on one path's bundle."""
-    _, x_ref = tjabem_path(
-        params, jump, bundle.fine_mesh, bundle.dw_fine, q_transformed
-    )
-    row = np.empty((len(schemes), len(m_list)))
-    for j, m in enumerate(m_list):
-        for s, scheme in enumerate(schemes):
-            if scheme == "tjabem":
-                mesh_c, dw_c = coarsen_increments(bundle, m)
-                _, x_num = tjabem_path(params, jump, mesh_c, dw_c, q_transformed)
-            else:
-                dw_r, dn_r = regular_increments(bundle, m)
-                x_num = bem_path(params, jump, m, dw_r, dn_r, q_drift)
-            row[s, j] = abs(x_ref - x_num)
-    return row
+# fine grid intervals per block of a ladder kernel call, which sets its
+# paths: numpy's cost per call falls per lane as the lanes widen (256 paths
+# of 128 intervals take half the time per path of 64), and the per-block
+# arrays stay near 2 MB however long a block is
+_LADDER_CELLS = 2**15
+# Newton updates each lane takes before its residual is checked: the
+# reference's short steps converge in two, the levels' longer steps in four
+_REF_UPDATES = 2
+_LEVEL_UPDATES = 4
+
+
+def _ladder_rows(lo, hi, params, jump, schemes, m_list, m_ref, q_transformed,
+                 q_drift, global_seed) -> np.ndarray:
+    """|x_ref - x_num| per (scheme, M) of paths lo..hi-1.
+
+    The paths step through _ladder_batch in path order, in batches of
+    _LADDER_CELLS fine intervals per block, so a failure names the lowest
+    failing path.
+    """
+    batch = max(1, _LADDER_CELLS * m_list[0] // m_ref)
+    rows = []
+    for start in range(lo, hi, batch):
+        paths = []
+        for i in range(start, min(start + batch, hi)):
+            try:
+                paths.append(open_path(params, m_ref, global_seed, i))
+            except _PATH_ERRORS as exc:
+                failure = _replay_failure(exc, global_seed, i)
+                if paths:
+                    # a path before the one that failed to open can fail first
+                    _ladder_batch(paths, params, jump, schemes, m_list, m_ref,
+                                  q_transformed, q_drift)
+                raise failure from exc
+        rows.append(_ladder_batch(paths, params, jump, schemes, m_list, m_ref,
+                                  q_transformed, q_drift))
+    return np.concatenate(rows)
+
+
+def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
+                  q_drift) -> np.ndarray:
+    """|x_ref - x_num| per (path, scheme, M), stepping the paths as lanes.
+
+    The reference, the tjabem levels and the bem levels are three groups of
+    lanes; in a levels' group, lane j*n + p is path p at m_list[j]. Time
+    runs in blocks, one per interval of the coarsest grid, whose ends are
+    nodes of every mesh: each block's fine increments are drawn, the
+    reference steps through them, and the levels step through their sums.
+    A failure names the lowest failing path and, within it, what the
+    one-path loops would have run first: the reference, then each M's
+    schemes in order.
+    """
+    T, n, n_levels = params.T, len(paths), len(m_list)
+    blocks = m_list[0]
+    fine = m_ref // blocks
+    spans = [m // blocks for m in m_list]
+    with np.errstate(all="ignore"):
+        try:
+            # the guards in the order the one-path loops meet them; each
+            # group's longest step binds
+            _check_step_guard(q_transformed, T / m_ref)
+            z0 = lamperti_forward(params.rho, params.x0)
+            for s in schemes:
+                _check_step_guard(q_transformed if s == "tjabem" else q_drift,
+                                  T / blocks)
+        except _PATH_ERRORS as exc:
+            raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
+        ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
+        coarse = bem = None
+        if "tjabem" in schemes:
+            coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
+                                 _LEVEL_UPDATES)
+            busy = _busy(paths, m_list, spans)
+        if "bem" in schemes:
+            bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
+                           _LEVEL_UPDATES)
+            bem_dt = np.zeros((n_levels * n, spans[-1]))
+            for j, m in enumerate(m_list):
+                bem_dt[j * n : (j + 1) * n, : spans[j]] = T / m
+            counts = _jump_counts(paths, m_list, spans)
+        for b in range(blocks):
+            block = fine_block(paths, b * fine, (b + 1) * fine)
+            ref.run(block.dt, block.dw, _jump_steps([block]))
+            if coarse is not None:
+                levels = [coarse_block(block, m, b * s, (b + 1) * s, busy[j][b])
+                          for j, (m, s) in enumerate(zip(m_list, spans))]
+                coarse.run(*_stack(levels), _jump_steps(levels))
+            if bem is not None:
+                levels = [coarse_block(block, m, b * s, (b + 1) * s, {})
+                          for m, s in zip(m_list, spans)]
+                bem.run(bem_dt, _stack(levels)[1], counts[b])
+
+        x_ref = [ref.terminal((0, p)) for p in range(n)]
+        rows = np.empty((n, len(schemes), n_levels))
+        for k, s in enumerate(schemes):
+            for lane in range(n_levels * n):
+                j, p = divmod(lane, n)
+                x = coarse.terminal((0, lane)) if s == "tjabem" else float(bem.z[0, lane])
+                rows[p, k, j] = abs(x_ref[p] - x)
+    # (path, what the one-path loops run first) of each failed lane
+    failures = [((p, 0), error) for (_, p), error in ref.failures.items()]
+    for k, s in enumerate(schemes):
+        lanes = coarse if s == "tjabem" else bem
+        failures += [((lane % n, 1 + (lane // n) * len(schemes) + k), error)
+                     for (_, lane), error in lanes.failures.items()]
+    if failures:
+        (p, _), error = min(failures, key=lambda failure: failure[0])
+        raise _replay_failure(error, paths[p].global_seed, paths[p].path_index) from error
+    return rows
+
+
+def _busy(paths, m_list, spans) -> list[list[dict]]:
+    """busy[j][b] maps each path with a jump node among block b's steps of
+    the m_list[j]-step grid to its jumps' placement on that grid."""
+    busy = [[{} for _ in range(m_list[0])] for _ in m_list]
+    for j, (m, span) in enumerate(zip(m_list, spans)):
+        for p, path in enumerate(paths):
+            mesh = place_jumps(m, path.T, path.jump_times)
+            # a flagged grid node ends the interval before it
+            for b in {c // span for c in mesh.cells} | {
+                (q - 1) // span for q in mesh.on_grid
+            }:
+                busy[j][b][p] = mesh
+    return busy
+
+
+def _jump_counts(paths, m_list, spans) -> list[dict]:
+    """counts[b][k] lists (lane, number of jumps) for step k of block b of
+    the bem levels; a step counts the jump times in its interval (t, t']."""
+    n = len(paths)
+    counts = [{} for _ in range(m_list[0])]
+    for j, (m, span) in enumerate(zip(m_list, spans)):
+        nodes, _ = place_jumps(m, paths[0].T, ()).nodes(0, m)
+        for p, path in enumerate(paths):
+            dn = np.diff(np.searchsorted(path.jump_times, nodes, side="right"))
+            for k in np.flatnonzero(dn).tolist():
+                counts[k // span].setdefault(k % span, []).append((j * n + p, int(dn[k])))
+    return counts
+
+
+def _jump_steps(levels) -> dict[int, list[int]]:
+    """The lanes that jump at the end of each step of stacked level blocks."""
+    steps: dict[int, list[int]] = {}
+    for j, level in enumerate(levels):
+        for p in level.touched:
+            for k in np.flatnonzero(level.flags[p][1:]).tolist():
+                steps.setdefault(k, []).append(j * len(level.n) + p)
+    return steps
+
+
+def _stack(levels):
+    """The levels' dt and dw, stacked into one row per (level, path) lane."""
+    n = len(levels[0].n)
+    width = max(level.dt.shape[1] for level in levels)
+    dt = np.zeros((len(levels) * n, width))
+    dw = np.zeros_like(dt)
+    for j, level in enumerate(levels):
+        dt[j * n : (j + 1) * n, : level.dt.shape[1]] = level.dt
+        dw[j * n : (j + 1) * n, : level.dw.shape[1]] = level.dw
+    return dt, dw
 
 
 def strong_error_ladder(
@@ -304,12 +460,7 @@ def strong_error_ladder(
     report (both schemes see identical bundles).
     """
     validate_params(params)
-    bounds = validate_jump(jump, params)
-    if not bounds.band_positive:
-        raise InvalidModelError(
-            "convergence experiments require the transform band to be bounded "
-            f"away from zero (jump {jump.label} has band [{bounds.mu1}, {bounds.mu2}])"
-        )
+    check_band(jump, validate_jump(jump, params))
     if scheme == "both":
         schemes: tuple[str, ...] = SCHEMES
     elif scheme in SCHEMES:
@@ -324,12 +475,9 @@ def strong_error_ladder(
 
     q_transformed = one_sided_lipschitz(params)
     q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
-    args = (params, jump, schemes, m_list, q_transformed, q_drift)
-    (rows,) = _map_runs(
-        [(_each_path, (_ladder_row, *args), params, m_ref, global_seed)],
-        n_paths,
-        parallelism,
-    )
+    args = (params, jump, schemes, m_list, m_ref, q_transformed, q_drift, global_seed)
+    # lanes even out the work, so one chunk per worker balances the load
+    (rows,) = _map_runs([(_ladder_rows, args)], n_paths, parallelism, parallelism)
 
     dt_list = tuple(params.T / m for m in m_list)
     reports: dict[str, ConvergenceReport] = {}
@@ -398,13 +546,15 @@ def _lane_counts(batch, cells) -> np.ndarray:
     return np.array([(n_values, n) for n in nonpositive.sum(axis=1).tolist()])
 
 
-def _positivity_rows(bundles, cells) -> np.ndarray:
-    """(n_values, n_nonpositive) per cell of one (T, M) group, summed over a chunk.
+def _positivity_rows(lo, hi, cells, bundle_params, m, global_seed) -> np.ndarray:
+    """(n_values, n_nonpositive) per cell of one (T, M) group, summed over paths lo..hi-1.
 
-    The chunk's paths step through tjabem_lanes in path order, at most
-    _LANE_PATHS at a time, so a failure names the lowest failing path. The
-    result is one row of shape (cells, 2).
+    Each path's bundle is generate_bundle(bundle_params, m, global_seed, i).
+    The paths step through tjabem_lanes in path order, at most _LANE_PATHS
+    at a time, so a failure names the lowest failing path. The result is one
+    row of shape (cells, 2).
     """
+    bundles = _bundles(bundle_params, m, global_seed, lo, hi)
     counts = np.zeros((len(cells), 2), dtype=np.int64)
     while True:
         batch = []
@@ -468,10 +618,11 @@ def positivity_table(
         group_cells = tuple(cells[c] for c in groups[group])
         # the group's cells share lam, T and M, so one bundle serves them all
         runs.append(
-            (_positivity_rows, (group_cells,), group_cells[0][0], group[1], global_seed)
+            (_positivity_rows, (group_cells, group_cells[0][0], group[1], global_seed))
         )
     report_cells = [None] * len(cells)
-    for group, rows in zip(order, _map_runs(runs, n_paths, parallelism)):
+    all_rows = _map_runs(runs, n_paths, parallelism * 4, parallelism)
+    for group, rows in zip(order, all_rows):
         for c, (n_values, n_nonpositive) in zip(groups[group], rows.sum(axis=0)):
             set_name, label, dt = cells[c][3]
             report_cells[c] = PositivityCell(
@@ -486,15 +637,23 @@ def positivity_table(
 # Moment probe
 # ---------------------------------------------------------------------------
 
-def _moment_row(bundle, params, jump, p_list, q):
-    """(sup, terminal) of x**p per order p on one path's bundle."""
-    trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine, q)
-    x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
-    row = np.empty((len(p_list), 2))
-    for j, p in enumerate(p_list):
-        powered = x**p
-        row[j] = powered.max(), powered[-1]
-    return row
+def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
+    """(sup, terminal) of x**p per order p, for each path lo..hi-1 in turn."""
+    rows = []
+    for bundle in _bundles(params, M, global_seed, lo, hi):
+        try:
+            trajectory, _ = tjabem_path(
+                params, jump, bundle.fine_mesh, bundle.dw_fine, q
+            )
+        except _PATH_ERRORS as exc:
+            raise _replay_failure(exc, global_seed, bundle.path_index) from exc
+        x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
+        row = np.empty((len(p_list), 2))
+        for j, p in enumerate(p_list):
+            powered = x**p
+            row[j] = powered.max(), powered[-1]
+        rows.append(row)
+    return np.array(rows)
 
 
 def moment_probe(
@@ -521,12 +680,8 @@ def moment_probe(
         moment_admissible(params, p)
     validate_jump(jump, params)
     q = one_sided_lipschitz(params)
-    args = (params, jump, p_list, q)
-    (samples,) = _map_runs(
-        [(_each_path, (_moment_row, *args), params, M, global_seed)],
-        n_paths,
-        parallelism,
-    )
+    args = (params, jump, p_list, q, M, global_seed)
+    (samples,) = _map_runs([(_moment_rows, args)], n_paths, parallelism * 4, parallelism)
     rows = []
     sqrt_n = math.sqrt(n_paths)
     for j, p in enumerate(p_list):

@@ -7,11 +7,21 @@ step T/M. Meshes are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["JumpAdaptedMesh", "MeshError", "DEDUP_RTOL", "sample_jump_times", "build_mesh"]
+__all__ = [
+    "JumpAdaptedMesh",
+    "JumpNodes",
+    "MeshError",
+    "DEDUP_RTOL",
+    "sample_jump_times",
+    "place_jumps",
+    "build_mesh",
+]
 
 # Two time points within DEDUP_RTOL * T are merged into one node (grid value
 # wins); shorter intervals would ruin the implicit solve's conditioning.
@@ -34,6 +44,10 @@ class JumpAdaptedMesh:
     is_jump: np.ndarray
     dt: np.ndarray
     base_dt: float
+
+    def __post_init__(self):
+        for array in (self.nodes, self.is_jump, self.dt):
+            array.setflags(write=False)
 
     @property
     def n_intervals(self) -> int:
@@ -65,13 +79,71 @@ def sample_jump_times(lam: float, T: float, rng: np.random.Generator) -> np.ndar
     return np.asarray(times, dtype=float)
 
 
-def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:
-    """Merge the uniform M-step grid on [0, T] with sorted jump times.
+@dataclass(frozen=True)
+class JumpNodes:
+    """Where a path's jump times sit on the uniform M-step grid on [0, T].
 
-    Jump times within the dedup tolerance of a grid node are merged onto the
-    grid node and flag it; mutually colliding jump times collapse to one
-    node. Jump times at or beyond the domain ends (outside (0, T), up to
-    tolerance at T) raise MeshError.
+    inserted holds the jump times that become nodes of their own, in order,
+    and cells[i] is the grid interval k that inserted[i] splits, between the
+    grid nodes k*T/M and (k+1)*T/M. on_grid holds the grid nodes that a jump
+    time within the dedup tolerance merged onto and flags.
+    """
+
+    M: int
+    T: float
+    inserted: tuple[float, ...]
+    cells: tuple[int, ...]
+    on_grid: tuple[int, ...]
+
+    def nodes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and jump flags of grid intervals lo..hi-1.
+
+        The nodes are grid nodes lo..hi with the inserted times of those
+        intervals between them, so lo = 0 and hi = M give the whole mesh;
+        the flags mark inserted times and the grid nodes in on_grid.
+        """
+        grid = np.arange(lo, hi + 1, dtype=float) * (self.T / self.M)
+        if hi == self.M:
+            grid[-1] = self.T
+        first, last = bisect_left(self.cells, lo), bisect_left(self.cells, hi)
+        flags = np.zeros(hi - lo + 1 + last - first, dtype=bool)
+        if first == last:
+            nodes = grid
+        else:
+            # grid nodes up to each inserted time's interval, then the time
+            nodes = np.empty(flags.size)
+            start = 0
+            for i in range(first, last):
+                end = self.cells[i] - lo + 1
+                at = start + i - first
+                nodes[at : at + end - start] = grid[start:end]
+                nodes[at + end - start] = self.inserted[i]
+                flags[at + end - start] = True
+                start = end
+            nodes[start + last - first :] = grid[start:]
+        for q in self.on_grid:
+            if lo <= q <= hi:
+                flags[q - lo + bisect_left(self.cells, q, first, last) - first] = True
+        return nodes, flags
+
+    def touches(self, lo: int, hi: int) -> bool:
+        """Whether a step of grid intervals lo..hi-1 ends at a jump node.
+
+        A flagged grid node ends the interval before it, so node lo belongs
+        to the intervals before lo.
+        """
+        return bisect_left(self.cells, lo) < bisect_left(self.cells, hi) or (
+            bisect_right(self.on_grid, lo) < bisect_right(self.on_grid, hi)
+        )
+
+
+def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
+    """Place sorted jump times on the uniform M-step grid on [0, T].
+
+    A jump time within the dedup tolerance of a grid node merges onto the
+    grid node and flags it; a jump time within the tolerance of the one
+    before it collapses into it. Jump times at or beyond the domain ends
+    (outside (0, T), up to tolerance at T) raise MeshError.
     """
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
@@ -79,40 +151,35 @@ def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:
         raise ValueError(f"T must be strictly positive, got {T}")
     base_dt = T / M
     tol = DEDUP_RTOL * T
-    grid = np.arange(M + 1, dtype=float) * base_dt
-    grid[-1] = T
-
-    jt = np.asarray(jump_times, dtype=float)
-    if jt.size:
-        if np.any(np.diff(jt) < 0.0):
+    times = np.asarray(jump_times, dtype=float).tolist()
+    inserted, cells, on_grid = [], [], []
+    if times:
+        if any(b < a for a, b in zip(times, times[1:])):
             raise MeshError("jump times must be sorted")
-        if jt[0] <= tol or jt[-1] >= T + tol:
+        if times[0] <= tol or times[-1] >= T + tol:
             raise MeshError(
-                f"jump time outside (0, T): first={jt[0] if jt.size else None}, "
-                f"last={jt[-1] if jt.size else None}, T={T}"
+                f"jump time outside (0, T): first={times[0]}, last={times[-1]}, T={T}"
             )
-        # collapse jump times colliding with each other
-        keep = np.empty(jt.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(jt) > tol
-        jt = jt[keep]
+        before = -math.inf
+        for t in times:
+            if t - before > tol:
+                # the nearest grid node, rounding half to even as numpy does
+                n = min(max(round(t / base_dt), 0), M)
+                node = T if n == M else n * base_dt
+                if abs(t - node) <= tol:
+                    on_grid.append(n)
+                else:
+                    inserted.append(t)
+                    cells.append(n if t > node else n - 1)
+            before = t
+    return JumpNodes(M, T, tuple(inserted), tuple(cells), tuple(on_grid))
 
-    if jt.size == 0:
-        nodes = grid
-        flags = np.zeros(M + 1, dtype=bool)
-    else:
-        nearest = np.clip(np.rint(jt / base_dt).astype(int), 0, M)
-        collides = np.abs(jt - grid[nearest]) <= tol
-        inserted = jt[~collides]
-        nodes = np.insert(grid, np.searchsorted(grid, inserted), inserted)
-        flags = np.zeros(nodes.size, dtype=bool)
-        if inserted.size:
-            flags[np.searchsorted(nodes, inserted)] = True
-        if np.any(collides):
-            flags[np.searchsorted(nodes, grid[nearest[collides]])] = True
 
-    dt = np.diff(nodes)
-    nodes.setflags(write=False)
-    flags.setflags(write=False)
-    dt.setflags(write=False)
-    return JumpAdaptedMesh(nodes=nodes, is_jump=flags, dt=dt, base_dt=base_dt)
+def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:
+    """Merge the uniform M-step grid on [0, T] with sorted jump times.
+
+    The jump times are placed by place_jumps, whose dedup rule and domain
+    checks apply.
+    """
+    nodes, flags = place_jumps(M, T, jump_times).nodes(0, M)
+    return JumpAdaptedMesh(nodes, flags, nodes[1:] - nodes[:-1], T / M)

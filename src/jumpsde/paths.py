@@ -6,20 +6,38 @@ increments, so results never depend on execution order or thread count and
 changing the jump intensity never perturbs the Brownian draw sequence.
 Coarse-resolution increments are left-to-right sums of fine increments, so
 every resolution of a bundle sees exactly the same Brownian path.
+fine_block draws a block of consecutive grid intervals for several paths
+and coarse_block sums it for a coarser mesh; drawing a path's blocks in
+time order gives its bundle's increments bit for bit, and a bundle is the
+one-block case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .mesh import DEDUP_RTOL, JumpAdaptedMesh, MeshError, build_mesh, sample_jump_times
+from .mesh import (
+    DEDUP_RTOL,
+    JumpAdaptedMesh,
+    JumpNodes,
+    MeshError,
+    build_mesh,
+    place_jumps,
+    sample_jump_times,
+)
 from .model import ModelParams
 
 __all__ = [
     "PathBundle",
+    "PathNoise",
+    "Block",
     "path_streams",
+    "open_path",
+    "fine_block",
+    "coarse_block",
     "generate_bundle",
     "coarsen_increments",
     "regular_increments",
@@ -43,6 +61,43 @@ class PathBundle:
     dw_fine: np.ndarray
 
 
+@dataclass(frozen=True)
+class PathNoise:
+    """One path's jump times, their nodes on the m_ref-step grid, and its
+    Brownian stream, from which fine_block draws the increments in time order.
+    """
+
+    global_seed: int
+    path_index: int
+    m_ref: int
+    T: float
+    jump_times: np.ndarray
+    jumps: JumpNodes
+    brownian: np.random.Generator
+
+
+@dataclass(frozen=True)
+class Block:
+    """Grid intervals lo..hi-1 of several paths' meshes on [0, T].
+
+    Path p has n[p] steps there: nodes[p] and flags[p] are its n[p] + 1
+    nodes and their jump flags, and row p of dt and dw holds its step sizes
+    and Brownian increments, padded with zeros to a common width. Every
+    path not in `touched` has no jump node among these steps, so its nodes
+    are the grid's.
+    """
+
+    T: float
+    lo: int
+    hi: int
+    n: np.ndarray
+    nodes: list
+    flags: list
+    dt: np.ndarray
+    dw: np.ndarray
+    touched: list
+
+
 def path_streams(
     global_seed: int, path_index: int
 ) -> tuple[np.random.Generator, np.random.Generator]:
@@ -55,25 +110,69 @@ def path_streams(
     )
 
 
-def generate_bundle(
+def open_path(
     params: ModelParams, m_ref: int, global_seed: int, path_index: int
-) -> PathBundle:
-    """Sample jump times, build the reference mesh, then sample increments."""
+) -> PathNoise:
+    """Sample a path's jump times and place them on its reference grid."""
     if m_ref < 1:
         raise ValueError(f"m_ref must be a positive integer, got {m_ref}")
     jump_rng, brownian_rng = path_streams(global_seed, path_index)
     jump_times = sample_jump_times(params.lam, params.T, jump_rng)
-    fine_mesh = build_mesh(m_ref, params.T, jump_times)
-    dw = brownian_rng.standard_normal(fine_mesh.n_intervals) * np.sqrt(fine_mesh.dt)
-    dw.setflags(write=False)
     jump_times.setflags(write=False)
+    jumps = place_jumps(m_ref, params.T, jump_times)
+    return PathNoise(
+        global_seed, path_index, m_ref, params.T, jump_times, jumps, brownian_rng
+    )
+
+
+def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
+    """Draw grid intervals lo..hi-1 of every path's reference mesh.
+
+    Each path's increments are standard normals from its own stream, in node
+    order, times the square roots of its steps. A path's blocks drawn in
+    time order therefore give its increments over [0, T] bit for bit, since
+    the stream yields the same numbers in parts as in one draw; the whole
+    mesh is the one-block case.
+    """
+    touched = [p for p, path in enumerate(paths) if path.jumps.touches(lo, hi)]
+    grid = no_flags = None
+    if len(touched) < len(paths):
+        grid, no_flags = place_jumps(paths[0].m_ref, paths[0].T, ()).nodes(lo, hi)
+    nodes, flags = [grid] * len(paths), [no_flags] * len(paths)
+    n = np.full(len(paths), hi - lo)
+    for p in touched:
+        nodes[p], flags[p] = paths[p].jumps.nodes(lo, hi)
+        n[p] = nodes[p].size - 1
+    dt = np.zeros((len(paths), int(n.max())))
+    if grid is not None:
+        dt[:, : hi - lo] = grid[1:] - grid[:-1]
+    for p in touched:
+        dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
+        dt[p, n[p] :] = 0.0
+    dw = np.zeros_like(dt)
+    for path, row, steps in zip(paths, dw, n.tolist()):
+        path.brownian.standard_normal(out=row[:steps])
+    dw *= np.sqrt(dt)
+    return Block(paths[0].T, lo, hi, n, nodes, flags, dt, dw, touched)
+
+
+def generate_bundle(
+    params: ModelParams, m_ref: int, global_seed: int, path_index: int
+) -> PathBundle:
+    """Sample jump times, build the reference mesh, then sample increments."""
+    path = open_path(params, m_ref, global_seed, path_index)
+    block = fine_block([path], 0, m_ref)
+    (dw,) = block.dw
+    dw.setflags(write=False)
     return PathBundle(
         global_seed=global_seed,
         path_index=path_index,
         m_ref=m_ref,
         T=params.T,
-        jump_times=jump_times,
-        fine_mesh=fine_mesh,
+        jump_times=path.jump_times,
+        fine_mesh=JumpAdaptedMesh(
+            block.nodes[0], block.flags[0], block.dt[0], params.T / m_ref
+        ),
         dw_fine=dw,
     )
 
@@ -92,20 +191,65 @@ def _match_nodes(fine_nodes: np.ndarray, targets: np.ndarray, T: float) -> np.nd
 def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Left-to-right sums of values[idx[j]:idx[j + 1]], each started from 0.0.
 
-    The segments become rows of a zero-padded matrix whose first column is
-    0.0; accumulating along the rows adds each value, in order, to its
-    segment's running sum, and the padding adds exact zeros. The result is
-    therefore bitwise that of a plain sequential loop, whatever summation
-    algorithm the interpreter's sum() uses.
+    values and idx may also be rows stacked along a leading axis, each row
+    of idx cutting the same row of values. The segments become rows of a
+    zero-padded matrix whose first column is 0.0; accumulating along the
+    rows adds each value, in order, to its segment's running sum, and the
+    padding adds exact zeros. The result is therefore bitwise that of a
+    plain sequential loop, whatever summation algorithm the interpreter's
+    sum() uses.
     """
-    starts = idx[:-1]
-    lengths = np.diff(idx)
+    starts = idx[..., :-1]
+    lengths = idx[..., 1:] - starts
     width = int(lengths.max(initial=0))
-    cols = np.arange(width)
-    inside = cols < lengths[:, None]
-    rows = np.zeros((starts.size, width + 1))
-    rows[:, 1:][inside] = values[(starts[:, None] + cols)[inside]]
-    return np.add.accumulate(rows, axis=1)[:, -1]
+    *segment, col = np.nonzero(np.arange(width) < lengths[..., None])
+    segment = tuple(segment)
+    rows = np.zeros(starts.shape + (width + 1,))
+    rows[(*segment, col + 1)] = values[(*segment[:-1], starts[segment] + col)]
+    return np.add.accumulate(rows, axis=-1)[..., -1]
+
+
+def coarse_block(block: Block, M: int, lo: int, hi: int, meshes: dict) -> Block:
+    """Each path's steps over grid intervals lo..hi-1 of an M-step mesh.
+
+    The intervals span the same time as the fine block, and M divides m_ref,
+    so that the mesh's nodes are fine nodes. meshes maps each path whose
+    mesh has a jump node among these steps to its jump placement; every
+    other path's steps are the grid's. A step's increment is the
+    left-to-right sum, from 0.0, of the fine increments between its nodes,
+    bitwise as coarsen_increments forms it.
+    """
+    T, paths = block.T, block.dt.shape[0]
+    span = hi - lo
+    fine = block.hi - block.lo
+    grid, no_flags = place_jumps(M, T, ()).nodes(lo, hi)
+    nodes, flags = [grid] * paths, [no_flags] * paths
+    n = np.full(paths, span)
+    for p, mesh in meshes.items():
+        nodes[p], flags[p] = mesh.nodes(lo, hi)
+        n[p] = nodes[p].size - 1
+    dt = np.zeros((paths, int(n.max())))
+    dt[:, :span] = grid[1:] - grid[:-1]
+    dw = np.zeros_like(dt)
+    # accumulate starts from the first increment, not from 0.0; the two
+    # differ only in the sign of a zero sum, which adding 0.0 makes +0.0
+    dw[:, :span] = (
+        np.add.accumulate(
+            block.dw[:, :fine].reshape(paths, span, fine // span), axis=-1
+        )[..., -1]
+        + 0.0
+    )
+    irregular = sorted(set(meshes).union(block.touched))
+    if irregular:
+        idx = np.empty((len(irregular), dt.shape[1] + 1), dtype=int)
+        for row, p in zip(idx, irregular):
+            cuts = _match_nodes(block.nodes[p], nodes[p], T)
+            row[: cuts.size] = cuts
+            row[cuts.size :] = cuts[-1]
+            dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
+            dt[p, n[p] :] = 0.0
+        dw[irregular] = _segment_sums(block.dw[irregular], idx)
+    return Block(T, lo, hi, n, nodes, flags, dt, dw, sorted(meshes))
 
 
 def _mesh_sums(

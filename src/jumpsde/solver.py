@@ -15,11 +15,17 @@ their coefficients and exponents from the drift's term table in model, and
 the fallback evaluates the same table with model's guarded evaluator. Every
 step is refused when Q*dt exceeds STEP_SAFETY.
 
-tjabem_lanes takes the transformed scheme's step on a (cells, paths) grid of
-lanes held in numpy arrays, for many cells and paths at once. Each lane stops
-on its own tolerance, falls back to _implicit_solve on its own and jumps
-through jump_map on its own; only numpy's powers set it apart from
-tjabem_path, which it therefore matches to rounding.
+The lanes step many paths at once in numpy arrays. TjabemLanes takes
+tjabem_path's step and BemLanes bem_path's, on states of shape (cells, n):
+every lane makes a fixed number of Newton updates from its previous state,
+then those not yet within the residual contract continue alone; a lane that
+leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
+_implicit_solve on its own, and jumps are per-lane calls. Every operation is
+elementwise, so a lane never depends on the other lanes, and integer powers
+are chains of multiplications, so a lane rounds the same on every host. A
+lane meets the same residual contract as the path loops, which it
+therefore matches to within that contract.
+tjabem_lanes runs the positivity table's (cells, paths) grid of lanes.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ __all__ = [
     "implicit_step_z",
     "tjabem_path",
     "tjabem_lanes",
+    "TjabemLanes",
+    "BemLanes",
     "LaneFailure",
     "bem_path",
     "step_size_diagnostics",
@@ -263,7 +271,10 @@ def tjabem_path(
         tol = rtol * rhs if rhs > 1.0 else (-rtol * rhs if rhs < -1.0 else rtol)
         lo, hi = floor, cap
         solved = False
-        for _ in iters:
+        # Newton starts only from a positive state; from any other (which
+        # only a jump map leaving the domain makes) the bracketed solver
+        # finds the unique positive root, as it does for the lanes
+        for _ in iters if z > 0.0 else ():
             if z != z_eval:
                 # F and F' share the powers z^e (z^(e-1) = z^e / z)
                 inv = 1.0 / z
@@ -317,6 +328,290 @@ class LaneFailure(SolverError):
 _LANE_ERRORS = (SolverError, ValueError, OverflowError)
 
 
+class _LaneDrift:
+    """A drift and its slope on arrays of lanes, from shared powers.
+
+    Row c of the lanes takes the (coefficient, exponent) table tables[c];
+    the coefficients are spread over the lanes' shape, since numpy combines
+    two arrays of one shape faster than it broadcasts a small one or a
+    Python float. An exponent that is the same integer in every row is a
+    chain of multiplications, which rounds the same way on every host; any
+    other exponent goes to numpy's power. The terms are summed in table
+    order, and the slope is the sum of c*e*z^e over z plus the linear terms'
+    coefficients, as in the path loops.
+    """
+
+    def __init__(self, tables, shape: tuple[int, int]):
+        table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
+
+        def spread(column):
+            return np.ascontiguousarray(np.broadcast_to(column[:, None], shape))
+
+        # powers[slots[n]] is z^n: z and 1/z first, then the chained powers,
+        # each the product of two of one sign, the larger made first if it
+        # can be (z^5 = z^3 * z^2), then the real powers
+        slots = {1: 0, -1: 1}
+        self._chain = []  # (a, b): the next power is powers[a] * powers[b]
+
+        def chain(n):
+            if n not in slots:
+                sign = 1 if n > 0 else -1
+                a = max(
+                    (k for k in slots if 0 < k * sign < n * sign and n - k in slots),
+                    key=abs,
+                    default=n // 2 if n % 2 == 0 else n - sign,
+                )
+                chain(a)
+                chain(n - a)
+                slots[n] = len(slots)
+                self._chain.append((slots[a], slots[n - a]))
+
+        uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
+        exponents = table[0, :, 1]
+        for n in sorted({int(e) for e, same in zip(exponents, uniform)
+                         if same and e == round(e) and 0 < abs(e) <= 64}, key=abs):
+            chain(n)
+        self._real = []  # exponents of the real powers
+        self._value = []  # (slot, c): slot None is a constant term
+        self._slope = []  # (slot, c*e) of the terms neither constant nor linear
+        self._linear = []  # c of the linear terms
+        for j, same in enumerate(uniform):
+            c, e = table[:, j, 0], table[:, j, 1]
+            if same and e[0] == 0.0:
+                self._value.append((None, spread(c)))
+                continue
+            if same and e[0] in slots:
+                slot = slots[e[0]]
+            else:
+                slot = len(slots) + len(self._real)
+                self._real.append(e[0] if same else spread(e))
+            self._value.append((slot, spread(c)))
+            if same and e[0] == 1.0:
+                self._linear.append(spread(c))
+            else:
+                self._slope.append((slot, spread(c * e)))
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        powers = [z, np.reciprocal(z)]
+        for a, b in self._chain:
+            powers.append(powers[a] * powers[b])
+        for e in self._real:
+            powers.append(np.power(z, e))
+        f = None
+        for slot, c in self._value:
+            term = c if slot is None else c * powers[slot]
+            f = term if f is None else f + term
+        fp = None
+        for slot, d in self._slope:
+            term = d * powers[slot]
+            fp = term if fp is None else fp + term
+        fp = powers[1] * 0.0 if fp is None else fp * powers[1]
+        for c in self._linear:
+            fp = fp + c
+        return f, fp
+
+
+class _Lanes:
+    """Lanes of one scheme that take their implicit steps together.
+
+    The states z have shape (cells, n), and lane (c, l) solves with cell
+    c's drift, whose term table is tables[c] and whose scalar (value, slope)
+    pair is drifts[c]. f and fp hold F(z) and F'(z) as the lanes' drift
+    evaluates them, so that a step's first Newton update reuses them; once a
+    lane's z is set on its own, the next step evaluates them again for every
+    lane, which leaves the other lanes' values as they were. A lane that
+    fails keeps its last state, is recorded in `failures` with its first
+    error, and idles from then on.
+    """
+
+    def __init__(self, tables, drifts, z: np.ndarray, updates: int):
+        self.drift = _LaneDrift(tables, z.shape)
+        self.drifts = drifts
+        self.z = z
+        self._fresh = False  # whether f and fp are F(z) and F'(z)
+        self.updates = updates
+        self.failures: dict[tuple[int, int], Exception] = {}
+        self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
+        self._one = np.ones(z.shape)
+        self._rtol = np.full(z.shape, RESIDUAL_TOL)
+
+    def fail(self, lane: tuple[int, int], error: Exception) -> None:
+        self.failures.setdefault(lane, error)
+        if self._alive is None:
+            self._alive = np.ones(self.z.shape)
+        self._alive[lane] = 0.0
+
+    def alive(self, lane: tuple[int, int]) -> bool:
+        return self._alive is None or self._alive[lane] == 1.0
+
+    def set(self, lane: tuple[int, int], z: float) -> None:
+        self.z[lane] = z
+        self._fresh = False
+
+    def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
+        """Step every lane to the root of z - dt*F(z) = rhs.
+
+        rhs and dt have the lanes' shape. Every lane takes `updates` Newton
+        updates; a lane whose residual is then above
+        RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
+        updating alone until it meets the tolerance or MAX_ITER updates are
+        made. A lane goes to _implicit_solve from its previous state once it
+        leaves (0, inf), turns non-finite, meets 1 - dt*F' <= 0 or runs out
+        of updates. A lane with dt = 0 and rhs = z keeps its z exactly; so
+        does every failed lane.
+        """
+        z_prev, one = self.z, self._one
+        if not self._fresh:
+            self.f, self.fp = self.drift(z_prev)
+            self._fresh = True
+        if self._alive is not None:
+            dt = dt * self._alive
+            rhs = np.where(self._alive == 1.0, rhs, z_prev)
+        z, f, fp = z_prev, self.f, self.fp
+        used = min(self.updates, MAX_ITER)
+        for _ in range(used):
+            z = z - ((z - rhs) - dt * f) / (one - dt * fp)
+            f, fp = self.drift(z)
+        res = (z - rhs) - dt * f
+        self.z, self.f, self.fp = z, f, fp
+        # max(1, |rhs|) >= 1, so this is within the tolerance
+        if np.abs(res).max() <= RESIDUAL_TOL and z.min() > 0.0:
+            return
+        tol = np.maximum(one, np.abs(rhs)) * self._rtol
+        pending = ~((np.abs(res) <= tol) & (z > 0.0))
+        handed = np.zeros(z.shape, dtype=bool)
+        while pending.any():
+            d = one - dt * fp
+            sick = pending & ~((z > 0.0) & (d > 0.0) & np.isfinite(res))
+            if used >= MAX_ITER:
+                sick = pending
+            handed |= sick
+            pending &= ~sick
+            if not pending.any():
+                break
+            z = np.where(pending, z - res / d, z)
+            f, fp = self.drift(z)
+            res = (z - rhs) - dt * f
+            used += 1
+            pending &= ~((np.abs(res) <= tol) & (z > 0.0))
+        self.z, self.f, self.fp = z, f, fp
+        for lane in zip(*np.nonzero(handed)):
+            if dt[lane] == 0.0:
+                self.set(lane, float(z_prev[lane]))
+                continue
+            value, slope = self.drifts[lane[0]]
+            try:
+                z_lane = _implicit_solve(
+                    value, slope, float(dt[lane]), float(rhs[lane]), float(z_prev[lane])
+                )
+            except _LANE_ERRORS as exc:
+                z_lane = float(z_prev[lane])
+                self.fail(lane, exc)
+            self.set(lane, z_lane)
+
+
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """The columns of a (lanes, steps) array, each as a (1, lanes) array."""
+    return rows.T.copy()[:, None, :]
+
+
+class TjabemLanes(_Lanes):
+    """Lanes of tjabem_path's steps, in transformed coordinates.
+
+    Row c of the lanes runs cell c of cells, a (params, jump) pair, from the
+    states z of shape (cells, n).
+    """
+
+    def __init__(self, cells, z: np.ndarray, updates: int):
+        super().__init__(
+            [_drift_terms(params) for params, _ in cells],
+            [make_transformed_drift(params) for params, _ in cells],
+            z,
+            updates,
+        )
+        self.cells = cells
+        self.noise = np.ascontiguousarray(
+            np.broadcast_to(
+                np.array([(1.0 - p.rho) * p.alpha3 for p, _ in cells])[:, None], z.shape
+            )
+        )
+
+    def step(self, dt: np.ndarray, dw: np.ndarray) -> None:
+        """One step with these step sizes and Brownian increments per lane."""
+        self.solve(self.z + self.noise * dw, dt)
+
+    def jump(self, lane: tuple[int, int]) -> None:
+        """Apply the transformed jump map to one live lane."""
+        if self.alive(lane):
+            params, jump = self.cells[lane[0]]
+            try:
+                self.set(lane, jump_map(params, jump, float(self.z[lane])))
+            except _LANE_ERRORS as exc:
+                self.fail(lane, exc)
+
+    def run(self, dt: np.ndarray, dw: np.ndarray, jumps) -> None:
+        """Step the one row of lanes through the columns of dt and dw.
+
+        dt and dw have one row per lane; jumps maps a step k to the lanes
+        that jump at its end.
+        """
+        dt, dw = _columns(dt), _columns(dw)
+        for k in range(dt.shape[0]):
+            self.step(dt[k], dw[k])
+            for lane in jumps.get(k, ()):
+                self.jump((0, lane))
+
+    def terminal(self, lane: tuple[int, int]) -> float:
+        """The lane's state in original coordinates; nan if the lane failed."""
+        if self.alive(lane):
+            try:
+                return lamperti_inverse(self.cells[lane[0]][0].rho, float(self.z[lane]))
+            except _LANE_ERRORS as exc:
+                self.fail(lane, exc)
+        return math.nan
+
+
+class BemLanes(_Lanes):
+    """Lanes of bem_path's steps, in original coordinates, for one model.
+
+    x holds the states, of shape (1, n); jump counts enter a step's
+    right-hand side through jump.h, as in bem_path.
+    """
+
+    def __init__(self, params: ModelParams, jump: JumpCoefficient, x: np.ndarray,
+                 updates: int):
+        super().__init__(
+            [_original_drift_terms(params)], [make_drift(params)], x, updates
+        )
+        self.params = params
+        self.h = jump.h
+        self.alpha3 = np.full(x.shape, params.alpha3)
+
+    def run(self, dt: np.ndarray, dw: np.ndarray, counts) -> None:
+        """Step the lanes through the columns of dt and dw.
+
+        dt and dw have one row per lane; counts maps a step k to the (lane,
+        number of jumps) pairs of its interval.
+        """
+        a3, rho = self.alpha3, self.params.rho
+        dt, dw = _columns(dt), _columns(dw)
+        for k in range(dt.shape[0]):
+            x = self.z
+            rhs = x + a3 * x**rho * dw[k]
+            for lane, dn in counts.get(k, ()):
+                if self.alive((0, lane)):
+                    try:
+                        rhs[0, lane] += self.h(float(x[0, lane])) * dn
+                    except _LANE_ERRORS as exc:
+                        self.fail((0, lane), exc)
+            self.solve(rhs, dt[k])
+
+
+# Newton updates every lane takes before its residual is checked: enough for
+# most lanes of the positivity table's steps (dt from 1/32 to 1/128)
+_TABLE_UPDATES = 3
+
+
 def tjabem_lanes(
     cells: Sequence[tuple[ModelParams, JumpCoefficient, float]],
     meshes: Sequence[JumpAdaptedMesh],
@@ -325,15 +620,15 @@ def tjabem_lanes(
     """Run tjabem_path on every (cell, path) lane at once.
 
     Cell c is (params, jump, Q); lane (c, p) runs it on meshes[p] with
-    increments[p]. Lanes take the same Newton-first steps as tjabem_path,
-    with numpy arrays of shape (cells, paths): each lane stops on its own
-    tolerance and goes to _implicit_solve on its own, and jumps are per-lane
-    jump_map calls. Shorter meshes are padded with zero steps, which no lane
-    takes. Only the powers are numpy's rather than CPython's, so a lane
-    matches tjabem_path to rounding, and no lane depends on the others.
-    Returns the lanes' terminal z and their counts of nonpositive post-jump
-    states, both of shape (cells, paths). A failure raises LaneFailure for
-    the lowest failing path and, within it, the first failing cell.
+    increments[p]. The lanes solve each step together by Newton's method on
+    numpy arrays of shape (cells, paths); a lane goes to _implicit_solve on
+    its own, and jumps are per-lane jump_map calls. Shorter meshes are
+    padded with zero steps, which leave a lane as it is. Each lane's step
+    meets the residual contract of tjabem_path's, so the two agree to within
+    it, and no lane depends on the others. Returns the lanes' terminal z and
+    their counts of nonpositive post-jump states, both of shape (cells,
+    paths). A failure raises LaneFailure for the lowest failing path and,
+    within it, the first failing cell.
     """
     steps = np.array([mesh.n_intervals for mesh in meshes], dtype=int)
     if len(increments) != len(meshes) or any(
@@ -353,39 +648,11 @@ def tjabem_lanes(
         jumped[:n, p] = mesh.is_jump[1:]
 
     shape = (n_cells, n_paths)
-
-    def spread(column):
-        # a (cells, 1) column over every lane: numpy is slower to broadcast
-        # a small array than to combine two of the same shape
-        return np.ascontiguousarray(np.broadcast_to(column, shape))
-
-    # the third and fifth terms are c3*z and c5/z
-    terms = np.array([_drift_terms(params) for params, _, _ in cells]).reshape(
-        n_cells, 5, 2
-    )
-    (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = (
-        (spread(terms[:, j, 0:1]), spread(terms[:, j, 1:2])) for j in range(5)
-    )
-    d1, d2, d4 = c1 * e1, c2 * e2, c4 * e4
-    noise_coef = spread(
-        np.array([(1.0 - p.rho) * p.alpha3 for p, _, _ in cells]).reshape(n_cells, 1)
-    )
-    drifts = [make_transformed_drift(params) for params, _, _ in cells]
-    rtol = RESIDUAL_TOL
-    bracket = (np.full(shape, _BRACKET_FLOOR), np.full(shape, _BRACKET_CAP))
-    dt_k = np.empty(shape)
-
-    failures: dict[tuple[int, int], Exception] = {}  # (path, cell) -> error
-    alive = np.ones(shape, dtype=bool)
-
-    def fail(c, p, exc):
-        failures.setdefault((p, c), exc)
-        alive[c, p] = False
-
+    z = np.ones(shape)
+    failures = {}
     by_base_dt: dict[float, list[int]] = {}
     for p, mesh in enumerate(meshes):
         by_base_dt.setdefault(mesh.base_dt, []).append(p)
-    z = np.ones(shape)
     for c, (params, _, q) in enumerate(cells):
         for base_dt, paths in by_base_dt.items():
             try:
@@ -393,76 +660,26 @@ def tjabem_lanes(
                 _check_step_guard(q, base_dt)
                 z[c, paths] = lamperti_forward(params.rho, params.x0)
             except _LANE_ERRORS as exc:
-                for p in paths:
-                    fail(c, p, exc)
+                failures.update(((c, p), exc) for p in paths)
     n_nonpositive = (z <= 0.0).astype(int)
-    # fz = F(z) and fpz = F'(z) for every lane; a step starts from them unless
-    # a jump or a fallback moved some z since they were evaluated
-    stale = True
+    dt_k, dw_k = np.empty(shape), np.empty(shape)
     with np.errstate(all="ignore"):
+        lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES)
+        for lane, exc in failures.items():
+            lanes.fail(lane, exc)
         for k in range(width):
-            live = alive & (k < steps)
-            if not live.any():
-                break
             dt_k[:] = dts[k]
-            rhs = z + noise_coef * dws[k]
-            tol = rtol * np.maximum(1.0, np.abs(rhs))
-            lo, hi = bracket
-            z_prev = z
-            active = live
-            for _ in range(MAX_ITER):
-                if stale:
-                    # F and F' share the powers z^e (z^(e-1) = z^e / z); an
-                    # overflowing power makes them non-finite, so its lane
-                    # stops unsolved at the bracket check
-                    inv = 1.0 / z
-                    p1 = z**e1
-                    p2 = z**e2
-                    p4 = z**e4
-                    t5 = c5 * inv
-                    fz = c1 * p1 + c2 * p2 + c3 * z + c4 * p4 + t5
-                    fpz = (d1 * p1 + d2 * p2 + d4 * p4 - t5) * inv + c3
-                res = (z - rhs) - dt_k * fz
-                unsolved = ~(np.abs(res) <= tol)
-                active = active & unsolved
-                if not active.any():
-                    break
-                below = res < 0.0
-                lo = np.where(below, z, lo)
-                hi = np.where(below, hi, z)
-                d = 1.0 - dt_k * fpz
-                z_new = z - res / d
-                active &= (d > 0.0) & (lo < z_new) & (z_new < hi)
-                z = np.where(active, z_new, z)
-                stale = True
-            # a lane that stopped unsolved kept its z, so its last residual
-            # is still unsolved; a lane still active ran out of iterations
-            fallback = live & unsolved
-            stale = bool(fallback.any())
-            if stale:
-                for c, p in np.argwhere(fallback).tolist():
-                    value, slope = drifts[c]
-                    try:
-                        z[c, p] = _implicit_solve(
-                            value, slope, float(dts[k, p]), float(rhs[c, p]),
-                            float(z_prev[c, p]),
-                        )
-                    except _LANE_ERRORS as exc:
-                        fail(c, p, exc)
+            dw_k[:] = dws[k]
+            lanes.step(dt_k, dw_k)
             for p in np.flatnonzero(jumped[k]).tolist():
-                stale = True
-                for c, (params, jump, _) in enumerate(cells):
-                    if alive[c, p]:
-                        try:
-                            z[c, p] = jump_map(params, jump, float(z[c, p]))
-                        except _LANE_ERRORS as exc:
-                            fail(c, p, exc)
-            n_nonpositive += live & (z <= 0.0)
-    if failures:
-        p, c = min(failures)
-        error = failures[p, c]
+                for c in range(n_cells):
+                    lanes.jump((c, p))
+                    n_nonpositive[c, p] += lanes.z[c, p] <= 0.0
+    if lanes.failures:
+        c, p = min(lanes.failures, key=lambda lane: lane[::-1])
+        error = lanes.failures[c, p]
         raise LaneFailure(error, c, p) from error
-    return z, n_nonpositive
+    return lanes.z, n_nonpositive
 
 
 def bem_path(

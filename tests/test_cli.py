@@ -96,10 +96,28 @@ def test_validate_rejects_bad_jump(capsys):
     assert "FAIL jump gate" in out
 
 
-def test_validate_warns_on_degenerate_band(capsys):
-    assert main(["validate", "--preset", "set1", "--h", "sine:1"]) == 0
+def test_validate_fails_a_ladder_on_a_degenerate_band(capsys):
+    # the preset has a ladder, which convergence refuses with this message
+    argv = ["--preset", "set1", "--h", "sine:1", "--fast"]
+    assert main(["convergence", *argv]) == 1
+    message = capsys.readouterr().err.removeprefix("validation failure: ").strip()
+    assert "bounded away from zero" in message
+    assert main(["validate", *argv]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL band gate: {message}\n" in out
+    assert "all gates passed" not in out
+
+
+def test_validate_warns_on_degenerate_band(tmp_path, capsys):
+    # a config without a ladder only warns
+    path = tmp_path / "no_ladder.cfg"
+    path.write_text(
+        _write_config(tmp_path).read_text().replace("m_ref = 128\n", "")
+    )
+    assert main(["validate", "--config", str(path), "--h", "sine:1"]) == 0
     out = capsys.readouterr().out
     assert "warning: transform band" in out
+    assert "all gates passed" in out
 
 
 def test_simulate_zero_intensity_has_no_jumps(tmp_path, capsys):
@@ -361,10 +379,13 @@ def test_validate_runs_the_bem_step_size_gate(tmp_path, capsys):
 
 
 def test_zero_mean_error_exits_2(tmp_path, capsys):
-    # rho one ulp above 1 leaves every level on the reference: no order fit
+    # rho one ulp above 1 leaves every level on the reference: no order fit.
+    # With alpha3 = 0.1 the noise (1 - rho)*alpha3*dW is below half an ulp of
+    # z = 1, so no scheme moves z at all; a larger noise moves it by single
+    # ulps, which z^(1/(1 - rho)) turns into factors of e^0.5.
     path = _edit_config(
         _write_config(tmp_path, lam=0.0, m_list="2, 4", m_ref=32, n_paths=4),
-        alpha_m1="1.0", alpha2="1.0", alpha1="1.0",
+        alpha_m1="1.0", alpha2="1.0", alpha1="1.0", alpha3="0.1",
         rho="1.0000000000000002", gamma="2.0000000000000004",
     )
     assert main(["validate", "--config", str(path)]) == 0
@@ -440,8 +461,10 @@ def test_empty_p_list_exits_1(tmp_path, capsys):
 
 
 def test_simulate_path_failure_exits_2(tmp_path, capsys):
-    # a jump of size 1e300*x: x + h(x) overflows the transform back to z
+    # a jump of size 1e300*x: x + h(x) overflows the transform back to z.
+    # Its band touches zero, so the config has no ladder for validate to fail.
     path = _edit_config(_write_config(tmp_path), rho="3.0", gamma="6.0")
+    path.write_text(path.read_text().replace("m_ref = 128\n", ""))
     flags = ["--config", str(path), "--h", "linear:1e300", "--lambda", "5"]
     assert main(["validate", *flags]) == 0
     assert "all gates passed" in capsys.readouterr().out
@@ -534,7 +557,7 @@ def test_validated_configs_simulate_or_exit_2(values, path_index):
     ladder=st.lists(st.sampled_from([2, 4, 8, 16, 32]), min_size=2, unique=True),
 )
 def test_validated_configs_converge_or_exit_cleanly(values, m_ref, ladder):
-    # exit 1 stays allowed: validate does not yet run the band check
+    # validate runs every check that convergence runs before its paths
     values = {**values, "scheme": "both", "m_ref": m_ref,
               "m_list": ", ".join(str(m) for m in sorted(ladder))}
     with tempfile.TemporaryDirectory() as tmp:
@@ -546,7 +569,7 @@ def test_validated_configs_converge_or_exit_cleanly(values, m_ref, ladder):
                     contextlib.redirect_stderr(err):
                 status = main(["convergence", "--config", str(path),
                                "--out", str(Path(tmp) / "out")])
-            assert status in (0, 1, 2)
+            assert status in (0, 2)
             assert not (status == 2 and "step-size guard" in err.getvalue())
 
 

@@ -8,13 +8,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jumpsde.harness
+import jumpsde.mesh
+import jumpsde.paths
+import jumpsde.solver
 from jumpsde import (
     InvalidModelError,
     MeshError,
     PathFailure,
     PositivityReport,
     SolverError,
+    bem_path,
     build_mesh,
+    coarsen_increments,
     fit_order,
     generate_bundle,
     linear_jump,
@@ -22,12 +27,15 @@ from jumpsde import (
     moment_probe,
     one_sided_lipschitz,
     positivity_table,
+    regular_increments,
     sine_jump,
     strong_error_ladder,
     tjabem_path,
     zero_jump,
 )
 from jumpsde.harness import PositivityCell
+from jumpsde.model import drift_one_sided_lipschitz
+from jumpsde.solver import RESIDUAL_TOL
 
 DEFAULT_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 
@@ -249,10 +257,13 @@ def test_pool_is_capped_at_the_cpus(set1, monkeypatch):
     assert _CountingPool.max_workers == 1
 
 
-def _failing_bundle(params, m, global_seed, path_index):
-    if path_index == 3:
-        raise MeshError("forced bundle failure")
-    return generate_bundle(params, m, global_seed, path_index)
+def _failing(build):
+    def failing(params, m, global_seed, path_index):
+        if path_index == 3:
+            raise MeshError("forced bundle failure")
+        return build(params, m, global_seed, path_index)
+
+    return failing
 
 
 EXPERIMENTS = {
@@ -273,7 +284,10 @@ EXPERIMENTS = {
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_bundle_failure_carries_replay_info(set1, monkeypatch, experiment,
                                             parallelism):
-    monkeypatch.setattr(jumpsde.harness, "generate_bundle", _failing_bundle)
+    # the ladder draws its noise block by block from each path's open_path
+    # and never builds a bundle
+    name = "open_path" if experiment == "ladder" else "generate_bundle"
+    monkeypatch.setattr(jumpsde.harness, name, _failing(getattr(jumpsde.harness, name)))
     monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "starts", 0)
     with pytest.raises(PathFailure) as excinfo:
@@ -497,3 +511,125 @@ def test_moment_negative_orders_finite(set1):
 def test_moment_empty_order_list_rejected(set1):
     with pytest.raises(InvalidModelError, match="at least one moment order"):
         moment_probe(set1, linear_jump(-0.5), 8, 4, [], global_seed=0)
+
+
+def _oracle_rows(params, jump, m_list, m_ref, global_seed, n_paths):
+    """The ladder's rows from the one-path loops, with a bound on each row's
+    distance from the lanes' row, fixed by the residual contract.
+
+    Each implicit step of either side meets |residual| <= RESIDUAL_TOL *
+    max(1, |rhs|). With G' >= g = 1 - Q*dt, two such solutions of one step
+    differ by at most 2*that/g, plus their difference in rhs: an earlier
+    difference e enters rhs as e*(1 + a3*rho*x^(rho-1)*|dW| + |h'|*dN) in
+    bem's original coordinates, as e in tjabem's, and a tjabem jump scales
+    a z-difference by |1 + h'| (x/(x + h))^rho. x = z^(1/(1 - rho)) then
+    turns a z-difference e into at most |dx/dz| e. Each factor is taken at
+    the oracle's states with room to spare for the distance of the lanes'
+    states from them, which the differences (near 1e-12 against states near
+    1) never use up.
+    """
+    rho, a3, tol = params.rho, params.alpha3, RESIDUAL_TOL
+    q_z, q_x = one_sided_lipschitz(params), drift_one_sided_lipschitz(params)
+    slope = max(abs(jump.dh(x)) for x in np.geomspace(1e-3, 1e3, 200))
+
+    def tjabem(mesh, dw):
+        trajectory, x = tjabem_path(params, jump, mesh, dw, q_z)
+        z = trajectory.z_post
+        e = 0.0
+        for k in range(mesh.n_intervals):
+            rhs = z[k] + (1.0 - rho) * a3 * dw[k]
+            e = (e + 2.0 * tol * max(1.0, abs(rhs)) * 1.01) / (1.0 - q_z * mesh.dt[k])
+            if mesh.is_jump[k + 1]:
+                x_pre = trajectory.z_pre[k + 1] ** (1.0 / (1.0 - rho))
+                e *= 1.01 * abs(1.0 + jump.dh(x_pre)) * (
+                    x_pre / (x_pre + jump.h(x_pre))) ** rho
+        dxdz = abs(1.0 / (1.0 - rho)) * (0.99 * z[-1]) ** (rho / (1.0 - rho))
+        return x, dxdz * e
+
+    def bem(m, dw, dn):
+        dt = params.T / m
+        x, e = params.x0, 0.0
+        for k in range(m):
+            rhs = x + a3 * x**rho * dw[k] + jump.h(x) * dn[k]
+            # d(rhs)/dx, with room for the states' distance from x
+            grow = abs(1.0 + a3 * rho * x ** (rho - 1.0) * dw[k] + jump.dh(x) * dn[k])
+            grow += 1e-6 * (abs(dw[k]) + slope * dn[k])
+            e = (e * grow + 2.0 * tol * max(1.0, abs(rhs)) * 1.01) / (1.0 - q_x * dt)
+            # one step of bem_path from x, with its own arithmetic
+            x = bem_path(replace(params, x0=x, T=dt), jump, 1, dw[k : k + 1],
+                         dn[k : k + 1], q_x)
+        return x, e
+
+    rows = np.empty((n_paths, 2, len(m_list)))
+    bounds = np.empty_like(rows)
+    for i in range(n_paths):
+        bundle = generate_bundle(params, m_ref, global_seed, i)
+        x_ref, e_ref = tjabem(bundle.fine_mesh, bundle.dw_fine)
+        for j, m in enumerate(m_list):
+            for s, (x, e) in enumerate((tjabem(*coarsen_increments(bundle, m)),
+                                        bem(m, *regular_increments(bundle, m)))):
+                rows[i, s, j] = abs(x_ref - x)
+                bounds[i, s, j] = e_ref + e
+    return rows, bounds
+
+
+def _lane_rows(params, jump, m_list, m_ref, global_seed, lo, hi):
+    return jumpsde.harness._ladder_rows(
+        lo, hi, params, jump, ("tjabem", "bem"), m_list, m_ref,
+        one_sided_lipschitz(params), drift_one_sided_lipschitz(params), global_seed,
+    )
+
+
+LADDERS = {"small": ((8, 16), 64, 3), "compare": ((64, 128, 256, 512, 1024), 8192, 1)}
+
+
+@pytest.mark.parametrize("ladder", sorted(LADDERS))
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+@pytest.mark.parametrize("spec", [("linear", -0.5), ("linear", 0.5), ("linear", 1.0),
+                                  ("zero",)])
+def test_ladder_lanes_match_the_path_loops(set1, set2, spec, lam, ladder):
+    m_list, m_ref, n_paths = LADDERS[ladder]
+    for params in (replace(set1, lam=lam), replace(set2, lam=lam)):
+        jump = make_jump(*spec)
+        rows, bounds = _oracle_rows(params, jump, m_list, m_ref, 41, n_paths)
+        lanes = _lane_rows(params, jump, m_list, m_ref, 41, 0, n_paths)
+        assert lanes.shape == rows.shape
+        assert np.all(np.abs(lanes - rows) <= bounds)
+        assert bounds.max() < 1e-6
+
+
+@pytest.mark.parametrize("spec", [("linear", 1.0), ("linear", -0.5)])
+def test_ladder_lanes_do_not_depend_on_their_batch(set1, spec):
+    # every path of a 64-path batch alone, in batches of 8 and in a batch of
+    # 13 that starts elsewhere: the batches' blocks pad their paths' steps
+    # to different widths
+    params = replace(set1, lam=5.0)
+    args = (params, make_jump(*spec), (8, 16, 32), 256, 43)
+    batch = _lane_rows(*args, 0, 64)
+    eights = np.concatenate([_lane_rows(*args, lo, lo + 8) for lo in range(0, 64, 8)])
+    assert eights.tobytes() == batch.tobytes()
+    assert _lane_rows(*args, 51, 64).tobytes() == batch[51:].tobytes()
+    for p in range(64):
+        assert _lane_rows(*args, p, p + 1).tobytes() == batch[p : p + 1].tobytes()
+
+
+def test_ladder_failure_names_the_lowest_failing_path(set1, monkeypatch):
+    # path 4 jumps at t = 0.1 and path 2 at t = 0.9, in one batch; every jump
+    # fails, so path 4 fails first in time, but path 2 is named
+    jump_times = {2: [0.9], 4: [0.1]}
+
+    def staged_path(params, m_ref, global_seed, i):
+        path = jumpsde.paths.open_path(replace(params, lam=0.0), m_ref, global_seed, i)
+        times = np.array(jump_times.get(i, []))
+        return replace(path, jump_times=times,
+                       jumps=jumpsde.mesh.place_jumps(m_ref, params.T, times))
+
+    def failing_map(params, jump, z):
+        raise SolverError("forced failure")
+
+    monkeypatch.setattr(jumpsde.harness, "open_path", staged_path)
+    monkeypatch.setattr(jumpsde.solver, "jump_map", failing_map)
+    with pytest.raises(PathFailure) as excinfo:
+        strong_error_ladder(set1, linear_jump(0.5), "both", (8, 16), 64, 12, 47)
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (47, 2)
+    assert "forced failure" in str(excinfo.value)

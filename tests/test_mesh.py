@@ -128,3 +128,71 @@ def test_invariants_with_nondyadic_horizon():
         mesh = build_mesh(7, 2.5, jumps)
         assert mesh.dt.max() <= mesh.base_dt * (1.0 + 1e-12)
         assert mesh.nodes[-1] == 2.5
+
+
+def _frozen_build_mesh(M, T, jump_times):
+    """build_mesh as it was before the jump placement was factored out."""
+    base_dt = T / M
+    tol = 1e-12 * T
+    grid = np.arange(M + 1, dtype=float) * base_dt
+    grid[-1] = T
+    jt = np.asarray(jump_times, dtype=float)
+    if jt.size:
+        if np.any(np.diff(jt) < 0.0):
+            raise MeshError("jump times must be sorted")
+        if jt[0] <= tol or jt[-1] >= T + tol:
+            raise MeshError("jump time outside (0, T)")
+        keep = np.empty(jt.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = np.diff(jt) > tol
+        jt = jt[keep]
+    if jt.size == 0:
+        return grid, np.zeros(M + 1, dtype=bool)
+    nearest = np.clip(np.rint(jt / base_dt).astype(int), 0, M)
+    collides = np.abs(jt - grid[nearest]) <= tol
+    inserted = jt[~collides]
+    nodes = np.insert(grid, np.searchsorted(grid, inserted), inserted)
+    flags = np.zeros(nodes.size, dtype=bool)
+    if inserted.size:
+        flags[np.searchsorted(nodes, inserted)] = True
+    if np.any(collides):
+        flags[np.searchsorted(nodes, grid[nearest[collides]])] = True
+    return nodes, flags
+
+
+def _edge_cases():
+    # the dedup cases of the tests above, at several grids and horizons
+    for M, T in ((4, 1.0), (2, 1.0), (7, 2.5), (32, 1.0), (3, 1.0 / 3.0)):
+        g = T / M
+        yield M, T, []
+        yield M, T, [0.3 * T]
+        yield M, T, [g + 1e-15 * T]
+        yield M, T, [g - 0.9e-12 * T, 2 * g + 0.9e-12 * T]
+        yield M, T, [g + 1.1e-12 * T]
+        yield M, T, [T - 1e-16 * T]
+        yield M, T, [0.3 * T, 0.3 * T + 1e-14 * T]
+        yield M, T, [0.3 * T, 0.3 * T + 0.6e-12 * T, 0.3 * T + 1.2e-12 * T]
+        yield M, T, [0.5 * g, 0.5 * g + 1e-9 * T, g]
+
+
+def test_build_mesh_matches_its_frozen_copy():
+    rng = _rng(4242)
+    cases = list(_edge_cases())
+    for _ in range(3000):
+        M = int(rng.choice([1, 2, 3, 7, 32, 100]))
+        T = float(rng.choice([1.0, 2.5, 1.0 / 3.0]))
+        times = np.sort(rng.uniform(0.0, T, int(rng.integers(0, 6))))
+        if times.size and rng.random() < 0.5:
+            # onto a grid node, within or just beyond the tolerance
+            j, node = int(rng.integers(times.size)), int(rng.integers(1, M + 1))
+            offset = rng.choice([0.0, 0.5, 0.99, 1.01, 2.0]) * rng.choice([-1, 1])
+            times[j] = node * (T / M) + offset * 1e-12 * T
+            times = np.sort(times)
+        cases.append((M, T, times[(times > 1e-12 * T) & (times < T + 1e-12 * T)]))
+    for M, T, times in cases:
+        nodes, flags = _frozen_build_mesh(M, T, times)
+        mesh = build_mesh(M, T, times)
+        assert mesh.nodes.tobytes() == nodes.tobytes(), (M, T, times)
+        assert mesh.is_jump.tobytes() == flags.tobytes(), (M, T, times)
+        assert mesh.dt.tobytes() == np.diff(nodes).tobytes()
+        assert mesh.base_dt == T / M

@@ -12,7 +12,15 @@ from jumpsde import (
     generate_bundle,
     regular_increments,
 )
-from jumpsde.paths import _segment_sums
+from jumpsde.mesh import place_jumps
+from jumpsde.paths import (
+    PathNoise,
+    _segment_sums,
+    coarse_block,
+    fine_block,
+    open_path,
+    path_streams,
+)
 
 
 def _left_to_right(values):
@@ -196,3 +204,73 @@ def test_coarse_and_regular_sums_are_sequential(set1):
         idx = np.searchsorted(nodes, np.arange(m + 1) / m)
         expected = [_left_to_right(fine[a:b]) for a, b in zip(idx, idx[1:])]
         assert dw.tobytes() == np.array(expected).tobytes()
+
+
+def _staged_path(params, m_ref, global_seed, i, jump_times):
+    """open_path's result for given jump times, with the path's own stream."""
+    _, brownian = path_streams(global_seed, i)
+    times = np.asarray(jump_times, dtype=float)
+    return PathNoise(global_seed, i, m_ref, params.T, times,
+                     place_jumps(m_ref, params.T, times), brownian)
+
+
+def _staged_bundle(params, m_ref, global_seed, i, jump_times):
+    """generate_bundle's result for given jump times."""
+    _, brownian = path_streams(global_seed, i)
+    times = np.asarray(jump_times, dtype=float)
+    mesh = build_mesh(m_ref, params.T, times)
+    dw = brownian.standard_normal(mesh.n_intervals) * np.sqrt(mesh.dt)
+    return PathBundle(global_seed, i, m_ref, params.T, times, mesh, dw)
+
+
+def test_streamed_blocks_equal_the_bundle_and_its_sums(set1):
+    # a jump within the dedup tolerance of fine grid node 3/64, which no
+    # level's grid has; a jump exactly on the coarse node 1/4; two jumps in
+    # one fine interval; and sampled paths at lambda = 5
+    params = replace(set1, lam=5.0)
+    m_ref, m_list = 64, (8, 16, 32)
+    staged = [[3 / 64 + 0.5e-12], [0.25, 0.61], [0.3001, 0.3002, 0.9]]
+    paths, bundles = [], []
+    for i, times in enumerate(staged):
+        paths.append(_staged_path(params, m_ref, 5, i, times))
+        bundles.append(_staged_bundle(params, m_ref, 5, i, times))
+    for i in range(len(staged), 12):
+        paths.append(open_path(params, m_ref, 5, i))
+        bundles.append(generate_bundle(params, m_ref, 5, i))
+    blocks, fine = m_list[0], m_ref // m_list[0]
+    fine_blocks = [fine_block(paths, b * fine, (b + 1) * fine) for b in range(blocks)]
+    for p, bundle in enumerate(bundles):
+        mesh = bundle.fine_mesh
+        nodes = [fine_blocks[0].nodes[p][:1]] + [blk.nodes[p][1:] for blk in fine_blocks]
+        flags = [fine_blocks[0].flags[p][:1]] + [blk.flags[p][1:] for blk in fine_blocks]
+        dw = [blk.dw[p, : blk.n[p]] for blk in fine_blocks]
+        dt = [blk.dt[p, : blk.n[p]] for blk in fine_blocks]
+        assert np.concatenate(nodes).tobytes() == mesh.nodes.tobytes()
+        assert np.concatenate(flags).tobytes() == mesh.is_jump.tobytes()
+        assert np.concatenate(dt).tobytes() == mesh.dt.tobytes()
+        assert np.concatenate(dw).tobytes() == bundle.dw_fine.tobytes()
+    assert 0 in fine_blocks[0].touched and 1 in fine_blocks[1].touched
+    for m in m_list:
+        span = m // blocks
+        placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
+        for b, blk in enumerate(fine_blocks):
+            lo, hi = b * span, (b + 1) * span
+            coarse = coarse_block(
+                blk, m, lo, hi, {p: placed[p] for p in range(len(paths))
+                                 if placed[p].touches(lo, hi)}
+            )
+            regular = coarse_block(blk, m, lo, hi, {})
+            for p, bundle in enumerate(bundles):
+                c_mesh, c_dw = coarsen_increments(bundle, m)
+                start = np.flatnonzero(
+                    np.abs(c_mesh.nodes - lo * params.T / m) <= 1e-12
+                )[0]
+                n = coarse.n[p]
+                assert coarse.dw[p, :n].tobytes() == c_dw[start : start + n].tobytes()
+                assert coarse.dt[p, :n].tobytes() == c_mesh.dt[start : start + n].tobytes()
+                # a block's first node is the previous block's last
+                ends = c_mesh.is_jump[start + 1 : start + n + 1]
+                assert coarse.flags[p][1:].tobytes() == ends.tobytes()
+                r_dw, _ = regular_increments(bundle, m)
+                assert regular.n[p] == span
+                assert regular.dw[p, :span].tobytes() == r_dw[lo:hi].tobytes()

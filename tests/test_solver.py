@@ -31,7 +31,7 @@ from jumpsde.model import (
     make_drift,
     make_transformed_drift,
 )
-from jumpsde.solver import RESIDUAL_TOL, _implicit_solve, tjabem_lanes
+from jumpsde.solver import BemLanes, RESIDUAL_TOL, _implicit_solve, tjabem_lanes
 
 
 def test_constructed_root(set1):
@@ -490,3 +490,27 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
             trajectory, _ = tjabem_path(params, jump, mesh, dw, q)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
+
+
+def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
+    # the lanes of test_bem_hands_a_failed_newton_step_to_the_bracketed_solver
+    # beside ones that Newton solves: rhs = 1 + 1*(-50) = -49 sends Newton
+    # below zero, and only that lane goes to the bracketed solver
+    fallbacks = _count_fallbacks(monkeypatch)
+    params = replace(set1, lam=0.0, T=2.0**-10)
+    fval, _ = make_drift(params)
+    dws = np.array([[-50.0, 0.01, -0.02, 0.0]])
+    lanes = BemLanes(params, zero_jump(), np.ones((1, 4)), 4)
+    with np.errstate(all="ignore"):
+        lanes.run(np.full((4, 1), params.T), dws.T, {})
+    assert [call[3] for call in fallbacks] == [-49.0]
+    for x_lane, dw in zip(lanes.z[0].tolist(), dws[0].tolist()):
+        assert x_lane > 0.0
+        x_path = bem_path(params, zero_jump(), 1, [dw], [0])
+        rhs = 1.0 + dw
+        tol = RESIDUAL_TOL * max(1.0, abs(rhs))
+        assert abs((x_lane - rhs) - params.T * fval(x_lane)) <= tol
+        assert abs(x_lane - x_path) <= 2.0 * tol / (
+            1.0 - drift_one_sided_lipschitz(params) * params.T
+        )
+
