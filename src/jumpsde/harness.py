@@ -280,10 +280,9 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     return m_list
 
 
-# fine grid intervals per block of a ladder kernel call, which sets its
-# paths: numpy's cost per call falls per lane as the lanes widen (256 paths
-# of 128 intervals take half the time per path of 64), and the per-block
-# arrays stay near 2 MB however long a block is
+# fine grid intervals per block of a ladder kernel call, which sets how many
+# paths it takes: a memory bound, since each (paths, steps) float array of a
+# block is then 256 KiB however long the block is
 _LADDER_CELLS = 2**15
 # Newton updates each lane takes before its residual is checked: the
 # reference's short steps converge in two, the levels' longer steps in four
@@ -299,7 +298,7 @@ def _ladder_rows(lo, hi, params, jump, schemes, m_list, m_ref, q_transformed,
     _LADDER_CELLS fine intervals per block, so a failure names the lowest
     failing path.
     """
-    batch = max(1, _LADDER_CELLS * m_list[0] // m_ref)
+    batch = max(1, _LADDER_CELLS * math.gcd(*m_list) // m_ref)
     rows = []
     for start in range(lo, hi, batch):
         paths = []
@@ -324,15 +323,16 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
 
     The reference, the tjabem levels and the bem levels are three groups of
     lanes; in a levels' group, lane j*n + p is path p at m_list[j]. Time
-    runs in blocks, one per interval of the coarsest grid, whose ends are
-    nodes of every mesh: each block's fine increments are drawn, the
-    reference steps through them, and the levels step through their sums.
+    runs in blocks, one per interval of the grid of gcd(m_list) steps,
+    whose ends are nodes of every mesh: each block's fine increments are
+    drawn, the reference steps through them, and the levels step through
+    their sums.
     A failure names the lowest failing path and, within it, what the
     one-path loops would have run first: the reference, then each M's
     schemes in order.
     """
     T, n, n_levels = params.T, len(paths), len(m_list)
-    blocks = m_list[0]
+    blocks = math.gcd(*m_list)
     fine = m_ref // blocks
     spans = [m // blocks for m in m_list]
     with np.errstate(all="ignore"):
@@ -343,7 +343,7 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
             z0 = lamperti_forward(params.rho, params.x0)
             for s in schemes:
                 _check_step_guard(q_transformed if s == "tjabem" else q_drift,
-                                  T / blocks)
+                                  T / m_list[0])
         except _PATH_ERRORS as exc:
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
@@ -351,23 +351,24 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
         if "tjabem" in schemes:
             coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
                                  _LEVEL_UPDATES)
-            busy = _busy(paths, m_list, spans)
+            placed = [[place_jumps(m, T, path.jump_times) for path in paths]
+                      for m in m_list]
         if "bem" in schemes:
             bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
                            _LEVEL_UPDATES)
             bem_dt = np.zeros((n_levels * n, spans[-1]))
             for j, m in enumerate(m_list):
                 bem_dt[j * n : (j + 1) * n, : spans[j]] = T / m
-            counts = _jump_counts(paths, m_list, spans)
+            counts = _jump_counts(paths, m_list, spans, blocks)
         for b in range(blocks):
             block = fine_block(paths, b * fine, (b + 1) * fine)
             ref.run(block.dt, block.dw, _jump_steps([block]))
             if coarse is not None:
-                levels = [coarse_block(block, m, b * s, (b + 1) * s, busy[j][b])
-                          for j, (m, s) in enumerate(zip(m_list, spans))]
+                levels = [coarse_block(block, m, b * s, (b + 1) * s, jumps)
+                          for m, s, jumps in zip(m_list, spans, placed)]
                 coarse.run(*_stack(levels), _jump_steps(levels))
             if bem is not None:
-                levels = [coarse_block(block, m, b * s, (b + 1) * s, {})
+                levels = [coarse_block(block, m, b * s, (b + 1) * s)
                           for m, s in zip(m_list, spans)]
                 bem.run(bem_dt, _stack(levels)[1], counts[b])
 
@@ -390,26 +391,11 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
     return rows
 
 
-def _busy(paths, m_list, spans) -> list[list[dict]]:
-    """busy[j][b] maps each path with a jump node among block b's steps of
-    the m_list[j]-step grid to its jumps' placement on that grid."""
-    busy = [[{} for _ in range(m_list[0])] for _ in m_list]
-    for j, (m, span) in enumerate(zip(m_list, spans)):
-        for p, path in enumerate(paths):
-            mesh = place_jumps(m, path.T, path.jump_times)
-            # a flagged grid node ends the interval before it
-            for b in {c // span for c in mesh.cells} | {
-                (q - 1) // span for q in mesh.on_grid
-            }:
-                busy[j][b][p] = mesh
-    return busy
-
-
-def _jump_counts(paths, m_list, spans) -> list[dict]:
+def _jump_counts(paths, m_list, spans, blocks) -> list[dict]:
     """counts[b][k] lists (lane, number of jumps) for step k of block b of
     the bem levels; a step counts the jump times in its interval (t, t']."""
     n = len(paths)
-    counts = [{} for _ in range(m_list[0])]
+    counts = [{} for _ in range(blocks)]
     for j, (m, span) in enumerate(zip(m_list, spans)):
         nodes, _ = place_jumps(m, paths[0].T, ()).nodes(0, m)
         for p, path in enumerate(paths):

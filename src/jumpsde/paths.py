@@ -209,15 +209,17 @@ def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.add.accumulate(rows, axis=-1)[..., -1]
 
 
-def coarse_block(block: Block, M: int, lo: int, hi: int, meshes: dict) -> Block:
+def coarse_block(
+    block: Block, M: int, lo: int, hi: int, jumps: Sequence[JumpNodes] = ()
+) -> Block:
     """Each path's steps over grid intervals lo..hi-1 of an M-step mesh.
 
     The intervals span the same time as the fine block, and M divides m_ref,
-    so that the mesh's nodes are fine nodes. meshes maps each path whose
-    mesh has a jump node among these steps to its jump placement; every
-    other path's steps are the grid's. A step's increment is the
-    left-to-right sum, from 0.0, of the fine increments between its nodes,
-    bitwise as coarsen_increments forms it.
+    so that the mesh's nodes are fine nodes. jumps[p] places path p's jump
+    times on the M-step grid; without them every path's steps are the
+    grid's. A step's increment is the left-to-right sum, from 0.0, of the
+    fine increments between its nodes, bitwise as coarsen_increments forms
+    it.
     """
     T, paths = block.T, block.dt.shape[0]
     span = hi - lo
@@ -225,8 +227,9 @@ def coarse_block(block: Block, M: int, lo: int, hi: int, meshes: dict) -> Block:
     grid, no_flags = place_jumps(M, T, ()).nodes(lo, hi)
     nodes, flags = [grid] * paths, [no_flags] * paths
     n = np.full(paths, span)
-    for p, mesh in meshes.items():
-        nodes[p], flags[p] = mesh.nodes(lo, hi)
+    touched = [p for p, mesh in enumerate(jumps) if mesh.touches(lo, hi)]
+    for p in touched:
+        nodes[p], flags[p] = jumps[p].nodes(lo, hi)
         n[p] = nodes[p].size - 1
     dt = np.zeros((paths, int(n.max())))
     dt[:, :span] = grid[1:] - grid[:-1]
@@ -239,7 +242,7 @@ def coarse_block(block: Block, M: int, lo: int, hi: int, meshes: dict) -> Block:
         )[..., -1]
         + 0.0
     )
-    irregular = sorted(set(meshes).union(block.touched))
+    irregular = sorted(set(touched).union(block.touched))
     if irregular:
         idx = np.empty((len(irregular), dt.shape[1] + 1), dtype=int)
         for row, p in zip(idx, irregular):
@@ -249,7 +252,7 @@ def coarse_block(block: Block, M: int, lo: int, hi: int, meshes: dict) -> Block:
             dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
             dt[p, n[p] :] = 0.0
         dw[irregular] = _segment_sums(block.dw[irregular], idx)
-    return Block(T, lo, hi, n, nodes, flags, dt, dw, sorted(meshes))
+    return Block(T, lo, hi, n, nodes, flags, dt, dw, touched)
 
 
 def _mesh_sums(

@@ -17,8 +17,10 @@ step is refused when Q*dt exceeds STEP_SAFETY.
 
 The lanes step many paths at once in numpy arrays. TjabemLanes takes
 tjabem_path's step and BemLanes bem_path's, on states of shape (cells, n):
-every lane makes a fixed number of Newton updates from its previous state,
-then those not yet within the residual contract continue alone; a lane that
+a lane whose previous state already meets the residual contract keeps it,
+as the path loops do; every other lane makes a fixed number of Newton
+updates from it, then those not yet within the contract continue alone; a
+lane that
 leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
 _implicit_solve on its own, and jumps are per-lane calls. Every operation is
 elementwise, so a lane never depends on the other lanes, and integer powers
@@ -451,14 +453,15 @@ class _Lanes:
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
 
-        rhs and dt have the lanes' shape. Every lane takes `updates` Newton
-        updates; a lane whose residual is then above
-        RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
-        updating alone until it meets the tolerance or MAX_ITER updates are
-        made. A lane goes to _implicit_solve from its previous state once it
-        leaves (0, inf), turns non-finite, meets 1 - dt*F' <= 0 or runs out
-        of updates. A lane with dt = 0 and rhs = z keeps its z exactly; so
-        does every failed lane.
+        rhs and dt have the lanes' shape. A lane whose previous state is
+        within RESIDUAL_TOL*max(1, |rhs|) keeps it, as the path loops do;
+        every other lane takes `updates` Newton updates, and one whose
+        residual is then above the tolerance, or whose z is not positive,
+        keeps updating alone until it meets the tolerance or MAX_ITER
+        updates are made. A lane goes to _implicit_solve from its previous
+        state once it leaves (0, inf), turns non-finite, meets
+        1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
+        rhs = z therefore keeps its z exactly; so does every failed lane.
         """
         z_prev, one = self.z, self._one
         if not self._fresh:
@@ -468,11 +471,24 @@ class _Lanes:
             dt = dt * self._alive
             rhs = np.where(self._alive == 1.0, rhs, z_prev)
         z, f, fp = z_prev, self.f, self.fp
+        res = (z - rhs) - dt * f
+        # a lane whose previous state already meets the tolerance keeps it,
+        # as the path loops accept their first iterate; one at an exact root
+        # (a padded or failed lane) stays there under Newton anyway, so the
+        # lanes are sought only when one residual is small but not zero
+        size = np.abs(res)
+        kept = None
+        if size.min() <= RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max())):
+            kept = (size <= np.maximum(one, np.abs(rhs)) * self._rtol) & (size > 0.0)
         used = min(self.updates, MAX_ITER)
         for _ in range(used):
-            z = z - ((z - rhs) - dt * f) / (one - dt * fp)
+            z = z - res / (one - dt * fp)
             f, fp = self.drift(z)
-        res = (z - rhs) - dt * f
+            res = (z - rhs) - dt * f
+        if kept is not None and kept.any():
+            z, f, fp = (np.where(kept, old, new) for old, new in
+                        ((z_prev, z), (self.f, f), (self.fp, fp)))
+            res = (z - rhs) - dt * f
         self.z, self.f, self.fp = z, f, fp
         # max(1, |rhs|) >= 1, so this is within the tolerance
         if np.abs(res).max() <= RESIDUAL_TOL and z.min() > 0.0:

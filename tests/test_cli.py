@@ -379,13 +379,10 @@ def test_validate_runs_the_bem_step_size_gate(tmp_path, capsys):
 
 
 def test_zero_mean_error_exits_2(tmp_path, capsys):
-    # rho one ulp above 1 leaves every level on the reference: no order fit.
-    # With alpha3 = 0.1 the noise (1 - rho)*alpha3*dW is below half an ulp of
-    # z = 1, so no scheme moves z at all; a larger noise moves it by single
-    # ulps, which z^(1/(1 - rho)) turns into factors of e^0.5.
+    # rho one ulp above 1 leaves every level on the reference: no order fit
     path = _edit_config(
         _write_config(tmp_path, lam=0.0, m_list="2, 4", m_ref=32, n_paths=4),
-        alpha_m1="1.0", alpha2="1.0", alpha1="1.0", alpha3="0.1",
+        alpha_m1="1.0", alpha2="1.0", alpha1="1.0",
         rho="1.0000000000000002", gamma="2.0000000000000004",
     )
     assert main(["validate", "--config", str(path)]) == 0

@@ -580,7 +580,9 @@ def _lane_rows(params, jump, m_list, m_ref, global_seed, lo, hi):
     )
 
 
-LADDERS = {"small": ((8, 16), 64, 3), "compare": ((64, 128, 256, 512, 1024), 8192, 1)}
+# "uneven" is not nested: its blocks are the intervals of the 8-step grid
+LADDERS = {"small": ((8, 16), 64, 3), "uneven": ((16, 24), 48, 3),
+           "compare": ((64, 128, 256, 512, 1024), 8192, 1)}
 
 
 @pytest.mark.parametrize("ladder", sorted(LADDERS))

@@ -223,13 +223,22 @@ def _staged_bundle(params, m_ref, global_seed, i, jump_times):
     return PathBundle(global_seed, i, m_ref, params.T, times, mesh, dw)
 
 
-def test_streamed_blocks_equal_the_bundle_and_its_sums(set1):
-    # a jump within the dedup tolerance of fine grid node 3/64, which no
-    # level's grid has; a jump exactly on the coarse node 1/4; two jumps in
-    # one fine interval; and sampled paths at lambda = 5
+@pytest.mark.parametrize(
+    "m_ref, m_list, staged",
+    [
+        # a jump within the dedup tolerance of fine grid node 3/64, which no
+        # level's grid has; a jump exactly on the coarse node 1/4, a block
+        # end; two jumps in one fine interval
+        (64, (8, 16, 32), [[3 / 64 + 0.5e-12], [0.25, 0.61], [0.3001, 0.3002, 0.9]]),
+        # a ladder that is not nested: blocks are the 8 intervals of the
+        # grid of gcd(16, 24) steps; 1/24 is a node of the 24-step grid
+        # only, 1/8 a block end
+        (48, (16, 24), [[5 / 48 + 0.5e-12], [1 / 24, 1 / 8, 0.61], [0.3001, 0.3002, 0.9]]),
+    ],
+)
+def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, staged):
+    # the staged jumps, then sampled paths at lambda = 5
     params = replace(set1, lam=5.0)
-    m_ref, m_list = 64, (8, 16, 32)
-    staged = [[3 / 64 + 0.5e-12], [0.25, 0.61], [0.3001, 0.3002, 0.9]]
     paths, bundles = [], []
     for i, times in enumerate(staged):
         paths.append(_staged_path(params, m_ref, 5, i, times))
@@ -237,7 +246,8 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1):
     for i in range(len(staged), 12):
         paths.append(open_path(params, m_ref, 5, i))
         bundles.append(generate_bundle(params, m_ref, 5, i))
-    blocks, fine = m_list[0], m_ref // m_list[0]
+    blocks = math.gcd(*m_list)
+    fine = m_ref // blocks
     fine_blocks = [fine_block(paths, b * fine, (b + 1) * fine) for b in range(blocks)]
     for p, bundle in enumerate(bundles):
         mesh = bundle.fine_mesh
@@ -249,17 +259,20 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1):
         assert np.concatenate(flags).tobytes() == mesh.is_jump.tobytes()
         assert np.concatenate(dt).tobytes() == mesh.dt.tobytes()
         assert np.concatenate(dw).tobytes() == bundle.dw_fine.tobytes()
-    assert 0 in fine_blocks[0].touched and 1 in fine_blocks[1].touched
+    # a staged jump's path is touched in the block of the fine interval that
+    # the jump splits or, on a grid node, ends
+    for p, times in enumerate(staged):
+        for t in times:
+            q = t * m_ref
+            cell = round(q) - 1 if abs(q - round(q)) < 1e-6 else math.floor(q)
+            assert p in fine_blocks[cell // fine].touched
     for m in m_list:
         span = m // blocks
         placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
         for b, blk in enumerate(fine_blocks):
             lo, hi = b * span, (b + 1) * span
-            coarse = coarse_block(
-                blk, m, lo, hi, {p: placed[p] for p in range(len(paths))
-                                 if placed[p].touches(lo, hi)}
-            )
-            regular = coarse_block(blk, m, lo, hi, {})
+            coarse = coarse_block(blk, m, lo, hi, placed)
+            regular = coarse_block(blk, m, lo, hi)
             for p, bundle in enumerate(bundles):
                 c_mesh, c_dw = coarsen_increments(bundle, m)
                 start = np.flatnonzero(
