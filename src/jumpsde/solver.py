@@ -17,10 +17,10 @@ step is refused when Q*dt exceeds STEP_SAFETY.
 
 The lanes step many paths at once in numpy arrays. TjabemLanes takes
 tjabem_path's step and BemLanes bem_path's, on states of shape (cells, n):
-a lane whose previous state already meets the residual contract keeps it,
-as the path loops do; every other lane makes a fixed number of Newton
-updates from it, then those not yet within the contract continue alone; a
-lane that
+a lane whose previous state already has a residual within RESIDUAL_TOL
+keeps it, as the path loops would; every other lane makes a fixed number of
+Newton updates from it, then those not yet within the residual contract
+continue alone; a lane that
 leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
 _implicit_solve on its own, and jumps are per-lane calls. Every operation is
 elementwise, so a lane never depends on the other lanes, and integer powers
@@ -453,11 +453,12 @@ class _Lanes:
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
 
-        rhs and dt have the lanes' shape. A lane whose previous state is
-        within RESIDUAL_TOL*max(1, |rhs|) keeps it, as the path loops do;
-        every other lane takes `updates` Newton updates, and one whose
-        residual is then above the tolerance, or whose z is not positive,
-        keeps updating alone until it meets the tolerance or MAX_ITER
+        rhs and dt have the lanes' shape. A lane whose previous state already
+        has a residual within RESIDUAL_TOL keeps it, as the path loops would,
+        whose tolerance RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every
+        other lane takes `updates` Newton updates; one whose residual is
+        then above RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive,
+        keeps updating alone until it meets that tolerance or MAX_ITER
         updates are made. A lane goes to _implicit_solve from its previous
         state once it leaves (0, inf), turns non-finite, meets
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
@@ -472,14 +473,14 @@ class _Lanes:
             rhs = np.where(self._alive == 1.0, rhs, z_prev)
         z, f, fp = z_prev, self.f, self.fp
         res = (z - rhs) - dt * f
-        # a lane whose previous state already meets the tolerance keeps it,
-        # as the path loops accept their first iterate; one at an exact root
-        # (a padded or failed lane) stays there under Newton anyway, so the
-        # lanes are sought only when one residual is small but not zero
+        # a lane whose previous state already has a residual within
+        # RESIDUAL_TOL keeps it, as the path loops accept such a first
+        # iterate; one at an exact root (a padded or failed lane) stays
+        # there under Newton anyway, so it needs no keeping
         size = np.abs(res)
         kept = None
-        if size.min() <= RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max())):
-            kept = (size <= np.maximum(one, np.abs(rhs)) * self._rtol) & (size > 0.0)
+        if size.min() <= RESIDUAL_TOL:
+            kept = (size <= self._rtol) & (size > 0.0)
         used = min(self.updates, MAX_ITER)
         for _ in range(used):
             z = z - res / (one - dt * fp)
