@@ -414,6 +414,14 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _default_orders(params: ModelParams) -> tuple[float, ...]:
+    """DEFAULT_P_LIST without the orders at or above the critical regime's
+    moment cap, which moment_probe refuses; p = 1 and the negative orders
+    always stay, since validation requires a cap above 1."""
+    cap = validate_params(params).critical_moment_cap
+    return tuple(p for p in DEFAULT_P_LIST if cap is None or p < cap)
+
+
 def cmd_moments(config: ExperimentConfig, p_list: tuple[float, ...]) -> int:
     report = moment_probe(
         config.params,
@@ -468,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_mom)
     p_mom.add_argument(
         "--p-list",
-        default=",".join(str(p) for p in DEFAULT_P_LIST),
-        help="comma-separated moment orders",
+        help="comma-separated moment orders (default 1,2,-1,-2, without those "
+        "at or above a critical regime's moment cap)",
     )
     return parser
 
@@ -487,6 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(config)
         if args.command == "moments":
+            if args.p_list is None:
+                return cmd_moments(config, _default_orders(config.params))
             return cmd_moments(config, _parse_p_list(args.p_list))
         raise AssertionError(f"unhandled command {args.command}")
     except (InvalidModelError, MeshError) as exc:

@@ -5,9 +5,11 @@ items distributed over contiguous index chunks, and each chunk goes to the
 experiment's chunk function. The ladder steps its chunk's paths as numpy
 lanes, a batch at a time: the reference, every tjabem level and every bem
 level, drawing each path's noise block by block in time. The moment probe
-turns each path's bundle into that path's row, and the positivity table
-steps every (cell, path) lane of the chunk together and returns one row of
-counts summed over the chunk. Rows are assembled in chunk order before
+turns each path's bundle into that path's row. The positivity table opens
+each path once for all of its (T, M) meshes, steps every (cell, path) lane
+of a batch together, one mesh at a time, and returns one row of counts
+summed over the chunk; like the ladder, it takes one chunk per worker.
+Rows are assembled in chunk order before
 reduction, and no lane depends on the others of its batch, so reports are
 bit-identical regardless of the worker count. A failed path aborts the
 experiment carrying its (global_seed, path_index) for replay.
@@ -46,7 +48,9 @@ from .paths import (  # noqa: F401
     coarsen_increments,
     fine_block,
     generate_bundle,
+    mesh_block,
     open_path,
+    open_shared_path,
     regular_increments,
 )
 from .solver import (  # noqa: F401
@@ -348,11 +352,19 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
         coarse = bem = None
+        # busy[j][b]: the paths with a jump node among level j's steps in block b
+        placed = [()] * n_levels
+        busy = [[()] * blocks] * n_levels
         if "tjabem" in schemes:
             coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
                                  _LEVEL_UPDATES)
             placed = [[place_jumps(m, T, path.jump_times) for path in paths]
                       for m in m_list]
+            busy = [[[] for _ in range(blocks)] for _ in m_list]
+            for level, span, runs in zip(placed, spans, busy):
+                for p, jumps in enumerate(level):
+                    for b in jumps.runs(span):
+                        runs[b].append(p)
         if "bem" in schemes:
             bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
                            _LEVEL_UPDATES)
@@ -363,14 +375,14 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
         for b in range(blocks):
             block = fine_block(paths, b * fine, (b + 1) * fine)
             ref.run(block.dt, block.dw, _jump_steps([block]))
+            levels = [coarse_block(block, m, b * s, (b + 1) * s, jumps, runs[b])
+                      for m, s, jumps, runs in zip(m_list, spans, placed, busy)]
             if coarse is not None:
-                levels = [coarse_block(block, m, b * s, (b + 1) * s, jumps)
-                          for m, s, jumps in zip(m_list, spans, placed)]
-                coarse.run(*_stack(levels), _jump_steps(levels))
+                meshes = [mesh for mesh, _ in levels]
+                coarse.run(_stack([mesh.dt for mesh in meshes]),
+                           _stack([mesh.dw for mesh in meshes]), _jump_steps(meshes))
             if bem is not None:
-                levels = [coarse_block(block, m, b * s, (b + 1) * s)
-                          for m, s in zip(m_list, spans)]
-                bem.run(bem_dt, _stack(levels)[1], counts[b])
+                bem.run(bem_dt, _stack([grid for _, grid in levels]), counts[b])
 
         x_ref = [ref.terminal((0, p)) for p in range(n)]
         rows = np.empty((n, len(schemes), n_levels))
@@ -415,16 +427,14 @@ def _jump_steps(levels) -> dict[int, list[int]]:
     return steps
 
 
-def _stack(levels):
-    """The levels' dt and dw, stacked into one row per (level, path) lane."""
-    n = len(levels[0].n)
-    width = max(level.dt.shape[1] for level in levels)
-    dt = np.zeros((len(levels) * n, width))
-    dw = np.zeros_like(dt)
+def _stack(levels) -> np.ndarray:
+    """The levels' (paths, steps) arrays stacked into one row per (level,
+    path) lane, padded with zeros to a common width."""
+    n = levels[0].shape[0]
+    out = np.zeros((len(levels) * n, max(level.shape[1] for level in levels)))
     for j, level in enumerate(levels):
-        dt[j * n : (j + 1) * n, : level.dt.shape[1]] = level.dt
-        dw[j * n : (j + 1) * n, : level.dw.shape[1]] = level.dw
-    return dt, dw
+        out[j * n : (j + 1) * n, : level.shape[1]] = level
+    return out
 
 
 def strong_error_ladder(
@@ -510,52 +520,62 @@ def strong_error_ladder(
 # Positivity table
 # ---------------------------------------------------------------------------
 
-# paths per tjabem_lanes call: it holds their bundles and padded arrays, a
-# few MB at 512 paths, so that a chunk of any size fits in a worker
+# paths per batch of the table: a memory bound, since a batch holds one
+# normals row per path and one mesh's padded (paths, steps) arrays at a time
 _LANE_PATHS = 512
 
 
-def _lane_counts(batch, cells) -> np.ndarray:
-    """(n_values, n_nonpositive) per cell, summed over the lanes of a batch."""
-    try:
-        _, nonpositive = tjabem_lanes(
-            [cell[:3] for cell in cells],
-            [bundle.fine_mesh for bundle in batch],
-            [bundle.dw_fine for bundle in batch],
-        )
-    except LaneFailure as exc:
-        set_name, label, dt = cells[exc.cell][3]
-        bundle = batch[exc.path]
-        error = SolverError(f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}")
-        raise _replay_failure(error, bundle.global_seed, bundle.path_index) from exc
-    n_values = sum(bundle.fine_mesh.n_intervals + 1 for bundle in batch)
-    return np.array([(n_values, n) for n in nonpositive.sum(axis=1).tolist()])
+def _lane_counts(paths, cells, groups) -> np.ndarray:
+    """(n_values, n_nonpositive) per cell, summed over a batch of shared paths.
 
-
-def _positivity_rows(lo, hi, cells, bundle_params, m, global_seed) -> np.ndarray:
-    """(n_values, n_nonpositive) per cell of one (T, M) group, summed over paths lo..hi-1.
-
-    Each path's bundle is generate_bundle(bundle_params, m, global_seed, i).
-    The paths step through tjabem_lanes in path order, at most _LANE_PATHS
-    at a time, so a failure names the lowest failing path. The result is one
-    row of shape (cells, 2).
+    The groups' meshes run one after another; a failure names the lowest
+    failing path and, within it, the first failing cell in report order.
     """
-    bundles = _bundles(bundle_params, m, global_seed, lo, hi)
     counts = np.zeros((len(cells), 2), dtype=np.int64)
-    while True:
-        batch = []
+    failures = []
+    for g, (_, members) in enumerate(groups):
+        block = mesh_block(paths, g)
         try:
-            for bundle in bundles:
-                batch.append(bundle)
-                if len(batch) == _LANE_PATHS:
-                    break
-        except PathFailure:
-            # a path before the one whose bundle failed can fail first
-            _lane_counts(batch, cells)
-            raise
-        if not batch:
-            return counts[None]
-        counts += _lane_counts(batch, cells)
+            _, nonpositive = tjabem_lanes([cells[c][:3] for c in members], block)
+            counts[members, 0] = int(block.n.sum()) + len(paths)
+            counts[members, 1] = nonpositive.sum(axis=1)
+        except LaneFailure as exc:
+            failures.append((exc.path, members[exc.cell], exc))
+        # so that the next mesh's arrays replace this one's
+        del block
+    if failures:
+        p, c, exc = min(failures, key=lambda failure: failure[:2])
+        set_name, label, dt = cells[c][3]
+        error = SolverError(f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}")
+        raise _replay_failure(error, paths[p].global_seed, paths[p].path_index) from exc
+    return counts
+
+
+def _positivity_rows(lo, hi, cells, groups, lam, global_seed) -> np.ndarray:
+    """(n_values, n_nonpositive) per cell, summed over paths lo..hi-1.
+
+    groups lists each (T, M) mesh with the indices of its cells. Every path
+    is opened once, by open_shared_path, for all the meshes. The paths step
+    through tjabem_lanes in path order, at most _LANE_PATHS at a time, so a
+    failure names the lowest failing path and, within it, the first failing
+    cell in report order; a path that fails to open is named unless a lower
+    path of its batch fails. The result is one row of shape (cells, 2).
+    """
+    meshes = [mesh for mesh, _ in groups]
+    counts = np.zeros((len(cells), 2), dtype=np.int64)
+    for start in range(lo, hi, _LANE_PATHS):
+        paths = []
+        for i in range(start, min(start + _LANE_PATHS, hi)):
+            try:
+                paths.append(open_shared_path(lam, meshes, global_seed, i))
+            except _PATH_ERRORS as exc:
+                failure = _replay_failure(exc, global_seed, i)
+                if paths:
+                    # a path before the one that failed to open can fail first
+                    _lane_counts(paths, cells, groups)
+                raise failure from exc
+        counts += _lane_counts(paths, cells, groups)
+    return counts[None]
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -579,9 +599,11 @@ def positivity_table(
     Counting is per node value over the post-jump states of every simulated
     trajectory (the original-state signs are identical). The jump intensity
     lam overrides the per-set value so all cells share one intensity. Cells
-    are grouped by (T, M = T/dt): one bundle per path and group serves every
-    (set, jump) cell of the group, since a bundle depends only on lam, T, M,
-    the seed and the path index.
+    are grouped by (T, M = T/dt), and each path is opened once for every
+    group: one mesh per path and group serves every (set, jump) cell of the
+    group, since it depends only on lam, T, M, the seed and the path index.
+    A failure names the lowest failing path and, within it, the first
+    failing cell in report order.
     """
     if n_paths < 1:
         raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
@@ -597,25 +619,15 @@ def positivity_table(
                 m = _steps_for_dt(params.T, dt)
                 groups.setdefault((params.T, m), []).append(len(cells))
                 cells.append((params, jump, q, (set_name, jump.label, dt)))
-    # largest meshes first, so the pool's tail is made of the short tasks
-    order = sorted(groups, key=lambda group: -group[1])
-    runs = []
-    for group in order:
-        group_cells = tuple(cells[c] for c in groups[group])
-        # the group's cells share lam, T and M, so one bundle serves them all
-        runs.append(
-            (_positivity_rows, (group_cells, group_cells[0][0], group[1], global_seed))
-        )
-    report_cells = [None] * len(cells)
-    all_rows = _map_runs(runs, n_paths, parallelism * 4, parallelism)
-    for group, rows in zip(order, all_rows):
-        for c, (n_values, n_nonpositive) in zip(groups[group], rows.sum(axis=0)):
-            set_name, label, dt = cells[c][3]
-            report_cells[c] = PositivityCell(
-                set_name, label, dt, int(n_values), int(n_nonpositive)
-            )
+    # lanes even out the work, so one chunk per worker balances the load
+    args = (tuple(cells), tuple(groups.items()), lam, global_seed)
+    (rows,) = _map_runs([(_positivity_rows, args)], n_paths, parallelism, parallelism)
+    report_cells = tuple(
+        PositivityCell(*cell[3], n_values, n_nonpositive)
+        for cell, (n_values, n_nonpositive) in zip(cells, rows.sum(axis=0).tolist())
+    )
     return PositivityReport(
-        cells=tuple(report_cells), lam=lam, n_paths=n_paths, global_seed=global_seed
+        cells=report_cells, lam=lam, n_paths=n_paths, global_seed=global_seed
     )
 
 

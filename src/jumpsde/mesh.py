@@ -136,6 +136,13 @@ class JumpNodes:
             bisect_right(self.on_grid, lo) < bisect_right(self.on_grid, hi)
         )
 
+    def runs(self, width: int) -> list[int]:
+        """The runs b of grid intervals b*width..(b+1)*width-1 that have a
+        step ending at a jump node, in order: those whose touches holds."""
+        return sorted(
+            {c // width for c in self.cells} | {(q - 1) // width for q in self.on_grid}
+        )
+
 
 def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
     """Place sorted jump times on the uniform M-step grid on [0, T].

@@ -7,9 +7,11 @@ changing the jump intensity never perturbs the Brownian draw sequence.
 Coarse-resolution increments are left-to-right sums of fine increments, so
 every resolution of a bundle sees exactly the same Brownian path.
 fine_block draws a block of consecutive grid intervals for several paths
-and coarse_block sums it for a coarser mesh; drawing a path's blocks in
-time order gives its bundle's increments bit for bit, and a bundle is the
-one-block case.
+and coarse_block sums it for a coarser mesh and for the plain coarse grid;
+drawing a path's blocks in time order gives its bundle's increments bit for
+bit, and a bundle is the one-block case. open_shared_path opens a path once
+for several (T, M) meshes, and mesh_block lays one of those meshes of many
+paths out as a block, bit for bit as generate_bundle at that (T, M).
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ from .model import ModelParams
 __all__ = [
     "PathBundle",
     "PathNoise",
+    "SharedPath",
     "Block",
     "path_streams",
     "open_path",
+    "open_shared_path",
     "fine_block",
+    "mesh_block",
     "coarse_block",
     "generate_bundle",
     "coarsen_increments",
@@ -74,6 +79,18 @@ class PathNoise:
     jump_times: np.ndarray
     jumps: JumpNodes
     brownian: np.random.Generator
+
+
+@dataclass(frozen=True)
+class SharedPath:
+    """One path opened for several (T, M) meshes: its jump times placed on
+    each mesh's grid (jumps[g] for mesh g), and the standard normals of its
+    Brownian stream, as many as the longest mesh has steps."""
+
+    global_seed: int
+    path_index: int
+    jumps: tuple
+    normals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,6 +142,35 @@ def open_path(
     )
 
 
+def _block(jumps: Sequence[JumpNodes], lo: int, hi: int, draw) -> Block:
+    """Grid intervals lo..hi-1 of the meshes that these placements give.
+
+    draw(p, out) fills out with path p's standard normals, one per step in
+    node order; each increment is its normal times the square root of its
+    step.
+    """
+    touched = [p for p, placed in enumerate(jumps) if placed.touches(lo, hi)]
+    grid = no_flags = None
+    if len(touched) < len(jumps):
+        grid, no_flags = place_jumps(jumps[0].M, jumps[0].T, ()).nodes(lo, hi)
+    nodes, flags = [grid] * len(jumps), [no_flags] * len(jumps)
+    n = np.full(len(jumps), hi - lo)
+    for p in touched:
+        nodes[p], flags[p] = jumps[p].nodes(lo, hi)
+        n[p] = nodes[p].size - 1
+    dt = np.zeros((len(jumps), int(n.max())))
+    if grid is not None:
+        dt[:, : hi - lo] = grid[1:] - grid[:-1]
+    for p in touched:
+        dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
+        dt[p, n[p] :] = 0.0
+    dw = np.zeros_like(dt)
+    for p, steps in enumerate(n.tolist()):
+        draw(p, dw[p, :steps])
+    dw *= np.sqrt(dt)
+    return Block(jumps[0].T, lo, hi, n, nodes, flags, dt, dw, touched)
+
+
 def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
     """Draw grid intervals lo..hi-1 of every path's reference mesh.
 
@@ -134,26 +180,37 @@ def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
     the stream yields the same numbers in parts as in one draw; the whole
     mesh is the one-block case.
     """
-    touched = [p for p, path in enumerate(paths) if path.jumps.touches(lo, hi)]
-    grid = no_flags = None
-    if len(touched) < len(paths):
-        grid, no_flags = place_jumps(paths[0].m_ref, paths[0].T, ()).nodes(lo, hi)
-    nodes, flags = [grid] * len(paths), [no_flags] * len(paths)
-    n = np.full(len(paths), hi - lo)
-    for p in touched:
-        nodes[p], flags[p] = paths[p].jumps.nodes(lo, hi)
-        n[p] = nodes[p].size - 1
-    dt = np.zeros((len(paths), int(n.max())))
-    if grid is not None:
-        dt[:, : hi - lo] = grid[1:] - grid[:-1]
-    for p in touched:
-        dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
-        dt[p, n[p] :] = 0.0
-    dw = np.zeros_like(dt)
-    for path, row, steps in zip(paths, dw, n.tolist()):
-        path.brownian.standard_normal(out=row[:steps])
-    dw *= np.sqrt(dt)
-    return Block(paths[0].T, lo, hi, n, nodes, flags, dt, dw, touched)
+    return _block([path.jumps for path in paths], lo, hi,
+                  lambda p, out: paths[p].brownian.standard_normal(out=out))
+
+
+def open_shared_path(
+    lam: float, meshes: Sequence[tuple[float, int]], global_seed: int, path_index: int
+) -> SharedPath:
+    """Open a path once for several (T, M) meshes.
+
+    The jump times are sampled for the longest horizon; a horizon T keeps
+    those before T, which are the times its own draw gives. The normals
+    are drawn for the longest mesh, and a mesh takes the first ones it
+    needs. So mesh_block gives each mesh generate_bundle's result at that
+    (T, M), bit for bit.
+    """
+    jump_rng, brownian_rng = path_streams(global_seed, path_index)
+    times = sample_jump_times(lam, max(T for T, _ in meshes), jump_rng)
+    jumps = tuple(
+        place_jumps(M, T, times[: np.searchsorted(times, T)]) for T, M in meshes
+    )
+    normals = brownian_rng.standard_normal(
+        max(placed.M + len(placed.inserted) for placed in jumps)
+    )
+    return SharedPath(global_seed, path_index, jumps, normals)
+
+
+def mesh_block(paths: Sequence[SharedPath], g: int) -> Block:
+    """Mesh g of every shared path, whole: grid intervals 0..M-1."""
+    jumps = [path.jumps[g] for path in paths]
+    return _block(jumps, 0, jumps[0].M,
+                  lambda p, out: np.copyto(out, paths[p].normals[: out.size]))
 
 
 def generate_bundle(
@@ -210,16 +267,25 @@ def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def coarse_block(
-    block: Block, M: int, lo: int, hi: int, jumps: Sequence[JumpNodes] = ()
-) -> Block:
-    """Each path's steps over grid intervals lo..hi-1 of an M-step mesh.
+    block: Block,
+    M: int,
+    lo: int,
+    hi: int,
+    jumps: Sequence[JumpNodes],
+    touched: Sequence[int],
+) -> tuple[Block, np.ndarray]:
+    """Each path's steps over grid intervals lo..hi-1 of an M-step mesh,
+    and every path's increments over the plain grid's steps.
 
     The intervals span the same time as the fine block, and M divides m_ref,
     so that the mesh's nodes are fine nodes. jumps[p] places path p's jump
-    times on the M-step grid; without them every path's steps are the
-    grid's. A step's increment is the left-to-right sum, from 0.0, of the
-    fine increments between its nodes, bitwise as coarsen_increments forms
-    it.
+    times on the M-step grid, and touched lists the paths that have a jump
+    node among these steps (JumpNodes.runs finds them); every other path's
+    steps are the grid's. A step's increment is the left-to-right sum, from
+    0.0, of the fine increments between its nodes, bitwise as
+    coarsen_increments and regular_increments form it. The grid's sums are
+    formed once for both results; only the paths with a jump node here or
+    among the fine steps get their own.
     """
     T, paths = block.T, block.dt.shape[0]
     span = hi - lo
@@ -227,32 +293,39 @@ def coarse_block(
     grid, no_flags = place_jumps(M, T, ()).nodes(lo, hi)
     nodes, flags = [grid] * paths, [no_flags] * paths
     n = np.full(paths, span)
-    touched = [p for p, mesh in enumerate(jumps) if mesh.touches(lo, hi)]
     for p in touched:
         nodes[p], flags[p] = jumps[p].nodes(lo, hi)
         n[p] = nodes[p].size - 1
     dt = np.zeros((paths, int(n.max())))
     dt[:, :span] = grid[1:] - grid[:-1]
-    dw = np.zeros_like(dt)
     # accumulate starts from the first increment, not from 0.0; the two
     # differ only in the sign of a zero sum, which adding 0.0 makes +0.0
-    dw[:, :span] = (
+    regular = (
         np.add.accumulate(
             block.dw[:, :fine].reshape(paths, span, fine // span), axis=-1
         )[..., -1]
         + 0.0
     )
-    irregular = sorted(set(touched).union(block.touched))
-    if irregular:
-        idx = np.empty((len(irregular), dt.shape[1] + 1), dtype=int)
-        for row, p in zip(idx, irregular):
-            cuts = _match_nodes(block.nodes[p], nodes[p], T)
+    dw = np.zeros_like(dt)
+    dw[:, :span] = regular
+    # the mesh's own sums of every path with a jump node here or among the
+    # fine steps, then the grid's of every path with fine jump nodes
+    rows = sorted(set(touched).union(block.touched))
+    summed = rows + block.touched
+    if summed:
+        idx = np.empty((len(summed), dt.shape[1] + 1), dtype=int)
+        ends = [nodes[p] for p in rows] + [grid] * len(block.touched)
+        for row, p, targets in zip(idx, summed, ends):
+            cuts = _match_nodes(block.nodes[p], targets, T)
             row[: cuts.size] = cuts
             row[cuts.size :] = cuts[-1]
+        sums = _segment_sums(block.dw[summed], idx)
+        for p in rows:
             dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
             dt[p, n[p] :] = 0.0
-        dw[irregular] = _segment_sums(block.dw[irregular], idx)
-    return Block(T, lo, hi, n, nodes, flags, dt, dw, touched)
+        dw[rows] = sums[: len(rows)]
+        regular[block.touched] = sums[len(rows) :, :span]
+    return Block(T, lo, hi, n, nodes, flags, dt, dw, list(touched)), regular
 
 
 def _mesh_sums(

@@ -22,12 +22,14 @@ keeps it, as the path loops would; every other lane makes a fixed number of
 Newton updates from it, then those not yet within the residual contract
 continue alone; a lane that
 leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
-_implicit_solve on its own, and jumps are per-lane calls. Every operation is
-elementwise, so a lane never depends on the other lanes, and integer powers
-are chains of multiplications, so a lane rounds the same on every host. A
-lane meets the same residual contract as the path loops, which it
-therefore matches to within that contract.
-tjabem_lanes runs the positivity table's (cells, paths) grid of lanes.
+_implicit_solve on its own, and jumps are per-lane calls. After a jump or a
+fallback, F and F' are evaluated again on the lanes that moved only. Every
+operation is elementwise, so a lane never depends on the other lanes, and
+integer powers are chains of multiplications, so a lane rounds the same on
+every host. A lane meets the same residual contract as the path loops,
+which it therefore matches to within that contract.
+tjabem_lanes runs the positivity table's (cells, paths) grid of lanes on
+whole meshes of one grid, in a block's padded layout.
 """
 
 from __future__ import annotations
@@ -345,9 +347,11 @@ class _LaneDrift:
 
     def __init__(self, tables, shape: tuple[int, int]):
         table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
+        columns = []  # the coefficient and exponent columns to spread
 
         def spread(column):
-            return np.ascontiguousarray(np.broadcast_to(column[:, None], shape))
+            columns.append(column)
+            return len(columns) - 1
 
         # powers[slots[n]] is z^n: z and 1/z first, then the chained powers,
         # each the product of two of one sign, the larger made first if it
@@ -373,7 +377,8 @@ class _LaneDrift:
         for n in sorted({int(e) for e, same in zip(exponents, uniform)
                          if same and e == round(e) and 0 < abs(e) <= 64}, key=abs):
             chain(n)
-        self._real = []  # exponents of the real powers
+        # columns are indices into self._coefs
+        self._real = []  # (e, None) for an exponent of every row, else (None, column)
         self._value = []  # (slot, c): slot None is a constant term
         self._slope = []  # (slot, c*e) of the terms neither constant nor linear
         self._linear = []  # c of the linear terms
@@ -386,30 +391,39 @@ class _LaneDrift:
                 slot = slots[e[0]]
             else:
                 slot = len(slots) + len(self._real)
-                self._real.append(e[0] if same else spread(e))
+                self._real.append((e[0], None) if same else (None, spread(e)))
             self._value.append((slot, spread(c)))
             if same and e[0] == 1.0:
                 self._linear.append(spread(c))
             else:
                 self._slope.append((slot, spread(c * e)))
+        self._coefs = np.ascontiguousarray(
+            np.broadcast_to(np.array(columns)[:, :, None], (len(columns), *shape))
+        )
+        self._spread = list(self._coefs)
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, z: np.ndarray, lanes=None) -> tuple[np.ndarray, np.ndarray]:
+        """F(z) and F'(z) on every lane, or, given an index `lanes` into the
+        lanes' shape, on those lanes only, z holding their states: each
+        takes its own coefficients and exponents, so it gets the bits the
+        full evaluation gives it."""
+        cols = self._spread if lanes is None else self._coefs[(slice(None), *lanes)]
         powers = [z, np.reciprocal(z)]
         for a, b in self._chain:
             powers.append(powers[a] * powers[b])
-        for e in self._real:
-            powers.append(np.power(z, e))
+        for e, column in self._real:
+            powers.append(np.power(z, e if column is None else cols[column]))
         f = None
         for slot, c in self._value:
-            term = c if slot is None else c * powers[slot]
+            term = cols[c] if slot is None else cols[c] * powers[slot]
             f = term if f is None else f + term
         fp = None
         for slot, d in self._slope:
-            term = d * powers[slot]
+            term = cols[d] * powers[slot]
             fp = term if fp is None else fp + term
         fp = powers[1] * 0.0 if fp is None else fp * powers[1]
         for c in self._linear:
-            fp = fp + c
+            fp = fp + cols[c]
         return f, fp
 
 
@@ -420,17 +434,18 @@ class _Lanes:
     c's drift, whose term table is tables[c] and whose scalar (value, slope)
     pair is drifts[c]. f and fp hold F(z) and F'(z) as the lanes' drift
     evaluates them, so that a step's first Newton update reuses them; once a
-    lane's z is set on its own, the next step evaluates them again for every
-    lane, which leaves the other lanes' values as they were. A lane that
-    fails keeps its last state, is recorded in `failures` with its first
-    error, and idles from then on.
+    lane's z is set on its own, the next step evaluates them again for the
+    lanes that were set, with the bits a full evaluation gives them. A lane
+    that fails keeps its last state, is recorded in `failures` with its
+    first error, and idles from then on.
     """
 
     def __init__(self, tables, drifts, z: np.ndarray, updates: int):
         self.drift = _LaneDrift(tables, z.shape)
         self.drifts = drifts
         self.z = z
-        self._fresh = False  # whether f and fp are F(z) and F'(z)
+        self.f = self.fp = None  # F(z) and F'(z), once evaluated
+        self._moved = []  # lanes set since f and fp were evaluated
         self.updates = updates
         self.failures: dict[tuple[int, int], Exception] = {}
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
@@ -448,7 +463,17 @@ class _Lanes:
 
     def set(self, lane: tuple[int, int], z: float) -> None:
         self.z[lane] = z
-        self._fresh = False
+        self._moved.append(lane)
+
+    def refresh(self) -> None:
+        """Make f and fp F(z) and F'(z): every lane's the first time, then
+        those of the lanes set since."""
+        if self.f is None:
+            self.f, self.fp = self.drift(self.z)
+        elif self._moved:
+            moved = tuple(np.array(axis) for axis in zip(*self._moved))
+            self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
+        self._moved = []
 
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
@@ -464,10 +489,8 @@ class _Lanes:
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
         rhs = z therefore keeps its z exactly; so does every failed lane.
         """
+        self.refresh()
         z_prev, one = self.z, self._one
-        if not self._fresh:
-            self.f, self.fp = self.drift(z_prev)
-            self._fresh = True
         if self._alive is not None:
             dt = dt * self._alive
             rhs = np.where(self._alive == 1.0, rhs, z_prev)
@@ -630,65 +653,55 @@ _TABLE_UPDATES = 3
 
 
 def tjabem_lanes(
-    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]],
-    meshes: Sequence[JumpAdaptedMesh],
-    increments: Sequence[Sequence[float]],
+    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]], block
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run tjabem_path on every (cell, path) lane at once.
 
-    Cell c is (params, jump, Q); lane (c, p) runs it on meshes[p] with
-    increments[p]. The lanes solve each step together by Newton's method on
-    numpy arrays of shape (cells, paths); a lane goes to _implicit_solve on
-    its own, and jumps are per-lane jump_map calls. Shorter meshes are
-    padded with zero steps, which leave a lane as it is. Each lane's step
-    meets the residual contract of tjabem_path's, so the two agree to within
-    it, and no lane depends on the others. Returns the lanes' terminal z and
-    their counts of nonpositive post-jump states, both of shape (cells,
-    paths). A failure raises LaneFailure for the lowest failing path and,
-    within it, the first failing cell.
+    Cell c is (params, jump, Q). block holds whole meshes of one M-step grid
+    on [0, T] in the padded layout of a paths.Block (grid intervals 0..M-1):
+    lane (c, p) runs cell c on path p's steps, row p of block.dt and
+    block.dw, and jumps at the nodes block.flags[p] marks. The lanes solve
+    each step together by Newton's method on numpy arrays of shape (cells,
+    paths); a lane goes to _implicit_solve on its own, and jumps are
+    per-lane jump_map calls. The zero steps that pad shorter meshes leave a
+    lane as it is. Each lane's step meets the residual contract of
+    tjabem_path's, so the two agree to within it, and no lane depends on the
+    others. Returns the lanes' terminal z and their counts of nonpositive
+    post-jump states, both of shape (cells, paths). A failure raises
+    LaneFailure for the lowest failing path and, within it, the first
+    failing cell.
     """
-    steps = np.array([mesh.n_intervals for mesh in meshes], dtype=int)
-    if len(increments) != len(meshes) or any(
-        len(dw) != n for dw, n in zip(increments, steps.tolist())
-    ):
-        raise ValueError("increments must match the mesh intervals path by path")
-    n_cells, n_paths = len(cells), len(meshes)
-    width = int(steps.max(initial=0))
-    dts = np.zeros((width, n_paths))
-    dws = np.zeros((width, n_paths))
-    # jumped[k, p]: path p jumps at node k + 1
-    jumped = np.zeros((width, n_paths), dtype=bool)
-    for p, (mesh, dw) in enumerate(zip(meshes, increments)):
-        n = mesh.n_intervals
-        dts[:n, p] = mesh.dt
-        dws[:n, p] = dw
-        jumped[:n, p] = mesh.is_jump[1:]
-
+    if block.lo != 0:
+        raise ValueError(
+            f"tjabem_lanes needs whole meshes, got a block from interval {block.lo}"
+        )
+    n_cells, n_paths = len(cells), block.dt.shape[0]
     shape = (n_cells, n_paths)
     z = np.ones(shape)
     failures = {}
-    by_base_dt: dict[float, list[int]] = {}
-    for p, mesh in enumerate(meshes):
-        by_base_dt.setdefault(mesh.base_dt, []).append(p)
     for c, (params, _, q) in enumerate(cells):
-        for base_dt, paths in by_base_dt.items():
-            try:
-                # the guard, then the initial state, as in tjabem_path
-                _check_step_guard(q, base_dt)
-                z[c, paths] = lamperti_forward(params.rho, params.x0)
-            except _LANE_ERRORS as exc:
-                failures.update(((c, p), exc) for p in paths)
+        try:
+            # the guard, then the initial state, as in tjabem_path
+            _check_step_guard(q, block.T / block.hi)
+            z[c] = lamperti_forward(params.rho, params.x0)
+        except _LANE_ERRORS as exc:
+            failures.update(((c, p), exc) for p in range(n_paths))
+    # jumps[k]: the paths that jump at the end of step k
+    jumps: dict[int, list[int]] = {}
+    for p in block.touched:
+        for k in np.flatnonzero(block.flags[p][1:]).tolist():
+            jumps.setdefault(k, []).append(p)
     n_nonpositive = (z <= 0.0).astype(int)
     dt_k, dw_k = np.empty(shape), np.empty(shape)
     with np.errstate(all="ignore"):
         lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES)
         for lane, exc in failures.items():
             lanes.fail(lane, exc)
-        for k in range(width):
-            dt_k[:] = dts[k]
-            dw_k[:] = dws[k]
+        for k in range(block.dt.shape[1]):
+            dt_k[:] = block.dt[:, k]
+            dw_k[:] = block.dw[:, k]
             lanes.step(dt_k, dw_k)
-            for p in np.flatnonzero(jumped[k]).tolist():
+            for p in jumps.get(k, ()):
                 for c in range(n_cells):
                     lanes.jump((c, p))
                     n_nonpositive[c, p] += lanes.z[c, p] <= 0.0

@@ -570,6 +570,34 @@ def test_validated_configs_converge_or_exit_cleanly(values, m_ref, ladder):
             assert not (status == 2 and "step-size guard" in err.getvalue())
 
 
+def test_moments_default_orders_stay_below_the_critical_cap(tmp_path, capsys):
+    # gamma = 2*rho - 1 is critical, with moment cap 1 - 1.25 + 1.5 = 1.25:
+    # the default orders 1, -1 and -2 run, and an asked-for p = 2 exits 1
+    path = _edit_config(_write_config(tmp_path, lam=0.0, n_paths=4), rho="1.25",
+                        gamma="1.5", alpha2="1.0")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "critical moment cap: 1.25" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["moments", "--config", str(path), "--out", str(out_dir)]) == 0
+    lines = (out_dir / "moments.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "-1.0", "-2.0"]
+    argv = ["moments", "--config", str(path), "--p-list", "2", "--out", str(out_dir)]
+    assert main(argv) == 1
+    assert "not admissible in the critical regime" in capsys.readouterr().err
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=finite_configs())
+def test_validated_configs_moment_or_exit_cleanly(values):
+    # moments runs 2 paths at M = m_list[0] with the default orders
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(_config_text(values))
+        if _run_quietly(["validate", "--config", str(path)]) == 0:
+            argv = ["moments", "--config", str(path), "--out", str(Path(tmp) / "out")]
+            assert _run_quietly(argv) in (0, 2)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     values=finite_configs(),

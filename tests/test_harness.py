@@ -14,11 +14,11 @@ import jumpsde.solver
 from jumpsde import (
     InvalidModelError,
     MeshError,
+    ModelParams,
     PathFailure,
     PositivityReport,
     SolverError,
     bem_path,
-    build_mesh,
     coarsen_increments,
     fit_order,
     generate_bundle,
@@ -34,6 +34,8 @@ from jumpsde import (
     zero_jump,
 )
 from jumpsde.harness import PositivityCell
+from jumpsde.mesh import place_jumps
+from jumpsde.paths import SharedPath
 from jumpsde.model import drift_one_sided_lipschitz
 from jumpsde.solver import RESIDUAL_TOL
 
@@ -285,8 +287,10 @@ EXPERIMENTS = {
 def test_bundle_failure_carries_replay_info(set1, monkeypatch, experiment,
                                             parallelism):
     # the ladder draws its noise block by block from each path's open_path
-    # and never builds a bundle
-    name = "open_path" if experiment == "ladder" else "generate_bundle"
+    # and the table from each path's one opening; neither builds a bundle
+    name = {"ladder": "open_path", "positivity": "open_shared_path"}.get(
+        experiment, "generate_bundle"
+    )
     monkeypatch.setattr(jumpsde.harness, name, _failing(getattr(jumpsde.harness, name)))
     monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "starts", 0)
@@ -330,20 +334,30 @@ def test_positivity_shares_bundles_across_cells(set1, set2, monkeypatch):
 
     calls = []
 
-    def counting_bundle(*bundle_args):
-        calls.append(bundle_args)
-        return generate_bundle(*bundle_args)
+    def counting_opening(lam, meshes, global_seed, path_index):
+        calls.append((path_index, tuple(meshes)))
+        return jumpsde.paths.open_shared_path(lam, meshes, global_seed, path_index)
 
-    monkeypatch.setattr(jumpsde.harness, "generate_bundle", counting_bundle)
-    serial = positivity_table(*args, **kwargs)
-    assert len(calls) == 7 * 4
-    assert serial == expected
-
-    monkeypatch.undo()
-    assert positivity_table(*args, parallelism=2, **kwargs) == expected
-    # the lanes of a chunk can step in batches of any size
-    monkeypatch.setattr(jumpsde.harness, "_LANE_PATHS", 1)
+    monkeypatch.setattr(jumpsde.harness, "open_shared_path", counting_opening)
     assert positivity_table(*args, **kwargs) == expected
+    # one opening per path serves both horizons and every mesh
+    groups = ((1.0, 8), (1.0, 16), (0.5, 4), (0.5, 8))
+    assert calls == [(i, groups) for i in range(7)]
+
+
+@pytest.mark.parametrize("lane_paths", [1, 7, 512])
+@pytest.mark.parametrize("parallelism", [1, 2, 3])
+def test_positivity_table_equals_the_oracle_in_any_batches(
+    set1, set2, monkeypatch, parallelism, lane_paths
+):
+    # the workers' chunks and the batches of lanes in them split the 17
+    # paths differently at every setting, over two horizons at lambda = 5;
+    # the forked workers inherit the patched batch size
+    sets = [("set1", set1), ("set2", replace(set2, T=0.5))]
+    jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
+    args = (sets, jumps, [1.0 / 8, 1.0 / 16], 5.0, 17, 37)
+    monkeypatch.setattr(jumpsde.harness, "_LANE_PATHS", lane_paths)
+    assert positivity_table(*args, parallelism=parallelism) == _positivity_oracle(*args)
 
 
 @settings(
@@ -377,13 +391,13 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
     # nonpositive value; stand-in lanes give every cell its own count
     jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
 
-    def marked_lanes(cells, meshes, increments):
+    def marked_lanes(cells, block):
         counts = [
-            [3 * int(params.alpha_m1) + jumps.index(jump) + mesh.n_intervals
-             for mesh in meshes]
+            [3 * int(params.alpha_m1) + jumps.index(jump) + n
+             for n in block.n.tolist()]
             for params, jump, _ in cells
         ]
-        return np.ones((len(cells), len(meshes))), np.array(counts)
+        return np.ones((len(cells), len(block.n))), np.array(counts)
 
     monkeypatch.setattr(jumpsde.harness, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(jumpsde.harness, "tjabem_lanes", marked_lanes)
@@ -401,9 +415,8 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
 
 
 def test_positivity_failure_names_its_cell(set1, monkeypatch):
-    # paths 0-2 share a chunk; path 2 jumps first (t = 0.0014), path 0 later
-    # (t = 0.53): the failure named is the lowest path's, in the first
-    # failing cell
+    # path 2 jumps first (t = 0.0014), path 0 later (t = 0.53): the failure
+    # named is the lowest path's, in the first failing cell
     real_map = jumpsde.solver.jump_map
 
     def failing_map(params, jump, z):
@@ -434,14 +447,13 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     params = replace(set1, rho=3.0, gamma=6.0)
     jump_times = {2: [0.9], 4: [0.1]}
 
-    def staged_bundle(bundle_params, m, global_seed, i):
-        bundle = generate_bundle(replace(bundle_params, lam=0.0), m, global_seed, i)
-        times = np.array(jump_times.get(i, []))
-        mesh = build_mesh(m, bundle_params.T, times)
-        dw = np.full(mesh.n_intervals, 0.01)
-        return replace(bundle, jump_times=times, fine_mesh=mesh, dw_fine=dw)
+    def staged_opening(lam, meshes, global_seed, i):
+        times = jump_times.get(i, [])
+        placed = tuple(place_jumps(m, T, times) for T, m in meshes)
+        normals = np.full(max(p.M + len(p.inserted) for p in placed), 0.01)
+        return SharedPath(global_seed, i, placed, normals)
 
-    monkeypatch.setattr(jumpsde.harness, "generate_bundle", staged_bundle)
+    monkeypatch.setattr(jumpsde.harness, "open_shared_path", staged_opening)
     with pytest.raises(PathFailure) as excinfo:
         positivity_table(
             [("set1", params)], [linear_jump(-0.5), make_jump("linear", 1e300)],
@@ -451,6 +463,24 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     message = str(excinfo.value)
     assert "in cell (set=set1, jump=linear:1e+300, dt=0.125)" in message
     assert "forward transform" in message
+
+
+def test_positivity_failure_in_two_meshes_names_the_first_cell_in_report_order():
+    # step-size guards: Q*dt is 0.34 at (A, 2^-7), 0.68 at (A, 2^-6) and
+    # above 0.5 for both of B's cells, so path 0 fails in both meshes. The
+    # 128-step mesh runs first and fails at (B, 2^-7), the 64-step one at
+    # (A, 2^-6), which comes first in the report
+    stiff = ModelParams(alpha_m1=2.0, alpha0=20.0, alpha1=1.5, alpha2=5.0,
+                        alpha3=1.0, gamma=3.0, rho=1.5, lam=0.0, x0=1.0, T=1.0)
+    sets = [("A", stiff), ("B", replace(stiff, alpha0=50.0))]
+    with pytest.warns(RuntimeWarning, match="above 0.25"):
+        with pytest.raises(PathFailure) as excinfo:
+            positivity_table(sets, [linear_jump(0.5)], [2.0**-7, 2.0**-6],
+                             lam=1.0, n_paths=3, global_seed=41)
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (41, 0)
+    message = str(excinfo.value)
+    assert "in cell (set=A, jump=linear:0.5, dt=0.015625)" in message
+    assert "step-size guard" in message
 
 
 @pytest.mark.parametrize("n_paths", [0, -1, 1])

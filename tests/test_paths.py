@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import jumpsde.paths
 from jumpsde import (
     MeshError,
     PathBundle,
@@ -18,7 +19,9 @@ from jumpsde.paths import (
     _segment_sums,
     coarse_block,
     fine_block,
+    mesh_block,
     open_path,
+    open_shared_path,
     path_streams,
 )
 
@@ -271,8 +274,10 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
         placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
         for b, blk in enumerate(fine_blocks):
             lo, hi = b * span, (b + 1) * span
-            coarse = coarse_block(blk, m, lo, hi, placed)
-            regular = coarse_block(blk, m, lo, hi)
+            touched = [p for p, jumps in enumerate(placed) if b in jumps.runs(span)]
+            assert touched == [p for p, jumps in enumerate(placed) if jumps.touches(lo, hi)]
+            coarse, regular = coarse_block(blk, m, lo, hi, placed, touched)
+            assert regular.shape == (len(paths), span)
             for p, bundle in enumerate(bundles):
                 c_mesh, c_dw = coarsen_increments(bundle, m)
                 start = np.flatnonzero(
@@ -285,5 +290,60 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
                 ends = c_mesh.is_jump[start + 1 : start + n + 1]
                 assert coarse.flags[p][1:].tobytes() == ends.tobytes()
                 r_dw, _ = regular_increments(bundle, m)
-                assert regular.n[p] == span
-                assert regular.dw[p, :span].tobytes() == r_dw[lo:hi].tobytes()
+                assert regular[p].tobytes() == r_dw[lo:hi].tobytes()
+
+
+# the positivity table's (T, M) meshes of two horizons
+SHARED_MESHES = ((1.0, 8), (1.0, 16), (0.5, 4), (0.5, 8))
+
+
+def _assert_block_is_the_bundles(block, p, bundle):
+    mesh, n = bundle.fine_mesh, block.n[p]
+    assert block.nodes[p].tobytes() == mesh.nodes.tobytes()
+    assert block.flags[p].tobytes() == mesh.is_jump.tobytes()
+    assert block.dt[p, :n].tobytes() == mesh.dt.tobytes()
+    assert block.dw[p, :n].tobytes() == bundle.dw_fine.tobytes()
+    assert not block.dt[p, n:].any() and not block.dw[p, n:].any()
+    assert (p in block.touched) == bool(mesh.is_jump.any())
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+def test_shared_opening_gives_each_mesh_its_bundle(set1, lam):
+    paths = [open_shared_path(lam, SHARED_MESHES, 13, i) for i in range(40)]
+    for g, (T, M) in enumerate(SHARED_MESHES):
+        block = mesh_block(paths, g)
+        assert (block.T, block.lo, block.hi) == (T, 0, M)
+        for p, path in enumerate(paths):
+            bundle = generate_bundle(replace(set1, lam=lam, T=T), M, 13, p)
+            _assert_block_is_the_bundles(block, p, bundle)
+    if lam:
+        assert all(len(mesh_block(paths, g).touched) for g in range(4))
+
+
+def test_shared_opening_places_edge_jumps_as_each_bundle(set1, monkeypatch):
+    # a jump within the dedup tolerance of 1/16, a node of the 16-step grid
+    # only; one exactly on the grid node 1/4 of every mesh; one within the
+    # tolerance of the short horizon's end, 0.5, which only the long
+    # horizon's grids have as an interior node; and jumps that only the long
+    # horizon sees. The opening samples them for the long horizon, T = 1
+    staged = [
+        [1 / 16 + 0.2e-12, 0.7],
+        [0.25, 0.5 - 0.2e-12],
+        [0.3001, 0.3002, 0.9],
+        [],
+    ]
+    paths = []
+    for i, times in enumerate(staged):
+        def sample(lam, T, rng, times=times):
+            assert T == 1.0
+            return np.array(times, dtype=float)
+
+        monkeypatch.setattr(jumpsde.paths, "sample_jump_times", sample)
+        paths.append(open_shared_path(5.0, SHARED_MESHES, 5, i))
+    for g, (T, M) in enumerate(SHARED_MESHES):
+        block = mesh_block(paths, g)
+        for p, times in enumerate(staged):
+            times = [t for t in times if t < T]
+            bundle = _staged_bundle(replace(set1, T=T), M, 5, p, times)
+            _assert_block_is_the_bundles(block, p, bundle)
+    assert 0 in mesh_block(paths, 0).touched and 3 not in mesh_block(paths, 0).touched

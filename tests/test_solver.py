@@ -26,12 +26,19 @@ from jumpsde import (
 )
 import jumpsde.solver
 from jumpsde.mesh import JumpAdaptedMesh
+from jumpsde.paths import Block
 from jumpsde.model import (
     drift_one_sided_lipschitz,
     make_drift,
     make_transformed_drift,
 )
-from jumpsde.solver import BemLanes, RESIDUAL_TOL, _implicit_solve, tjabem_lanes
+from jumpsde.solver import (
+    BemLanes,
+    RESIDUAL_TOL,
+    TjabemLanes,
+    _implicit_solve,
+    tjabem_lanes,
+)
 
 
 def test_constructed_root(set1):
@@ -394,9 +401,23 @@ def _lane_cells(param_sets, jump_specs):
     ]
 
 
+def _whole_block(meshes, increments):
+    """Meshes of one M-step grid and their increments as a Block of whole meshes."""
+    n = np.array([mesh.n_intervals for mesh in meshes])
+    dt = np.zeros((len(meshes), n.max()))
+    dw = np.zeros_like(dt)
+    for row, mesh, inc in zip(range(len(meshes)), meshes, increments):
+        dt[row, : n[row]] = mesh.dt
+        dw[row, : n[row]] = inc
+    M = round(meshes[0].T / meshes[0].base_dt)
+    touched = [p for p, mesh in enumerate(meshes) if mesh.is_jump.any()]
+    return Block(meshes[0].T, 0, M, n, [mesh.nodes for mesh in meshes],
+                 [mesh.is_jump for mesh in meshes], dt, dw, touched)
+
+
 def _run_lanes(cells, bundles):
     return tjabem_lanes(
-        cells, [b.fine_mesh for b in bundles], [b.dw_fine for b in bundles]
+        cells, _whole_block([b.fine_mesh for b in bundles], [b.dw_fine for b in bundles])
     )
 
 
@@ -439,7 +460,7 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     dws = [0.0, 1.0, 2.5, 20.0]
     mesh = build_mesh(1, params.T, [])
     z, n_nonpositive = tjabem_lanes(
-        [(params, zero_jump(), q)], [mesh] * 4, [[dw] for dw in dws]
+        [(params, zero_jump(), q)], _whole_block([mesh] * 4, [[dw] for dw in dws])
     )
     assert not n_nonpositive.any()
     z0 = lamperti_forward(params.rho, params.x0)
@@ -484,12 +505,44 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
         bundle = generate_bundle(sets[0], 16, 85, i)
         meshes.append(bundle.fine_mesh)
         increments.append(bundle.dw_fine)
-    _, n_nonpositive = tjabem_lanes(cells, meshes, increments)
+    _, n_nonpositive = tjabem_lanes(cells, _whole_block(meshes, increments))
     for c, (params, jump, q) in enumerate(cells):
         for p, (mesh, dw) in enumerate(zip(meshes, increments)):
             trajectory, _ = tjabem_path(params, jump, mesh, dw, q)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
+
+
+def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
+    # jumps and a fallback set single lanes between steps; the next step's
+    # F and F' of those lanes alone must be the bits of an evaluation of
+    # every lane
+    fallbacks = _count_fallbacks(monkeypatch)
+    stiff = replace(_stiff_params(), T=2.0**-11)
+    cells = [(stiff, zero_jump()), (set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
+    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 6 for p, _ in cells])
+    moved, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
+    rng = np.random.Generator(np.random.Philox(7))
+    dt = np.full(z0.shape, stiff.T)
+    set_lanes = []
+    with np.errstate(all="ignore"):
+        for k in range(12):
+            dw = rng.normal(0.0, 0.05, z0.shape)
+            if k == 4:
+                dw[0, 2] = 20.0  # the stiff lane's step leaves Newton's bracket
+            for lanes in (moved, full):
+                lanes.step(dt, dw)
+                for lane in ((1, k % 6), (2, (k + 3) % 6), (0, 5)):
+                    lanes.jump(lane)
+            set_lanes.append(sorted(set(moved._moved)))
+            moved.refresh()
+            full.f = None
+            full.refresh()
+            for a, b in ((moved.z, full.z), (moved.f, full.f), (moved.fp, full.fp)):
+                assert a.tobytes() == b.tobytes()
+    # the stiff lane's step 4 went to the bracketed solver, once per object
+    assert len(fallbacks) == 2 and (0, 2) in set_lanes[4]
+    assert all(len(lanes) < z0.size for lanes in set_lanes)
 
 
 def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
