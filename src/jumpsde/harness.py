@@ -1,18 +1,23 @@
 """Monte Carlo experiments: strong-error ladders, positivity and moment tables.
 
 Every experiment runs through one path runner: paths are independent work
-items distributed over contiguous index chunks, and each chunk goes to the
-experiment's chunk function. The ladder steps its chunk's paths as numpy
-lanes, a batch at a time: the reference, every tjabem level and every bem
-level, drawing each path's noise block by block in time. The moment probe
-turns each path's bundle into that path's row. The positivity table opens
-each path once for all of its (T, M) meshes, steps every (cell, path) lane
-of a batch together, one mesh at a time, and returns one row of counts
-summed over the chunk; like the ladder, it takes one chunk per worker.
-Rows are assembled in chunk order before
-reduction, and no lane depends on the others of its batch, so reports are
-bit-identical regardless of the worker count. A failed path aborts the
-experiment carrying its (global_seed, path_index) for replay.
+items distributed over contiguous index chunks, and each chunk of each of
+the experiment's runs goes to that run's chunk function. The ladder steps
+its paths as numpy lanes, a batch at a time, in two lane groups: the
+reference, and the tjabem and bem levels, drawing each path's noise block
+by block in time. Over workers the groups are two runs, so that a worker
+steps one group over all its paths; inline one run steps both. The
+reference gives each path's x_ref, the levels each path's x per (scheme,
+M), and the errors |x_ref - x| are formed once all have run. The moment
+probe turns each path's bundle into that path's row. The positivity table
+opens each path once for all of its (T, M) meshes, steps every (cell,
+path) lane of a batch together, one mesh at a time, and returns one row of
+counts summed over the chunk, one chunk per worker. Rows are assembled in
+chunk order before reduction, and no lane depends on the others of its
+batch, so reports are bit-identical regardless of the worker count. A
+failed path aborts the experiment carrying its (global_seed, path_index)
+for replay; every chunk runs to its end or its first failure, and the
+lowest failing path is named, within it the first run's failure.
 With parallelism > 1 the jump coefficient must be picklable (built-in
 families always are; custom ones need module-level callables).
 """
@@ -197,30 +202,41 @@ def _bundles(bundle_params, m, global_seed, lo, hi):
         yield bundle
 
 
-def _run_chunk(task) -> np.ndarray:
-    """The rows of paths lo..hi of one run: a run (chunk_rows, args) gives
-    chunk_rows(lo, hi, *args)."""
+def _run_chunk(task):
+    """The rows of paths lo..hi of one run, or the PathFailure that stopped
+    them: a run (chunk_rows, args) gives chunk_rows(lo, hi, *args)."""
     (chunk_rows, args), lo, hi = task
-    return chunk_rows(lo, hi, *args)
+    try:
+        return chunk_rows(lo, hi, *args)
+    except PathFailure as failure:
+        return failure
 
 
 def _map_runs(runs: list, n_paths: int, n_chunks: int, parallelism: int) -> list[np.ndarray]:
     """Each run's rows over paths 0..n_paths-1, in path order.
 
     Every run is split into the same n_chunks path chunks, and all the
-    chunks go through one process pool (inline at parallelism 1) of at most
-    one worker per CPU. The chunks never depend on the CPUs.
+    chunks of all the runs go through one process pool (inline at
+    parallelism 1) of at most one worker per CPU. The chunks never depend
+    on the CPUs. Every task's outcome is kept, its rows or the PathFailure
+    that stopped it; if any failed, the failure of the lowest (path, run)
+    is raised, so the lowest failing path is named and, within it, the
+    failure of the first run.
     """
     ranges = _chunk_ranges(n_paths, n_chunks)
     tasks = [(run, lo, hi) for run in runs for lo, hi in ranges]
     if parallelism <= 1:
-        parts = [_run_chunk(task) for task in tasks]
+        outcomes = [_run_chunk(task) for task in tasks]
     else:
         workers = min(parallelism, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
+            outcomes = list(pool.map(_run_chunk, tasks))
     n = len(ranges)
-    return [np.concatenate(parts[k : k + n]) for k in range(0, len(parts), n)]
+    failures = [(outcome.path_index, k // n, outcome) for k, outcome in enumerate(outcomes)
+                if isinstance(outcome, PathFailure)]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    return [np.concatenate(outcomes[k : k + n]) for k in range(0, len(outcomes), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +304,24 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
 # paths it takes: a memory bound, since each (paths, steps) float array of a
 # block is then 256 KiB however long the block is
 _LADDER_CELLS = 2**15
+# the ladder's lane groups: a task steps one of them or, inline, both
+_LADDER_GROUPS = ("reference", "levels")
 # Newton updates each lane takes before its residual is checked: the
 # reference's short steps converge in two, the levels' longer steps in four
 _REF_UPDATES = 2
 _LEVEL_UPDATES = 4
 
 
-def _ladder_rows(lo, hi, params, jump, schemes, m_list, m_ref, q_transformed,
-                 q_drift, global_seed) -> np.ndarray:
-    """|x_ref - x_num| per (scheme, M) of paths lo..hi-1.
+def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
+                 q_transformed, q_drift, global_seed) -> np.ndarray:
+    """The terminal states of paths lo..hi-1 from the lane groups in groups.
 
     The paths step through _ladder_batch in path order, in batches of
     _LADDER_CELLS fine intervals per block, so a failure names the lowest
     failing path.
     """
     batch = max(1, _LADDER_CELLS * math.gcd(*m_list) // m_ref)
+    args = (groups, params, jump, schemes, m_list, m_ref, q_transformed, q_drift)
     rows = []
     for start in range(lo, hi, batch):
         paths = []
@@ -313,21 +332,22 @@ def _ladder_rows(lo, hi, params, jump, schemes, m_list, m_ref, q_transformed,
                 failure = _replay_failure(exc, global_seed, i)
                 if paths:
                     # a path before the one that failed to open can fail first
-                    _ladder_batch(paths, params, jump, schemes, m_list, m_ref,
-                                  q_transformed, q_drift)
+                    _ladder_batch(paths, *args)
                 raise failure from exc
-        rows.append(_ladder_batch(paths, params, jump, schemes, m_list, m_ref,
-                                  q_transformed, q_drift))
+        rows.append(_ladder_batch(paths, *args))
     return np.concatenate(rows)
 
 
-def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
-                  q_drift) -> np.ndarray:
-    """|x_ref - x_num| per (path, scheme, M), stepping the paths as lanes.
+def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
+                  q_transformed, q_drift) -> np.ndarray:
+    """Terminal states per path from the lane groups in groups, stepping the
+    paths as lanes.
 
-    The reference, the tjabem levels and the bem levels are three groups of
-    lanes; in a levels' group, lane j*n + p is path p at m_list[j]. Time
-    runs in blocks, one per interval of the grid of gcd(m_list) steps,
+    The groups are "reference", whose lanes give each path's x_ref, and
+    "levels": the tjabem levels and the bem levels, two groups of lanes in
+    which lane j*n + p is path p at m_list[j]. Row p holds path p's x_ref if
+    the reference is stepped, then its x per (scheme, M) if the levels are.
+    Time runs in blocks, one per interval of the grid of gcd(m_list) steps,
     whose ends are nodes of every mesh: each block's fine increments are
     drawn, the reference steps through them, and the levels step through
     their sums.
@@ -339,23 +359,27 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
     blocks = math.gcd(*m_list)
     fine = m_ref // blocks
     spans = [m // blocks for m in m_list]
+    ref = coarse = bem = None
+    # the schemes whose levels this batch steps
+    level_schemes = schemes if "levels" in groups else ()
     with np.errstate(all="ignore"):
         try:
             # the guards in the order the one-path loops meet them; each
             # group's longest step binds
-            _check_step_guard(q_transformed, T / m_ref)
+            if "reference" in groups:
+                _check_step_guard(q_transformed, T / m_ref)
             z0 = lamperti_forward(params.rho, params.x0)
-            for s in schemes:
+            for s in level_schemes:
                 _check_step_guard(q_transformed if s == "tjabem" else q_drift,
                                   T / m_list[0])
         except _PATH_ERRORS as exc:
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
-        ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
-        coarse = bem = None
+        if "reference" in groups:
+            ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
         # busy[j][b]: the paths with a jump node among level j's steps in block b
         placed = [()] * n_levels
         busy = [[()] * blocks] * n_levels
-        if "tjabem" in schemes:
+        if "tjabem" in level_schemes:
             coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
                                  _LEVEL_UPDATES)
             placed = [[place_jumps(m, T, path.jump_times) for path in paths]
@@ -365,7 +389,7 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
                 for p, jumps in enumerate(level):
                     for b in jumps.runs(span):
                         runs[b].append(p)
-        if "bem" in schemes:
+        if "bem" in level_schemes:
             bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
                            _LEVEL_UPDATES)
             bem_dt = np.zeros((n_levels * n, spans[-1]))
@@ -374,7 +398,10 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
             counts = _jump_counts(paths, m_list, spans, blocks)
         for b in range(blocks):
             block = fine_block(paths, b * fine, (b + 1) * fine)
-            ref.run(block.dt, block.dw, _jump_steps([block]))
+            if ref is not None:
+                ref.run(block.dt, block.dw, _jump_steps([block]))
+            if not level_schemes:
+                continue
             levels = [coarse_block(block, m, b * s, (b + 1) * s, jumps, runs[b])
                       for m, s, jumps, runs in zip(m_list, spans, placed, busy)]
             if coarse is not None:
@@ -384,23 +411,27 @@ def _ladder_batch(paths, params, jump, schemes, m_list, m_ref, q_transformed,
             if bem is not None:
                 bem.run(bem_dt, _stack([grid for _, grid in levels]), counts[b])
 
-        x_ref = [ref.terminal((0, p)) for p in range(n)]
-        rows = np.empty((n, len(schemes), n_levels))
-        for k, s in enumerate(schemes):
-            for lane in range(n_levels * n):
-                j, p = divmod(lane, n)
-                x = coarse.terminal((0, lane)) if s == "tjabem" else float(bem.z[0, lane])
-                rows[p, k, j] = abs(x_ref[p] - x)
+        columns = []
+        if ref is not None:
+            columns.append([ref.terminal((0, p)) for p in range(n)])
+        for s in level_schemes:
+            for lane in range(0, n_levels * n, n):
+                columns.append([coarse.terminal((0, lane + p)) for p in range(n)]
+                               if s == "tjabem" else bem.z[0, lane : lane + n])
     # (path, what the one-path loops run first) of each failed lane
-    failures = [((p, 0), error) for (_, p), error in ref.failures.items()]
-    for k, s in enumerate(schemes):
+    failures = []
+    if ref is not None:
+        failures += [((p, 0), error) for (_, p), error in ref.failures.items()]
+    for k, s in enumerate(level_schemes):
         lanes = coarse if s == "tjabem" else bem
         failures += [((lane % n, 1 + (lane // n) * len(schemes) + k), error)
                      for (_, lane), error in lanes.failures.items()]
     if failures:
         (p, _), error = min(failures, key=lambda failure: failure[0])
         raise _replay_failure(error, paths[p].global_seed, paths[p].path_index) from error
-    return rows
+    # C order, so that the parts join into C-ordered rows at any worker
+    # count: numpy sums the mean errors in an order that follows the layout
+    return np.column_stack(columns)
 
 
 def _jump_counts(paths, m_list, spans, blocks) -> list[dict]:
@@ -472,8 +503,16 @@ def strong_error_ladder(
     q_transformed = one_sided_lipschitz(params)
     q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
     args = (params, jump, schemes, m_list, m_ref, q_transformed, q_drift, global_seed)
-    # lanes even out the work, so one chunk per worker balances the load
-    (rows,) = _map_runs([(_ladder_rows, args)], n_paths, parallelism, parallelism)
+    # lanes even out the work, so one chunk per worker balances the load: one
+    # task for both groups inline, else each group's own chunks, a worker each
+    if parallelism <= 1:
+        runs = [(_ladder_rows, (_LADDER_GROUPS, *args))]
+    else:
+        runs = [(_ladder_rows, ((group,), *args)) for group in _LADDER_GROUPS]
+    parts = _map_runs(runs, n_paths, math.ceil(parallelism / len(runs)), parallelism)
+    # column 0 holds x_ref, the others x per (scheme, M)
+    x = np.concatenate(parts, axis=1)
+    rows = np.abs(x[:, :1] - x[:, 1:]).reshape(n_paths, len(schemes), len(m_list))
 
     dt_list = tuple(params.T / m for m in m_list)
     reports: dict[str, ConvergenceReport] = {}

@@ -520,6 +520,10 @@ class _Lanes:
         tol = np.maximum(one, np.abs(rhs)) * self._rtol
         pending = ~((np.abs(res) <= tol) & (z > 0.0))
         handed = np.zeros(z.shape, dtype=bool)
+        if z is z_prev:
+            # without updates z is still the previous state, which the
+            # fallback below starts from
+            z = z.copy()
         while pending.any():
             d = one - dt * fp
             sick = pending & ~((z > 0.0) & (d > 0.0) & np.isfinite(res))
@@ -529,9 +533,11 @@ class _Lanes:
             pending &= ~sick
             if not pending.any():
                 break
-            z = np.where(pending, z - res / d, z)
-            f, fp = self.drift(z)
-            res = (z - rhs) - dt * f
+            # only the pending lanes move, so only theirs are evaluated again
+            idx = np.nonzero(pending)
+            z[idx] = z[idx] - res[idx] / d[idx]
+            f[idx], fp[idx] = self.drift(z[idx], idx)
+            res[idx] = (z[idx] - rhs[idx]) - dt[idx] * f[idx]
             used += 1
             pending &= ~((np.abs(res) <= tol) & (z > 0.0))
         self.z, self.f, self.fp = z, f, fp

@@ -115,10 +115,13 @@ def test_ladder_reproducible_across_parallelism(set1):
         m_list=(8, 16), m_ref=64, n_paths=24, global_seed=77,
     )
     serial = strong_error_ladder(set1, linear_jump(-0.5), "both", **kwargs)
-    parallel = strong_error_ladder(
-        set1, linear_jump(-0.5), "both", parallelism=2, **kwargs
-    )
-    assert serial == parallel
+    # at 2 each lane group is one task, as inline; at 3 and 4 each group has
+    # two chunks, whose lane batches differ from the inline one's
+    for parallelism in (2, 3, 4):
+        parallel = strong_error_ladder(
+            set1, linear_jump(-0.5), "both", parallelism=parallelism, **kwargs
+        )
+        assert serial == parallel
 
 
 def test_ladder_validates_inputs(set1):
@@ -604,10 +607,14 @@ def _oracle_rows(params, jump, m_list, m_ref, global_seed, n_paths):
 
 
 def _lane_rows(params, jump, m_list, m_ref, global_seed, lo, hi):
-    return jumpsde.harness._ladder_rows(
-        lo, hi, params, jump, ("tjabem", "bem"), m_list, m_ref,
-        one_sided_lipschitz(params), drift_one_sided_lipschitz(params), global_seed,
+    """|x_ref - x| per (path, scheme, M) of paths lo..hi-1, both lane groups
+    stepped by one task, as the inline ladder steps them."""
+    x = jumpsde.harness._ladder_rows(
+        lo, hi, ("reference", "levels"), params, jump, ("tjabem", "bem"), m_list,
+        m_ref, one_sided_lipschitz(params), drift_one_sided_lipschitz(params),
+        global_seed,
     )
+    return np.abs(x[:, :1] - x[:, 1:]).reshape(hi - lo, 2, len(m_list))
 
 
 # "uneven" is not nested: its blocks are the intervals of the 8-step grid
@@ -665,3 +672,40 @@ def test_ladder_failure_names_the_lowest_failing_path(set1, monkeypatch):
         strong_error_ladder(set1, linear_jump(0.5), "both", (8, 16), 64, 12, 47)
     assert (excinfo.value.global_seed, excinfo.value.path_index) == (47, 2)
     assert "forced failure" in str(excinfo.value)
+
+
+def _failing_lanes(lanes, name, fail_path, n_paths):
+    """lanes whose runs fail path fail_path's lanes, lane l being path
+    l % n_paths of a batch of n_paths paths."""
+
+    class Failing(lanes):
+        def run(self, dt, dw, jumps):
+            super().run(dt, dw, jumps)
+            for lane in range(fail_path, self.z.shape[1], n_paths):
+                self.fail((0, lane), SolverError(f"forced {name} failure"))
+
+    return Failing
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("ref_path, level_path, named_path, named", [
+    (5, 2, 2, "level"),
+    (3, 3, 3, "reference"),
+])
+def test_ladder_failure_order_across_lane_groups(set1, monkeypatch, parallelism,
+                                                 ref_path, level_path, named_path,
+                                                 named):
+    # with scheme bem the reference is the only TjabemLanes and the bem
+    # levels the only BemLanes; inline both step in one task, at parallelism
+    # 2 each group is its own task, and either way the lowest failing path
+    # is named and, within it, the reference
+    n_paths = 8
+    monkeypatch.setattr(jumpsde.harness, "TjabemLanes", _failing_lanes(
+        jumpsde.harness.TjabemLanes, "reference", ref_path, n_paths))
+    monkeypatch.setattr(jumpsde.harness, "BemLanes", _failing_lanes(
+        jumpsde.harness.BemLanes, "level", level_path, n_paths))
+    with pytest.raises(PathFailure) as excinfo:
+        strong_error_ladder(set1, linear_jump(0.5), "bem", (8, 16), 64, n_paths, 53,
+                            parallelism=parallelism)
+    assert (excinfo.value.global_seed, excinfo.value.path_index) == (53, named_path)
+    assert f"forced {named} failure" in str(excinfo.value)

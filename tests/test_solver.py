@@ -545,6 +545,46 @@ def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
     assert all(len(lanes) < z0.size for lanes in set_lanes)
 
 
+def test_lanes_continue_only_the_pending_lanes(set1, set2):
+    # after three Newton updates the lanes with large increments still miss
+    # the residual contract; the updates that continue them evaluate F and
+    # F' of those lanes alone, which must be the bits of an evaluation of
+    # every lane
+    cells = [(set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
+    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 64 for p, _ in cells])
+    subset, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
+    sizes = []
+    evaluate, every = subset.drift, full.drift
+
+    def counted(z, lanes=None):
+        if lanes is not None:
+            sizes.append(z.size)
+        return evaluate(z, lanes)
+
+    def every_lane(z, lanes=None):
+        if lanes is None:
+            return every(z)
+        whole = np.ones(z0.shape)
+        whole[lanes] = z
+        f, fp = every(whole)
+        return f[lanes], fp[lanes]
+
+    subset.drift, full.drift = counted, every_lane
+    rng = np.random.Generator(np.random.Philox(11))
+    dt = np.full(z0.shape, 0.05)
+    with np.errstate(all="ignore"):
+        for k in range(6):
+            dw = rng.normal(0.0, 0.01, z0.shape)
+            dw[k % 2, [3, 17, 40]] = (0.6, -0.5, 0.9)
+            for lanes in (subset, full):
+                lanes.step(dt, dw)
+            for a, b in ((subset.z, full.z), (subset.f, full.f), (subset.fp, full.fp)):
+                assert a.tobytes() == b.tobytes()
+    # a few lanes continued, on their own
+    assert sizes and max(sizes) < z0.size // 10
+    assert np.all(subset.z > 0.0) and not subset.failures
+
+
 def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
     # the lanes of test_bem_hands_a_failed_newton_step_to_the_bracketed_solver
     # beside ones that Newton solves: rhs = 1 + 1*(-50) = -49 sends Newton
