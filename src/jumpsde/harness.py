@@ -5,10 +5,14 @@ items distributed over contiguous index chunks, and each chunk of each of
 the experiment's runs goes to that run's chunk function. The ladder steps
 its paths as numpy lanes, a batch at a time, in two lane groups: the
 reference, and the tjabem and bem levels, drawing each path's noise block
-by block in time. Over workers the groups are two runs, so that a worker
-steps one group over all its paths; inline one run steps both. The
-reference gives each path's x_ref, the levels each path's x per (scheme,
-M), and the errors |x_ref - x| are formed once all have run. The moment
+by block in time. A batch places its jump times once, as flat arrays, on
+the fine grid and every level's grid (mesh.place_batch), and index
+arithmetic on them gives every block's level cuts and jump steps
+(paths.level_cuts) and the bem jump counts, before the first block is
+drawn. Over workers the groups are two runs, so that a worker steps one
+group over all its paths; inline one run steps both. The reference gives
+each path's x_ref, the levels each path's x per (scheme, M), and the
+errors |x_ref - x| are formed once all have run. The moment
 probe turns each path's bundle into that path's row. The positivity table
 opens each path once for all of its (T, M) meshes, steps every (cell,
 path) lane of a batch together, one mesh at a time, and returns one row of
@@ -33,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import MeshError, place_jumps
+from .mesh import MeshError, grid_nodes, place_batch
 from .model import (
     InvalidModelError,
     JumpBounds,
@@ -53,6 +57,8 @@ from .paths import (  # noqa: F401
     coarsen_increments,
     fine_block,
     generate_bundle,
+    jump_steps,
+    level_cuts,
     mesh_block,
     open_path,
     open_shared_path,
@@ -350,7 +356,8 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     Time runs in blocks, one per interval of the grid of gcd(m_list) steps,
     whose ends are nodes of every mesh: each block's fine increments are
     drawn, the reference steps through them, and the levels step through
-    their sums.
+    their sums, which coarse_block forms for every level at once from the
+    batch's level_cuts.
     A failure names the lowest failing path and, within it, what the
     one-path loops would have run first: the reference, then each M's
     schemes in order.
@@ -376,40 +383,34 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         if "reference" in groups:
             ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
-        # busy[j][b]: the paths with a jump node among level j's steps in block b
-        placed = [()] * n_levels
-        busy = [[()] * blocks] * n_levels
+        times = [path.jump_times for path in paths]
+        placed = place_batch((m_ref,), T, times)
+        if ref is not None:
+            ref_jumps = jump_steps(placed, blocks)
+        if level_schemes:
+            # lane j * n + p of the levels is path p at m_list[j]
+            cuts = level_cuts(placed, place_batch(m_list, T, times), blocks)
         if "tjabem" in level_schemes:
             coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
                                  _LEVEL_UPDATES)
-            placed = [[place_jumps(m, T, path.jump_times) for path in paths]
-                      for m in m_list]
-            busy = [[[] for _ in range(blocks)] for _ in m_list]
-            for level, span, runs in zip(placed, spans, busy):
-                for p, jumps in enumerate(level):
-                    for b in jumps.runs(span):
-                        runs[b].append(p)
         if "bem" in level_schemes:
             bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
                            _LEVEL_UPDATES)
             bem_dt = np.zeros((n_levels * n, spans[-1]))
             for j, m in enumerate(m_list):
                 bem_dt[j * n : (j + 1) * n, : spans[j]] = T / m
-            counts = _jump_counts(paths, m_list, spans, blocks)
+            counts = _jump_counts(times, T, m_list, spans, blocks)
         for b in range(blocks):
             block = fine_block(paths, b * fine, (b + 1) * fine)
             if ref is not None:
-                ref.run(block.dt, block.dw, _jump_steps([block]))
+                ref.run(block.dt, block.dw, ref_jumps[b])
             if not level_schemes:
                 continue
-            levels = [coarse_block(block, m, b * s, (b + 1) * s, jumps, runs[b])
-                      for m, s, jumps, runs in zip(m_list, spans, placed, busy)]
+            stacked = coarse_block(block, cuts)
             if coarse is not None:
-                meshes = [mesh for mesh, _ in levels]
-                coarse.run(_stack([mesh.dt for mesh in meshes]),
-                           _stack([mesh.dw for mesh in meshes]), _jump_steps(meshes))
+                coarse.run(stacked.dt, stacked.dw, stacked.jumps)
             if bem is not None:
-                bem.run(bem_dt, _stack([grid for _, grid in levels]), counts[b])
+                bem.run(bem_dt, stacked.grid, counts[b])
 
         columns = []
         if ref is not None:
@@ -434,38 +435,23 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     return np.column_stack(columns)
 
 
-def _jump_counts(paths, m_list, spans, blocks) -> list[dict]:
+def _jump_counts(jump_times, T, m_list, spans, blocks) -> list[dict]:
     """counts[b][k] lists (lane, number of jumps) for step k of block b of
-    the bem levels; a step counts the jump times in its interval (t, t']."""
-    n = len(paths)
+    the bem levels, lane j * n + p being path p at m_list[j]; a step counts
+    the jump times in its interval (t, t']."""
+    n = len(jump_times)
+    times = np.concatenate([np.empty(0), *jump_times])
+    path = np.repeat(np.arange(n), [len(t) for t in jump_times])
     counts = [{} for _ in range(blocks)]
     for j, (m, span) in enumerate(zip(m_list, spans)):
-        nodes, _ = place_jumps(m, paths[0].T, ()).nodes(0, m)
-        for p, path in enumerate(paths):
-            dn = np.diff(np.searchsorted(path.jump_times, nodes, side="right"))
-            for k in np.flatnonzero(dn).tolist():
-                counts[k // span].setdefault(k % span, []).append((j * n + p, int(dn[k])))
+        # the step k whose interval (nodes[k], nodes[k + 1]] holds each time
+        k = np.searchsorted(grid_nodes(m, T), times) - 1
+        inside = (k >= 0) & (k < m)
+        steps, dn = np.unique(path[inside] * m + k[inside], return_counts=True)
+        for step, jumps in zip(steps.tolist(), dn.tolist()):
+            p, k = divmod(step, m)
+            counts[k // span].setdefault(k % span, []).append((j * n + p, jumps))
     return counts
-
-
-def _jump_steps(levels) -> dict[int, list[int]]:
-    """The lanes that jump at the end of each step of stacked level blocks."""
-    steps: dict[int, list[int]] = {}
-    for j, level in enumerate(levels):
-        for p in level.touched:
-            for k in np.flatnonzero(level.flags[p][1:]).tolist():
-                steps.setdefault(k, []).append(j * len(level.n) + p)
-    return steps
-
-
-def _stack(levels) -> np.ndarray:
-    """The levels' (paths, steps) arrays stacked into one row per (level,
-    path) lane, padded with zeros to a common width."""
-    n = levels[0].shape[0]
-    out = np.zeros((len(levels) * n, max(level.shape[1] for level in levels)))
-    for j, level in enumerate(levels):
-        out[j * n : (j + 1) * n, : level.shape[1]] = level
-    return out
 
 
 def strong_error_ladder(

@@ -10,16 +10,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "JumpAdaptedMesh",
     "JumpNodes",
+    "GridJumps",
     "MeshError",
     "DEDUP_RTOL",
     "sample_jump_times",
     "place_jumps",
+    "place_batch",
+    "grid_nodes",
     "build_mesh",
 ]
 
@@ -136,13 +140,6 @@ class JumpNodes:
             bisect_right(self.on_grid, lo) < bisect_right(self.on_grid, hi)
         )
 
-    def runs(self, width: int) -> list[int]:
-        """The runs b of grid intervals b*width..(b+1)*width-1 that have a
-        step ending at a jump node, in order: those whose touches holds."""
-        return sorted(
-            {c // width for c in self.cells} | {(q - 1) // width for q in self.on_grid}
-        )
-
 
 def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
     """Place sorted jump times on the uniform M-step grid on [0, T].
@@ -180,6 +177,100 @@ def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
                     cells.append(n if t > node else n - 1)
             before = t
     return JumpNodes(M, T, tuple(inserted), tuple(cells), tuple(on_grid))
+
+
+# a NamedTuple, as are the records that paths.level_cuts builds from it, not
+# a frozen dataclass: every import creates the class, and a dataclass costs
+# several times as much to create
+class GridJumps(NamedTuple):
+    """A batch of n paths' jump times placed on uniform grids on [0, T], flat.
+
+    Lane g * n + p is path p on the grid of M[g] steps. There is one entry
+    per lane and jump time that place_jumps keeps, lane by lane in time
+    order: lane[i] is the entry's lane and times[i] its time. An entry
+    merged onto grid node q (on_grid[i]) ends interval q - 1, and an
+    inserted one splits interval[i]; either way its node ends a step of
+    interval[i]. index[i] is the node's index in the lane's whole mesh,
+    JumpNodes.nodes(0, M); two entries merged onto one grid node share it.
+    Every grid holds the same entries in the same order, so entry
+    g * (entries per grid) + i is entry i on grid g.
+    """
+
+    T: float
+    M: np.ndarray
+    n: int
+    lane: np.ndarray
+    times: np.ndarray
+    on_grid: np.ndarray
+    interval: np.ndarray
+    index: np.ndarray
+    # lane * stride + interval of the inserted entries, ascending, and where
+    # each lane's entries start in it
+    keys: np.ndarray
+    first: np.ndarray
+    stride: int
+
+    def grid_index(self, lane, k):
+        """The index of grid node k in each lane's whole mesh: k plus the
+        number of the lane's inserted times before it."""
+        return k + np.searchsorted(self.keys, lane * self.stride + k) - self.first[lane]
+
+
+def place_batch(ms: Sequence[int], T: float, jump_times: Sequence) -> GridJumps:
+    """place_jumps for every path of a batch on every grid of ms steps.
+
+    jump_times[p] holds path p's sorted jump times. The rules and errors are
+    place_jumps's, and each decision is the same floating-point comparison,
+    made for all entries at once.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    if not np.all(ms >= 1):
+        raise ValueError(f"M must be a positive integer, got {ms.tolist()}")
+    if not T > 0.0:
+        raise ValueError(f"T must be strictly positive, got {T}")
+    tol = DEDUP_RTOL * T
+    n = len(jump_times)
+    sizes = np.array([len(times) for times in jump_times], dtype=np.int64)
+    times = np.concatenate([np.empty(0), *(np.asarray(t, dtype=float) for t in jump_times)])
+    path = np.repeat(np.arange(n), sizes)
+    same = path[1:] == path[:-1]
+    gaps = times[1:] - times[:-1]
+    if np.any(gaps[same] < 0.0):
+        raise MeshError("jump times must be sorted")
+    ends = np.cumsum(sizes)[sizes > 0]
+    firsts, lasts = times[ends - sizes[sizes > 0]], times[ends - 1]
+    outside = np.flatnonzero((firsts <= tol) | (lasts >= T + tol))
+    if outside.size:
+        k = outside[0]
+        raise MeshError(f"jump time outside (0, T): first={float(firsts[k])}, "
+                        f"last={float(lasts[k])}, T={T}")
+    # a time within the tolerance of the one before it collapses into it
+    keep = np.concatenate(([True], ~same | (gaps > tol)))[: times.size]
+    times, path = times[keep], path[keep]
+    lane = (np.arange(ms.size)[:, None] * n + path).ravel()
+    M = np.repeat(ms, times.size)
+    times = np.tile(times, ms.size)
+    base_dt = T / M
+    # the nearest grid node, rounding half to even as round() does
+    near = np.clip(np.rint(times / base_dt), 0, M)
+    node = np.where(near == M, T, near * base_dt)
+    near = near.astype(np.int64)
+    on_grid = np.abs(times - node) <= tol
+    interval = np.where(~on_grid & (times > node), near, near - 1)
+    inserted = ~on_grid
+    before = np.concatenate(([0], np.cumsum(inserted)))
+    first = before[np.searchsorted(lane, np.arange(ms.size * n))]
+    index = np.where(on_grid, near, interval + 1) + before[:-1] - first[lane]
+    stride = int(ms.max()) + 1
+    return GridJumps(T, ms, n, lane, times, on_grid, interval, index,
+                     (lane * stride + interval)[inserted], first, stride)
+
+
+def grid_nodes(M: int, T: float) -> np.ndarray:
+    """The uniform M-step grid's nodes on [0, T], as JumpNodes.nodes has them."""
+    nodes = np.arange(M + 1) * (T / M)
+    nodes[-1] = T
+    return nodes
 
 
 def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:

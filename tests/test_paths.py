@@ -1,24 +1,31 @@
+import bisect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jumpsde.paths
 from jumpsde import (
     MeshError,
+    ModelParams,
     PathBundle,
     build_mesh,
     coarsen_increments,
     generate_bundle,
     regular_increments,
 )
-from jumpsde.mesh import place_jumps
+from jumpsde.harness import _jump_counts, check_ladder
+from jumpsde.mesh import DEDUP_RTOL, place_batch, place_jumps
 from jumpsde.paths import (
     PathNoise,
     _segment_sums,
     coarse_block,
     fine_block,
+    jump_steps,
+    level_cuts,
     mesh_block,
     open_path,
     open_shared_path,
@@ -269,28 +276,37 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
             q = t * m_ref
             cell = round(q) - 1 if abs(q - round(q)) < 1e-6 else math.floor(q)
             assert p in fine_blocks[cell // fine].touched
-    for m in m_list:
-        span = m // blocks
-        placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
-        for b, blk in enumerate(fine_blocks):
+    times = [path.jump_times for path in paths]
+    cuts = level_cuts(place_batch((m_ref,), params.T, times),
+                      place_batch(m_list, params.T, times), blocks)
+    n_paths = len(paths)
+    for b, blk in enumerate(fine_blocks):
+        coarse = coarse_block(blk, cuts)
+        assert coarse.grid.shape == (len(m_list) * n_paths, m_list[-1] // blocks)
+        for j, m in enumerate(m_list):
+            span = m // blocks
             lo, hi = b * span, (b + 1) * span
-            touched = [p for p, jumps in enumerate(placed) if b in jumps.runs(span)]
-            assert touched == [p for p, jumps in enumerate(placed) if jumps.touches(lo, hi)]
-            coarse, regular = coarse_block(blk, m, lo, hi, placed, touched)
-            assert regular.shape == (len(paths), span)
+            placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
+            # the lanes that jump here are those whose jumps touch the block
+            jumping = sorted({lane for lanes in coarse.jumps.values() for lane in lanes})
+            assert [lane % n_paths for lane in jumping if lane // n_paths == j] == [
+                p for p, jumps in enumerate(placed) if jumps.touches(lo, hi)]
             for p, bundle in enumerate(bundles):
+                lane = j * n_paths + p
                 c_mesh, c_dw = coarsen_increments(bundle, m)
                 start = np.flatnonzero(
                     np.abs(c_mesh.nodes - lo * params.T / m) <= 1e-12
                 )[0]
-                n = coarse.n[p]
-                assert coarse.dw[p, :n].tobytes() == c_dw[start : start + n].tobytes()
-                assert coarse.dt[p, :n].tobytes() == c_mesh.dt[start : start + n].tobytes()
+                n = coarse.steps[lane]
+                assert coarse.dw[lane, :n].tobytes() == c_dw[start : start + n].tobytes()
+                assert coarse.dt[lane, :n].tobytes() == c_mesh.dt[start : start + n].tobytes()
                 # a block's first node is the previous block's last
                 ends = c_mesh.is_jump[start + 1 : start + n + 1]
-                assert coarse.flags[p][1:].tobytes() == ends.tobytes()
+                jumped = [k for k, lanes in coarse.jumps.items() for other in lanes
+                          if other == lane]
+                assert sorted(jumped) == np.flatnonzero(ends).tolist()
                 r_dw, _ = regular_increments(bundle, m)
-                assert regular[p].tobytes() == r_dw[lo:hi].tobytes()
+                assert coarse.grid[lane, :span].tobytes() == r_dw[lo:hi].tobytes()
 
 
 # the positivity table's (T, M) meshes of two horizons
@@ -347,3 +363,126 @@ def test_shared_opening_places_edge_jumps_as_each_bundle(set1, monkeypatch):
             bundle = _staged_bundle(replace(set1, T=T), M, 5, p, times)
             _assert_block_is_the_bundles(block, p, bundle)
     assert 0 in mesh_block(paths, 0).touched and 3 not in mesh_block(paths, 0).touched
+
+
+def _params(T):
+    return ModelParams(alpha_m1=2.0, alpha0=1.0, alpha1=1.5, alpha2=5.0, alpha3=1.0,
+                       gamma=3.0, rho=1.5, lam=5.0, x0=1.0, T=T)
+
+
+@st.composite
+def staged_ladders(draw):
+    """A ladder that passes check_ladder, nested or not, a horizon, and each
+    path's jump times: drawn near fine grid nodes that no level's grid has,
+    exactly on level grid nodes and block ends, in pairs within a fine step
+    or the dedup tolerance of each other, near T, and anywhere."""
+    m_ref = draw(st.sampled_from([6, 12, 16, 24, 32, 48, 64, 96]))
+    divisors = [m for m in range(1, m_ref) if m_ref % m == 0]
+    m_list = check_ladder(sorted(draw(
+        st.lists(st.sampled_from(divisors), min_size=2, max_size=4, unique=True))), m_ref)
+    T = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5]))
+    tol = DEDUP_RTOL * T
+    blocks = math.gcd(*m_list)
+
+    def node(M, k):
+        return T if k == M else k * (T / M)
+
+    # offsets of up to twice the dedup tolerance, the tolerance itself included
+    offset = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 1.0, 0.0])).map(
+        lambda u: u * tol)
+    fine_only = [k for k in range(1, m_ref) if all(k * m % m_ref for m in m_list)]
+    times = [
+        st.floats(0.0, T),
+        st.builds(lambda M, u: node(M, round(u * M)), st.sampled_from(m_list),
+                  st.floats(0.0, 1.0)),
+        st.integers(1, blocks).map(lambda k: node(blocks, k)),
+        offset.map(lambda d: T + d),
+    ]
+    if fine_only:
+        times.append(st.builds(lambda k, d: node(m_ref, k) + d,
+                               st.sampled_from(fine_only), offset))
+    time = st.one_of(times)
+    # a second time within a fine step of the first, or within the tolerance
+    # of it
+    pair = st.builds(lambda t, d: [t, t + d], time,
+                     st.one_of(offset.map(abs), st.floats(0.0, T / m_ref)))
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        drawn = draw(st.lists(time, max_size=4)) + draw(st.lists(pair, max_size=2).map(
+            lambda pairs: [t for two in pairs for t in two]))
+        paths.append(sorted(t for t in drawn if tol < t < T + tol))
+    return m_ref, m_list, T, paths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ladder=staged_ladders())
+def test_level_cuts_equal_the_bundles_coarsenings(ladder):
+    m_ref, m_list, T, staged = ladder
+    n, blocks = len(staged), math.gcd(*m_list)
+    fine_steps = m_ref // blocks
+    fine = place_batch((m_ref,), T, staged)
+    levels = place_batch(m_list, T, staged)
+    # the flat placements are place_jumps's, and index each node's place
+    for g, (M, placed) in enumerate([(m_ref, fine)] + [(m, levels) for m in m_list]):
+        for p, times in enumerate(staged):
+            lane = (g - 1 if g else 0) * n + p
+            jumps = place_jumps(M, T, times)
+            nodes, flags = jumps.nodes(0, M)
+            mine = placed.lane == lane
+            ins, on = mine & ~placed.on_grid, mine & placed.on_grid
+            assert placed.times[ins].tobytes() == np.array(jumps.inserted).tobytes()
+            assert placed.interval[ins].tolist() == list(jumps.cells)
+            assert (placed.interval[on] + 1).tolist() == list(jumps.on_grid)
+            assert nodes[placed.index[ins]].tobytes() == placed.times[ins].tobytes()
+            assert flags[placed.index[mine]].all()
+            assert (placed.index[on] - placed.interval[on] - 1).tolist() == [
+                bisect.bisect_left(jumps.cells, q) for q in jumps.on_grid]
+    params = _params(T)
+    paths = [_staged_path(params, m_ref, 9, p, times) for p, times in enumerate(staged)]
+    bundles = [_staged_bundle(params, m_ref, 9, p, times) for p, times in enumerate(staged)]
+    cuts = level_cuts(fine, levels, blocks)
+    spans = [m // blocks for m in m_list]
+    counts = _jump_counts(staged, T, m_list, spans, blocks)
+    ref_jumps = jump_steps(fine, blocks)
+    oracles = [[(coarsen_increments(bundle, m), regular_increments(bundle, m))
+                for bundle in bundles] for m in m_list]
+    for b in range(blocks):
+        block = fine_block(paths, b * fine_steps, (b + 1) * fine_steps)
+        for p in range(n):
+            steps = [k for k, lanes in ref_jumps[b].items() for q in lanes if q == p]
+            assert sorted(steps) == np.flatnonzero(block.flags[p][1:]).tolist()
+        coarse = coarse_block(block, cuts)
+        width = coarse.dt.shape[1]
+        for j, (m, span) in enumerate(zip(m_list, spans)):
+            for p, ((mesh, dw), (r_dw, r_dn)) in enumerate(oracles[j]):
+                lane, k = j * n + p, coarse.steps[j * n + p]
+                # the mesh's steps from grid node b * span on
+                start = place_jumps(m, T, staged[p]).nodes(0, b * span)[0].size - 1
+                assert coarse.dt[lane].tobytes() == (
+                    mesh.dt[start : start + k].tobytes() + bytes(8 * (width - k)))
+                assert coarse.dw[lane].tobytes() == (
+                    dw[start : start + k].tobytes() + bytes(8 * (width - k)))
+                # each lane once per jump node
+                jumped = [step for step, lanes in coarse.jumps.items()
+                          for other in lanes if other == lane]
+                assert sorted(jumped) == np.flatnonzero(
+                    mesh.is_jump[start + 1 : start + k + 1]).tolist()
+                assert coarse.grid[lane].tobytes() == (
+                    r_dw[b * span : (b + 1) * span].tobytes()
+                    + bytes(8 * (spans[-1] - span)))
+                bem = {step: dn for step, pairs in counts[b].items()
+                       for other, dn in pairs if other == lane}
+                expected = r_dn[b * span : (b + 1) * span]
+                assert bem == {step: int(expected[step])
+                               for step in np.flatnonzero(expected).tolist()}
+
+
+@pytest.mark.parametrize("moved", [0.35, 0.3 + 2 * DEDUP_RTOL])
+def test_level_cuts_reject_a_level_node_missing_from_the_fine_mesh(moved):
+    # the fine grid places a jump at 0.3, the levels one at `moved` instead:
+    # an inserted node of theirs that no fine node matches within the
+    # dedup tolerance
+    fine = place_batch((64,), 1.0, [[0.3], [0.7]])
+    levels = place_batch((8, 16), 1.0, [[moved], [0.7]])
+    with pytest.raises(MeshError, match=f"coarse node {moved} missing from the fine mesh"):
+        level_cuts(fine, levels, 8)
