@@ -8,8 +8,8 @@ reference, and the tjabem and bem levels, drawing each path's noise block
 by block in time. A batch places its jump times once, as flat arrays, on
 the fine grid and every level's grid (mesh.place_batch), and index
 arithmetic on them gives every block's level cuts and jump steps
-(paths.level_cuts) and the bem jump counts, before the first block is
-drawn. Over workers the groups are two runs, so that a worker steps one
+(paths.level_cuts), the bem jump counts and the paths with a jump node in
+each block (paths.fine_blocks), before the first block is drawn. Over workers the groups are two runs, so that a worker steps one
 group over all its paths; inline one run steps both. The reference gives
 each path's x_ref, the levels each path's x per (scheme, M), and the
 errors |x_ref - x| are formed once all have run. The moment
@@ -55,7 +55,7 @@ from .model import (
 from .paths import (  # noqa: F401
     coarse_block,
     coarsen_increments,
-    fine_block,
+    fine_blocks,
     generate_bundle,
     jump_steps,
     level_cuts,
@@ -400,8 +400,8 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
             for j, m in enumerate(m_list):
                 bem_dt[j * n : (j + 1) * n, : spans[j]] = T / m
             counts = _jump_counts(times, T, m_list, spans, blocks)
-        for b in range(blocks):
-            block = fine_block(paths, b * fine, (b + 1) * fine)
+        for block in fine_blocks(paths, placed, blocks):
+            b = block.lo // fine
             if ref is not None:
                 ref.run(block.dt, block.dw, ref_jumps[b])
             if not level_schemes:

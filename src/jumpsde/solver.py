@@ -23,10 +23,12 @@ Newton updates from it, then those not yet within the residual contract
 continue alone; a lane that
 leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
 _implicit_solve on its own, and jumps are per-lane calls. After a jump or a
-fallback, F and F' are evaluated again on the lanes that moved only. Every
-operation is elementwise, so a lane never depends on the other lanes, and
-integer powers are chains of multiplications, so a lane rounds the same on
-every host. A lane meets the same residual contract as the path loops,
+fallback, F and F' are evaluated again on the lanes that moved only. A lane
+group's F and F' are compiled once into a straight-line program of numpy
+calls over preallocated buffers, one call for every term's product with its
+coefficient, so that a step costs few numpy calls. Every operation is
+elementwise, so a lane never depends on the other lanes, and integer powers
+are chains of multiplications, so a lane rounds the same on every host. A lane meets the same residual contract as the path loops,
 which it therefore matches to within that contract.
 tjabem_lanes runs the positivity table's (cells, paths) grid of lanes on
 whole meshes of one grid, in a block's padded layout.
@@ -333,31 +335,57 @@ _LANE_ERRORS = (SolverError, ValueError, OverflowError)
 
 
 class _LaneDrift:
-    """A drift and its slope on arrays of lanes, from shared powers.
+    """A drift and its slope on arrays of lanes, compiled once into a
+    straight-line program of numpy calls over preallocated buffers.
 
-    Row c of the lanes takes the (coefficient, exponent) table tables[c];
-    the coefficients are spread over the lanes' shape, since numpy combines
-    two arrays of one shape faster than it broadcasts a small one or a
-    Python float. An exponent that is the same integer in every row is a
-    chain of multiplications, which rounds the same way on every host; any
-    other exponent goes to numpy's power. The terms are summed in table
-    order, and the slope is the sum of c*e*z^e over z plus the linear terms'
-    coefficients, as in the path loops.
+    Row c of the lanes takes the (coefficient, exponent) table tables[c].
+    The buffers are 2-D, one row per coefficient column or power and one
+    column per lane, the lanes flattened; the program's operands are views
+    of them made once, and each call writes to a view given as its output.
+    The terms' powers fill the first rows: the slope terms', then the
+    linear terms', then the constant terms' (rows of ones), each in table
+    order, so that one call multiplies every term by its coefficient and
+    one more every slope term by its c*e; scratch powers follow. An
+    exponent that is the same integer in every row is a chain of
+    multiplications, which rounds the same way on every host; any other
+    exponent goes to numpy's power. The terms are summed in table order,
+    and the slope is the sum of c*e*z^e over z plus the linear terms'
+    coefficients, as in the path loops. A lane gets the same operations in
+    the same order whatever the other lanes are.
     """
 
     def __init__(self, tables, shape: tuple[int, int]):
         table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
-        columns = []  # the coefficient and exponent columns to spread
+        n_terms = table.shape[1]
+        exponents = table[0, :, 1].tolist()
+        uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
+        kinds = ["constant" if same and e == 0.0 else "linear" if same and e == 1.0
+                 else "slope" for e, same in zip(exponents, uniform)]
+        order = [j for kind in ("slope", "linear", "constant")
+                 for j in range(n_terms) if kinds[j] == kind]
+        row = {j: r for r, j in enumerate(order)}
+        n_slope, n_plain = kinds.count("slope"), n_terms - kinds.count("constant")
+        rows = [n_terms]  # rows of the work buffer so far
 
-        def spread(column):
-            columns.append(column)
-            return len(columns) - 1
+        def scratch():
+            rows[0] += 1
+            return rows[0] - 1
 
-        # powers[slots[n]] is z^n: z and 1/z first, then the chained powers,
-        # each the product of two of one sign, the larger made first if it
-        # can be (z^5 = z^3 * z^2), then the real powers
-        slots = {1: 0, -1: 1}
-        self._chain = []  # (a, b): the next power is powers[a] * powers[b]
+        # coefficient rows: each term's c in row order, the slope terms' c*e,
+        # then the exponents that differ between rows
+        columns = [table[:, j, 0] for j in order]
+        columns += [table[:, j, 0] * table[:, j, 1] for j in order[:n_slope]]
+        # slots[n] is the row of z^n: z and 1/z first, then the chained
+        # powers, each the product of two of one sign, the larger made first
+        # if it can be (z^5 = z^3 * z^2), in the row of a term of that power
+        # if there is one
+        chained = {}
+        for j in order:
+            e = exponents[j]
+            if uniform[j] and e == round(e) and 0 < abs(e) <= 64:
+                chained.setdefault(int(e), row[j])
+        slots = {n: chained[n] if n in chained else scratch() for n in (1, -1)}
+        program = [(np.reciprocal, (("W", slots[1]), ("W", slots[-1])))]
 
         def chain(n):
             if n not in slots:
@@ -369,61 +397,114 @@ class _LaneDrift:
                 )
                 chain(a)
                 chain(n - a)
-                slots[n] = len(slots)
-                self._chain.append((slots[a], slots[n - a]))
+                slots[n] = chained[n] if n in chained else scratch()
+                program.append(
+                    (np.multiply, (("W", slots[a]), ("W", slots[n - a]), ("W", slots[n])))
+                )
 
-        uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
-        exponents = table[0, :, 1]
-        for n in sorted({int(e) for e, same in zip(exponents, uniform)
-                         if same and e == round(e) and 0 < abs(e) <= 64}, key=abs):
+        for n in sorted(chained, key=abs):
             chain(n)
-        # columns are indices into self._coefs
-        self._real = []  # (e, None) for an exponent of every row, else (None, column)
-        self._value = []  # (slot, c): slot None is a constant term
-        self._slope = []  # (slot, c*e) of the terms neither constant nor linear
-        self._linear = []  # c of the linear terms
-        for j, same in enumerate(uniform):
-            c, e = table[:, j, 0], table[:, j, 1]
-            if same and e[0] == 0.0:
-                self._value.append((None, spread(c)))
+        # every other term's power: a copy of its chained power, or numpy's
+        for j in order[:n_plain]:
+            e = exponents[j]
+            if uniform[j] and e in slots:
+                if slots[e] != row[j]:
+                    program.append((np.copyto, (("W", row[j]), ("W", slots[e]))))
                 continue
-            if same and e[0] in slots:
-                slot = slots[e[0]]
-            else:
-                slot = len(slots) + len(self._real)
-                self._real.append((e[0], None) if same else (None, spread(e)))
-            self._value.append((slot, spread(c)))
-            if same and e[0] == 1.0:
-                self._linear.append(spread(c))
-            else:
-                self._slope.append((slot, spread(c * e)))
-        self._coefs = np.ascontiguousarray(
-            np.broadcast_to(np.array(columns)[:, :, None], (len(columns), *shape))
+            if not uniform[j]:
+                columns.append(table[:, j, 1])
+                e = ("K", len(columns) - 1)
+            program.append((np.power, (("W", slots[1]), e, ("W", row[j]))))
+        # then the terms and the slope terms, each in rows of their own
+        terms = rows[0]
+        slope = terms + n_terms
+        if n_terms > 1:
+            program.append((np.multiply, (("K", 0, n_terms), ("W", 0, n_terms),
+                                          ("W", terms, slope))))
+            f = [(np.add, ("W", terms + row[0]), ("W", terms + row[1]))]
+            f += [(np.add, ("W", terms + row[j])) for j in range(2, n_terms)]
+        else:
+            f = [(np.multiply, ("K", 0), ("W", 0))]
+        recip = ("W", slots[-1])
+        if n_slope:
+            program.append((np.multiply, (("K", n_terms, n_terms + n_slope),
+                                          ("W", 0, n_slope), ("W", slope, slope + n_slope))))
+        if n_slope > 1:
+            fp = [(np.add, ("W", slope), ("W", slope + 1))]
+            fp += [(np.add, ("W", slope + i)) for i in range(2, n_slope)]
+            fp.append((np.multiply, recip))
+        elif n_slope:
+            fp = [(np.multiply, ("W", slope), recip)]
+        else:
+            fp = [(np.multiply, recip, 0.0)]
+        fp += [(np.add, ("K", row[j])) for j in order[n_slope:n_plain]]
+        self._program, self._f, self._fp = program, f, fp
+        self._rows = slope + n_slope
+        self._ones = slice(n_plain, n_terms)
+        self._z = ("W", slots[1])
+        coefs = np.empty((len(columns), math.prod(shape)))
+        for k, column in enumerate(columns):
+            coefs[k].reshape(shape)[...] = column[:, None]
+        self._coefs = coefs.reshape(len(columns), *shape)
+        self._bound = self._bind(coefs, shape)
+        # programs for subsets of lanes, by their number rounded up to a
+        # power of two (an index can repeat a lane): a subset's lanes fill
+        # the first columns, and the rest hold z = 1 and stale coefficients
+        self._subsets: dict[int, tuple] = {}
+
+    def _bind(self, coefs: np.ndarray, shape) -> tuple:
+        """The program over these coefficient rows and a new work buffer, for
+        lanes of this shape, its operands views made once."""
+        work = np.empty((self._rows, coefs.shape[1]))
+        work[self._ones] = 1.0
+        buffers = {"K": coefs, "W": work}
+
+        def view(ref):
+            if type(ref) is not tuple:
+                return ref
+            rows = buffers[ref[0]]
+            return rows[ref[1] : ref[2]] if len(ref) == 3 else rows[ref[1]].reshape(shape)
+
+        (first_f, *f), (first_fp, *fp) = self._f, self._fp
+        return (
+            coefs,
+            view(self._z),
+            [(u, tuple(map(view, args))) for u, args in self._program],
+            (first_f[0], view(first_f[1]), view(first_f[2])),
+            [(u, view(ref)) for u, ref in f],
+            (first_fp[0], view(first_fp[1]), view(first_fp[2])),
+            [(u, view(ref)) for u, ref in fp],
         )
-        self._spread = list(self._coefs)
 
     def __call__(self, z: np.ndarray, lanes=None) -> tuple[np.ndarray, np.ndarray]:
         """F(z) and F'(z) on every lane, or, given an index `lanes` into the
         lanes' shape, on those lanes only, z holding their states: each
         takes its own coefficients and exponents, so it gets the bits the
-        full evaluation gives it."""
-        cols = self._spread if lanes is None else self._coefs[(slice(None), *lanes)]
-        powers = [z, np.reciprocal(z)]
-        for a, b in self._chain:
-            powers.append(powers[a] * powers[b])
-        for e, column in self._real:
-            powers.append(np.power(z, e if column is None else cols[column]))
-        f = None
-        for slot, c in self._value:
-            term = cols[c] if slot is None else cols[c] * powers[slot]
-            f = term if f is None else f + term
-        fp = None
-        for slot, d in self._slope:
-            term = cols[d] * powers[slot]
-            fp = term if fp is None else fp + term
-        fp = powers[1] * 0.0 if fp is None else fp * powers[1]
-        for c in self._linear:
-            fp = fp + cols[c]
+        full evaluation gives it. Both come back as new arrays."""
+        if lanes is None:
+            _, z_in, program, (u, a, b), f_rest, (v, c, d), fp_rest = self._bound
+            np.copyto(z_in, z)
+        else:
+            m = z.size
+            size = 1 << max(m - 1, 0).bit_length()
+            bound = self._subsets.get(size)
+            if bound is None:
+                bound = self._subsets[size] = self._bind(
+                    np.ones((self._coefs.shape[0], size)), (size,))
+            coefs, z_in, program, (u, a, b), f_rest, (v, c, d), fp_rest = bound
+            coefs[:, :m] = self._coefs[(slice(None), *lanes)]
+            z_in[:m] = z
+            z_in[m:] = 1.0
+        for ufunc, args in program:
+            ufunc(*args)
+        f = u(a, b)
+        for ufunc, x in f_rest:
+            ufunc(f, x, f)
+        fp = v(c, d)
+        for ufunc, x in fp_rest:
+            ufunc(fp, x, fp)
+        if lanes is not None and m < f.size:
+            return f[:m], fp[:m]
         return f, fp
 
 
@@ -451,6 +532,8 @@ class _Lanes:
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
         self._one = np.ones(z.shape)
         self._rtol = np.full(z.shape, RESIDUAL_TOL)
+        # scratch for the residuals and the Newton update's temporaries
+        self._res, self._scratch = np.empty(z.shape), np.empty(z.shape)
 
     def fail(self, lane: tuple[int, int], error: Exception) -> None:
         self.failures.setdefault(lane, error)
@@ -490,32 +573,37 @@ class _Lanes:
         rhs = z therefore keeps its z exactly; so does every failed lane.
         """
         self.refresh()
-        z_prev, one = self.z, self._one
+        z_prev, one, res, tmp = self.z, self._one, self._res, self._scratch
         if self._alive is not None:
             dt = dt * self._alive
             rhs = np.where(self._alive == 1.0, rhs, z_prev)
         z, f, fp = z_prev, self.f, self.fp
-        res = (z - rhs) - dt * f
+        # res = (z - rhs) - dt*f, in place (the reductions below are the
+        # ufuncs' own, without the ndarray methods' wrappers)
+        np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
         # a lane whose previous state already has a residual within
         # RESIDUAL_TOL keeps it, as the path loops accept such a first
         # iterate; one at an exact root (a padded or failed lane) stays
         # there under Newton anyway, so it needs no keeping
-        size = np.abs(res)
+        size = np.abs(res, tmp)
         kept = None
-        if size.min() <= RESIDUAL_TOL:
+        if np.minimum.reduce(size, None) <= RESIDUAL_TOL:
             kept = (size <= self._rtol) & (size > 0.0)
         used = min(self.updates, MAX_ITER)
         for _ in range(used):
-            z = z - res / (one - dt * fp)
+            # z - res / (1 - dt*fp)
+            np.multiply(dt, fp, tmp)
+            z = z - np.divide(res, np.subtract(one, tmp, tmp), tmp)
             f, fp = self.drift(z)
-            res = (z - rhs) - dt * f
+            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
         if kept is not None and kept.any():
             z, f, fp = (np.where(kept, old, new) for old, new in
                         ((z_prev, z), (self.f, f), (self.fp, fp)))
-            res = (z - rhs) - dt * f
+            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
         self.z, self.f, self.fp = z, f, fp
         # max(1, |rhs|) >= 1, so this is within the tolerance
-        if np.abs(res).max() <= RESIDUAL_TOL and z.min() > 0.0:
+        if (np.maximum.reduce(np.abs(res, tmp), None) <= RESIDUAL_TOL
+                and np.minimum.reduce(z, None) > 0.0):
             return
         tol = np.maximum(one, np.abs(rhs)) * self._rtol
         pending = ~((np.abs(res) <= tol) & (z > 0.0))
@@ -707,10 +795,14 @@ def tjabem_lanes(
             dt_k[:] = block.dt[:, k]
             dw_k[:] = block.dw[:, k]
             lanes.step(dt_k, dw_k)
-            for p in jumps.get(k, ()):
-                for c in range(n_cells):
-                    lanes.jump((c, p))
-                    n_nonpositive[c, p] += lanes.z[c, p] <= 0.0
+            jumped = jumps.get(k)
+            if jumped:
+                for p in jumped:
+                    for c in range(n_cells):
+                        lanes.jump((c, p))
+                # a lane's jump sets its state alone, and each path is
+                # listed once per step
+                n_nonpositive[:, jumped] += lanes.z[:, jumped] <= 0.0
     if lanes.failures:
         c, p = min(lanes.failures, key=lambda lane: lane[::-1])
         error = lanes.failures[c, p]

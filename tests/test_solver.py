@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from jumpsde import (
@@ -37,6 +39,7 @@ from jumpsde.solver import (
     RESIDUAL_TOL,
     TjabemLanes,
     _implicit_solve,
+    _LaneDrift,
     tjabem_lanes,
 )
 
@@ -607,3 +610,141 @@ def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monke
             1.0 - drift_one_sided_lipschitz(params) * params.T
         )
 
+
+
+class _PerTermDrift:
+    """The lanes' drift evaluated term by term, each term a new array: the
+    evaluation that the compiled program must reproduce bit for bit."""
+
+    def __init__(self, tables, shape):
+        table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
+        columns = []
+
+        def spread(column):
+            columns.append(column)
+            return len(columns) - 1
+
+        slots = {1: 0, -1: 1}
+        self._chain = []
+
+        def chain(n):
+            if n not in slots:
+                sign = 1 if n > 0 else -1
+                a = max(
+                    (k for k in slots if 0 < k * sign < n * sign and n - k in slots),
+                    key=abs,
+                    default=n // 2 if n % 2 == 0 else n - sign,
+                )
+                chain(a)
+                chain(n - a)
+                slots[n] = len(slots)
+                self._chain.append((slots[a], slots[n - a]))
+
+        uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
+        exponents = table[0, :, 1]
+        for n in sorted({int(e) for e, same in zip(exponents, uniform)
+                         if same and e == round(e) and 0 < abs(e) <= 64}, key=abs):
+            chain(n)
+        self._real, self._value, self._slope, self._linear = [], [], [], []
+        for j, same in enumerate(uniform):
+            c, e = table[:, j, 0], table[:, j, 1]
+            if same and e[0] == 0.0:
+                self._value.append((None, spread(c)))
+                continue
+            if same and e[0] in slots:
+                slot = slots[e[0]]
+            else:
+                slot = len(slots) + len(self._real)
+                self._real.append((e[0], None) if same else (None, spread(e)))
+            self._value.append((slot, spread(c)))
+            if same and e[0] == 1.0:
+                self._linear.append(spread(c))
+            else:
+                self._slope.append((slot, spread(c * e)))
+        self._coefs = np.ascontiguousarray(
+            np.broadcast_to(np.array(columns)[:, :, None], (len(columns), *shape))
+        )
+
+    def __call__(self, z, lanes=None):
+        cols = self._coefs if lanes is None else self._coefs[(slice(None), *lanes)]
+        powers = [z, np.reciprocal(z)]
+        for a, b in self._chain:
+            powers.append(powers[a] * powers[b])
+        for e, column in self._real:
+            powers.append(np.power(z, e if column is None else cols[column]))
+        f = None
+        for slot, c in self._value:
+            term = cols[c] if slot is None else cols[c] * powers[slot]
+            f = term if f is None else f + term
+        fp = None
+        for slot, d in self._slope:
+            term = cols[d] * powers[slot]
+            fp = term if fp is None else fp + term
+        fp = powers[1] * 0.0 if fp is None else fp * powers[1]
+        for c in self._linear:
+            fp = fp + cols[c]
+        return f, fp
+
+
+# integer exponents from -8 to 8 (0 a constant term, 1 a linear one),
+# non-integer ones, and integers beyond the chained powers' 64
+_EXPONENTS = st.one_of(
+    st.integers(-8, 8).map(float),
+    st.sampled_from([0.5, -0.5, 2.5, -3.25, 1.0 / 3.0, 64.0, -64.0, 65.0, -66.0, 80.0]),
+)
+_COEFS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _drift_tables(draw):
+    """(cells, lanes per cell, term tables): each term's exponent is shared by
+    every cell or differs from cell to cell, and exponents may repeat."""
+    cells = draw(st.integers(1, 3))
+    n_terms = draw(st.integers(1, 6))
+    pool = draw(st.lists(_EXPONENTS, min_size=1, max_size=n_terms))
+    exponent = st.sampled_from(pool) | _EXPONENTS
+    columns = []
+    for _ in range(n_terms):
+        if cells > 1 and draw(st.booleans()):
+            columns.append(draw(st.lists(exponent, min_size=cells, max_size=cells)))
+        else:
+            columns.append([draw(exponent)] * cells)
+    tables = [[(draw(_COEFS), columns[j][c]) for j in range(n_terms)] for c in range(cells)]
+    return cells, draw(st.integers(1, 7)), tables
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_drift_tables(), st.integers(0, 2**32 - 1))
+def test_compiled_drift_equals_the_per_term_evaluation(drawn, seed):
+    # every lane's F and F', on all lanes and on subsets (whose lanes can
+    # repeat, as a refresh's can), bit for bit as the per-term evaluation,
+    # at states of every sign and size (so nan and inf too); each call's
+    # results are new arrays that a later call leaves
+    cells, n, tables = drawn
+    rng = np.random.default_rng(seed)
+    shape = (cells, n)
+    compiled, oracle = _LaneDrift(tables, shape), _PerTermDrift(tables, shape)
+
+    def states():
+        z = np.exp(rng.uniform(-6.0, 6.0, shape)) * rng.choice([1.0, 1.0, 1.0, -1.0], shape)
+        z[rng.random(shape) < 0.1] = 0.0
+        return z
+
+    with np.errstate(all="ignore"):
+        z = states()
+        f, fp = compiled(z)
+        kept = f.copy(), fp.copy()
+        f_ref, fp_ref = oracle(z)
+        assert f.shape == fp.shape == shape
+        assert f.tobytes() == f_ref.tobytes() and fp.tobytes() == fp_ref.tobytes()
+        # a subset, then lanes drawn with repeats, up to twice as many as lanes
+        size = rng.integers(1, 2 * z.size + 1)
+        for idx in (np.nonzero(rng.random(shape) < 0.5),
+                    tuple(rng.integers(0, k, size) for k in shape)):
+            zs = states()[idx]
+            fs, fps = compiled(zs, idx)
+            fs_ref, fps_ref = oracle(zs, idx)
+            assert fs.tobytes() == fs_ref.tobytes() and fps.tobytes() == fps_ref.tobytes()
+        f2, fp2 = compiled(states())
+        assert f.tobytes() == kept[0].tobytes() and fp.tobytes() == kept[1].tobytes()
+        assert not np.shares_memory(f, f2) and not np.shares_memory(fp, fp2)
