@@ -9,8 +9,9 @@ by block in time. A batch places its jump times once, as flat arrays, on
 the fine grid and every level's grid (mesh.place_batch), and index
 arithmetic on them gives every block's level cuts and jump steps
 (paths.level_cuts), the bem jump counts and the paths with a jump node in
-each block (paths.fine_blocks), before the first block is drawn. Over workers the groups are two runs, so that a worker steps one
-group over all its paths; inline one run steps both. The reference gives
+each block (paths.fine_blocks), before the first block is drawn. Over
+workers the groups are two runs, so that a worker steps one group over all
+its paths; inline one run steps both. The reference gives
 each path's x_ref, the levels each path's x per (scheme, M), and the
 errors |x_ref - x| are formed once all have run. The moment
 probe turns each path's bundle into that path's row. The positivity table

@@ -10,11 +10,11 @@ fine_block draws a block of consecutive grid intervals for several paths;
 drawing a path's blocks in time order gives its bundle's increments bit for
 bit, and a bundle is the one-block case. fine_blocks draws a batch's blocks
 in time order, taking each block's paths with a jump node from the batch's
-flat placement rather than asking every path. level_cuts finds, once for a batch
-and by index arithmetic on its flat jump placements (mesh.place_batch),
-where the meshes and plain grids of several coarser levels cut each block,
-and coarse_block sums a block for all of them at once, bit for bit as
-coarsen_increments and regular_increments. open_shared_path opens a path
+flat placement rather than asking every path. level_cuts finds, once for a
+batch and by index arithmetic on its flat jump placements
+(mesh.place_batch), where the meshes and plain grids of several coarser
+levels cut each block, and coarse_block sums a block for all of them at
+once, bit for bit as coarsen_increments and regular_increments. open_shared_path opens a path
 once for several (T, M) meshes, and mesh_block lays one of those meshes of
 many paths out as a block, bit for bit as generate_bundle at that (T, M).
 """
@@ -155,14 +155,16 @@ def open_path(
     )
 
 
-def _block(jumps: Sequence[JumpNodes], lo: int, hi: int, touched: list, normals) -> Block:
+def _block(jumps: Sequence[JumpNodes], lo: int, hi: int, draw, touched=None) -> Block:
     """Grid intervals lo..hi-1 of the meshes that these placements give.
 
-    touched lists, ascending, the paths with a jump node among these steps.
-    normals(n) returns the steps' standard normals: row p holds path p's
-    n[p], one per step in node order, then zeros. Each increment is its
-    normal times the square root of its step.
+    draw(p, out) fills out with path p's standard normals, one per step in
+    node order; each increment is its normal times the square root of its
+    step. touched lists, ascending, the paths with a jump node among these
+    steps; if it is not given, each placement is asked.
     """
+    if touched is None:
+        touched = [p for p, placed in enumerate(jumps) if placed.touches(lo, hi)]
     grid = no_flags = None
     if len(touched) < len(jumps):
         grid, no_flags = place_jumps(jumps[0].M, jumps[0].T, ()).nodes(lo, hi)
@@ -177,26 +179,11 @@ def _block(jumps: Sequence[JumpNodes], lo: int, hi: int, touched: list, normals)
     for p in touched:
         dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
         dt[p, n[p] :] = 0.0
-    dw = normals(n)
+    dw = np.zeros_like(dt)
+    for p, steps in enumerate(n.tolist()):
+        draw(p, dw[p, :steps])
     dw *= np.sqrt(dt)
     return Block(jumps[0].T, lo, hi, n, nodes, flags, dt, dw, touched)
-
-
-def _rows(n: np.ndarray, fill) -> np.ndarray:
-    """Rows of n.max() zeros, fill(p, out) filling the first n[p] of row p."""
-    rows = np.zeros((n.size, int(n.max())))
-    for p, steps in enumerate(n.tolist()):
-        fill(p, rows[p, :steps])
-    return rows
-
-
-def _touched(jumps: Sequence[JumpNodes], lo: int, hi: int) -> list:
-    return [p for p, placed in enumerate(jumps) if placed.touches(lo, hi)]
-
-
-def _draws(paths: Sequence[PathNoise]):
-    """normals for _block: each path's next standard normals from its stream."""
-    return lambda n: _rows(n, lambda p, out: paths[p].brownian.standard_normal(out=out))
 
 
 def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
@@ -208,8 +195,8 @@ def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
     the stream yields the same numbers in parts as in one draw; the whole
     mesh is the one-block case.
     """
-    jumps = [path.jumps for path in paths]
-    return _block(jumps, lo, hi, _touched(jumps, lo, hi), _draws(paths))
+    return _block([path.jumps for path in paths], lo, hi,
+                  lambda p, out: paths[p].brownian.standard_normal(out=out))
 
 
 def fine_blocks(paths: Sequence[PathNoise], placed: GridJumps, blocks: int):
@@ -224,9 +211,10 @@ def fine_blocks(paths: Sequence[PathNoise], placed: GridJumps, blocks: int):
     n, s = len(paths), int(placed.M[0]) // blocks
     keys = np.unique(placed.interval // s * n + placed.lane)
     touched = np.split(keys % n, np.searchsorted(keys, np.arange(1, blocks) * n))
-    draw = _draws(paths)
     for b in range(blocks):
-        yield _block(jumps, b * s, (b + 1) * s, touched[b].tolist(), draw)
+        yield _block(jumps, b * s, (b + 1) * s,
+                     lambda p, out: paths[p].brownian.standard_normal(out=out),
+                     touched[b].tolist())
 
 
 def open_shared_path(
@@ -254,9 +242,8 @@ def open_shared_path(
 def mesh_block(paths: Sequence[SharedPath], g: int) -> Block:
     """Mesh g of every shared path, whole: grid intervals 0..M-1."""
     jumps = [path.jumps[g] for path in paths]
-    M = jumps[0].M
-    return _block(jumps, 0, M, _touched(jumps, 0, M), lambda n: _rows(
-        n, lambda p, out: np.copyto(out, paths[p].normals[: out.size])))
+    return _block(jumps, 0, jumps[0].M,
+                  lambda p, out: np.copyto(out, paths[p].normals[: out.size]))
 
 
 def generate_bundle(

@@ -36,6 +36,7 @@ whole meshes of one grid, in a block's padded layout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -365,11 +366,7 @@ class _LaneDrift:
                  for j in range(n_terms) if kinds[j] == kind]
         row = {j: r for r, j in enumerate(order)}
         n_slope, n_plain = kinds.count("slope"), n_terms - kinds.count("constant")
-        rows = [n_terms]  # rows of the work buffer so far
-
-        def scratch():
-            rows[0] += 1
-            return rows[0] - 1
+        scratch = itertools.count(n_terms).__next__  # the work buffer's next free row
 
         # coefficient rows: each term's c in row order, the slope terms' c*e,
         # then the exponents that differ between rows
@@ -416,7 +413,7 @@ class _LaneDrift:
                 e = ("K", len(columns) - 1)
             program.append((np.power, (("W", slots[1]), e, ("W", row[j]))))
         # then the terms and the slope terms, each in rows of their own
-        terms = rows[0]
+        terms = scratch()
         slope = terms + n_terms
         if n_terms > 1:
             program.append((np.multiply, (("K", 0, n_terms), ("W", 0, n_terms),
@@ -482,19 +479,24 @@ class _LaneDrift:
         takes its own coefficients and exponents, so it gets the bits the
         full evaluation gives it. Both come back as new arrays."""
         if lanes is None:
-            _, z_in, program, (u, a, b), f_rest, (v, c, d), fp_rest = self._bound
-            np.copyto(z_in, z)
-        else:
-            m = z.size
-            size = 1 << max(m - 1, 0).bit_length()
-            bound = self._subsets.get(size)
-            if bound is None:
-                bound = self._subsets[size] = self._bind(
-                    np.ones((self._coefs.shape[0], size)), (size,))
-            coefs, z_in, program, (u, a, b), f_rest, (v, c, d), fp_rest = bound
-            coefs[:, :m] = self._coefs[(slice(None), *lanes)]
-            z_in[:m] = z
-            z_in[m:] = 1.0
+            np.copyto(self._bound[1], z)
+            return self._run(self._bound)
+        m = z.size
+        size = 1 << max(m - 1, 0).bit_length()
+        bound = self._subsets.get(size)
+        if bound is None:
+            bound = self._subsets[size] = self._bind(
+                np.ones((self._coefs.shape[0], size)), (size,))
+        coefs, z_in = bound[:2]
+        coefs[:, :m] = self._coefs[(slice(None), *lanes)]
+        z_in[:m] = z
+        z_in[m:] = 1.0
+        f, fp = self._run(bound)
+        return f[:m], fp[:m]
+
+    @staticmethod
+    def _run(bound: tuple) -> tuple[np.ndarray, np.ndarray]:
+        _, _, program, (u, a, b), f_rest, (v, c, d), fp_rest = bound
         for ufunc, args in program:
             ufunc(*args)
         f = u(a, b)
@@ -503,8 +505,6 @@ class _LaneDrift:
         fp = v(c, d)
         for ufunc, x in fp_rest:
             ufunc(fp, x, fp)
-        if lanes is not None and m < f.size:
-            return f[:m], fp[:m]
         return f, fp
 
 

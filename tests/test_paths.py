@@ -24,6 +24,7 @@ from jumpsde.paths import (
     _segment_sums,
     coarse_block,
     fine_block,
+    fine_blocks,
     jump_steps,
     level_cuts,
     mesh_block,
@@ -224,6 +225,20 @@ def _staged_path(params, m_ref, global_seed, i, jump_times):
                      place_jumps(m_ref, params.T, times), brownian)
 
 
+def _assert_same_block(block, other):
+    assert (block.T, block.lo, block.hi, block.touched) == (
+        other.T, other.lo, other.hi, other.touched)
+    for a, b in ((block.n, other.n), (block.dt, other.dt), (block.dw, other.dw),
+                 *zip(block.nodes, other.nodes), *zip(block.flags, other.flags)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reopened(paths):
+    """The paths with their Brownian streams from the start again."""
+    return [replace(path, brownian=path_streams(path.global_seed, path.path_index)[1])
+            for path in paths]
+
+
 def _staged_bundle(params, m_ref, global_seed, i, jump_times):
     """generate_bundle's result for given jump times."""
     _, brownian = path_streams(global_seed, i)
@@ -258,13 +273,19 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
         bundles.append(generate_bundle(params, m_ref, 5, i))
     blocks = math.gcd(*m_list)
     fine = m_ref // blocks
-    fine_blocks = [fine_block(paths, b * fine, (b + 1) * fine) for b in range(blocks)]
+    streamed = fine_blocks(_reopened(paths), place_batch(
+        (m_ref,), params.T, [path.jump_times for path in paths]), blocks)
+    drawn = [fine_block(paths, b * fine, (b + 1) * fine) for b in range(blocks)]
+    # a batch's blocks drawn from its flat placement are fine_block's
+    for blk in drawn:
+        _assert_same_block(next(streamed), blk)
+    assert next(streamed, None) is None
     for p, bundle in enumerate(bundles):
         mesh = bundle.fine_mesh
-        nodes = [fine_blocks[0].nodes[p][:1]] + [blk.nodes[p][1:] for blk in fine_blocks]
-        flags = [fine_blocks[0].flags[p][:1]] + [blk.flags[p][1:] for blk in fine_blocks]
-        dw = [blk.dw[p, : blk.n[p]] for blk in fine_blocks]
-        dt = [blk.dt[p, : blk.n[p]] for blk in fine_blocks]
+        nodes = [drawn[0].nodes[p][:1]] + [blk.nodes[p][1:] for blk in drawn]
+        flags = [drawn[0].flags[p][:1]] + [blk.flags[p][1:] for blk in drawn]
+        dw = [blk.dw[p, : blk.n[p]] for blk in drawn]
+        dt = [blk.dt[p, : blk.n[p]] for blk in drawn]
         assert np.concatenate(nodes).tobytes() == mesh.nodes.tobytes()
         assert np.concatenate(flags).tobytes() == mesh.is_jump.tobytes()
         assert np.concatenate(dt).tobytes() == mesh.dt.tobytes()
@@ -275,12 +296,12 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
         for t in times:
             q = t * m_ref
             cell = round(q) - 1 if abs(q - round(q)) < 1e-6 else math.floor(q)
-            assert p in fine_blocks[cell // fine].touched
+            assert p in drawn[cell // fine].touched
     times = [path.jump_times for path in paths]
     cuts = level_cuts(place_batch((m_ref,), params.T, times),
                       place_batch(m_list, params.T, times), blocks)
     n_paths = len(paths)
-    for b, blk in enumerate(fine_blocks):
+    for b, blk in enumerate(drawn):
         coarse = coarse_block(blk, cuts)
         assert coarse.grid.shape == (len(m_list) * n_paths, m_list[-1] // blocks)
         for j, m in enumerate(m_list):
@@ -446,8 +467,10 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
     ref_jumps = jump_steps(fine, blocks)
     oracles = [[(coarsen_increments(bundle, m), regular_increments(bundle, m))
                 for bundle in bundles] for m in m_list]
+    streamed = fine_blocks(_reopened(paths), fine, blocks)
     for b in range(blocks):
         block = fine_block(paths, b * fine_steps, (b + 1) * fine_steps)
+        _assert_same_block(next(streamed), block)
         for p in range(n):
             steps = [k for k, lanes in ref_jumps[b].items() for q in lanes if q == p]
             assert sorted(steps) == np.flatnonzero(block.flags[p][1:]).tolist()
