@@ -337,42 +337,44 @@ _LANE_ERRORS = (SolverError, ValueError, OverflowError)
 
 class _LaneDrift:
     """A drift and its slope on arrays of lanes, compiled once into a
-    straight-line program of numpy calls over preallocated buffers.
+    straight-line program of numpy calls over a preallocated buffer.
 
     Row c of the lanes takes the (coefficient, exponent) table tables[c].
-    The buffers are 2-D, one row per coefficient column or power and one
+    The buffer is 2-D, a row per coefficient column, power or term and a
     column per lane, the lanes flattened; the program's operands are views
-    of them made once, and each call writes to a view given as its output.
-    The terms' powers fill the first rows: the slope terms', then the
+    of it made once, and each call but the last two sums writes to a view.
+    The terms' powers fill consecutive rows: the slope terms', then the
     linear terms', then the constant terms' (rows of ones), each in table
     order, so that one call multiplies every term by its coefficient and
-    one more every slope term by its c*e; scratch powers follow. An
-    exponent that is the same integer in every row is a chain of
-    multiplications, which rounds the same way on every host; any other
-    exponent goes to numpy's power. The terms are summed in table order,
-    and the slope is the sum of c*e*z^e over z plus the linear terms'
-    coefficients, as in the path loops. A lane gets the same operations in
-    the same order whatever the other lanes are.
+    one more every slope term by its c*e. An exponent that is the same
+    integer in every row is a chain of multiplications, which rounds the
+    same way on every host; any other exponent goes to numpy's power. The
+    terms are summed in table order, and the slope is the sum of c*e*z^e
+    over z plus the linear terms' coefficients, as in the path loops. A
+    lane gets the same operations in the same order whatever the other
+    lanes are.
     """
 
     def __init__(self, tables, shape: tuple[int, int]):
         table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
-        n_terms = table.shape[1]
+        n = table.shape[1]
         exponents = table[0, :, 1].tolist()
         uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
         kinds = ["constant" if same and e == 0.0 else "linear" if same and e == 1.0
                  else "slope" for e, same in zip(exponents, uniform)]
         order = [j for kind in ("slope", "linear", "constant")
-                 for j in range(n_terms) if kinds[j] == kind]
-        row = {j: r for r, j in enumerate(order)}
-        n_slope, n_plain = kinds.count("slope"), n_terms - kinds.count("constant")
-        scratch = itertools.count(n_terms).__next__  # the work buffer's next free row
-
-        # coefficient rows: each term's c in row order, the slope terms' c*e,
-        # then the exponents that differ between rows
-        columns = [table[:, j, 0] for j in order]
-        columns += [table[:, j, 0] * table[:, j, 1] for j in order[:n_slope]]
-        # slots[n] is the row of z^n: z and 1/z first, then the chained
+                 for j in range(n) if kinds[j] == kind]
+        n_slope, n_plain = kinds.count("slope"), n - kinds.count("constant")
+        varying = [j for j in order[:n_plain] if not uniform[j]]
+        # coefficient rows: each term's c in power order, the slope terms'
+        # c*e, then the exponents that differ between rows
+        columns = ([table[:, j, 0] for j in order]
+                   + [table[:, j, 0] * table[:, j, 1] for j in order[:n_slope]]
+                   + [table[:, j, 1] for j in varying])
+        k = len(columns)
+        power = {j: k + r for r, j in enumerate(order)}  # the row of term j's power
+        scratch = itertools.count(k + n).__next__  # the next free row
+        # slots[e] is the row of z^e: z and 1/z first, then the chained
         # powers, each the product of two of one sign, the larger made first
         # if it can be (z^5 = z^3 * z^2), in the row of a term of that power
         # if there is one
@@ -380,97 +382,87 @@ class _LaneDrift:
         for j in order:
             e = exponents[j]
             if uniform[j] and e == round(e) and 0 < abs(e) <= 64:
-                chained.setdefault(int(e), row[j])
-        slots = {n: chained[n] if n in chained else scratch() for n in (1, -1)}
-        program = [(np.reciprocal, (("W", slots[1]), ("W", slots[-1])))]
+                chained.setdefault(int(e), power[j])
+        slots = {e: chained[e] if e in chained else scratch() for e in (1, -1)}
+        program = [(np.reciprocal, (slots[1], slots[-1]))]
 
-        def chain(n):
-            if n not in slots:
-                sign = 1 if n > 0 else -1
+        def chain(e):
+            if e not in slots:
+                sign = 1 if e > 0 else -1
                 a = max(
-                    (k for k in slots if 0 < k * sign < n * sign and n - k in slots),
+                    (d for d in slots if 0 < d * sign < e * sign and e - d in slots),
                     key=abs,
-                    default=n // 2 if n % 2 == 0 else n - sign,
+                    default=e // 2 if e % 2 == 0 else e - sign,
                 )
                 chain(a)
-                chain(n - a)
-                slots[n] = chained[n] if n in chained else scratch()
-                program.append(
-                    (np.multiply, (("W", slots[a]), ("W", slots[n - a]), ("W", slots[n])))
-                )
+                chain(e - a)
+                slots[e] = chained[e] if e in chained else scratch()
+                program.append((np.multiply, (slots[a], slots[e - a], slots[e])))
 
-        for n in sorted(chained, key=abs):
-            chain(n)
-        # every other term's power: a copy of its chained power, or numpy's
+        for e in sorted(chained, key=abs):
+            chain(e)
+        # every other term's power: a copy of a chained one, or numpy's
         for j in order[:n_plain]:
             e = exponents[j]
             if uniform[j] and e in slots:
-                if slots[e] != row[j]:
-                    program.append((np.copyto, (("W", row[j]), ("W", slots[e]))))
-                continue
-            if not uniform[j]:
-                columns.append(table[:, j, 1])
-                e = ("K", len(columns) - 1)
-            program.append((np.power, (("W", slots[1]), e, ("W", row[j]))))
-        # then the terms and the slope terms, each in rows of their own
+                if slots[e] != power[j]:
+                    program.append((np.copyto, (power[j], slots[e])))
+            else:
+                e = e if uniform[j] else n + n_slope + varying.index(j)
+                program.append((np.power, (slots[1], e, power[j])))
+        # the terms, then the slope terms, each in rows of their own
         terms = scratch()
-        slope = terms + n_terms
-        if n_terms > 1:
-            program.append((np.multiply, (("K", 0, n_terms), ("W", 0, n_terms),
-                                          ("W", terms, slope))))
-            f = [(np.add, ("W", terms + row[0]), ("W", terms + row[1]))]
-            f += [(np.add, ("W", terms + row[j])) for j in range(2, n_terms)]
+        slope = terms + n
+        if n > 1:
+            program.append((np.multiply, (slice(0, n), slice(k, k + n),
+                                          slice(terms, terms + n))))
+            f = [(np.add, terms + power[0] - k, terms + power[1] - k)]
+            f += [(np.add, terms + power[j] - k) for j in range(2, n)]
         else:
-            f = [(np.multiply, ("K", 0), ("W", 0))]
-        recip = ("W", slots[-1])
+            f = [(np.multiply, 0, k)]
         if n_slope:
-            program.append((np.multiply, (("K", n_terms, n_terms + n_slope),
-                                          ("W", 0, n_slope), ("W", slope, slope + n_slope))))
+            program.append((np.multiply, (slice(n, n + n_slope), slice(k, k + n_slope),
+                                          slice(slope, slope + n_slope))))
         if n_slope > 1:
-            fp = [(np.add, ("W", slope), ("W", slope + 1))]
-            fp += [(np.add, ("W", slope + i)) for i in range(2, n_slope)]
-            fp.append((np.multiply, recip))
+            fp = [(np.add, slope, slope + 1)]
+            fp += [(np.add, slope + i) for i in range(2, n_slope)]
+            fp.append((np.multiply, slots[-1]))
         elif n_slope:
-            fp = [(np.multiply, ("W", slope), recip)]
+            fp = [(np.multiply, slope, slots[-1])]
         else:
-            fp = [(np.multiply, recip, 0.0)]
-        fp += [(np.add, ("K", row[j])) for j in order[n_slope:n_plain]]
+            fp = [(np.multiply, slots[-1], 0.0)]
+        fp += [(np.add, power[j] - k) for j in order[n_slope:n_plain]]
         self._program, self._f, self._fp = program, f, fp
-        self._rows = slope + n_slope
-        self._ones = slice(n_plain, n_terms)
-        self._z = ("W", slots[1])
-        coefs = np.empty((len(columns), math.prod(shape)))
-        for k, column in enumerate(columns):
-            coefs[k].reshape(shape)[...] = column[:, None]
-        self._coefs = coefs.reshape(len(columns), *shape)
-        self._bound = self._bind(coefs, shape)
+        self._rows, self._ones, self._z = slope + n_slope, slice(k + n_plain, k + n), slots[1]
+        full = np.empty((self._rows, math.prod(shape)))
+        for r, column in enumerate(columns):
+            full[r].reshape(shape)[...] = column[:, None]
+        self._coefs = full[:k].reshape(k, *shape)
+        self._bound = self._bind(full, shape)
         # programs for subsets of lanes, by their number rounded up to a
         # power of two (an index can repeat a lane): a subset's lanes fill
         # the first columns, and the rest hold z = 1 and stale coefficients
         self._subsets: dict[int, tuple] = {}
 
-    def _bind(self, coefs: np.ndarray, shape) -> tuple:
-        """The program over these coefficient rows and a new work buffer, for
-        lanes of this shape, its operands views made once."""
-        work = np.empty((self._rows, coefs.shape[1]))
-        work[self._ones] = 1.0
-        buffers = {"K": coefs, "W": work}
+    def _bind(self, buffer: np.ndarray, shape) -> tuple:
+        """The program on this buffer, for lanes of this shape: its operands
+        made views, a row given by its index and rows by a slice."""
+        buffer[self._ones] = 1.0
 
         def view(ref):
-            if type(ref) is not tuple:
-                return ref
-            rows = buffers[ref[0]]
-            return rows[ref[1] : ref[2]] if len(ref) == 3 else rows[ref[1]].reshape(shape)
+            if type(ref) is int:
+                return buffer[ref].reshape(shape)
+            return buffer[ref] if type(ref) is slice else ref
 
-        (first_f, *f), (first_fp, *fp) = self._f, self._fp
+        (u, *f), (v, *fp) = self._f, self._fp
         return (
-            coefs,
+            buffer,
             view(self._z),
-            [(u, tuple(map(view, args))) for u, args in self._program],
-            (first_f[0], view(first_f[1]), view(first_f[2])),
-            [(u, view(ref)) for u, ref in f],
-            (first_fp[0], view(first_fp[1]), view(first_fp[2])),
-            [(u, view(ref)) for u, ref in fp],
+            [(ufunc, tuple(map(view, args))) for ufunc, args in self._program],
+            (u[0], *map(view, u[1:])),
+            [(ufunc, view(x)) for ufunc, x in f],
+            (v[0], *map(view, v[1:])),
+            [(ufunc, view(x)) for ufunc, x in fp],
         )
 
     def __call__(self, z: np.ndarray, lanes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -485,10 +477,9 @@ class _LaneDrift:
         size = 1 << max(m - 1, 0).bit_length()
         bound = self._subsets.get(size)
         if bound is None:
-            bound = self._subsets[size] = self._bind(
-                np.ones((self._coefs.shape[0], size)), (size,))
-        coefs, z_in = bound[:2]
-        coefs[:, :m] = self._coefs[(slice(None), *lanes)]
+            bound = self._subsets[size] = self._bind(np.ones((self._rows, size)), (size,))
+        buffer, z_in = bound[:2]
+        buffer[: len(self._coefs), :m] = self._coefs[(slice(None), *lanes)]
         z_in[:m] = z
         z_in[m:] = 1.0
         f, fp = self._run(bound)
