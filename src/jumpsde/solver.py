@@ -25,7 +25,7 @@ leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
 _implicit_solve on its own, and jumps are per-lane calls. After a jump or a
 fallback, F and F' are evaluated again on the lanes that moved only. A lane
 group's F and F' are compiled once into a straight-line program of numpy
-calls over preallocated buffers, one call for every term's product with its
+calls over a preallocated buffer, one call for every term's product with its
 coefficient, so that a step costs few numpy calls. Every operation is
 elementwise, so a lane never depends on the other lanes, and integer powers
 are chains of multiplications, so a lane rounds the same on every host. A lane meets the same residual contract as the path loops,
