@@ -342,7 +342,8 @@ class _LaneDrift:
     Row c of the lanes takes the (coefficient, exponent) table tables[c].
     The buffer is 2-D, a row per coefficient column, power or term and a
     column per lane, the lanes flattened; the program's operands are views
-    of it made once, and each call but the last two sums writes to a view.
+    of it made once, and every call writes to one of them except the first
+    of each sum, which makes the new array F or F' is returned in.
     The terms' powers fill consecutive rows: the slope terms', then the
     linear terms', then the constant terms' (rows of ones), each in table
     order, so that one call multiplies every term by its coefficient and
