@@ -2,29 +2,18 @@
 
 Every experiment runs through one path runner: paths are independent work
 items distributed over contiguous index chunks, and each chunk of each of
-the experiment's runs goes to that run's chunk function. The ladder steps
-its paths as numpy lanes, a batch at a time, in two lane groups: the
-reference, and the tjabem and bem levels, drawing each path's noise block
-by block in time. A batch places its jump times once, as flat arrays, on
-the fine grid and every level's grid (mesh.place_batch), and index
-arithmetic on them gives every block's level cuts and jump steps
-(paths.level_cuts), the bem jump counts and the paths with a jump node in
-each block (paths.fine_blocks), before the first block is drawn. Over
-workers the groups are two runs, so that a worker steps one group over all
-its paths; inline one run steps both. The reference gives
-each path's x_ref, the levels each path's x per (scheme, M), and the
-errors |x_ref - x| are formed once all have run. The moment
-probe turns each path's bundle into that path's row. The positivity table
-opens each path once for all of its (T, M) meshes, steps every (cell,
-path) lane of a batch together, one mesh at a time, and returns one row of
-counts summed over the chunk, one chunk per worker. Rows are assembled in
-chunk order before reduction, and no lane depends on the others of its
-batch, so reports are bit-identical regardless of the worker count. A
-failed path aborts the experiment carrying its (global_seed, path_index)
-for replay; every chunk runs to its end or its first failure, and the
-lowest failing path is named, within it the first run's failure.
-With parallelism > 1 the jump coefficient must be picklable (built-in
-families always are; custom ones need module-level callables).
+the experiment's runs goes to that run's chunk function. Every experiment
+steps its paths as lanes, a batch at a time: the ladder in two lane groups,
+the reference and the levels, drawing the noise block by block in time;
+the positivity table and the moment probe through tjabem_lanes, each path
+opened once for all of its (T, M) meshes. Rows are assembled in chunk order
+before reduction, and no lane depends on the others of its batch, so
+reports are bit-identical regardless of the worker count. A failed path
+aborts the experiment carrying its (global_seed, path_index) for replay;
+every chunk runs to its end or its first failure, and the lowest failing
+path is named, within it the first run's failure. With parallelism > 1 the
+jump coefficient must be picklable (built-in families always are; custom
+ones need module-level callables).
 """
 
 from __future__ import annotations
@@ -50,9 +39,11 @@ from .model import (
     validate_jump,
     validate_params,
 )
-# coarsen_increments, regular_increments and bem_path have no caller here
-# since the ladder steps lanes; the benchmark's tracer wraps them as names of
-# this module
+# generate_bundle, coarsen_increments, regular_increments, tjabem_path and
+# bem_path have no caller here, since every experiment steps lanes; the
+# benchmark's tracer (perfbench/tracing.py) looks them up as names of this
+# module, with validate_params, validate_jump, one_sided_lipschitz,
+# drift_one_sided_lipschitz and ProcessPoolExecutor
 from .paths import (  # noqa: F401
     coarse_block,
     coarsen_increments,
@@ -199,14 +190,23 @@ def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _bundles(bundle_params, m, global_seed, lo, hi):
-    """The bundles of paths lo..hi, generated one at a time in path order."""
-    for i in range(lo, hi):
-        try:
-            bundle = generate_bundle(bundle_params, m, global_seed, i)
-        except _PATH_ERRORS as exc:
-            raise _replay_failure(exc, global_seed, i) from exc
-        yield bundle
+def _batches(lo, hi, size, global_seed, open_one, run) -> list:
+    """run(paths) on each batch of at most size paths of lo..hi-1, in path
+    order, each path opened by open_one(i). A path that fails to open is
+    named unless run fails on a lower path of its batch first."""
+    results = []
+    for start in range(lo, hi, size):
+        paths = []
+        for i in range(start, min(start + size, hi)):
+            try:
+                paths.append(open_one(i))
+            except _PATH_ERRORS as exc:
+                failure = _replay_failure(exc, global_seed, i)
+                if paths:
+                    run(paths)
+                raise failure from exc
+        results.append(run(paths))
+    return results
 
 
 def _run_chunk(task):
@@ -329,20 +329,9 @@ def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
     """
     batch = max(1, _LADDER_CELLS * math.gcd(*m_list) // m_ref)
     args = (groups, params, jump, schemes, m_list, m_ref, q_transformed, q_drift)
-    rows = []
-    for start in range(lo, hi, batch):
-        paths = []
-        for i in range(start, min(start + batch, hi)):
-            try:
-                paths.append(open_path(params, m_ref, global_seed, i))
-            except _PATH_ERRORS as exc:
-                failure = _replay_failure(exc, global_seed, i)
-                if paths:
-                    # a path before the one that failed to open can fail first
-                    _ladder_batch(paths, *args)
-                raise failure from exc
-        rows.append(_ladder_batch(paths, *args))
-    return np.concatenate(rows)
+    return np.concatenate(_batches(
+        lo, hi, batch, global_seed, lambda i: open_path(params, m_ref, global_seed, i),
+        lambda paths: _ladder_batch(paths, *args)))
 
 
 def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
@@ -359,8 +348,8 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     drawn, the reference steps through them, and the levels step through
     their sums, which coarse_block forms for every level at once from the
     batch's level_cuts.
-    A failure names the lowest failing path and, within it, what the
-    one-path loops would have run first: the reference, then each M's
+    A failure names the lowest failing path and, within it, what the path
+    run on its own would have run first: the reference, then each M's
     schemes in order.
     """
     T, n, n_levels = params.T, len(paths), len(m_list)
@@ -372,7 +361,7 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     level_schemes = schemes if "levels" in groups else ()
     with np.errstate(all="ignore"):
         try:
-            # the guards in the order the one-path loops meet them; each
+            # the guards in the order a path run on its own meets them; each
             # group's longest step binds
             if "reference" in groups:
                 _check_step_guard(q_transformed, T / m_ref)
@@ -420,7 +409,7 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
             for lane in range(0, n_levels * n, n):
                 columns.append([coarse.terminal((0, lane + p)) for p in range(n)]
                                if s == "tjabem" else bem.z[0, lane : lane + n])
-    # (path, what the one-path loops run first) of each failed lane
+    # (path, what a path run on its own runs first) of each failed lane
     failures = []
     if ref is not None:
         failures += [((p, 0), error) for (_, p), error in ref.failures.items()]
@@ -584,24 +573,13 @@ def _positivity_rows(lo, hi, cells, groups, lam, global_seed) -> np.ndarray:
     is opened once, by open_shared_path, for all the meshes. The paths step
     through tjabem_lanes in path order, at most _LANE_PATHS at a time, so a
     failure names the lowest failing path and, within it, the first failing
-    cell in report order; a path that fails to open is named unless a lower
-    path of its batch fails. The result is one row of shape (cells, 2).
+    cell in report order. The result is one row of shape (cells, 2).
     """
     meshes = [mesh for mesh, _ in groups]
-    counts = np.zeros((len(cells), 2), dtype=np.int64)
-    for start in range(lo, hi, _LANE_PATHS):
-        paths = []
-        for i in range(start, min(start + _LANE_PATHS, hi)):
-            try:
-                paths.append(open_shared_path(lam, meshes, global_seed, i))
-            except _PATH_ERRORS as exc:
-                failure = _replay_failure(exc, global_seed, i)
-                if paths:
-                    # a path before the one that failed to open can fail first
-                    _lane_counts(paths, cells, groups)
-                raise failure from exc
-        counts += _lane_counts(paths, cells, groups)
-    return counts[None]
+    counts = _batches(lo, hi, _LANE_PATHS, global_seed,
+                      lambda i: open_shared_path(lam, meshes, global_seed, i),
+                      lambda paths: _lane_counts(paths, cells, groups))
+    return sum(counts)[None]
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -662,22 +640,30 @@ def positivity_table(
 # ---------------------------------------------------------------------------
 
 def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
-    """(sup, terminal) of x**p per order p, for each path lo..hi-1 in turn."""
-    rows = []
-    for bundle in _bundles(params, M, global_seed, lo, hi):
+    """(sup, terminal) of x**p per order p, for each path lo..hi-1.
+
+    The paths are opened by open_shared_path for the one (T, M) mesh and
+    step through tjabem_lanes in path order, at most _LANE_PATHS at a time,
+    so a failure names the lowest failing path. The zero steps that pad a
+    shorter mesh repeat its terminal state, so that neither moment moves.
+    """
+    def rows(paths):
         try:
-            trajectory, _ = tjabem_path(
-                params, jump, bundle.fine_mesh, bundle.dw_fine, q
-            )
-        except _PATH_ERRORS as exc:
-            raise _replay_failure(exc, global_seed, bundle.path_index) from exc
-        x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
-        row = np.empty((len(p_list), 2))
+            *_, z_post = tjabem_lanes([(params, jump, q)], mesh_block(paths, 0), states=True)
+        except LaneFailure as exc:
+            path = paths[exc.path]
+            raise _replay_failure(exc, path.global_seed, path.path_index) from exc
+        x = z_post[0] ** (1.0 / (1.0 - params.rho))
+        out = np.empty((len(paths), len(p_list), 2))
         for j, p in enumerate(p_list):
             powered = x**p
-            row[j] = powered.max(), powered[-1]
-        rows.append(row)
-    return np.array(rows)
+            out[:, j, 0] = powered.max(axis=1)
+            out[:, j, 1] = powered[:, -1]
+        return out
+
+    return np.concatenate(_batches(
+        lo, hi, _LANE_PATHS, global_seed,
+        lambda i: open_shared_path(params.lam, [(params.T, M)], global_seed, i), rows))
 
 
 def moment_probe(
@@ -705,7 +691,8 @@ def moment_probe(
     validate_jump(jump, params)
     q = one_sided_lipschitz(params)
     args = (params, jump, p_list, q, M, global_seed)
-    (samples,) = _map_runs([(_moment_rows, args)], n_paths, parallelism * 4, parallelism)
+    # lanes even out the work, so one chunk per worker balances the load
+    (samples,) = _map_runs([(_moment_rows, args)], n_paths, parallelism, parallelism)
     rows = []
     sqrt_n = math.sqrt(n_paths)
     for j, p in enumerate(p_list):

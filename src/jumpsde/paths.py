@@ -5,18 +5,15 @@ Each path derives two independent counter-based streams from
 increments, so results never depend on execution order or thread count and
 changing the jump intensity never perturbs the Brownian draw sequence.
 Coarse-resolution increments are left-to-right sums of fine increments, so
-every resolution of a bundle sees exactly the same Brownian path.
-fine_block draws a block of consecutive grid intervals for several paths;
-drawing a path's blocks in time order gives its bundle's increments bit for
-bit, and a bundle is the one-block case. fine_blocks draws a batch's blocks
-in time order, taking each block's paths with a jump node from the batch's
-flat placement rather than asking every path. level_cuts finds, once for a
-batch and by index arithmetic on its flat jump placements
-(mesh.place_batch), where the meshes and plain grids of several coarser
-levels cut each block, and coarse_block sums a block for all of them at
-once, bit for bit as coarsen_increments and regular_increments. open_shared_path opens a path
-once for several (T, M) meshes, and mesh_block lays one of those meshes of
-many paths out as a block, bit for bit as generate_bundle at that (T, M).
+every resolution of a path sees exactly the same Brownian path. fine_block
+and fine_blocks draw blocks of consecutive grid intervals of several paths
+in time order, bit for bit as their bundles; level_cuts finds by index
+arithmetic on a batch's flat jump placements where several coarser levels
+cut each block, and coarse_block sums a block for all of them at once, also
+for coarsen_increments and regular_increments on a one-path batch.
+open_shared_path opens a path once for several (T, M) meshes, and
+mesh_block lays one of them out for many paths, bit for bit as
+generate_bundle at that (T, M).
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from .mesh import (
     MeshError,
     build_mesh,
     grid_nodes,
+    place_batch,
     place_jumps,
     sample_jump_times,
 )
@@ -51,6 +49,7 @@ __all__ = [
     "fine_block",
     "fine_blocks",
     "mesh_block",
+    "whole_block",
     "LevelCuts",
     "Levels",
     "level_cuts",
@@ -267,29 +266,18 @@ def generate_bundle(
     )
 
 
-def _match_nodes(fine_nodes: np.ndarray, targets: np.ndarray, T: float) -> np.ndarray:
-    """Indices of the fine nodes nearest the targets, each within the dedup
-    tolerance. (Two kept jump times can lie a rounding over the tolerance
-    apart, so the first node past a target less the tolerance can be the
-    one before it.)"""
-    tol = DEDUP_RTOL * T
-    idx = np.clip(np.searchsorted(fine_nodes, targets), 1, len(fine_nodes) - 1)
-    idx -= targets - fine_nodes[idx - 1] < fine_nodes[idx] - targets
-    far = np.abs(fine_nodes[idx] - targets) > tol
-    if far.any():
-        raise MeshError(f"coarse node {targets[far][0]} missing from the fine mesh")
-    return idx
-
-
 class _SegmentPlan(NamedTuple):
-    """How _segment_sums sums the segments that some rows of cut indices
-    make, ready for any values.
+    """How to sum the segments values[idx[j]:idx[j + 1]] that some rows of
+    cut indices make, each from 0.0, ready for any values.
 
     Its nonempty segments run in classes of windows of one width: segment
     i starts at column col[i] of row row[i] of the values, and class (a,
     c, w, o) is segments a..a+c-1, whose windows of width w fill buffer
     elements o..o+c*w-1. Segment i's sum is buffer element read[i], and
-    element dest[i] of the flattened result of the given shape.
+    element dest[i] of the flattened result of the given shape. A window
+    adds its segment's values in order and is read at its last, and adding
+    0.0 to a zero sum makes it +0.0, so every sum is bitwise a sequential
+    loop's from 0.0.
     """
 
     shape: tuple[int, int]
@@ -320,7 +308,7 @@ class _SegmentPlan(NamedTuple):
 
 def _segment_plans(idx: np.ndarray, source: np.ndarray, group: np.ndarray,
                    groups: int) -> list[_SegmentPlan]:
-    """The plans of _segment_sums for each group of the rows of idx, at once.
+    """The segment plans for each group of the rows of idx, at once.
 
     Row i of idx cuts row source[i] of the values; the rows of group g,
     ascending, are contiguous, and their sums are that plan's rows. Within
@@ -364,28 +352,9 @@ def _segment_plans(idx: np.ndarray, source: np.ndarray, group: np.ndarray,
     return plans
 
 
-def _segment_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Left-to-right sums of values[idx[j]:idx[j + 1]], each started from 0.0.
-
-    values and idx may also be rows stacked along a leading axis, each row
-    of idx cutting the same row of values. Each nonempty segment is read as
-    a window of the flattened rows from its first value on. Accumulating
-    along a window adds the segment's values in order, and its sum is read
-    at its last value, so what follows it in the window does not enter.
-    Accumulating from the first value instead of from 0.0 changes only the
-    sign of a zero sum, which adding 0.0 makes +0.0. The result is
-    therefore bitwise that of a plain sequential loop, whatever summation
-    algorithm the interpreter's sum() uses, and an empty segment sums to
-    0.0. _segment_plans makes the plan, for many groups of rows at once.
-    """
-    rows = idx.reshape(-1, idx.shape[-1])
-    (plan,) = _segment_plans(rows, np.arange(rows.shape[0]), np.zeros(rows.shape[0], int), 1)
-    return plan.sums(values.reshape(-1, values.shape[-1])).reshape(idx.shape[:-1] + (-1,))
-
-
 def _cell_sums(values: np.ndarray, ratios: Sequence[int]) -> list[np.ndarray]:
     """For each r of ratios, each row's left-to-right sums, from 0.0, of its
-    runs of r consecutive values, bitwise as _segment_sums forms them.
+    runs of r consecutive values, bitwise as a segment plan forms them.
 
     The sum of a run continues the sum of its first r' values where a
     smaller ratio r' divides r, since a sequential sum's partial sums are
@@ -602,10 +571,10 @@ def coarse_block(block: Block, cuts: LevelCuts) -> Levels:
     cuts holds where the levels cut the block's rows; the block is one of
     its blocks, as fine_block draws it. A step's increment is the
     left-to-right sum, from 0.0, of the fine increments between its nodes,
-    bitwise as coarsen_increments and regular_increments form it. The plain
-    grids' sums of every path are formed grid by grid, then one
-    _segment_sums plan sums the rows of cuts: the meshes with a jump time
-    inserted here and the plain grids that fine inserted nodes shift.
+    bitwise as a sequential loop forms it. The plain grids' sums of every
+    path are formed grid by grid, then one segment plan sums the rows of
+    cuts: the meshes with a jump time inserted here and the plain grids
+    that fine inserted nodes shift.
     """
     b, off = divmod(block.lo, cuts.fine_steps)
     if off or block.hi - block.lo != cuts.fine_steps:
@@ -638,22 +607,29 @@ def coarse_block(block: Block, cuts: LevelCuts) -> Levels:
     return Levels(steps, dt, dw, cuts.jumps[b], grid)
 
 
-def _mesh_sums(
-    bundle: PathBundle, m: int, name: str, jump_times
-) -> tuple[JumpAdaptedMesh, np.ndarray]:
-    """The m-step mesh with these jump times and the fine increments' sums.
+def whole_block(meshes: Sequence[JumpAdaptedMesh], increments) -> Block:
+    """Whole meshes of one M-step grid on [0, T] and their increments, a
+    row per mesh, as a Block."""
+    n = np.array([mesh.n_intervals for mesh in meshes])
+    dt, dw = np.zeros((2, len(meshes), n.max()))
+    for p, (mesh, row) in enumerate(zip(meshes, increments)):
+        dt[p, : n[p]], dw[p, : n[p]] = mesh.dt, row
+    T, touched = meshes[0].T, [p for p, mesh in enumerate(meshes) if mesh.is_jump.any()]
+    return Block(T, 0, round(T / meshes[0].base_dt), n, [mesh.nodes for mesh in meshes],
+                 [mesh.is_jump for mesh in meshes], dt, dw, touched)
 
-    Interval j gets the left-to-right sum of the fine increments it contains.
-    Its nodes must be a subset of the fine nodes, which m dividing m_ref
-    guarantees; name labels m in the errors.
-    """
+
+def _coarsened(bundle: PathBundle, m: int, name: str) -> Levels:
+    """The bundle's increments summed on its m-step mesh and plain grid, by
+    coarse_block on the one block of a one-path batch; name labels m."""
     if m < 1:
         raise ValueError(f"{name} must be a positive integer, got {m}")
     if bundle.m_ref % m != 0:
         raise MeshError(f"{name} = {m} does not divide m_ref = {bundle.m_ref}")
-    mesh = build_mesh(m, bundle.T, jump_times)
-    idx = _match_nodes(bundle.fine_mesh.nodes, mesh.nodes, bundle.T)
-    return mesh, _segment_sums(bundle.dw_fine, idx)
+    times = [bundle.jump_times]
+    cuts = level_cuts(place_batch((bundle.m_ref,), bundle.T, times),
+                      place_batch((m,), bundle.T, times), 1)
+    return coarse_block(whole_block([bundle.fine_mesh], [bundle.dw_fine]), cuts)
 
 
 def coarsen_increments(
@@ -665,9 +641,10 @@ def coarsen_increments(
     interval contains; coarse nodes must be a subset of fine nodes, which
     m_coarse dividing m_ref guarantees.
     """
-    coarse, out = _mesh_sums(bundle, m_coarse, "m_coarse", bundle.jump_times)
+    levels = _coarsened(bundle, m_coarse, "m_coarse")
+    out = levels.dw[0, : levels.steps[0]]
     out.setflags(write=False)
-    return coarse, out
+    return build_mesh(m_coarse, bundle.T, bundle.jump_times), out
 
 
 def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -677,6 +654,6 @@ def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarr
     (k*T/M, (k+1)*T/M] and the number of jump times in that half-open
     interval; used by regular-grid schemes on the same coupled bundle.
     """
-    grid, dw = _mesh_sums(bundle, M, "M", ())
-    counts = np.diff(np.searchsorted(bundle.jump_times, grid.nodes, side="right"))
+    dw = _coarsened(bundle, M, "M").grid[0]
+    counts = np.diff(np.searchsorted(bundle.jump_times, grid_nodes(M, bundle.T), "right"))
     return dw, counts.astype(np.int64)

@@ -2,36 +2,13 @@
 
 Each step solves z - dt*F(z) = rhs for the unique positive root of a strictly
 increasing map (the one-sided bound Q makes G' >= 1 - Q*dt > 0, and G spans
-all of R). The path loops run a Newton-first step inline: plain Newton from
-the previous state, with F and F' evaluated together from shared powers and
-a bracket (lo, hi) narrowed by the sign of each residual. The step is
-accepted at |residual| <= RESIDUAL_TOL * max(1, |rhs|), the same contract as
-the bracketed solver. As soon as an iterate leaves (lo, hi), 1 - dt*F' is not
-positive, a power overflows or MAX_ITER runs out, the unchanged step goes to
-_implicit_solve: safeguarded Newton with a bisection fallback inside a
-bracket that is expanded geometrically until it straddles the root. That
-solver also backs implicit_step_z and is the tests' oracle. The loops take
-their coefficients and exponents from the drift's term table in model, and
-the fallback evaluates the same table with model's guarded evaluator. Every
-step is refused when Q*dt exceeds STEP_SAFETY.
-
-The lanes step many paths at once in numpy arrays. TjabemLanes takes
-tjabem_path's step and BemLanes bem_path's, on states of shape (cells, n):
-a lane whose previous state already has a residual within RESIDUAL_TOL
-keeps it, as the path loops would; every other lane makes a fixed number of
-Newton updates from it, then those not yet within the residual contract
-continue alone; a lane that
-leaves (0, inf), turns non-finite or meets 1 - dt*F' <= 0 goes to
-_implicit_solve on its own, and jumps are per-lane calls. After a jump or a
-fallback, F and F' are evaluated again on the lanes that moved only. A lane
-group's F and F' are compiled once into a straight-line program of numpy
-calls over a preallocated buffer, one call for every term's product with its
-coefficient, so that a step costs few numpy calls. Every operation is
-elementwise, so a lane never depends on the other lanes, and integer powers
-are chains of multiplications, so a lane rounds the same on every host. A lane meets the same residual contract as the path loops,
-which it therefore matches to within that contract.
-tjabem_lanes runs the positivity table's (cells, paths) grid of lanes on
-whole meshes of one grid, in a block's padded layout.
+all of R), to |residual| <= RESIDUAL_TOL * max(1, |rhs|), and is refused
+when Q*dt exceeds STEP_SAFETY. The lanes are the one stepping kernel:
+TjabemLanes and BemLanes step many paths at once on numpy arrays, by
+Newton's method and, for a lane that needs it, the bracketed solver
+_implicit_solve, and no lane depends on the others. tjabem_lanes runs a
+(cells, paths) grid of them on whole meshes of one grid. tjabem_path and
+bem_path, the one-path API, are one lane of tjabem_lanes and of BemLanes.
 """
 
 from __future__ import annotations
@@ -57,6 +34,7 @@ from .model import (
     make_transformed_drift,
     one_sided_lipschitz,
 )
+from .paths import whole_block
 from .transform import jump_map, lamperti_forward, lamperti_inverse
 
 __all__ = [
@@ -242,6 +220,7 @@ def tjabem_path(
     z_pre[k+1] - dt_k*F(z_pre[k+1]) = z_post[k] + (1-rho)*a3*dW_k, then applies
     the transformed jump update at jump nodes. Returns the transformed
     trajectory and the terminal state mapped back to original coordinates.
+    The path is one lane of tjabem_lanes, and a failure raises its error.
     """
     if Q is None:
         Q = one_sided_lipschitz(params)
@@ -250,76 +229,13 @@ def tjabem_path(
         raise ValueError(
             f"increments length {len(increments)} != mesh intervals {n}"
         )
-    _check_step_guard(Q, mesh.base_dt)
-
-    value, slope = make_transformed_drift(params)
-    # the third and fifth terms are c3*z and c5/z
-    (c1, e1), (c2, e2), (c3, _), (c4, e4), (c5, _) = _drift_terms(params)
-    d1, d2, d4 = c1 * e1, c2 * e2, c4 * e4
-    noise_coef = (1.0 - params.rho) * params.alpha3
-    rtol, floor, cap = RESIDUAL_TOL, _BRACKET_FLOOR, _BRACKET_CAP
-    iters = range(MAX_ITER)
-    dt = mesh.dt.tolist()
-    flags = mesh.is_jump.tolist()
-    dws = np.asarray(increments, dtype=float).tolist()
-
-    z = lamperti_forward(params.rho, params.x0)
-    z_pre = [z]
-    z_post = [z]
-    # fz = F(z_eval) and fpz = F'(z_eval): a step starts where the previous
-    # one was accepted, so its first iteration reuses them unless a jump or
-    # the fallback moved z
-    z_eval = 0.0
-    for k in range(n):
-        dt_k = dt[k]
-        z_prev = z
-        rhs = z + noise_coef * dws[k]
-        # rtol * max(1, |rhs|), without the slower builtin calls
-        tol = rtol * rhs if rhs > 1.0 else (-rtol * rhs if rhs < -1.0 else rtol)
-        lo, hi = floor, cap
-        solved = False
-        # Newton starts only from a positive state; from any other (which
-        # only a jump map leaving the domain makes) the bracketed solver
-        # finds the unique positive root, as it does for the lanes
-        for _ in iters if z > 0.0 else ():
-            if z != z_eval:
-                # F and F' share the powers z^e (z^(e-1) = z^e / z)
-                inv = 1.0 / z
-                try:
-                    p1 = z**e1
-                    p2 = z**e2
-                    p4 = z**e4
-                except OverflowError:
-                    break
-                fz = c1 * p1 + c2 * p2 + c3 * z + c4 * p4 + c5 * inv
-                fpz = (d1 * p1 + d2 * p2 + d4 * p4 - c5 * inv) * inv + c3
-                z_eval = z
-            res = (z - rhs) - dt_k * fz
-            if -tol <= res <= tol:
-                solved = True
-                break
-            if res < 0.0:
-                lo = z
-            else:
-                hi = z
-            d = 1.0 - dt_k * fpz
-            if not d > 0.0:
-                break
-            z_new = z - res / d
-            if not lo < z_new < hi:
-                break
-            z = z_new
-        if not solved:
-            z = _implicit_solve(value, slope, dt_k, rhs, z_prev)
-        z_pre.append(z)
-        if flags[k + 1]:
-            z = jump_map(params, jump, z)
-        z_post.append(z)
-
-    trajectory = TrajectoryZ(
-        mesh=mesh, z_pre=np.asarray(z_pre), z_post=np.asarray(z_post)
-    )
-    return trajectory, lamperti_inverse(params.rho, z)
+    try:
+        block = whole_block([mesh], [increments])
+        *_, z_pre, z_post = tjabem_lanes([(params, jump, Q)], block, states=True)
+    except LaneFailure as exc:
+        raise exc.__cause__ from None
+    trajectory = TrajectoryZ(mesh=mesh, z_pre=z_pre[0, 0], z_post=z_post[0, 0])
+    return trajectory, lamperti_inverse(params.rho, float(z_post[0, 0, -1]))
 
 
 class LaneFailure(SolverError):
@@ -351,9 +267,8 @@ class _LaneDrift:
     integer in every row is a chain of multiplications, which rounds the
     same way on every host; any other exponent goes to numpy's power. The
     terms are summed in table order, and the slope is the sum of c*e*z^e
-    over z plus the linear terms' coefficients, as in the path loops. A
-    lane gets the same operations in the same order whatever the other
-    lanes are.
+    over z plus the linear terms' coefficients. A lane gets the same
+    operations in the same order whatever the other lanes are.
     """
 
     def __init__(self, tables, shape: tuple[int, int]):
@@ -554,12 +469,12 @@ class _Lanes:
         """Step every lane to the root of z - dt*F(z) = rhs.
 
         rhs and dt have the lanes' shape. A lane whose previous state already
-        has a residual within RESIDUAL_TOL keeps it, as the path loops would,
-        whose tolerance RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every
-        other lane takes `updates` Newton updates; one whose residual is
-        then above RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive,
-        keeps updating alone until it meets that tolerance or MAX_ITER
-        updates are made. A lane goes to _implicit_solve from its previous
+        has a residual within RESIDUAL_TOL keeps it, since the tolerance
+        RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every other lane takes
+        `updates` Newton updates; one whose residual is then above
+        RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
+        updating alone until it meets that tolerance or MAX_ITER updates are
+        made. A lane goes to _implicit_solve from its previous
         state once it leaves (0, inf), turns non-finite, meets
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
         rhs = z therefore keeps its z exactly; so does every failed lane.
@@ -574,9 +489,8 @@ class _Lanes:
         # ufuncs' own, without the ndarray methods' wrappers)
         np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
         # a lane whose previous state already has a residual within
-        # RESIDUAL_TOL keeps it, as the path loops accept such a first
-        # iterate; one at an exact root (a padded or failed lane) stays
-        # there under Newton anyway, so it needs no keeping
+        # RESIDUAL_TOL keeps it; one at an exact root (a padded or failed
+        # lane) stays there under Newton anyway, so it needs no keeping
         size = np.abs(res, tmp)
         kept = None
         if np.minimum.reduce(size, None) <= RESIDUAL_TOL:
@@ -642,7 +556,7 @@ def _columns(rows: np.ndarray) -> np.ndarray:
 
 
 class TjabemLanes(_Lanes):
-    """Lanes of tjabem_path's steps, in transformed coordinates.
+    """Lanes of the transformed scheme's steps.
 
     Row c of the lanes runs cell c of cells, a (params, jump) pair, from the
     states z of shape (cells, n).
@@ -698,10 +612,10 @@ class TjabemLanes(_Lanes):
 
 
 class BemLanes(_Lanes):
-    """Lanes of bem_path's steps, in original coordinates, for one model.
+    """Lanes of the baseline scheme's steps, in original coordinates, for one model.
 
     x holds the states, of shape (1, n); jump counts enter a step's
-    right-hand side through jump.h, as in bem_path.
+    right-hand side through jump.h.
     """
 
     def __init__(self, params: ModelParams, jump: JumpCoefficient, x: np.ndarray,
@@ -734,26 +648,25 @@ class BemLanes(_Lanes):
 
 
 # Newton updates every lane takes before its residual is checked: enough for
-# most lanes of the positivity table's steps (dt from 1/32 to 1/128)
+# most lanes of the positivity table's steps (dt from 1/32 to 1/128), which
+# the moment probe and the one-path API take too
 _TABLE_UPDATES = 3
 
 
 def tjabem_lanes(
-    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]], block
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run tjabem_path on every (cell, path) lane at once.
+    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]], block,
+    states: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Run the transformed scheme on every (cell, path) lane at once.
 
     Cell c is (params, jump, Q). block holds whole meshes of one M-step grid
     on [0, T] in the padded layout of a paths.Block (grid intervals 0..M-1):
     lane (c, p) runs cell c on path p's steps, row p of block.dt and
-    block.dw, and jumps at the nodes block.flags[p] marks. The lanes solve
-    each step together by Newton's method on numpy arrays of shape (cells,
-    paths); a lane goes to _implicit_solve on its own, and jumps are
-    per-lane jump_map calls. The zero steps that pad shorter meshes leave a
-    lane as it is. Each lane's step meets the residual contract of
-    tjabem_path's, so the two agree to within it, and no lane depends on the
-    others. Returns the lanes' terminal z and their counts of nonpositive
-    post-jump states, both of shape (cells, paths). A failure raises
+    block.dw, and jumps at the nodes block.flags[p] marks. The zero steps
+    that pad shorter meshes leave a lane as it is. Returns the lanes'
+    terminal z and their counts of nonpositive post-jump states, both of
+    shape (cells, paths), and, given states, every node's state before and
+    after its jump, of shape (cells, paths, nodes). A failure raises
     LaneFailure for the lowest failing path and, within it, the first
     failing cell.
     """
@@ -767,7 +680,7 @@ def tjabem_lanes(
     failures = {}
     for c, (params, _, q) in enumerate(cells):
         try:
-            # the guard, then the initial state, as in tjabem_path
+            # the guard, then the initial state
             _check_step_guard(q, block.T / block.hi)
             z[c] = lamperti_forward(params.rho, params.x0)
         except _LANE_ERRORS as exc:
@@ -778,6 +691,10 @@ def tjabem_lanes(
         for k in np.flatnonzero(block.flags[p][1:]).tolist():
             jumps.setdefault(k, []).append(p)
     n_nonpositive = (z <= 0.0).astype(int)
+    if states:
+        z_pre = np.empty((*shape, block.dt.shape[1] + 1))
+        z_pre[..., 0] = z
+        z_post = z_pre.copy()
     dt_k, dw_k = np.empty(shape), np.empty(shape)
     with np.errstate(all="ignore"):
         lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES)
@@ -787,6 +704,8 @@ def tjabem_lanes(
             dt_k[:] = block.dt[:, k]
             dw_k[:] = block.dw[:, k]
             lanes.step(dt_k, dw_k)
+            if states:
+                z_pre[..., k + 1] = lanes.z
             jumped = jumps.get(k)
             if jumped:
                 for p in jumped:
@@ -795,10 +714,14 @@ def tjabem_lanes(
                 # a lane's jump sets its state alone, and each path is
                 # listed once per step
                 n_nonpositive[:, jumped] += lanes.z[:, jumped] <= 0.0
+            if states:
+                z_post[..., k + 1] = lanes.z
     if lanes.failures:
         c, p = min(lanes.failures, key=lambda lane: lane[::-1])
         error = lanes.failures[c, p]
         raise LaneFailure(error, c, p) from error
+    if states:
+        return lanes.z, n_nonpositive, z_pre, z_post
     return lanes.z, n_nonpositive
 
 
@@ -812,10 +735,10 @@ def bem_path(
 ) -> float:
     """Drift-implicit scheme on the uniform M-step grid, in original coordinates.
 
-    Each step solves x_{k+1} - dt*f(x_{k+1}) = x_k + g(x_k)*dW_k + h(x_k)*dN_k
-    with the same Newton-first step and fallback as the transformed scheme;
+    Each step solves x_{k+1} - dt*f(x_{k+1}) = x_k + g(x_k)*dW_k + h(x_k)*dN_k;
     the guard constant is the clamped supremum of f'. Jump counts may exceed
-    one per interval. Returns the terminal state.
+    one per interval. Returns the terminal state. The path is one lane of
+    BemLanes, and a failure raises its error.
     """
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
@@ -825,60 +748,13 @@ def bem_path(
         q_drift = drift_one_sided_lipschitz(params)
     dt = params.T / M
     _check_step_guard(q_drift, dt)
-
-    value, slope = make_drift(params)
-    # the first three terms are c1/x, c2 and c3*x
-    (c1, _), (c2, _), (c3, _), (c4, g) = _original_drift_terms(params)
-    d4 = c4 * g
-    a3, rho = params.alpha3, params.rho
-    h = jump.h
-    rtol, floor, cap = RESIDUAL_TOL, _BRACKET_FLOOR, _BRACKET_CAP
-    iters = range(MAX_ITER)
-    dws = np.asarray(increments, dtype=float).tolist()
-    dns = np.asarray(jump_counts).tolist()
-
-    x = params.x0
-    # fx = f(x_eval) and fpx = f'(x_eval), reused as in tjabem_path
-    x_eval = 0.0
-    for k in range(M):
-        x_prev = x
-        rhs = x + a3 * x**rho * dws[k]
-        dn = dns[k]
-        if dn:
-            rhs += h(x) * dn
-        # rtol * max(1, |rhs|), without the slower builtin calls
-        tol = rtol * rhs if rhs > 1.0 else (-rtol * rhs if rhs < -1.0 else rtol)
-        lo, hi = floor, cap
-        solved = False
-        for _ in iters:
-            if x != x_eval:
-                # f and f' share the power x^g (x^(g-1) = x^g / x)
-                inv = 1.0 / x
-                try:
-                    pg = x**g
-                except OverflowError:
-                    break
-                fx = c1 * inv + c2 + c3 * x + c4 * pg
-                fpx = (-c1 * inv + d4 * pg) * inv + c3
-                x_eval = x
-            res = (x - rhs) - dt * fx
-            if -tol <= res <= tol:
-                solved = True
-                break
-            if res < 0.0:
-                lo = x
-            else:
-                hi = x
-            d = 1.0 - dt * fpx
-            if not d > 0.0:
-                break
-            x_new = x - res / d
-            if not lo < x_new < hi:
-                break
-            x = x_new
-        if not solved:
-            x = _implicit_solve(value, slope, dt, rhs, x_prev)
-    return x
+    lanes = BemLanes(params, jump, np.full((1, 1), params.x0), _TABLE_UPDATES)
+    counts = {k: [(0, dn)] for k, dn in enumerate(np.asarray(jump_counts).tolist()) if dn}
+    with np.errstate(all="ignore"):
+        lanes.run(np.full((1, M), dt), np.asarray(increments, dtype=float)[None], counts)
+    for error in lanes.failures.values():
+        raise error
+    return float(lanes.z[0, 0])
 
 
 def _epsilon_bound(params: ModelParams) -> float:

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from jumpsde import (
     ModelParams,
@@ -31,6 +30,7 @@ from jumpsde import (
     transformed_drift_second,
     zero_jump,
 )
+import oracles
 from jumpsde.mesh import JumpAdaptedMesh
 from jumpsde.reports import (
     write_convergence_reports,
@@ -212,26 +212,12 @@ def test_criterion_7_degeneration_suite():
     """Zero intensity reduces to the no-jump scheme; zero jumps are neutral."""
     params = replace(SET1, lam=0.0)
 
-    def lamperti_euler_oracle(mesh, increments):
-        rho, a3 = params.rho, params.alpha3
-        z = params.x0 ** (1.0 - rho)
-        for k in range(mesh.n_intervals):
-            rhs = z + (1.0 - rho) * a3 * increments[k]
-            dt = mesh.dt[k]
-            g = lambda y: y - dt * transformed_drift(params, y) - rhs
-            lo, hi = 1e-12, 10.0
-            while g(lo) > 0.0:
-                lo *= 0.5
-            while g(hi) < 0.0:
-                hi *= 2.0
-            z = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-        return z ** (1.0 / (1.0 - rho))
-
     worst = 0.0
     for i in range(20):
         bundle = generate_bundle(params, 128, 20240807, i)
         _, x_fast = tjabem_path(params, zero_jump(), bundle.fine_mesh, bundle.dw_fine)
-        x_oracle = lamperti_euler_oracle(bundle.fine_mesh, bundle.dw_fine)
+        x_oracle = oracles.lamperti_euler(params, bundle.fine_mesh, bundle.dw_fine,
+                                           xtol=1e-15, maxiter=300)
         worst = max(worst, abs(x_fast - x_oracle))
     assert worst <= 1e-10
 

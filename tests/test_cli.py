@@ -598,6 +598,21 @@ def test_validated_configs_moment_or_exit_cleanly(values):
             assert _run_quietly(argv) in (0, 2)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=finite_configs())
+def test_validated_configs_tabulate_or_exit_2(values):
+    # the table runs its default jumps unless --h names one; naming the
+    # config's own, which validate checked, covers every cell of the table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(_config_text(values))
+        if _run_quietly(["validate", "--config", str(path)]) == 0:
+            argv = ["positivity", "--presets", str(path),
+                    "--h", f"{values['family']}:{values['param']}",
+                    "--out", str(Path(tmp) / "out")]
+            assert _run_quietly(argv) in (0, 2)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     values=finite_configs(),

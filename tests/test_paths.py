@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpsde.paths
+import oracles
 from jumpsde import (
     MeshError,
     ModelParams,
@@ -21,7 +22,6 @@ from jumpsde.harness import _jump_counts, check_ladder
 from jumpsde.mesh import DEDUP_RTOL, place_batch, place_jumps
 from jumpsde.paths import (
     PathNoise,
-    _segment_sums,
     coarse_block,
     fine_block,
     fine_blocks,
@@ -196,7 +196,7 @@ def test_segment_sums_equal_a_sequential_loop():
     cuts = np.sort(rng.choice(np.arange(1, 400), 37, replace=False))
     idx = np.concatenate(([0], cuts, [400]))
     idx[5] = idx[4]  # an empty segment sums to 0.0
-    sums = _segment_sums(values, idx)
+    sums = oracles._segment_sums(values, idx)
     expected = [_left_to_right(values[a:b].tolist()) for a, b in zip(idx, idx[1:])]
     assert sums.tobytes() == np.array(expected).tobytes()
 
@@ -314,7 +314,7 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
                 p for p, jumps in enumerate(placed) if jumps.touches(lo, hi)]
             for p, bundle in enumerate(bundles):
                 lane = j * n_paths + p
-                c_mesh, c_dw = coarsen_increments(bundle, m)
+                c_mesh, c_dw = oracles.coarsen_increments(bundle, m)
                 start = np.flatnonzero(
                     np.abs(c_mesh.nodes - lo * params.T / m) <= 1e-12
                 )[0]
@@ -326,7 +326,7 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
                 jumped = [k for k, lanes in coarse.jumps.items() for other in lanes
                           if other == lane]
                 assert sorted(jumped) == np.flatnonzero(ends).tolist()
-                r_dw, _ = regular_increments(bundle, m)
+                r_dw, _ = oracles.regular_increments(bundle, m)
                 assert coarse.grid[lane, :span].tobytes() == r_dw[lo:hi].tobytes()
 
 
@@ -465,8 +465,8 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
     spans = [m // blocks for m in m_list]
     counts = _jump_counts(staged, T, m_list, spans, blocks)
     ref_jumps = jump_steps(fine, blocks)
-    oracles = [[(coarsen_increments(bundle, m), regular_increments(bundle, m))
-                for bundle in bundles] for m in m_list]
+    sums = [[(oracles.coarsen_increments(bundle, m), oracles.regular_increments(bundle, m))
+             for bundle in bundles] for m in m_list]
     streamed = fine_blocks(_reopened(paths), fine, blocks)
     for b in range(blocks):
         block = fine_block(paths, b * fine_steps, (b + 1) * fine_steps)
@@ -477,7 +477,7 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
         coarse = coarse_block(block, cuts)
         width = coarse.dt.shape[1]
         for j, (m, span) in enumerate(zip(m_list, spans)):
-            for p, ((mesh, dw), (r_dw, r_dn)) in enumerate(oracles[j]):
+            for p, ((mesh, dw), (r_dw, r_dn)) in enumerate(sums[j]):
                 lane, k = j * n + p, coarse.steps[j * n + p]
                 # the mesh's steps from grid node b * span on
                 start = place_jumps(m, T, staged[p]).nodes(0, b * span)[0].size - 1

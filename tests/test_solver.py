@@ -27,8 +27,9 @@ from jumpsde import (
     zero_jump,
 )
 import jumpsde.solver
+import oracles
 from jumpsde.mesh import JumpAdaptedMesh
-from jumpsde.paths import Block
+from jumpsde.paths import whole_block
 from jumpsde.model import (
     drift_one_sided_lipschitz,
     make_drift,
@@ -114,30 +115,12 @@ def test_single_step_unrolled(set1):
     assert trajectory.z_post[-1] == trajectory.z_pre[-1]
 
 
-def _lamperti_euler_oracle(params, mesh, increments, xtol=1e-14):
-    """Independent no-jump stepper: brentq on the implicit relation per step."""
-    rho, a3 = params.rho, params.alpha3
-    z = params.x0 ** (1.0 - rho)
-    for k in range(mesh.n_intervals):
-        rhs = z + (1.0 - rho) * a3 * increments[k]
-        dt = mesh.dt[k]
-        g = lambda y: y - dt * transformed_drift(params, y) - rhs
-        lo = 1e-12
-        while g(lo) > 0.0:
-            lo *= 0.5
-        hi = 10.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-        z = brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200)
-    return z ** (1.0 / (1.0 - rho))
-
-
 def test_zero_intensity_matches_direct_lamperti_euler(set1):
     params = replace(set1, lam=0.0)
     for i in range(5):
         bundle = generate_bundle(params, 64, 99, i)
         _, x_fast = tjabem_path(params, zero_jump(), bundle.fine_mesh, bundle.dw_fine)
-        x_oracle = _lamperti_euler_oracle(params, bundle.fine_mesh, bundle.dw_fine)
+        x_oracle = oracles.lamperti_euler(params, bundle.fine_mesh, bundle.dw_fine)
         assert abs(x_fast - x_oracle) <= 1e-10
 
 
@@ -188,8 +171,9 @@ def test_tjabem_frozen_regression(set1):
     # pinned by an independent bisection reimplementation of the recursion
     bundle = generate_bundle(set1, 32, 2024, 2)
     assert bundle.jump_times.size == 3
-    _, x_terminal = tjabem_path(set1, linear_jump(-0.5), bundle.fine_mesh, bundle.dw_fine)
-    assert x_terminal == pytest.approx(0.8741282984427632, abs=1e-10)
+    for run in (tjabem_path, oracles.tjabem_path):
+        _, x_terminal = run(set1, linear_jump(-0.5), bundle.fine_mesh, bundle.dw_fine)
+        assert x_terminal == pytest.approx(0.8741282984427632, abs=1e-10)
 
 
 def test_increment_length_mismatch(set1):
@@ -229,9 +213,10 @@ def test_bem_frozen_regression(set1):
     bundle = generate_bundle(set1, 64, 2024, 2)
     dw, dn = regular_increments(bundle, 64)
     assert dn.sum() == 3
-    x_terminal = bem_path(set1, linear_jump(-0.5), 64, dw, dn)
-    assert x_terminal == pytest.approx(0.6894105912649875, abs=1e-10)
-    assert x_terminal > 0.0
+    for run in (bem_path, oracles.bem_path):
+        x_terminal = run(set1, linear_jump(-0.5), 64, dw, dn)
+        assert x_terminal == pytest.approx(0.6894105912649875, abs=1e-10)
+        assert x_terminal > 0.0
 
 
 def test_bem_positivity_with_jumps(set1):
@@ -306,7 +291,7 @@ def test_tjabem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
             bundle = generate_bundle(params, 256, 71, i)
             mesh = bundle.fine_mesh
             assert mesh.is_jump.any()
-            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q)
+            trajectory, _ = oracles.tjabem_path(params, jump, mesh, bundle.dw_fine, q)
             for k in range(mesh.n_intervals):
                 z_start = trajectory.z_post[k]
                 rhs = z_start + noise_coef * bundle.dw_fine[k]
@@ -326,13 +311,13 @@ def test_bem_nodes_match_the_bracketed_oracle(set1, set2, jump, monkeypatch):
         fval, fslope = make_drift(params)
         dt = params.T / M
         bundle = generate_bundle(params, M, 72, 0)
-        dw, dn = regular_increments(bundle, M)
+        dw, dn = oracles.regular_increments(bundle, M)
         assert dn.any()
         # node k is the terminal state of the first k steps: with T = 1 and M
         # a power of two, the prefix horizon k*dt split into k steps is dt
         # exactly, so the prefix run repeats the full run's arithmetic
         nodes = [params.x0] + [
-            bem_path(replace(params, T=k * dt), jump, k, dw[:k], dn[:k], q)
+            oracles.bem_path(replace(params, T=k * dt), jump, k, dw[:k], dn[:k], q)
             for k in range(1, M + 1)
         ]
         for k in range(M):
@@ -354,7 +339,7 @@ def test_tjabem_hands_a_failed_newton_step_to_the_bracketed_solver(
     # a huge positive one: the iterates reach z where z^5 overflows
     for T, dw in ((2.0**-10, 100.0), (1.0, -1e70)):
         mesh = build_mesh(1, T, [])
-        trajectory, _ = tjabem_path(replace(params, T=T), zero_jump(), mesh, [dw], 0.0)
+        trajectory, _ = oracles.tjabem_path(replace(params, T=T), zero_jump(), mesh, [dw], 0.0)
         rhs = z0 + noise_coef * dw
         z = trajectory.z_pre[-1]
         assert z > 0.0
@@ -373,7 +358,7 @@ def test_newton_step_falls_back_on_the_stiff_model(monkeypatch):
     noise_coef = (1.0 - params.rho) * params.alpha3
     mesh = build_mesh(1, params.T, [])
     for dw, expected_fallbacks in ((0.0, 0), (1.0, 0), (2.5, 1), (20.0, 2)):
-        trajectory, _ = tjabem_path(params, zero_jump(), mesh, [dw], q)
+        trajectory, _ = oracles.tjabem_path(params, zero_jump(), mesh, [dw], q)
         rhs = trajectory.z_post[0] + noise_coef * dw
         z = trajectory.z_pre[1]
         assert z > 0.0
@@ -387,7 +372,7 @@ def test_bem_hands_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatc
     params = replace(set1, lam=0.0, T=2.0**-10)
     fval, _ = make_drift(params)
     # rhs = 1 + 1*(-50) = -49: Newton from x0 = 1 overshoots below zero
-    x = bem_path(params, zero_jump(), 1, [-50.0], [0])
+    x = oracles.bem_path(params, zero_jump(), 1, [-50.0], [0])
     assert x > 0.0
     assert abs((x + 49.0) - params.T * fval(x)) <= RESIDUAL_TOL * 49.0
     assert len(fallbacks) == 1
@@ -404,23 +389,9 @@ def _lane_cells(param_sets, jump_specs):
     ]
 
 
-def _whole_block(meshes, increments):
-    """Meshes of one M-step grid and their increments as a Block of whole meshes."""
-    n = np.array([mesh.n_intervals for mesh in meshes])
-    dt = np.zeros((len(meshes), n.max()))
-    dw = np.zeros_like(dt)
-    for row, mesh, inc in zip(range(len(meshes)), meshes, increments):
-        dt[row, : n[row]] = mesh.dt
-        dw[row, : n[row]] = inc
-    M = round(meshes[0].T / meshes[0].base_dt)
-    touched = [p for p, mesh in enumerate(meshes) if mesh.is_jump.any()]
-    return Block(meshes[0].T, 0, M, n, [mesh.nodes for mesh in meshes],
-                 [mesh.is_jump for mesh in meshes], dt, dw, touched)
-
-
 def _run_lanes(cells, bundles):
     return tjabem_lanes(
-        cells, _whole_block([b.fine_mesh for b in bundles], [b.dw_fine for b in bundles])
+        cells, whole_block([b.fine_mesh for b in bundles], [b.dw_fine for b in bundles])
     )
 
 
@@ -442,7 +413,7 @@ def test_lanes_match_the_path_loop(set1, set2, lam, M):
         noise_coef = (1.0 - params.rho) * params.alpha3
         for p, bundle in enumerate(bundles):
             mesh = bundle.fine_mesh
-            trajectory, _ = tjabem_path(params, jump, mesh, bundle.dw_fine, q)
+            trajectory, _ = oracles.tjabem_path(params, jump, mesh, bundle.dw_fine, q)
             rhs = trajectory.z_post[:-1] + noise_coef * bundle.dw_fine
             n_jumps = int(mesh.is_jump.sum())
             bound = (2.0**n_jumps * mesh.n_intervals * 2.0 * RESIDUAL_TOL
@@ -463,7 +434,7 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     dws = [0.0, 1.0, 2.5, 20.0]
     mesh = build_mesh(1, params.T, [])
     z, n_nonpositive = tjabem_lanes(
-        [(params, zero_jump(), q)], _whole_block([mesh] * 4, [[dw] for dw in dws])
+        [(params, zero_jump(), q)], whole_block([mesh] * 4, [[dw] for dw in dws])
     )
     assert not n_nonpositive.any()
     z0 = lamperti_forward(params.rho, params.x0)
@@ -508,10 +479,10 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
         bundle = generate_bundle(sets[0], 16, 85, i)
         meshes.append(bundle.fine_mesh)
         increments.append(bundle.dw_fine)
-    _, n_nonpositive = tjabem_lanes(cells, _whole_block(meshes, increments))
+    _, n_nonpositive = tjabem_lanes(cells, whole_block(meshes, increments))
     for c, (params, jump, q) in enumerate(cells):
         for p, (mesh, dw) in enumerate(zip(meshes, increments)):
-            trajectory, _ = tjabem_path(params, jump, mesh, dw, q)
+            trajectory, _ = oracles.tjabem_path(params, jump, mesh, dw, q)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
 
@@ -602,7 +573,7 @@ def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monke
     assert [call[3] for call in fallbacks] == [-49.0]
     for x_lane, dw in zip(lanes.z[0].tolist(), dws[0].tolist()):
         assert x_lane > 0.0
-        x_path = bem_path(params, zero_jump(), 1, [dw], [0])
+        x_path = oracles.bem_path(params, zero_jump(), 1, [dw], [0])
         rhs = 1.0 + dw
         tol = RESIDUAL_TOL * max(1.0, abs(rhs))
         assert abs((x_lane - rhs) - params.T * fval(x_lane)) <= tol
