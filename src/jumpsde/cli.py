@@ -355,8 +355,6 @@ def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> 
 def cmd_convergence(config: ExperimentConfig) -> int:
     if config.m_ref is None:
         raise InvalidModelError("convergence needs m_ref in the [ladder] section")
-    validate_params(config.params)
-    validate_jump(config.jump, config.params)
     reports = strong_error_ladder(
         config.params,
         config.jump,

@@ -49,7 +49,6 @@ from .paths import (  # noqa: F401
     coarsen_increments,
     fine_blocks,
     generate_bundle,
-    jump_steps,
     level_cuts,
     mesh_block,
     open_path,
@@ -192,8 +191,9 @@ def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
 
 def _batches(lo, hi, size, global_seed, open_one, run) -> list:
     """run(paths) on each batch of at most size paths of lo..hi-1, in path
-    order, each path opened by open_one(i). A path that fails to open is
-    named unless run fails on a lower path of its batch first."""
+    order, each path opened by open_one(i). A path that fails to open, or
+    whose jump times run's placement rejects, is named unless run fails on
+    a lower path of its batch first."""
     results = []
     for start in range(lo, hi, size):
         paths = []
@@ -203,10 +203,25 @@ def _batches(lo, hi, size, global_seed, open_one, run) -> list:
             except _PATH_ERRORS as exc:
                 failure = _replay_failure(exc, global_seed, i)
                 if paths:
-                    run(paths)
+                    _run_batch(run, paths)
                 raise failure from exc
-        results.append(run(paths))
+        results.append(_run_batch(run, paths))
     return results
+
+
+def _run_batch(run, paths):
+    """run(paths), or, where its placement rejects path k's jump times, the
+    failure of run(paths[:k]) or else path k's."""
+    try:
+        return run(paths)
+    except MeshError as exc:
+        if exc.path is None:
+            raise
+        path = paths[exc.path]
+        failure = _replay_failure(exc, path.global_seed, path.path_index)
+        if exc.path:
+            _run_batch(run, paths[: exc.path])
+        raise failure from exc
 
 
 def _run_chunk(task):
@@ -354,11 +369,12 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     """
     T, n, n_levels = params.T, len(paths), len(m_list)
     blocks = math.gcd(*m_list)
-    fine = m_ref // blocks
     spans = [m // blocks for m in m_list]
     ref = coarse = bem = None
     # the schemes whose levels this batch steps
     level_schemes = schemes if "levels" in groups else ()
+    times = [path.jump_times for path in paths]
+    placed = place_batch((m_ref,), T, times)
     with np.errstate(all="ignore"):
         try:
             # the guards in the order a path run on its own meets them; each
@@ -373,10 +389,6 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         if "reference" in groups:
             ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
-        times = [path.jump_times for path in paths]
-        placed = place_batch((m_ref,), T, times)
-        if ref is not None:
-            ref_jumps = jump_steps(placed, blocks)
         if level_schemes:
             # lane j * n + p of the levels is path p at m_list[j]
             cuts = level_cuts(placed, place_batch(m_list, T, times), blocks)
@@ -390,10 +402,9 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
             for j, m in enumerate(m_list):
                 bem_dt[j * n : (j + 1) * n, : spans[j]] = T / m
             counts = _jump_counts(times, T, m_list, spans, blocks)
-        for block in fine_blocks(paths, placed, blocks):
-            b = block.lo // fine
+        for b, block in enumerate(fine_blocks(paths, placed, blocks)):
             if ref is not None:
-                ref.run(block.dt, block.dw, ref_jumps[b])
+                ref.run(block.dt, block.dw, block.jumps)
             if not level_schemes:
                 continue
             stacked = coarse_block(block, cuts)
@@ -548,8 +559,8 @@ def _lane_counts(paths, cells, groups) -> np.ndarray:
     """
     counts = np.zeros((len(cells), 2), dtype=np.int64)
     failures = []
-    for g, (_, members) in enumerate(groups):
-        block = mesh_block(paths, g)
+    for mesh, members in groups:
+        block = mesh_block(paths, *mesh)
         try:
             _, nonpositive = tjabem_lanes([cells[c][:3] for c in members], block)
             counts[members, 0] = int(block.n.sum()) + len(paths)
@@ -649,7 +660,8 @@ def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
     """
     def rows(paths):
         try:
-            *_, z_post = tjabem_lanes([(params, jump, q)], mesh_block(paths, 0), states=True)
+            block = mesh_block(paths, params.T, M)
+            *_, z_post = tjabem_lanes([(params, jump, q)], block, states=True)
         except LaneFailure as exc:
             path = paths[exc.path]
             raise _replay_failure(exc, path.global_seed, path.path_index) from exc

@@ -7,8 +7,6 @@ step T/M. Meshes are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -16,12 +14,10 @@ import numpy as np
 
 __all__ = [
     "JumpAdaptedMesh",
-    "JumpNodes",
     "GridJumps",
     "MeshError",
     "DEDUP_RTOL",
     "sample_jump_times",
-    "place_jumps",
     "place_batch",
     "grid_nodes",
     "build_mesh",
@@ -33,7 +29,12 @@ DEDUP_RTOL = 1e-12
 
 
 class MeshError(ValueError):
-    """Inconsistent mesh construction or node matching."""
+    """Inconsistent mesh construction or node matching. Where place_batch
+    rejects a path's jump times, path is that path's index in its batch."""
+
+    def __init__(self, message: str, path: int | None = None):
+        super().__init__(message)
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -83,102 +84,6 @@ def sample_jump_times(lam: float, T: float, rng: np.random.Generator) -> np.ndar
     return np.asarray(times, dtype=float)
 
 
-@dataclass(frozen=True)
-class JumpNodes:
-    """Where a path's jump times sit on the uniform M-step grid on [0, T].
-
-    inserted holds the jump times that become nodes of their own, in order,
-    and cells[i] is the grid interval k that inserted[i] splits, between the
-    grid nodes k*T/M and (k+1)*T/M. on_grid holds the grid nodes that a jump
-    time within the dedup tolerance merged onto and flags.
-    """
-
-    M: int
-    T: float
-    inserted: tuple[float, ...]
-    cells: tuple[int, ...]
-    on_grid: tuple[int, ...]
-
-    def nodes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and jump flags of grid intervals lo..hi-1.
-
-        The nodes are grid nodes lo..hi with the inserted times of those
-        intervals between them, so lo = 0 and hi = M give the whole mesh;
-        the flags mark inserted times and the grid nodes in on_grid.
-        """
-        grid = np.arange(lo, hi + 1, dtype=float) * (self.T / self.M)
-        if hi == self.M:
-            grid[-1] = self.T
-        first, last = bisect_left(self.cells, lo), bisect_left(self.cells, hi)
-        flags = np.zeros(hi - lo + 1 + last - first, dtype=bool)
-        if first == last:
-            nodes = grid
-        else:
-            # grid nodes up to each inserted time's interval, then the time
-            nodes = np.empty(flags.size)
-            start = 0
-            for i in range(first, last):
-                end = self.cells[i] - lo + 1
-                at = start + i - first
-                nodes[at : at + end - start] = grid[start:end]
-                nodes[at + end - start] = self.inserted[i]
-                flags[at + end - start] = True
-                start = end
-            nodes[start + last - first :] = grid[start:]
-        for q in self.on_grid:
-            if lo <= q <= hi:
-                flags[q - lo + bisect_left(self.cells, q, first, last) - first] = True
-        return nodes, flags
-
-    def touches(self, lo: int, hi: int) -> bool:
-        """Whether a step of grid intervals lo..hi-1 ends at a jump node.
-
-        A flagged grid node ends the interval before it, so node lo belongs
-        to the intervals before lo.
-        """
-        return bisect_left(self.cells, lo) < bisect_left(self.cells, hi) or (
-            bisect_right(self.on_grid, lo) < bisect_right(self.on_grid, hi)
-        )
-
-
-def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
-    """Place sorted jump times on the uniform M-step grid on [0, T].
-
-    A jump time within the dedup tolerance of a grid node merges onto the
-    grid node and flags it; a jump time within the tolerance of the one
-    before it collapses into it. Jump times at or beyond the domain ends
-    (outside (0, T), up to tolerance at T) raise MeshError.
-    """
-    if M < 1:
-        raise ValueError(f"M must be a positive integer, got {M}")
-    if not T > 0.0:
-        raise ValueError(f"T must be strictly positive, got {T}")
-    base_dt = T / M
-    tol = DEDUP_RTOL * T
-    times = np.asarray(jump_times, dtype=float).tolist()
-    inserted, cells, on_grid = [], [], []
-    if times:
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise MeshError("jump times must be sorted")
-        if times[0] <= tol or times[-1] >= T + tol:
-            raise MeshError(
-                f"jump time outside (0, T): first={times[0]}, last={times[-1]}, T={T}"
-            )
-        before = -math.inf
-        for t in times:
-            if t - before > tol:
-                # the nearest grid node, rounding half to even as numpy does
-                n = min(max(round(t / base_dt), 0), M)
-                node = T if n == M else n * base_dt
-                if abs(t - node) <= tol:
-                    on_grid.append(n)
-                else:
-                    inserted.append(t)
-                    cells.append(n if t > node else n - 1)
-            before = t
-    return JumpNodes(M, T, tuple(inserted), tuple(cells), tuple(on_grid))
-
-
 # a NamedTuple, as are the records that paths.level_cuts builds from it, not
 # a frozen dataclass: every import creates the class, and a dataclass costs
 # several times as much to create
@@ -186,14 +91,14 @@ class GridJumps(NamedTuple):
     """A batch of n paths' jump times placed on uniform grids on [0, T], flat.
 
     Lane g * n + p is path p on the grid of M[g] steps. There is one entry
-    per lane and jump time that place_jumps keeps, lane by lane in time
+    per lane and jump time that place_batch keeps, lane by lane in time
     order: lane[i] is the entry's lane and times[i] its time. An entry
     merged onto grid node q (on_grid[i]) ends interval q - 1, and an
     inserted one splits interval[i]; either way its node ends a step of
-    interval[i]. index[i] is the node's index in the lane's whole mesh,
-    JumpNodes.nodes(0, M); two entries merged onto one grid node share it.
-    Every grid holds the same entries in the same order, so entry
-    g * (entries per grid) + i is entry i on grid g.
+    interval[i]. index[i] is the node's index in the lane's whole mesh, the
+    grid nodes and the lane's inserted times, sorted; two entries merged
+    onto one grid node share it. Every grid holds the same entries in the
+    same order, so entry g * (entries per grid) + i is entry i on grid g.
     """
 
     T: float
@@ -215,17 +120,30 @@ class GridJumps(NamedTuple):
         number of the lane's inserted times before it."""
         return k + np.searchsorted(self.keys, lane * self.stride + k) - self.first[lane]
 
+    def mesh(self) -> JumpAdaptedMesh:
+        """The whole mesh of one path placed on one grid, its entries'
+        nodes flagged."""
+        M = int(self.M[0])
+        nodes = np.sort(np.concatenate([grid_nodes(M, self.T), self.times[~self.on_grid]]))
+        is_jump = np.zeros(nodes.size, dtype=bool)
+        is_jump[self.index] = True
+        return JumpAdaptedMesh(nodes, is_jump, nodes[1:] - nodes[:-1], self.T / M)
+
 
 def place_batch(ms: Sequence[int], T: float, jump_times: Sequence) -> GridJumps:
-    """place_jumps for every path of a batch on every grid of ms steps.
+    """Place every path's sorted jump times, jump_times[p] for path p, on
+    the uniform grids of ms steps on [0, T], all at once.
 
-    jump_times[p] holds path p's sorted jump times. The rules and errors are
-    place_jumps's, and each decision is the same floating-point comparison,
-    made for all entries at once.
+    A jump time within the dedup tolerance of the one before it collapses
+    into it; one within the tolerance of its nearest grid node merges onto
+    that node and flags it; any other is inserted as a node of its own.
+    Jump times out of order or at or beyond the domain ends (outside
+    (0, T), up to the tolerance at T) raise MeshError for the first path
+    of the batch that has them.
     """
     ms = np.asarray(ms, dtype=np.int64)
     if not np.all(ms >= 1):
-        raise ValueError(f"M must be a positive integer, got {ms.tolist()}")
+        raise ValueError(f"M must be a positive integer, got {int(ms[ms < 1][0])}")
     if not T > 0.0:
         raise ValueError(f"T must be strictly positive, got {T}")
     tol = DEDUP_RTOL * T
@@ -235,15 +153,16 @@ def place_batch(ms: Sequence[int], T: float, jump_times: Sequence) -> GridJumps:
     path = np.repeat(np.arange(n), sizes)
     same = path[1:] == path[:-1]
     gaps = times[1:] - times[:-1]
-    if np.any(gaps[same] < 0.0):
-        raise MeshError("jump times must be sorted")
+    unsorted = np.flatnonzero(same & (gaps < 0.0))
+    if unsorted.size:
+        raise MeshError("jump times must be sorted", int(path[unsorted[0]]))
     ends = np.cumsum(sizes)[sizes > 0]
     firsts, lasts = times[ends - sizes[sizes > 0]], times[ends - 1]
     outside = np.flatnonzero((firsts <= tol) | (lasts >= T + tol))
     if outside.size:
         k = outside[0]
         raise MeshError(f"jump time outside (0, T): first={float(firsts[k])}, "
-                        f"last={float(lasts[k])}, T={T}")
+                        f"last={float(lasts[k])}, T={T}", int(np.flatnonzero(sizes)[k]))
     # a time within the tolerance of the one before it collapses into it
     keep = np.concatenate(([True], ~same | (gaps > tol)))[: times.size]
     times, path = times[keep], path[keep]
@@ -267,17 +186,13 @@ def place_batch(ms: Sequence[int], T: float, jump_times: Sequence) -> GridJumps:
 
 
 def grid_nodes(M: int, T: float) -> np.ndarray:
-    """The uniform M-step grid's nodes on [0, T], as JumpNodes.nodes has them."""
+    """The uniform M-step grid's nodes on [0, T], the last exactly T."""
     nodes = np.arange(M + 1) * (T / M)
     nodes[-1] = T
     return nodes
 
 
 def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:
-    """Merge the uniform M-step grid on [0, T] with sorted jump times.
-
-    The jump times are placed by place_jumps, whose dedup rule and domain
-    checks apply.
-    """
-    nodes, flags = place_jumps(M, T, jump_times).nodes(0, M)
-    return JumpAdaptedMesh(nodes, flags, nodes[1:] - nodes[:-1], T / M)
+    """Merge the uniform M-step grid on [0, T] with sorted jump times, as
+    place_batch places them for one path."""
+    return place_batch((M,), T, [jump_times]).mesh()

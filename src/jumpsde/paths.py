@@ -5,12 +5,13 @@ Each path derives two independent counter-based streams from
 increments, so results never depend on execution order or thread count and
 changing the jump intensity never perturbs the Brownian draw sequence.
 Coarse-resolution increments are left-to-right sums of fine increments, so
-every resolution of a path sees exactly the same Brownian path. fine_block
-and fine_blocks draw blocks of consecutive grid intervals of several paths
-in time order, bit for bit as their bundles; level_cuts finds by index
-arithmetic on a batch's flat jump placements where several coarser levels
-cut each block, and coarse_block sums a block for all of them at once, also
-for coarsen_increments and regular_increments on a one-path batch.
+every resolution of a path sees exactly the same Brownian path. Every mesh
+and block comes from the flat jump placement of mesh.place_batch, with the
+steps at whose ends each lane jumps: fine_blocks draws a batch's blocks of
+consecutive grid intervals in time order, bit for bit as their bundles;
+level_cuts finds by index arithmetic where several coarser levels cut each
+block, and coarse_block sums a block for all of them at once, also for
+coarsen_increments and regular_increments on a one-path batch.
 open_shared_path opens a path once for several (T, M) meshes, and
 mesh_block lays one of them out for many paths, bit for bit as
 generate_bundle at that (T, M).
@@ -28,12 +29,10 @@ from .mesh import (
     DEDUP_RTOL,
     GridJumps,
     JumpAdaptedMesh,
-    JumpNodes,
     MeshError,
     build_mesh,
     grid_nodes,
     place_batch,
-    place_jumps,
     sample_jump_times,
 )
 from .model import ModelParams
@@ -46,7 +45,6 @@ __all__ = [
     "path_streams",
     "open_path",
     "open_shared_path",
-    "fine_block",
     "fine_blocks",
     "mesh_block",
     "whole_block",
@@ -54,7 +52,6 @@ __all__ = [
     "Levels",
     "level_cuts",
     "coarse_block",
-    "jump_steps",
     "generate_bundle",
     "coarsen_increments",
     "regular_increments",
@@ -80,28 +77,26 @@ class PathBundle:
 
 @dataclass(frozen=True)
 class PathNoise:
-    """One path's jump times, their nodes on the m_ref-step grid, and its
-    Brownian stream, from which fine_block draws the increments in time order.
-    """
+    """One path's jump times and its Brownian stream, from which fine_blocks
+    draws the increments in time order."""
 
     global_seed: int
     path_index: int
     m_ref: int
     T: float
     jump_times: np.ndarray
-    jumps: JumpNodes
     brownian: np.random.Generator
 
 
 @dataclass(frozen=True)
 class SharedPath:
-    """One path opened for several (T, M) meshes: its jump times placed on
-    each mesh's grid (jumps[g] for mesh g), and the standard normals of its
-    Brownian stream, as many as the longest mesh has steps."""
+    """One path opened for several (T, M) meshes: its jump times over the
+    longest horizon, and the standard normals of its Brownian stream, at
+    least as many as any mesh has steps."""
 
     global_seed: int
     path_index: int
-    jumps: tuple
+    jump_times: np.ndarray
     normals: np.ndarray
 
 
@@ -109,22 +104,18 @@ class SharedPath:
 class Block:
     """Grid intervals lo..hi-1 of several paths' meshes on [0, T].
 
-    Path p has n[p] steps there: nodes[p] and flags[p] are its n[p] + 1
-    nodes and their jump flags, and row p of dt and dw holds its step sizes
-    and Brownian increments, padded with zeros to a common width. Every
-    path not in `touched` has no jump node among these steps, so its nodes
-    are the grid's.
+    Path p has n[p] steps there: row p of dt and dw holds their sizes and
+    Brownian increments, padded with zeros to a common width. jumps maps a
+    step k to the paths that jump at its end, each once and in path order.
     """
 
     T: float
     lo: int
     hi: int
     n: np.ndarray
-    nodes: list
-    flags: list
     dt: np.ndarray
     dw: np.ndarray
-    touched: list
+    jumps: dict
 
 
 def path_streams(
@@ -142,78 +133,65 @@ def path_streams(
 def open_path(
     params: ModelParams, m_ref: int, global_seed: int, path_index: int
 ) -> PathNoise:
-    """Sample a path's jump times and place them on its reference grid."""
+    """Sample a path's jump times and keep its Brownian stream."""
     if m_ref < 1:
         raise ValueError(f"m_ref must be a positive integer, got {m_ref}")
     jump_rng, brownian_rng = path_streams(global_seed, path_index)
     jump_times = sample_jump_times(params.lam, params.T, jump_rng)
     jump_times.setflags(write=False)
-    jumps = place_jumps(m_ref, params.T, jump_times)
-    return PathNoise(
-        global_seed, path_index, m_ref, params.T, jump_times, jumps, brownian_rng
-    )
+    return PathNoise(global_seed, path_index, m_ref, params.T, jump_times, brownian_rng)
 
 
-def _block(jumps: Sequence[JumpNodes], lo: int, hi: int, draw, touched=None) -> Block:
-    """Grid intervals lo..hi-1 of the meshes that these placements give.
+def _blocks(placed: GridJumps, blocks: int, draw):
+    """The blocks of blocks equal runs of the intervals of a batch placed on
+    one grid, in time order.
 
-    draw(p, out) fills out with path p's standard normals, one per step in
-    node order; each increment is its normal times the square root of its
-    step. touched lists, ascending, the paths with a jump node among these
-    steps; if it is not given, each placement is asked.
+    A path with no inserted time among a block's steps steps on the grid
+    there; any other path's steps are rebuilt from its nodes, the grid's
+    and its inserted times, sorted. draw(p, out) fills out with path p's
+    standard normals, one per step in node order; each increment is its
+    normal times the square root of its step.
     """
-    if touched is None:
-        touched = [p for p, placed in enumerate(jumps) if placed.touches(lo, hi)]
-    grid = no_flags = None
-    if len(touched) < len(jumps):
-        grid, no_flags = place_jumps(jumps[0].M, jumps[0].T, ()).nodes(lo, hi)
-    nodes, flags = [grid] * len(jumps), [no_flags] * len(jumps)
-    n = np.full(len(jumps), hi - lo)
-    for p in touched:
-        nodes[p], flags[p] = jumps[p].nodes(lo, hi)
-        n[p] = nodes[p].size - 1
-    dt = np.zeros((len(jumps), int(n.max())))
-    if grid is not None:
-        dt[:, : hi - lo] = grid[1:] - grid[:-1]
-    for p in touched:
-        dt[p, : n[p]] = nodes[p][1:] - nodes[p][:-1]
-        dt[p, n[p] :] = 0.0
-    dw = np.zeros_like(dt)
-    for p, steps in enumerate(n.tolist()):
-        draw(p, dw[p, :steps])
-    dw *= np.sqrt(dt)
-    return Block(jumps[0].T, lo, hi, n, nodes, flags, dt, dw, touched)
-
-
-def fine_block(paths: Sequence[PathNoise], lo: int, hi: int) -> Block:
-    """Draw grid intervals lo..hi-1 of every path's reference mesh.
-
-    Each path's increments are standard normals from its own stream, in node
-    order, times the square roots of its steps. A path's blocks drawn in
-    time order therefore give its increments over [0, T] bit for bit, since
-    the stream yields the same numbers in parts as in one draw; the whole
-    mesh is the one-block case.
-    """
-    return _block([path.jumps for path in paths], lo, hi,
-                  lambda p, out: paths[p].brownian.standard_normal(out=out))
+    M, T = int(placed.M[0]), placed.T
+    span, nodes_all = M // blocks, grid_nodes(M, T)
+    block, pos = _entry_blocks(placed, placed.M // blocks)
+    schedules = _schedules(placed, block, pos, blocks)
+    for b in range(blocks):
+        lo, hi = b * span, (b + 1) * span
+        grid = nodes_all[lo : hi + 1]
+        entries = np.flatnonzero(~placed.on_grid & (block == b))
+        lane = placed.lane[entries]
+        n = span + np.bincount(lane, minlength=placed.n)
+        dt = np.zeros((placed.n, int(n.max())))
+        dt[:, :span] = grid[1:] - grid[:-1]
+        rows, first = np.unique(lane, return_index=True)
+        if rows.size:
+            # the rows' nodes, padded with the block's last, which sort
+            # after the rest and add zero steps
+            nodes = np.full((rows.size, dt.shape[1] + 1), grid[-1])
+            nodes[:, : span + 1] = grid
+            row = np.searchsorted(rows, lane)
+            nodes[row, span + 1 + np.arange(lane.size) - first[row]] = placed.times[entries]
+            nodes.sort(axis=1)
+            dt[rows] = nodes[:, 1:] - nodes[:, :-1]
+        dw = np.zeros_like(dt)
+        for p, steps in enumerate(n.tolist()):
+            draw(p, dw[p, :steps])
+        dw *= np.sqrt(dt)
+        yield Block(T, lo, hi, n, dt, dw, schedules[b])
 
 
 def fine_blocks(paths: Sequence[PathNoise], placed: GridJumps, blocks: int):
-    """fine_block(paths, b * s, (b + 1) * s) for b = 0..blocks - 1 in turn,
-    s being m_ref / blocks, bit for bit.
+    """Draw the paths' reference meshes in blocks of m_ref / blocks grid
+    intervals, in time order.
 
-    placed is the paths' place_batch on their m_ref-step grid, whose
-    entries give every block's touched paths at once: an entry's node ends
-    a step of its interval.
+    placed is the paths' place_batch on their m_ref-step grid. Each path's
+    increments are standard normals from its own stream, in node order,
+    times the square roots of its steps. A path's blocks therefore give its
+    increments over [0, T] bit for bit, since the stream yields the same
+    numbers in parts as in one draw.
     """
-    jumps = [path.jumps for path in paths]
-    n, s = len(paths), int(placed.M[0]) // blocks
-    keys = np.unique(placed.interval // s * n + placed.lane)
-    touched = np.split(keys % n, np.searchsorted(keys, np.arange(1, blocks) * n))
-    for b in range(blocks):
-        yield _block(jumps, b * s, (b + 1) * s,
-                     lambda p, out: paths[p].brownian.standard_normal(out=out),
-                     touched[b].tolist())
+    return _blocks(placed, blocks, lambda p, out: paths[p].brownian.standard_normal(out=out))
 
 
 def open_shared_path(
@@ -223,26 +201,24 @@ def open_shared_path(
 
     The jump times are sampled for the longest horizon; a horizon T keeps
     those before T, which are the times its own draw gives. The normals
-    are drawn for the longest mesh, and a mesh takes the first ones it
-    needs. So mesh_block gives each mesh generate_bundle's result at that
-    (T, M), bit for bit.
+    are drawn for the mesh with the most steps it could have, and a mesh
+    takes the first ones it needs. So mesh_block gives each mesh
+    generate_bundle's result at that (T, M), bit for bit.
     """
     jump_rng, brownian_rng = path_streams(global_seed, path_index)
     times = sample_jump_times(lam, max(T for T, _ in meshes), jump_rng)
-    jumps = tuple(
-        place_jumps(M, T, times[: np.searchsorted(times, T)]) for T, M in meshes
-    )
     normals = brownian_rng.standard_normal(
-        max(placed.M + len(placed.inserted) for placed in jumps)
+        max(M + int(np.searchsorted(times, T)) for T, M in meshes)
     )
-    return SharedPath(global_seed, path_index, jumps, normals)
+    return SharedPath(global_seed, path_index, times, normals)
 
 
-def mesh_block(paths: Sequence[SharedPath], g: int) -> Block:
-    """Mesh g of every shared path, whole: grid intervals 0..M-1."""
-    jumps = [path.jumps[g] for path in paths]
-    return _block(jumps, 0, jumps[0].M,
-                  lambda p, out: np.copyto(out, paths[p].normals[: out.size]))
+def mesh_block(paths: Sequence[SharedPath], T: float, M: int) -> Block:
+    """The (T, M) mesh of every shared path, whole: grid intervals 0..M-1."""
+    placed = place_batch((M,), T, [
+        path.jump_times[: np.searchsorted(path.jump_times, T)] for path in paths])
+    (block,) = _blocks(placed, 1, lambda p, out: np.copyto(out, paths[p].normals[: out.size]))
+    return block
 
 
 def generate_bundle(
@@ -250,20 +226,10 @@ def generate_bundle(
 ) -> PathBundle:
     """Sample jump times, build the reference mesh, then sample increments."""
     path = open_path(params, m_ref, global_seed, path_index)
-    block = fine_block([path], 0, m_ref)
-    (dw,) = block.dw
+    mesh = build_mesh(m_ref, params.T, path.jump_times)
+    dw = path.brownian.standard_normal(mesh.n_intervals) * np.sqrt(mesh.dt)
     dw.setflags(write=False)
-    return PathBundle(
-        global_seed=global_seed,
-        path_index=path_index,
-        m_ref=m_ref,
-        T=params.T,
-        jump_times=path.jump_times,
-        fine_mesh=JumpAdaptedMesh(
-            block.nodes[0], block.flags[0], block.dt[0], params.T / m_ref
-        ),
-        dw_fine=dw,
-    )
+    return PathBundle(global_seed, path_index, m_ref, params.T, path.jump_times, mesh, dw)
 
 
 class _SegmentPlan(NamedTuple):
@@ -410,13 +376,6 @@ def _schedules(placed: GridJumps, block: np.ndarray, pos: np.ndarray,
     for b, k, lane in zip(block[new].tolist(), (pos[new] - 1).tolist(), lane[new].tolist()):
         schedules[b].setdefault(k, []).append(lane)
     return schedules
-
-
-def jump_steps(placed: GridJumps, blocks: int) -> list[dict[int, list[int]]]:
-    """For each of blocks equal runs of the intervals of a one-grid
-    placement, the lanes that jump at the end of each of the run's steps,
-    as fine_block lays the steps out."""
-    return _schedules(placed, *_entry_blocks(placed, placed.M // blocks), blocks)
 
 
 class LevelCuts(NamedTuple):
@@ -569,7 +528,7 @@ def coarse_block(block: Block, cuts: LevelCuts) -> Levels:
     increments over each level's plain grid steps.
 
     cuts holds where the levels cut the block's rows; the block is one of
-    its blocks, as fine_block draws it. A step's increment is the
+    its blocks, as fine_blocks draws it. A step's increment is the
     left-to-right sum, from 0.0, of the fine increments between its nodes,
     bitwise as a sequential loop forms it. The plain grids' sums of every
     path are formed grid by grid, then one segment plan sums the rows of
@@ -612,24 +571,27 @@ def whole_block(meshes: Sequence[JumpAdaptedMesh], increments) -> Block:
     row per mesh, as a Block."""
     n = np.array([mesh.n_intervals for mesh in meshes])
     dt, dw = np.zeros((2, len(meshes), n.max()))
+    jumps: dict[int, list[int]] = {}
     for p, (mesh, row) in enumerate(zip(meshes, increments)):
         dt[p, : n[p]], dw[p, : n[p]] = mesh.dt, row
-    T, touched = meshes[0].T, [p for p, mesh in enumerate(meshes) if mesh.is_jump.any()]
-    return Block(T, 0, round(T / meshes[0].base_dt), n, [mesh.nodes for mesh in meshes],
-                 [mesh.is_jump for mesh in meshes], dt, dw, touched)
+        for k in np.flatnonzero(mesh.is_jump[1:]).tolist():
+            jumps.setdefault(k, []).append(p)
+    T = meshes[0].T
+    return Block(T, 0, round(T / meshes[0].base_dt), n, dt, dw, jumps)
 
 
-def _coarsened(bundle: PathBundle, m: int, name: str) -> Levels:
+def _coarsened(bundle: PathBundle, m: int, name: str) -> tuple[Levels, GridJumps]:
     """The bundle's increments summed on its m-step mesh and plain grid, by
-    coarse_block on the one block of a one-path batch; name labels m."""
+    coarse_block on the one block of a one-path batch, and the jump times
+    placed on the m-step grid; name labels m."""
     if m < 1:
         raise ValueError(f"{name} must be a positive integer, got {m}")
     if bundle.m_ref % m != 0:
         raise MeshError(f"{name} = {m} does not divide m_ref = {bundle.m_ref}")
     times = [bundle.jump_times]
-    cuts = level_cuts(place_batch((bundle.m_ref,), bundle.T, times),
-                      place_batch((m,), bundle.T, times), 1)
-    return coarse_block(whole_block([bundle.fine_mesh], [bundle.dw_fine]), cuts)
+    placed = place_batch((m,), bundle.T, times)
+    cuts = level_cuts(place_batch((bundle.m_ref,), bundle.T, times), placed, 1)
+    return coarse_block(whole_block([bundle.fine_mesh], [bundle.dw_fine]), cuts), placed
 
 
 def coarsen_increments(
@@ -641,10 +603,10 @@ def coarsen_increments(
     interval contains; coarse nodes must be a subset of fine nodes, which
     m_coarse dividing m_ref guarantees.
     """
-    levels = _coarsened(bundle, m_coarse, "m_coarse")
+    levels, placed = _coarsened(bundle, m_coarse, "m_coarse")
     out = levels.dw[0, : levels.steps[0]]
     out.setflags(write=False)
-    return build_mesh(m_coarse, bundle.T, bundle.jump_times), out
+    return placed.mesh(), out
 
 
 def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -654,6 +616,6 @@ def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarr
     (k*T/M, (k+1)*T/M] and the number of jump times in that half-open
     interval; used by regular-grid schemes on the same coupled bundle.
     """
-    dw = _coarsened(bundle, M, "M").grid[0]
+    dw = _coarsened(bundle, M, "M")[0].grid[0]
     counts = np.diff(np.searchsorted(bundle.jump_times, grid_nodes(M, bundle.T), "right"))
     return dw, counts.astype(np.int64)

@@ -662,9 +662,9 @@ def tjabem_lanes(
     Cell c is (params, jump, Q). block holds whole meshes of one M-step grid
     on [0, T] in the padded layout of a paths.Block (grid intervals 0..M-1):
     lane (c, p) runs cell c on path p's steps, row p of block.dt and
-    block.dw, and jumps at the nodes block.flags[p] marks. The zero steps
-    that pad shorter meshes leave a lane as it is. Returns the lanes'
-    terminal z and their counts of nonpositive post-jump states, both of
+    block.dw, and jumps at the end of each step where block.jumps lists
+    path p. The zero steps that pad shorter meshes leave a lane as it is.
+    Returns the lanes' terminal z and their counts of nonpositive post-jump states, both of
     shape (cells, paths), and, given states, every node's state before and
     after its jump, of shape (cells, paths, nodes). A failure raises
     LaneFailure for the lowest failing path and, within it, the first
@@ -685,11 +685,6 @@ def tjabem_lanes(
             z[c] = lamperti_forward(params.rho, params.x0)
         except _LANE_ERRORS as exc:
             failures.update(((c, p), exc) for p in range(n_paths))
-    # jumps[k]: the paths that jump at the end of step k
-    jumps: dict[int, list[int]] = {}
-    for p in block.touched:
-        for k in np.flatnonzero(block.flags[p][1:]).tolist():
-            jumps.setdefault(k, []).append(p)
     n_nonpositive = (z <= 0.0).astype(int)
     if states:
         z_pre = np.empty((*shape, block.dt.shape[1] + 1))
@@ -706,7 +701,7 @@ def tjabem_lanes(
             lanes.step(dt_k, dw_k)
             if states:
                 z_pre[..., k + 1] = lanes.z
-            jumped = jumps.get(k)
+            jumped = block.jumps.get(k)
             if jumped:
                 for p in jumped:
                     for c in range(n_cells):

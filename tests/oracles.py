@@ -1,23 +1,156 @@
 """The tests' oracles: scalar loops of jumpsde's one-path schemes and increment
-sums, which jumpsde runs on its lanes and coarse_block. The loops call solver's
-_implicit_solve, jump_map and lamperti_inverse, so a test's stand-ins reach them."""
+sums, which jumpsde runs on its lanes and coarse_block, and the one-path jump
+placement, which jumpsde makes for a batch at once with place_batch. The loops
+call solver's _implicit_solve, jump_map and lamperti_inverse, so a test's
+stand-ins reach them; the oracles' meshes come from place_jumps."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from jumpsde import paths, solver
-from jumpsde.mesh import DEDUP_RTOL, JumpAdaptedMesh, MeshError, build_mesh
+from jumpsde.mesh import DEDUP_RTOL, JumpAdaptedMesh, MeshError, sample_jump_times
 from jumpsde.model import (JumpCoefficient, ModelParams, _drift_terms, _original_drift_terms,
                            drift_one_sided_lipschitz, make_drift, make_transformed_drift,
                            one_sided_lipschitz, transformed_drift)
-from jumpsde.paths import PathBundle, generate_bundle
+from jumpsde.paths import PathBundle, path_streams
 from jumpsde.solver import (MAX_ITER, RESIDUAL_TOL, TrajectoryZ, _BRACKET_CAP, _BRACKET_FLOOR,
                             _check_step_guard)
 from jumpsde.transform import lamperti_forward
+
+
+@dataclass(frozen=True)
+class JumpNodes:
+    """Where a path's jump times sit on the uniform M-step grid on [0, T].
+
+    inserted holds the jump times that become nodes of their own, in order,
+    and cells[i] is the grid interval k that inserted[i] splits, between the
+    grid nodes k*T/M and (k+1)*T/M. on_grid holds the grid nodes that a jump
+    time within the dedup tolerance merged onto and flags.
+    """
+
+    M: int
+    T: float
+    inserted: tuple[float, ...]
+    cells: tuple[int, ...]
+    on_grid: tuple[int, ...]
+
+    def nodes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and jump flags of grid intervals lo..hi-1.
+
+        The nodes are grid nodes lo..hi with the inserted times of those
+        intervals between them, so lo = 0 and hi = M give the whole mesh;
+        the flags mark inserted times and the grid nodes in on_grid.
+        """
+        grid = np.arange(lo, hi + 1, dtype=float) * (self.T / self.M)
+        if hi == self.M:
+            grid[-1] = self.T
+        first, last = bisect_left(self.cells, lo), bisect_left(self.cells, hi)
+        flags = np.zeros(hi - lo + 1 + last - first, dtype=bool)
+        if first == last:
+            nodes = grid
+        else:
+            # grid nodes up to each inserted time's interval, then the time
+            nodes = np.empty(flags.size)
+            start = 0
+            for i in range(first, last):
+                end = self.cells[i] - lo + 1
+                at = start + i - first
+                nodes[at : at + end - start] = grid[start:end]
+                nodes[at + end - start] = self.inserted[i]
+                flags[at + end - start] = True
+                start = end
+            nodes[start + last - first :] = grid[start:]
+        for q in self.on_grid:
+            if lo <= q <= hi:
+                flags[q - lo + bisect_left(self.cells, q, first, last) - first] = True
+        return nodes, flags
+
+    def touches(self, lo: int, hi: int) -> bool:
+        """Whether a step of grid intervals lo..hi-1 ends at a jump node.
+
+        A flagged grid node ends the interval before it, so node lo belongs
+        to the intervals before lo.
+        """
+        return bisect_left(self.cells, lo) < bisect_left(self.cells, hi) or (
+            bisect_right(self.on_grid, lo) < bisect_right(self.on_grid, hi)
+        )
+
+
+def place_jumps(M: int, T: float, jump_times) -> JumpNodes:
+    """Place sorted jump times on the uniform M-step grid on [0, T].
+
+    A jump time within the dedup tolerance of a grid node merges onto the
+    grid node and flags it; a jump time within the tolerance of the one
+    before it collapses into it. Jump times at or beyond the domain ends
+    (outside (0, T), up to tolerance at T) raise MeshError.
+    """
+    if M < 1:
+        raise ValueError(f"M must be a positive integer, got {M}")
+    if not T > 0.0:
+        raise ValueError(f"T must be strictly positive, got {T}")
+    base_dt = T / M
+    tol = DEDUP_RTOL * T
+    times = np.asarray(jump_times, dtype=float).tolist()
+    inserted, cells, on_grid = [], [], []
+    if times:
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise MeshError("jump times must be sorted")
+        if times[0] <= tol or times[-1] >= T + tol:
+            raise MeshError(
+                f"jump time outside (0, T): first={times[0]}, last={times[-1]}, T={T}"
+            )
+        before = -math.inf
+        for t in times:
+            if t - before > tol:
+                # the nearest grid node, rounding half to even as numpy does
+                n = min(max(round(t / base_dt), 0), M)
+                node = T if n == M else n * base_dt
+                if abs(t - node) <= tol:
+                    on_grid.append(n)
+                else:
+                    inserted.append(t)
+                    cells.append(n if t > node else n - 1)
+            before = t
+    return JumpNodes(M, T, tuple(inserted), tuple(cells), tuple(on_grid))
+
+
+def build_mesh(M: int, T: float, jump_times) -> JumpAdaptedMesh:
+    """The jump-adapted mesh of place_jumps's placement."""
+    nodes, flags = place_jumps(M, T, jump_times).nodes(0, M)
+    return JumpAdaptedMesh(nodes, flags, nodes[1:] - nodes[:-1], T / M)
+
+
+def generate_bundle(params: ModelParams, m_ref: int, global_seed: int, i: int,
+                    jump_times=None) -> PathBundle:
+    """A path's bundle on its reference mesh: its sampled jump times, or the
+    given ones, and the increments of its own Brownian stream."""
+    jump_rng, brownian = path_streams(global_seed, i)
+    if jump_times is None:
+        jump_times = sample_jump_times(params.lam, params.T, jump_rng)
+    times = np.asarray(jump_times, dtype=float)
+    mesh = build_mesh(m_ref, params.T, times)
+    dw = brownian.standard_normal(mesh.n_intervals) * np.sqrt(mesh.dt)
+    return PathBundle(global_seed, i, m_ref, params.T, times, mesh, dw)
+
+
+def block_steps(placements: Sequence[JumpNodes], lo: int, hi: int):
+    """Each path's nodes over grid intervals lo..hi-1, its steps in a row
+    padded with zeros, and the steps at whose ends each path jumps."""
+    nodes, flags = zip(*(placed.nodes(lo, hi) for placed in placements))
+    dt = np.zeros((len(nodes), max(node.size for node in nodes) - 1))
+    jumps: dict[int, list[int]] = {}
+    for p, (node, flag) in enumerate(zip(nodes, flags)):
+        dt[p, : node.size - 1] = node[1:] - node[:-1]
+        for k in np.flatnonzero(flag[1:]).tolist():
+            jumps.setdefault(k, []).append(p)
+    return nodes, dt, jumps
 
 
 def tjabem_path(params: ModelParams, jump: JumpCoefficient, mesh: JumpAdaptedMesh,

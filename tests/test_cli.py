@@ -5,12 +5,16 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jumpsde.paths
 from jumpsde import generate_bundle
 from jumpsde.cli import _preset_path, load_config, main
+from jumpsde.mesh import DEDUP_RTOL
+from jumpsde.paths import path_streams
 
 
 TINY_CONFIG = """
@@ -470,6 +474,31 @@ def test_simulate_path_failure_exits_2(tmp_path, capsys):
     assert err.startswith("runtime failure: path failed: forward transform")
     assert "(replay with global_seed=11, path_index=0)" in err
     assert err.count("global_seed=") == 1
+
+
+@pytest.mark.parametrize("command", ["convergence", "positivity", "moments", "simulate"])
+def test_a_jump_within_the_tolerance_of_zero_fails_its_path(tmp_path, capsys,
+                                                            monkeypatch, command):
+    # path 3's first jump time lies within DEDUP_RTOL * T of 0, which the
+    # jump placement rejects; every other path samples its own times
+    sample = jumpsde.paths.sample_jump_times
+    staged = path_streams(11, 3)[0].bit_generator.state["state"]["key"]
+
+    def sample_jump_times(lam, T, rng):
+        if np.array_equal(rng.bit_generator.state["state"]["key"], staged):
+            return np.array([0.5 * DEDUP_RTOL * T, 0.4 * T])
+        return sample(lam, T, rng)
+
+    monkeypatch.setattr(jumpsde.paths, "sample_jump_times", sample_jump_times)
+    path = _write_config(tmp_path, m_list="8, 16", m_ref=64, n_paths=6)
+    flag = "--presets" if command == "positivity" else "--config"
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--path-index", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: path failed: jump time outside (0, T): first=5e-13")
+    assert "(replay with global_seed=11, path_index=3)" in err
 
 
 def test_validate_survives_an_epsilon_interval_rounded_to_empty(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jumpsde.harness
-import jumpsde.mesh
 import jumpsde.paths
 import jumpsde.solver
 import oracles
@@ -20,7 +19,6 @@ from jumpsde import (
     PositivityReport,
     SolverError,
     fit_order,
-    generate_bundle,
     linear_jump,
     make_jump,
     moment_probe,
@@ -31,7 +29,6 @@ from jumpsde import (
     zero_jump,
 )
 from jumpsde.harness import PositivityCell
-from jumpsde.mesh import place_jumps
 from jumpsde.paths import SharedPath
 from jumpsde.model import drift_one_sided_lipschitz
 from jumpsde.solver import RESIDUAL_TOL
@@ -311,7 +308,7 @@ def _positivity_oracle(param_sets, jumps, dt_list, lam, n_paths, global_seed):
                 m = round(params.T / dt)
                 n_values = n_nonpositive = 0
                 for i in range(n_paths):
-                    bundle = generate_bundle(params, m, global_seed, i)
+                    bundle = oracles.generate_bundle(params, m, global_seed, i)
                     trajectory, _ = oracles.tjabem_path(
                         params, jump, bundle.fine_mesh, bundle.dw_fine, q
                     )
@@ -447,10 +444,9 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     jump_times = {2: [0.9], 4: [0.1]}
 
     def staged_opening(lam, meshes, global_seed, i):
-        times = jump_times.get(i, [])
-        placed = tuple(place_jumps(m, T, times) for T, m in meshes)
-        normals = np.full(max(p.M + len(p.inserted) for p in placed), 0.01)
-        return SharedPath(global_seed, i, placed, normals)
+        times = np.array(jump_times.get(i, []))
+        normals = np.full(max(m + times.size for _, m in meshes), 0.01)
+        return SharedPath(global_seed, i, times, normals)
 
     monkeypatch.setattr(jumpsde.harness, "open_shared_path", staged_opening)
     with pytest.raises(PathFailure) as excinfo:
@@ -611,7 +607,7 @@ def _oracle_rows(params, jump, m_list, m_ref, global_seed, n_paths):
     rows = np.empty((n_paths, 2, len(m_list)))
     bounds = np.empty_like(rows)
     for i in range(n_paths):
-        bundle = generate_bundle(params, m_ref, global_seed, i)
+        bundle = oracles.generate_bundle(params, m_ref, global_seed, i)
         x_ref, e_ref = tjabem(bundle.fine_mesh, bundle.dw_fine)
         for j, m in enumerate(m_list):
             for s, (x, e) in enumerate((tjabem(*oracles.coarsen_increments(bundle, m)),
@@ -674,9 +670,7 @@ def test_ladder_failure_names_the_lowest_failing_path(set1, monkeypatch):
 
     def staged_path(params, m_ref, global_seed, i):
         path = jumpsde.paths.open_path(replace(params, lam=0.0), m_ref, global_seed, i)
-        times = np.array(jump_times.get(i, []))
-        return replace(path, jump_times=times,
-                       jumps=jumpsde.mesh.place_jumps(m_ref, params.T, times))
+        return replace(path, jump_times=np.array(jump_times.get(i, [])))
 
     def failing_map(params, jump, z):
         raise SolverError("forced failure")

@@ -19,13 +19,11 @@ from jumpsde import (
     regular_increments,
 )
 from jumpsde.harness import _jump_counts, check_ladder
-from jumpsde.mesh import DEDUP_RTOL, place_batch, place_jumps
+from jumpsde.mesh import DEDUP_RTOL, place_batch
 from jumpsde.paths import (
     PathNoise,
     coarse_block,
-    fine_block,
     fine_blocks,
-    jump_steps,
     level_cuts,
     mesh_block,
     open_path,
@@ -221,31 +219,17 @@ def _staged_path(params, m_ref, global_seed, i, jump_times):
     """open_path's result for given jump times, with the path's own stream."""
     _, brownian = path_streams(global_seed, i)
     times = np.asarray(jump_times, dtype=float)
-    return PathNoise(global_seed, i, m_ref, params.T, times,
-                     place_jumps(m_ref, params.T, times), brownian)
+    return PathNoise(global_seed, i, m_ref, params.T, times, brownian)
 
 
-def _assert_same_block(block, other):
-    assert (block.T, block.lo, block.hi, block.touched) == (
-        other.T, other.lo, other.hi, other.touched)
-    for a, b in ((block.n, other.n), (block.dt, other.dt), (block.dw, other.dw),
-                 *zip(block.nodes, other.nodes), *zip(block.flags, other.flags)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _reopened(paths):
-    """The paths with their Brownian streams from the start again."""
-    return [replace(path, brownian=path_streams(path.global_seed, path.path_index)[1])
-            for path in paths]
-
-
-def _staged_bundle(params, m_ref, global_seed, i, jump_times):
-    """generate_bundle's result for given jump times."""
-    _, brownian = path_streams(global_seed, i)
-    times = np.asarray(jump_times, dtype=float)
-    mesh = build_mesh(m_ref, params.T, times)
-    dw = brownian.standard_normal(mesh.n_intervals) * np.sqrt(mesh.dt)
-    return PathBundle(global_seed, i, m_ref, params.T, times, mesh, dw)
+def _assert_block_is_the_oracles(block, T, M, staged, lo, hi):
+    """The block's steps and the steps at whose ends its paths jump are
+    those of the oracle's placements of the staged jump times."""
+    placements = [oracles.place_jumps(M, T, times) for times in staged]
+    nodes, dt, jumps = oracles.block_steps(placements, lo, hi)
+    assert (block.T, block.lo, block.hi, block.jumps) == (T, lo, hi, jumps)
+    assert block.n.tolist() == [node.size - 1 for node in nodes]
+    assert block.dt.tobytes() == dt.tobytes() and block.dw.shape == dt.shape
 
 
 @pytest.mark.parametrize(
@@ -264,40 +248,30 @@ def _staged_bundle(params, m_ref, global_seed, i, jump_times):
 def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, staged):
     # the staged jumps, then sampled paths at lambda = 5
     params = replace(set1, lam=5.0)
-    paths, bundles = [], []
-    for i, times in enumerate(staged):
-        paths.append(_staged_path(params, m_ref, 5, i, times))
-        bundles.append(_staged_bundle(params, m_ref, 5, i, times))
-    for i in range(len(staged), 12):
-        paths.append(open_path(params, m_ref, 5, i))
-        bundles.append(generate_bundle(params, m_ref, 5, i))
+    paths = [_staged_path(params, m_ref, 5, i, times) for i, times in enumerate(staged)]
+    paths += [open_path(params, m_ref, 5, i) for i in range(len(staged), 12)]
+    times = [path.jump_times for path in paths]
+    bundles = [oracles.generate_bundle(params, m_ref, 5, i, t) for i, t in enumerate(times)]
     blocks = math.gcd(*m_list)
     fine = m_ref // blocks
-    streamed = fine_blocks(_reopened(paths), place_batch(
-        (m_ref,), params.T, [path.jump_times for path in paths]), blocks)
-    drawn = [fine_block(paths, b * fine, (b + 1) * fine) for b in range(blocks)]
-    # a batch's blocks drawn from its flat placement are fine_block's
-    for blk in drawn:
-        _assert_same_block(next(streamed), blk)
-    assert next(streamed, None) is None
+    drawn = list(fine_blocks(paths, place_batch((m_ref,), params.T, times), blocks))
+    # a batch's blocks drawn from its flat placement are the oracle's, and
+    # give each path's mesh and increments
+    assert len(drawn) == blocks
+    for b, blk in enumerate(drawn):
+        _assert_block_is_the_oracles(blk, params.T, m_ref, times, b * fine, (b + 1) * fine)
     for p, bundle in enumerate(bundles):
-        mesh = bundle.fine_mesh
-        nodes = [drawn[0].nodes[p][:1]] + [blk.nodes[p][1:] for blk in drawn]
-        flags = [drawn[0].flags[p][:1]] + [blk.flags[p][1:] for blk in drawn]
         dw = [blk.dw[p, : blk.n[p]] for blk in drawn]
         dt = [blk.dt[p, : blk.n[p]] for blk in drawn]
-        assert np.concatenate(nodes).tobytes() == mesh.nodes.tobytes()
-        assert np.concatenate(flags).tobytes() == mesh.is_jump.tobytes()
-        assert np.concatenate(dt).tobytes() == mesh.dt.tobytes()
+        assert np.concatenate(dt).tobytes() == bundle.fine_mesh.dt.tobytes()
         assert np.concatenate(dw).tobytes() == bundle.dw_fine.tobytes()
-    # a staged jump's path is touched in the block of the fine interval that
-    # the jump splits or, on a grid node, ends
-    for p, times in enumerate(staged):
-        for t in times:
+    # a staged jump's path jumps in the block of the fine interval that the
+    # jump splits or, on a grid node, ends
+    for p, times_p in enumerate(staged):
+        for t in times_p:
             q = t * m_ref
             cell = round(q) - 1 if abs(q - round(q)) < 1e-6 else math.floor(q)
-            assert p in drawn[cell // fine].touched
-    times = [path.jump_times for path in paths]
+            assert any(p in lanes for lanes in drawn[cell // fine].jumps.values())
     cuts = level_cuts(place_batch((m_ref,), params.T, times),
                       place_batch(m_list, params.T, times), blocks)
     n_paths = len(paths)
@@ -307,7 +281,7 @@ def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, stag
         for j, m in enumerate(m_list):
             span = m // blocks
             lo, hi = b * span, (b + 1) * span
-            placed = [place_jumps(m, params.T, path.jump_times) for path in paths]
+            placed = [oracles.place_jumps(m, params.T, t) for t in times]
             # the lanes that jump here are those whose jumps touch the block
             jumping = sorted({lane for lanes in coarse.jumps.values() for lane in lanes})
             assert [lane % n_paths for lane in jumping if lane // n_paths == j] == [
@@ -336,25 +310,26 @@ SHARED_MESHES = ((1.0, 8), (1.0, 16), (0.5, 4), (0.5, 8))
 
 def _assert_block_is_the_bundles(block, p, bundle):
     mesh, n = bundle.fine_mesh, block.n[p]
-    assert block.nodes[p].tobytes() == mesh.nodes.tobytes()
-    assert block.flags[p].tobytes() == mesh.is_jump.tobytes()
     assert block.dt[p, :n].tobytes() == mesh.dt.tobytes()
     assert block.dw[p, :n].tobytes() == bundle.dw_fine.tobytes()
     assert not block.dt[p, n:].any() and not block.dw[p, n:].any()
-    assert (p in block.touched) == bool(mesh.is_jump.any())
+    # path p jumps at the end of each step that ends at a flagged node
+    jumped = [k for k, lanes in block.jumps.items() if p in lanes]
+    assert sorted(jumped) == np.flatnonzero(mesh.is_jump[1:]).tolist()
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
 def test_shared_opening_gives_each_mesh_its_bundle(set1, lam):
     paths = [open_shared_path(lam, SHARED_MESHES, 13, i) for i in range(40)]
-    for g, (T, M) in enumerate(SHARED_MESHES):
-        block = mesh_block(paths, g)
-        assert (block.T, block.lo, block.hi) == (T, 0, M)
+    for T, M in SHARED_MESHES:
+        block = mesh_block(paths, T, M)
+        times = [path.jump_times[path.jump_times < T] for path in paths]
+        _assert_block_is_the_oracles(block, T, M, times, 0, M)
         for p, path in enumerate(paths):
             bundle = generate_bundle(replace(set1, lam=lam, T=T), M, 13, p)
             _assert_block_is_the_bundles(block, p, bundle)
     if lam:
-        assert all(len(mesh_block(paths, g).touched) for g in range(4))
+        assert all(mesh_block(paths, T, M).jumps for T, M in SHARED_MESHES)
 
 
 def test_shared_opening_places_edge_jumps_as_each_bundle(set1, monkeypatch):
@@ -377,13 +352,14 @@ def test_shared_opening_places_edge_jumps_as_each_bundle(set1, monkeypatch):
 
         monkeypatch.setattr(jumpsde.paths, "sample_jump_times", sample)
         paths.append(open_shared_path(5.0, SHARED_MESHES, 5, i))
-    for g, (T, M) in enumerate(SHARED_MESHES):
-        block = mesh_block(paths, g)
+    for T, M in SHARED_MESHES:
+        block = mesh_block(paths, T, M)
         for p, times in enumerate(staged):
             times = [t for t in times if t < T]
-            bundle = _staged_bundle(replace(set1, T=T), M, 5, p, times)
+            bundle = oracles.generate_bundle(replace(set1, T=T), M, 5, p, times)
             _assert_block_is_the_bundles(block, p, bundle)
-    assert 0 in mesh_block(paths, 0).touched and 3 not in mesh_block(paths, 0).touched
+    jumping = [lanes for lanes in mesh_block(paths, *SHARED_MESHES[0]).jumps.values()]
+    assert any(0 in lanes for lanes in jumping) and not any(3 in lanes for lanes in jumping)
 
 
 def _params(T):
@@ -443,11 +419,11 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
     fine_steps = m_ref // blocks
     fine = place_batch((m_ref,), T, staged)
     levels = place_batch(m_list, T, staged)
-    # the flat placements are place_jumps's, and index each node's place
+    # the flat placements are the oracle's, and index each node's place
     for g, (M, placed) in enumerate([(m_ref, fine)] + [(m, levels) for m in m_list]):
         for p, times in enumerate(staged):
             lane = (g - 1 if g else 0) * n + p
-            jumps = place_jumps(M, T, times)
+            jumps = oracles.place_jumps(M, T, times)
             nodes, flags = jumps.nodes(0, M)
             mine = placed.lane == lane
             ins, on = mine & ~placed.on_grid, mine & placed.on_grid
@@ -460,27 +436,25 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
                 bisect.bisect_left(jumps.cells, q) for q in jumps.on_grid]
     params = _params(T)
     paths = [_staged_path(params, m_ref, 9, p, times) for p, times in enumerate(staged)]
-    bundles = [_staged_bundle(params, m_ref, 9, p, times) for p, times in enumerate(staged)]
+    bundles = [oracles.generate_bundle(params, m_ref, 9, p, times)
+               for p, times in enumerate(staged)]
     cuts = level_cuts(fine, levels, blocks)
     spans = [m // blocks for m in m_list]
     counts = _jump_counts(staged, T, m_list, spans, blocks)
-    ref_jumps = jump_steps(fine, blocks)
     sums = [[(oracles.coarsen_increments(bundle, m), oracles.regular_increments(bundle, m))
              for bundle in bundles] for m in m_list]
-    streamed = fine_blocks(_reopened(paths), fine, blocks)
-    for b in range(blocks):
-        block = fine_block(paths, b * fine_steps, (b + 1) * fine_steps)
-        _assert_same_block(next(streamed), block)
-        for p in range(n):
-            steps = [k for k, lanes in ref_jumps[b].items() for q in lanes if q == p]
-            assert sorted(steps) == np.flatnonzero(block.flags[p][1:]).tolist()
+    streamed = list(fine_blocks(paths, fine, blocks))
+    assert len(streamed) == blocks
+    for b, block in enumerate(streamed):
+        _assert_block_is_the_oracles(block, T, m_ref, staged, b * fine_steps,
+                                     (b + 1) * fine_steps)
         coarse = coarse_block(block, cuts)
         width = coarse.dt.shape[1]
         for j, (m, span) in enumerate(zip(m_list, spans)):
             for p, ((mesh, dw), (r_dw, r_dn)) in enumerate(sums[j]):
                 lane, k = j * n + p, coarse.steps[j * n + p]
                 # the mesh's steps from grid node b * span on
-                start = place_jumps(m, T, staged[p]).nodes(0, b * span)[0].size - 1
+                start = oracles.place_jumps(m, T, staged[p]).nodes(0, b * span)[0].size - 1
                 assert coarse.dt[lane].tobytes() == (
                     mesh.dt[start : start + k].tobytes() + bytes(8 * (width - k)))
                 assert coarse.dw[lane].tobytes() == (

@@ -1,8 +1,9 @@
-"""The one-path API against the scalar loops of tests/oracles.py.
+"""The one-path API and the lane table against the scalar loops of
+tests/oracles.py.
 
-tjabem_path and bem_path are one lane of the lane kernels, and
+tjabem_path and bem_path are one lane of the lane kernels,
 coarsen_increments and regular_increments are coarse_block on a one-path
-batch. Configs are drawn as the CLI's property tests draw them and kept if
+batch, and every lane of a tjabem_lanes run on a mesh_block is one path. Configs are drawn as the CLI's property tests draw them and kept if
 `validate` passes them; each one's bounds are fixed from the oracle's run
 before the view runs.
 """
@@ -29,7 +30,8 @@ from jumpsde import (
 )
 from jumpsde.cli import load_config, main
 from jumpsde.model import drift_one_sided_lipschitz, one_sided_lipschitz
-from jumpsde.solver import RESIDUAL_TOL
+from jumpsde.paths import mesh_block, open_shared_path
+from jumpsde.solver import RESIDUAL_TOL, tjabem_lanes
 from test_cli import _config_text, finite_configs
 
 # a path's runtime errors; anything else is a bug
@@ -149,3 +151,46 @@ def test_views_equal_the_oracles(values, refine, path_index):
     _check_tjabem(params, jump, bundle.fine_mesh, bundle.dw_fine)
     _check_tjabem(params, jump, mesh, dw)
     _check_bem(params, jump, M, grid_dw, dn)
+
+
+@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn=st.lists(finite_configs(), min_size=2, max_size=3),
+       first_path=st.integers(0, 1000))
+def test_lane_table_equals_the_oracle_lane_by_lane(drawn, first_path):
+    # validated configs on the first one's horizon and grid are the cells,
+    # the first one's intensity and seed open four paths, and every
+    # (cell, path) lane of one tjabem_lanes run on their mesh_block is the
+    # oracle's path within its bounds. Cells where the oracle fails on some
+    # path are left out, so that the run's lanes all step to the end
+    shared = {key: drawn[0][key] for key in ("T", "m_list")}
+    configs = [config for config in (_validated({**values, **shared}) for values in drawn)
+               if config is not None]
+    if not configs:
+        return
+    first = configs[0]
+    T, M, lam, seed = first.params.T, first.m_list[0], first.params.lam, first.global_seed
+    indices = range(first_path, first_path + 4)
+    bundles = [oracles.generate_bundle(first.params, M, seed, i) for i in indices]
+    cells, expected = [], []
+    for config in configs:
+        params, jump = config.params, config.jump
+        q = one_sided_lipschitz(params)
+        runs = [_outcome(oracles.tjabem_path, params, jump, bundle.fine_mesh, bundle.dw_fine, q)
+                for bundle in bundles]
+        if not any(isinstance(run, type) for run in runs):
+            cells.append((params, jump, q))
+            expected.append(runs)
+    if not cells:
+        return
+    block = mesh_block([open_shared_path(lam, [(T, M)], seed, i) for i in indices], T, M)
+    z, _, z_pre, z_post = tjabem_lanes(cells, block, states=True)
+    for c, ((params, jump, q), runs) in enumerate(zip(cells, expected)):
+        for p, (bundle, (trajectory, _)) in enumerate(zip(bundles, runs)):
+            mesh, n = bundle.fine_mesh, block.n[p]
+            assert n == mesh.n_intervals
+            pre, post = _tjabem_bounds(params, jump, mesh, bundle.dw_fine, trajectory, q)
+            assert np.all(np.abs(z_pre[c, p, : n + 1] - trajectory.z_pre) <= pre)
+            assert np.all(np.abs(z_post[c, p, : n + 1] - trajectory.z_post) <= post)
+            # the padding repeats the terminal state
+            assert np.all(z_post[c, p, n:] == z[c, p])
