@@ -166,6 +166,10 @@ def load_config(path: Path) -> ExperimentConfig:
         raise InvalidModelError(
             f"parallelism must be at least 1 in {path}, got {parallelism}"
         )
+    if global_seed < 0:
+        raise InvalidModelError(
+            f"global_seed must be at least 0 in {path}, got {global_seed}"
+        )
 
     return ExperimentConfig(
         params=params,
@@ -214,15 +218,20 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "scheme", None):
         config = replace(config, scheme=args.scheme)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise InvalidModelError(f"--seed must be at least 0, got {args.seed}")
         config = replace(config, global_seed=args.seed)
     env_seed = os.environ.get(ENV_SEED)
     if env_seed:
         try:
-            config = replace(config, global_seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise InvalidModelError(
                 f"{ENV_SEED} must be an integer, got {env_seed!r}"
             ) from None
+        if seed < 0:
+            raise InvalidModelError(f"{ENV_SEED} must be at least 0, got {seed}")
+        config = replace(config, global_seed=seed)
     if getattr(args, "out", None):
         config = replace(config, out_dir=args.out)
     if getattr(args, "fast", False):

@@ -54,6 +54,7 @@ from .paths import (  # noqa: F401
     open_path,
     open_shared_path,
     regular_increments,
+    stream_keys,
 )
 from .solver import (  # noqa: F401
     BemLanes,
@@ -78,6 +79,7 @@ __all__ = [
     "fit_order",
     "check_band",
     "check_ladder",
+    "check_seed",
     "strong_error_ladder",
     "positivity_table",
     "moment_probe",
@@ -183,6 +185,14 @@ def _replay_failure(exc: Exception, global_seed: int, path_index: int) -> PathFa
     )
 
 
+def check_seed(global_seed: int) -> None:
+    """Raise unless global_seed, the seed of every path's streams, is a
+    non-negative integer."""
+    if not isinstance(global_seed, (int, np.integer)) or global_seed < 0:
+        raise InvalidModelError(
+            f"global_seed must be a non-negative integer, got {global_seed!r}")
+
+
 def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
     n_chunks = max(1, min(n, n_chunks))
     size = math.ceil(n / n_chunks)
@@ -191,15 +201,17 @@ def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
 
 def _batches(lo, hi, size, global_seed, open_one, run) -> list:
     """run(paths) on each batch of at most size paths of lo..hi-1, in path
-    order, each path opened by open_one(i). A path that fails to open, or
-    whose jump times run's placement rejects, is named unless run fails on
-    a lower path of its batch first."""
+    order, each path opened by open_one(i, keys) with its row of the
+    batch's stream_keys. A path that fails to open, or whose jump times
+    run's placement rejects, is named unless run fails on a lower path of
+    its batch first."""
     results = []
     for start in range(lo, hi, size):
         paths = []
-        for i in range(start, min(start + size, hi)):
+        indices = range(start, min(start + size, hi))
+        for i, keys in zip(indices, stream_keys(global_seed, indices)):
             try:
-                paths.append(open_one(i))
+                paths.append(open_one(i, keys))
             except _PATH_ERRORS as exc:
                 failure = _replay_failure(exc, global_seed, i)
                 if paths:
@@ -345,7 +357,8 @@ def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
     batch = max(1, _LADDER_CELLS * math.gcd(*m_list) // m_ref)
     args = (groups, params, jump, schemes, m_list, m_ref, q_transformed, q_drift)
     return np.concatenate(_batches(
-        lo, hi, batch, global_seed, lambda i: open_path(params, m_ref, global_seed, i),
+        lo, hi, batch, global_seed,
+        lambda i, keys: open_path(params, m_ref, global_seed, i, keys),
         lambda paths: _ladder_batch(paths, *args)))
 
 
@@ -437,22 +450,33 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
 
 
 def _jump_counts(jump_times, T, m_list, spans, blocks) -> list[dict]:
-    """counts[b][k] lists (lane, number of jumps) for step k of block b of
-    the bem levels, lane j * n + p being path p at m_list[j]; a step counts
-    the jump times in its interval (t, t']."""
+    """counts[b][k] holds the lanes of the bem levels with jumps in step k
+    of block b and their numbers of jumps, as two arrays, lane j * n + p
+    being path p at m_list[j]; a step counts the jump times in its interval
+    (t, t']."""
     n = len(jump_times)
     times = np.concatenate([np.empty(0), *jump_times])
     path = np.repeat(np.arange(n), [len(t) for t in jump_times])
-    counts = [{} for _ in range(blocks)]
+    steps, lanes, counts = [], [], []
     for j, (m, span) in enumerate(zip(m_list, spans)):
         # the step k whose interval (nodes[k], nodes[k + 1]] holds each time
         k = np.searchsorted(grid_nodes(m, T), times) - 1
         inside = (k >= 0) & (k < m)
-        steps, dn = np.unique(path[inside] * m + k[inside], return_counts=True)
-        for step, jumps in zip(steps.tolist(), dn.tolist()):
-            p, k = divmod(step, m)
-            counts[k // span].setdefault(k % span, []).append((j * n + p, jumps))
-    return counts
+        step, dn = np.unique(path[inside] * m + k[inside], return_counts=True)
+        p, k = np.divmod(step, m)
+        steps.append(k // span * max(spans) + k % span)
+        lanes.append(j * n + p)
+        counts.append(dn)
+    # (block, step) keys, the jumps of each in level and path order
+    step = np.concatenate(steps)
+    order = np.argsort(step, kind="stable")
+    step, lanes, dn = step[order], np.concatenate(lanes)[order], np.concatenate(counts)[order]
+    keys, first = np.unique(step, return_index=True)
+    out = [{} for _ in range(blocks)]
+    for key, lo, hi in zip(keys.tolist(), first.tolist(), [*first[1:].tolist(), step.size]):
+        b, k = divmod(key, max(spans))
+        out[b][k] = (lanes[lo:hi], dn[lo:hi])
+    return out
 
 
 def strong_error_ladder(
@@ -473,6 +497,7 @@ def strong_error_ladder(
     scheme is "tjabem", "bem", or "both"; the result maps scheme name to its
     report (both schemes see identical bundles).
     """
+    check_seed(global_seed)
     validate_params(params)
     check_band(jump, validate_jump(jump, params))
     if scheme == "both":
@@ -588,7 +613,7 @@ def _positivity_rows(lo, hi, cells, groups, lam, global_seed) -> np.ndarray:
     """
     meshes = [mesh for mesh, _ in groups]
     counts = _batches(lo, hi, _LANE_PATHS, global_seed,
-                      lambda i: open_shared_path(lam, meshes, global_seed, i),
+                      lambda i, keys: open_shared_path(lam, meshes, global_seed, i, keys),
                       lambda paths: _lane_counts(paths, cells, groups))
     return sum(counts)[None]
 
@@ -622,6 +647,7 @@ def positivity_table(
     """
     if n_paths < 1:
         raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
+    check_seed(global_seed)
     cells = []  # (params, jump, q, (set, jump label, dt)) in report order
     groups: dict[tuple[float, int], list[int]] = {}  # (T, M) -> cell indices
     for set_name, base_params in param_sets:
@@ -675,7 +701,8 @@ def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
 
     return np.concatenate(_batches(
         lo, hi, _LANE_PATHS, global_seed,
-        lambda i: open_shared_path(params.lam, [(params.T, M)], global_seed, i), rows))
+        lambda i, keys: open_shared_path(params.lam, [(params.T, M)], global_seed, i, keys),
+        rows))
 
 
 def moment_probe(
@@ -695,6 +722,7 @@ def moment_probe(
     """
     if n_paths < 2:
         raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
+    check_seed(global_seed)
     p_list = tuple(float(p) for p in p_list)
     if not p_list:
         raise InvalidModelError("p_list needs at least one moment order")

@@ -45,6 +45,7 @@ __all__ = [
     "zero_jump",
     "custom_jump",
     "make_jump",
+    "array_h",
     "validate_jump",
     "sampled_jump_bounds",
     "default_probe_grid",
@@ -417,6 +418,32 @@ def _rational_dh(x: float, c: float) -> float:
 
 def _zero_h(x: float) -> float:
     return 0.0
+
+
+def _sine_h_array(x: np.ndarray, c) -> np.ndarray:
+    return c * np.sin(x)
+
+
+def _zero_h_array(x: np.ndarray, c) -> np.ndarray:
+    return np.zeros_like(x)
+
+
+# the forms on arrays of the built-in h(x, c), for c a number or an array
+# that broadcasts against x: the same operations in the same order, with
+# numpy's sin for math's
+_ARRAY_H = {_linear_h: _linear_h, _sine_h: _sine_h_array, _rational_h: _rational_h}
+
+
+def array_h(jump: JumpCoefficient) -> Optional[tuple[Callable, float]]:
+    """(h_array, c) such that h_array(x, c) is jump.h on each element of an
+    array x, if jump.h is a built-in family's; None for any other h."""
+    h = jump.h
+    if h is _zero_h:
+        return _zero_h_array, 0.0
+    if (isinstance(h, partial) and h.func in _ARRAY_H and not h.args
+            and h.keywords.keys() == {"c"}):
+        return _ARRAY_H[h.func], h.keywords["c"]
+    return None
 
 
 def linear_jump(c: float) -> JumpCoefficient:

@@ -4,6 +4,11 @@ Each path derives two independent counter-based streams from
 (global_seed, path_index), one for jump times and one for Brownian
 increments, so results never depend on execution order or thread count and
 changing the jump intensity never perturbs the Brownian draw sequence.
+Stream k of path i is a Philox generator keyed by numpy's
+SeedSequence(global_seed, spawn_key=(i, k)).generate_state(2, np.uint64):
+stream_keys runs that hash, plain uint32 arithmetic whose constants do not
+depend on the data, for a whole batch of path indices at once, and each
+generator is built from its key, without a SeedSequence.
 Coarse-resolution increments are left-to-right sums of fine increments, so
 every resolution of a path sees exactly the same Brownian path. Every mesh
 and block comes from the flat jump placement of mesh.place_batch, with the
@@ -19,6 +24,8 @@ generate_bundle at that (T, M).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -42,6 +49,7 @@ __all__ = [
     "PathNoise",
     "SharedPath",
     "Block",
+    "stream_keys",
     "path_streams",
     "open_path",
     "open_shared_path",
@@ -118,25 +126,161 @@ class Block:
     jumps: dict
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of its two hash chains and of its mix, its pool size in 32-bit words and
+# its shift
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_SHIFT = 16
+
+
+def _words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, at least one, as
+    SeedSequence splits an integer."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK]
+    while n > _MASK:
+        n >>= 32
+        words.append(n & _MASK)
+    return words
+
+
+def _keys(entropy: list) -> np.ndarray:
+    """SeedSequence's pool and first four state words from its entropy
+    words, each an int or a uint32 array of the lanes', packed as the two
+    uint64 words of a Philox key, in an array of the lanes' shape plus 2.
+
+    A column of ints stays ints, so the seed's words are hashed once for
+    every lane; the arrays' uint32 arithmetic wraps as SeedSequence's does.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        return value ^ value >> _SHIFT
+
+    def mix(x, y):
+        out = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+        return out ^ out >> _SHIFT
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for word in pool:
+        word = word ^ const
+        const = const * _MULT_B & _MASK
+        word = word * const & _MASK
+        state.append(np.asarray(word ^ word >> _SHIFT, dtype=np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def stream_keys(global_seed: int, indices: Sequence[int]) -> np.ndarray:
+    """The Philox keys of both streams of each path, in one pass over them.
+
+    keys[j, k] holds stream k's key (0 for the jump times, 1 for the
+    Brownian increments) of path indices[j], two uint64 words, bit for bit
+    numpy's SeedSequence(global_seed, spawn_key=(indices[j], k))
+    .generate_state(2, np.uint64), which seeds a Philox. SeedSequence hashes
+    the seed's words, padded with zeros to its pool of four, then the
+    index's words and k's; only the last two differ between a batch's
+    streams, and they are hashed for all of them at once.
+    """
+    seed = _words(global_seed)
+    seed += [0] * (_POOL - len(seed))
+    try:
+        index = np.asarray(indices, dtype=np.uint64).reshape(-1)
+        words = np.stack([index & np.uint64(_MASK), index >> np.uint64(32)])
+        count = np.where(words[1] > 0, 2, 1)
+    except OverflowError:
+        # an index beyond 64 bits (or a negative one), word by word
+        split = [_words(i) for i in indices]
+        count = np.array([len(w) for w in split])
+        words = np.zeros((count.max(), count.size), dtype=np.uint64)
+        for j, w in enumerate(split):
+            words[: len(w), j] = w
+    words = words.astype(np.uint32)
+    keys = np.empty((count.size, 2, 2), dtype=np.uint64)
+    # the index's words in a row, k's in a column: the pool is hashed once
+    # per path, then once per stream
+    stream = np.arange(2, dtype=np.uint32)[:, None]
+    for n in sorted(set(count.tolist())):
+        at = np.flatnonzero(count == n)
+        keys[at] = _keys([*seed, *words[:n, None, at], stream]).transpose(1, 0, 2)
+    return keys
+
+
+@functools.cache
+def _keyed_seed() -> type:
+    """A seed sequence that hands a Philox a stream's derived key.
+
+    It is made on first use, so that importing jumpsde does not import
+    numpy.random. It pickles as numpy's SeedSequence of the same stream,
+    which derives the same key.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyedSeed(ISeedSequence):
+        __slots__ = ("key", "stream")
+
+        def __init__(self, key: np.ndarray, stream: tuple[int, int, int]):
+            self.key, self.stream = key, stream
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                return _seed_sequence(*self.stream).generate_state(n_words, dtype)
+            return self.key.copy()
+
+        def __reduce__(self):
+            return _seed_sequence, self.stream
+
+    return KeyedSeed
+
+
+def _seed_sequence(global_seed: int, path_index: int, stream: int):
+    """numpy's SeedSequence of one stream of a path."""
+    return np.random.SeedSequence(global_seed, spawn_key=(path_index, stream))
+
+
 def path_streams(
-    global_seed: int, path_index: int
+    global_seed: int, path_index: int, keys: np.ndarray | None = None
 ) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two disjoint counter-based substreams for one path: (jumps, Brownian)."""
-    jump_seq = np.random.SeedSequence(entropy=global_seed, spawn_key=(path_index, 0))
-    brownian_seq = np.random.SeedSequence(entropy=global_seed, spawn_key=(path_index, 1))
-    return (
-        np.random.Generator(np.random.Philox(jump_seq)),
-        np.random.Generator(np.random.Philox(brownian_seq)),
+    """Two disjoint counter-based substreams for one path: (jumps, Brownian).
+
+    keys is the path's row of stream_keys, derived here if not given.
+    """
+    if keys is None:
+        keys = stream_keys(global_seed, (path_index,))[0]
+    seed = _keyed_seed()
+    return tuple(
+        np.random.Generator(np.random.Philox(seed(key, (global_seed, path_index, k))))
+        for k, key in enumerate(keys)
     )
 
 
 def open_path(
-    params: ModelParams, m_ref: int, global_seed: int, path_index: int
+    params: ModelParams, m_ref: int, global_seed: int, path_index: int,
+    keys: np.ndarray | None = None,
 ) -> PathNoise:
-    """Sample a path's jump times and keep its Brownian stream."""
+    """Sample a path's jump times and keep its Brownian stream; keys is the
+    path's row of stream_keys, derived here if not given."""
     if m_ref < 1:
         raise ValueError(f"m_ref must be a positive integer, got {m_ref}")
-    jump_rng, brownian_rng = path_streams(global_seed, path_index)
+    jump_rng, brownian_rng = path_streams(global_seed, path_index, keys)
     jump_times = sample_jump_times(params.lam, params.T, jump_rng)
     jump_times.setflags(write=False)
     return PathNoise(global_seed, path_index, m_ref, params.T, jump_times, brownian_rng)
@@ -148,9 +292,10 @@ def _blocks(placed: GridJumps, blocks: int, draw):
 
     A path with no inserted time among a block's steps steps on the grid
     there; any other path's steps are rebuilt from its nodes, the grid's
-    and its inserted times, sorted. draw(p, out) fills out with path p's
-    standard normals, one per step in node order; each increment is its
-    normal times the square root of its step.
+    and its inserted times, sorted. draw(out, n) fills row p of out with
+    path p's standard normals, one for each of its n[p] steps in node
+    order, and leaves the rest zero; each increment is its normal times the
+    square root of its step.
     """
     M, T = int(placed.M[0]), placed.T
     span, nodes_all = M // blocks, grid_nodes(M, T)
@@ -175,8 +320,7 @@ def _blocks(placed: GridJumps, blocks: int, draw):
             nodes.sort(axis=1)
             dt[rows] = nodes[:, 1:] - nodes[:, :-1]
         dw = np.zeros_like(dt)
-        for p, steps in enumerate(n.tolist()):
-            draw(p, dw[p, :steps])
+        draw(dw, n)
         dw *= np.sqrt(dt)
         yield Block(T, lo, hi, n, dt, dw, schedules[b])
 
@@ -191,11 +335,16 @@ def fine_blocks(paths: Sequence[PathNoise], placed: GridJumps, blocks: int):
     increments over [0, T] bit for bit, since the stream yields the same
     numbers in parts as in one draw.
     """
-    return _blocks(placed, blocks, lambda p, out: paths[p].brownian.standard_normal(out=out))
+    def draw(out, n):
+        for path, row, steps in zip(paths, out, n.tolist()):
+            path.brownian.standard_normal(out=row[:steps])
+
+    return _blocks(placed, blocks, draw)
 
 
 def open_shared_path(
-    lam: float, meshes: Sequence[tuple[float, int]], global_seed: int, path_index: int
+    lam: float, meshes: Sequence[tuple[float, int]], global_seed: int, path_index: int,
+    keys: np.ndarray | None = None,
 ) -> SharedPath:
     """Open a path once for several (T, M) meshes.
 
@@ -203,21 +352,30 @@ def open_shared_path(
     those before T, which are the times its own draw gives. The normals
     are drawn for the mesh with the most steps it could have, and a mesh
     takes the first ones it needs. So mesh_block gives each mesh
-    generate_bundle's result at that (T, M), bit for bit.
+    generate_bundle's result at that (T, M), bit for bit. keys is the
+    path's row of stream_keys, derived here if not given.
     """
-    jump_rng, brownian_rng = path_streams(global_seed, path_index)
-    times = sample_jump_times(lam, max(T for T, _ in meshes), jump_rng)
+    jump_rng, brownian_rng = path_streams(global_seed, path_index, keys)
+    horizons = [T for T, _ in meshes]
+    times = sample_jump_times(lam, max(horizons), jump_rng)
     normals = brownian_rng.standard_normal(
-        max(M + int(np.searchsorted(times, T)) for T, M in meshes)
+        max(M + n for (_, M), n in zip(meshes, times.searchsorted(horizons).tolist()))
     )
     return SharedPath(global_seed, path_index, times, normals)
 
 
 def mesh_block(paths: Sequence[SharedPath], T: float, M: int) -> Block:
     """The (T, M) mesh of every shared path, whole: grid intervals 0..M-1."""
+    # a path's times are all before T when T is its longest horizon
     placed = place_batch((M,), T, [
-        path.jump_times[: np.searchsorted(path.jump_times, T)] for path in paths])
-    (block,) = _blocks(placed, 1, lambda p, out: np.copyto(out, paths[p].normals[: out.size]))
+        times if not times.size or times[-1] < T else times[: times.searchsorted(T)]
+        for times in (path.jump_times for path in paths)])
+    def draw(out, n):
+        # each row's first n[p] columns, in row order, hold its first normals
+        out[np.arange(out.shape[1]) < n[:, None]] = np.concatenate(
+            [path.normals[:steps] for path, steps in zip(paths, n.tolist())])
+
+    (block,) = _blocks(placed, 1, draw)
     return block
 
 

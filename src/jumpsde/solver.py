@@ -28,6 +28,7 @@ from .model import (
     Regime,
     _drift_terms,
     _original_drift_terms,
+    array_h,
     classify_regime,
     drift_one_sided_lipschitz,
     make_drift,
@@ -35,7 +36,7 @@ from .model import (
     one_sided_lipschitz,
 )
 from .paths import whole_block
-from .transform import jump_map, lamperti_forward, lamperti_inverse
+from .transform import _power, jump_map, lamperti_forward, lamperti_inverse
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -267,8 +268,12 @@ class _LaneDrift:
     integer in every row is a chain of multiplications, which rounds the
     same way on every host; any other exponent goes to numpy's power. The
     terms are summed in table order, and the slope is the sum of c*e*z^e
-    over z plus the linear terms' coefficients. A lane gets the same
-    operations in the same order whatever the other lanes are.
+    over z plus the linear terms' coefficients. For a given set of cells, a
+    lane gets the same operations in the same order whatever the other
+    lanes are. Other cells can change them: a power is a chain only where
+    its exponent is the same integer in every row, so a set1 lane's z^-3 is
+    a chain when set1 runs alone but numpy's power when set2, whose term
+    there has exponent -4, shares its group.
     """
 
     def __init__(self, tables, shape: tuple[int, int]):
@@ -457,11 +462,12 @@ class _Lanes:
 
     def refresh(self) -> None:
         """Make f and fp F(z) and F'(z): every lane's the first time, then
-        those of the lanes set since."""
+        those of the lanes set since, which _moved holds as (row, column)
+        pairs of ints or of index arrays."""
         if self.f is None:
             self.f, self.fp = self.drift(self.z)
         elif self._moved:
-            moved = tuple(np.array(axis) for axis in zip(*self._moved))
+            moved = tuple(map(np.hstack, zip(*self._moved)))
             self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
         self._moved = []
 
@@ -508,34 +514,47 @@ class _Lanes:
             np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
         self.z, self.f, self.fp = z, f, fp
         # max(1, |rhs|) >= 1, so this is within the tolerance
-        if (np.maximum.reduce(np.abs(res, tmp), None) <= RESIDUAL_TOL
+        size = np.abs(res, tmp)
+        if (np.maximum.reduce(size, None) <= RESIDUAL_TOL
                 and np.minimum.reduce(z, None) > 0.0):
             return
-        tol = np.maximum(one, np.abs(rhs)) * self._rtol
-        pending = ~((np.abs(res) <= tol) & (z > 0.0))
-        handed = np.zeros(z.shape, dtype=bool)
+        # the lanes that may miss their tolerance, as flat indices, found
+        # once: only they are gathered, tested and updated from here on
+        idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
         if z is z_prev:
             # without updates z is still the previous state, which the
             # fallback below starts from
-            z = z.copy()
-        while pending.any():
-            d = one - dt * fp
-            sick = pending & ~((z > 0.0) & (d > 0.0) & np.isfinite(res))
+            z = self.z = z.copy()
+        zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, res, rhs, dt))
+        tol = np.maximum(1.0, np.abs(rhs_c)) * RESIDUAL_TOL
+        lanes = np.unravel_index(idx, z.shape)
+        pending = np.flatnonzero(~((np.abs(rc) <= tol) & (zc > 0.0)))
+        handed = []
+        while pending.size:
+            z_p = zc[pending]
+            d = 1.0 - dt_c[pending] * fpc[pending]
+            sick = ~((z_p > 0.0) & (d > 0.0) & np.isfinite(rc[pending]))
             if used >= MAX_ITER:
-                sick = pending
-            handed |= sick
-            pending &= ~sick
-            if not pending.any():
-                break
+                sick[:] = True
+            if sick.any():
+                handed.append(pending[sick])
+                well = ~sick
+                pending, z_p, d = pending[well], z_p[well], d[well]
+                if not pending.size:
+                    break
             # only the pending lanes move, so only theirs are evaluated again
-            idx = np.nonzero(pending)
-            z[idx] = z[idx] - res[idx] / d[idx]
-            f[idx], fp[idx] = self.drift(z[idx], idx)
-            res[idx] = (z[idx] - rhs[idx]) - dt[idx] * f[idx]
+            z_p = z_p - rc[pending] / d
+            f_p, fp_p = self.drift(z_p, tuple(axis[pending] for axis in lanes))
+            r_p = (z_p - rhs_c[pending]) - dt_c[pending] * f_p
+            zc[pending], fc[pending], fpc[pending], rc[pending] = z_p, f_p, fp_p, r_p
             used += 1
-            pending &= ~((np.abs(res) <= tol) & (z > 0.0))
-        self.z, self.f, self.fp = z, f, fp
-        for lane in zip(*np.nonzero(handed)):
+            pending = pending[~((np.abs(r_p) <= tol[pending]) & (z_p > 0.0))]
+        np.put(z, idx, zc)
+        np.put(f, idx, fc)
+        np.put(fp, idx, fpc)
+        if not handed:
+            return
+        for lane in zip(*np.unravel_index(np.sort(idx[np.concatenate(handed)]), z.shape)):
             if dt[lane] == 0.0:
                 self.set(lane, float(z_prev[lane]))
                 continue
@@ -548,6 +567,62 @@ class _Lanes:
                 z_lane = float(z_prev[lane])
                 self.fail(lane, exc)
             self.set(lane, z_lane)
+
+
+class _LaneJump:
+    """The transformed jump map z -> (x + h(x))^(1-rho), x = z^(1/(1-rho)),
+    on arrays of lanes, row c by cell c's map, every row at once.
+
+    Both powers are _power's at the cell's exponents, taken for the rows of
+    each rho together, and h is its family's array form (model.array_h) at
+    the cell's coefficient, taken on every row and kept on those of its
+    family. A lane whose h(x) is zero keeps its z, as jump_map does. A
+    lane's operations thus depend on its cell alone, so it gets the same
+    bits alone as with any other lanes and cells.
+    """
+
+    def __init__(self, cells):
+        rhos = [params.rho for params, _ in cells]
+        self._rows = [(slice(None) if len(set(rhos)) == 1
+                       else np.flatnonzero(np.array(rhos) == rho), rho)
+                      for rho in dict.fromkeys(rhos)]
+        forms = [array_h(jump) for _, jump in cells]
+        self._c = np.array([0.0 if form is None else form[1] for form in forms])[:, None]
+        funcs = list(dict.fromkeys(form[0] for form in forms if form is not None))
+        self._h = [(h, np.array([form is not None and form[0] is h for form in forms])[:, None])
+                   for h in funcs]
+        # rows with no array form, which jump_map maps one lane at a time
+        self._scalar = np.array([form is None for form in forms])[:, None]
+        self._any_scalar = bool(self._scalar.any())
+
+    def _powers(self, values: np.ndarray, forward: bool) -> np.ndarray:
+        if len(self._rows) == 1:
+            ((_, rho),) = self._rows
+            return _power(values, 1.0 - rho if forward else 1.0 / (1.0 - rho))
+        out = np.empty_like(values)
+        for rows, rho in self._rows:
+            out[rows] = _power(values[rows], 1.0 - rho if forward else 1.0 / (1.0 - rho))
+        return out
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mapped states of the lanes z, and where they are jump_map's:
+        where the cell's h has an array form and z, x, x + h(x) and the
+        result are all finite and positive. The other lanes are left to the
+        scalar jump_map, which maps them or raises its error."""
+        if not self._h:
+            return z, np.zeros(z.shape, dtype=bool)
+        x = self._powers(z, forward=False)
+        (h, _), *others = self._h
+        hx = h(x, self._c)
+        for h, rows in others:
+            hx = np.where(rows, h(x, self._c), hx)
+        moved = x + hx
+        out = np.where(hx == 0.0, z, self._powers(moved, forward=True))
+        ok = ((np.minimum(np.minimum(z, x), np.minimum(moved, out)) > 0.0)
+              & (np.maximum(x, out) < math.inf))
+        if self._any_scalar:
+            ok &= ~self._scalar
+        return out, ok
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:
@@ -570,6 +645,7 @@ class TjabemLanes(_Lanes):
             updates,
         )
         self.cells = cells
+        self._jump = _LaneJump(cells)
         self.noise = np.ascontiguousarray(
             np.broadcast_to(
                 np.array([(1.0 - p.rho) * p.alpha3 for p, _ in cells])[:, None], z.shape
@@ -580,8 +656,28 @@ class TjabemLanes(_Lanes):
         """One step with these step sizes and Brownian increments per lane."""
         self.solve(self.z + self.noise * dw, dt)
 
+    def jump_columns(self, columns) -> None:
+        """Apply the transformed jump map to the live lanes of the given
+        columns in every row, at once.
+
+        The lanes that _LaneJump maps are set together; every other live
+        lane goes through jump, one at a time.
+        """
+        columns = np.asarray(columns)
+        out, done = self._jump(self.z[:, columns])
+        if self._alive is not None:
+            done &= self._alive[:, columns] == 1.0
+        rows, at = np.nonzero(done)
+        if rows.size:
+            lanes = (rows, columns[at])
+            self.z[lanes] = out[rows, at]
+            self._moved.append(lanes)
+        if rows.size < done.size:
+            for row, at in zip(*np.nonzero(~done)):
+                self.jump((int(row), int(columns[at])))
+
     def jump(self, lane: tuple[int, int]) -> None:
-        """Apply the transformed jump map to one live lane."""
+        """Apply the scalar jump map to one live lane, for jump_columns."""
         if self.alive(lane):
             params, jump = self.cells[lane[0]]
             try:
@@ -598,8 +694,8 @@ class TjabemLanes(_Lanes):
         dt, dw = _columns(dt), _columns(dw)
         for k in range(dt.shape[0]):
             self.step(dt[k], dw[k])
-            for lane in jumps.get(k, ()):
-                self.jump((0, lane))
+            if k in jumps:
+                self.jump_columns(jumps[k])
 
     def terminal(self, lane: tuple[int, int]) -> float:
         """The lane's state in original coordinates; nan if the lane failed."""
@@ -615,7 +711,7 @@ class BemLanes(_Lanes):
     """Lanes of the baseline scheme's steps, in original coordinates, for one model.
 
     x holds the states, of shape (1, n); jump counts enter a step's
-    right-hand side through jump.h.
+    right-hand side through jump.h, on arrays for a built-in family.
     """
 
     def __init__(self, params: ModelParams, jump: JumpCoefficient, x: np.ndarray,
@@ -625,25 +721,34 @@ class BemLanes(_Lanes):
         )
         self.params = params
         self.h = jump.h
+        self._h = array_h(jump)
         self.alpha3 = np.full(x.shape, params.alpha3)
 
     def run(self, dt: np.ndarray, dw: np.ndarray, counts) -> None:
         """Step the lanes through the columns of dt and dw.
 
-        dt and dw have one row per lane; counts maps a step k to the (lane,
-        number of jumps) pairs of its interval.
+        dt and dw have one row per lane; counts maps a step k to two
+        arrays, the lanes with jumps in its interval and their numbers of
+        jumps. A failed lane's right-hand side is not used, so every listed
+        lane's h(x)*dn is added.
         """
         a3, rho = self.alpha3, self.params.rho
         dt, dw = _columns(dt), _columns(dw)
         for k in range(dt.shape[0]):
             x = self.z
             rhs = x + a3 * x**rho * dw[k]
-            for lane, dn in counts.get(k, ()):
-                if self.alive((0, lane)):
-                    try:
-                        rhs[0, lane] += self.h(float(x[0, lane])) * dn
-                    except _LANE_ERRORS as exc:
-                        self.fail((0, lane), exc)
+            if k in counts:
+                lanes, dn = counts[k]
+                if self._h is not None:
+                    h, c = self._h
+                    rhs[0, lanes] += h(x[0, lanes], c) * dn
+                else:
+                    for lane, n in zip(lanes.tolist(), dn.tolist()):
+                        if self.alive((0, lane)):
+                            try:
+                                rhs[0, lane] += self.h(float(x[0, lane])) * n
+                            except _LANE_ERRORS as exc:
+                                self.fail((0, lane), exc)
             self.solve(rhs, dt[k])
 
 
@@ -701,13 +806,10 @@ def tjabem_lanes(
             lanes.step(dt_k, dw_k)
             if states:
                 z_pre[..., k + 1] = lanes.z
-            jumped = block.jumps.get(k)
-            if jumped:
-                for p in jumped:
-                    for c in range(n_cells):
-                        lanes.jump((c, p))
-                # a lane's jump sets its state alone, and each path is
-                # listed once per step
+            if k in block.jumps:
+                jumped = np.array(block.jumps[k])
+                lanes.jump_columns(jumped)
+                # each path is listed once per step
                 n_nonpositive[:, jumped] += lanes.z[:, jumped] <= 0.0
             if states:
                 z_post[..., k + 1] = lanes.z
@@ -744,7 +846,8 @@ def bem_path(
     dt = params.T / M
     _check_step_guard(q_drift, dt)
     lanes = BemLanes(params, jump, np.full((1, 1), params.x0), _TABLE_UPDATES)
-    counts = {k: [(0, dn)] for k, dn in enumerate(np.asarray(jump_counts).tolist()) if dn}
+    dn = np.asarray(jump_counts, dtype=np.int64)
+    counts = {k: (np.zeros(1, dtype=np.intp), dn[k : k + 1]) for k in np.flatnonzero(dn).tolist()}
     with np.errstate(all="ignore"):
         lanes.run(np.full((1, M), dt), np.asarray(increments, dtype=float)[None], counts)
     for error in lanes.failures.values():

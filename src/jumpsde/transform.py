@@ -3,14 +3,17 @@
 The forward map z = x^(1-rho) turns the state-dependent diffusion into a
 constant one; the inverse map x = z^(1/(1-rho)) recovers the original state.
 Both are strictly positive on strictly positive inputs, and the jump update
-is carried out in transformed coordinates.
+is carried out in transformed coordinates, with the powers and the jump
+coefficient's arithmetic of the solver's lanes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import JumpCoefficient, ModelParams
+import numpy as np
+
+from .model import JumpCoefficient, ModelParams, array_h
 
 __all__ = ["lamperti_forward", "lamperti_inverse", "jump_map"]
 
@@ -44,16 +47,52 @@ def lamperti_inverse(rho: float, z: float) -> float:
     return _checked_pow(z, 1.0 / (1.0 - rho), "inverse transform")
 
 
+def _power(base, e: float):
+    """base**e elementwise: for an integer e with 0 < |e| <= 64 a chain of
+    multiplications of base or of its reciprocal, by repeated squaring,
+    which rounds the same way on every host; any other e goes to numpy's
+    power."""
+    if e != round(e) or not 0 < abs(e) <= 64:
+        return np.power(base, e)
+    n, factor, out = int(abs(e)), base if e > 0 else 1.0 / base, None
+    while True:
+        if n & 1:
+            out = factor if out is None else out * factor
+        n >>= 1
+        if not n:
+            return out
+        factor = factor * factor
+
+
+def _finite_pow(base: float, expo: float, what: str) -> float:
+    """_power(base, expo) with range errors instead of silent 0 or inf."""
+    with np.errstate(all="ignore"):
+        out = float(_power(np.float64(base), expo))
+    if out == 0.0:
+        raise OverflowError(f"{what}: result underflowed to 0 for base {base}")
+    if out == math.inf:
+        raise OverflowError(f"{what}: result overflowed to inf for base {base}")
+    return out
+
+
 def jump_map(params: ModelParams, jump: JumpCoefficient, z: float) -> float:
     """Post-jump transformed state: (x + h(x))^(1-rho) with x = z^(1/(1-rho)).
 
     Exact identity when the jump size vanishes. A nonpositive x + h(x) means
-    an invalid jump coefficient slipped past validation and raises.
+    an invalid jump coefficient slipped past validation and raises, and so
+    does a power that overflows or underflows to 0. The powers are _power's
+    and a built-in h is its array form (model.array_h), so the result is,
+    bit for bit, what the solver's lanes give a lane in one vector jump.
     """
     if not z > 0.0:
         raise ValueError(f"z must be strictly positive, got {z}")
-    x = _checked_pow(z, 1.0 / (1.0 - params.rho), "inverse transform")
-    hx = jump.h(x)
+    x = _finite_pow(z, 1.0 / (1.0 - params.rho), "inverse transform")
+    form = array_h(jump)
+    if form is None:
+        hx = jump.h(x)
+    else:
+        with np.errstate(all="ignore"):
+            hx = float(form[0](np.float64(x), form[1]))
     if hx == 0.0:
         return z
     moved = x + hx
@@ -61,4 +100,4 @@ def jump_map(params: ModelParams, jump: JumpCoefficient, z: float) -> float:
         raise ValueError(
             f"jump leaves the positive domain: x + h(x) = {moved} at x = {x}"
         )
-    return _checked_pow(moved, 1.0 - params.rho, "forward transform")
+    return _finite_pow(moved, 1.0 - params.rho, "forward transform")

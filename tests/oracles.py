@@ -1,8 +1,10 @@
 """The tests' oracles: scalar loops of jumpsde's one-path schemes and increment
-sums, which jumpsde runs on its lanes and coarse_block, and the one-path jump
-placement, which jumpsde makes for a batch at once with place_batch. The loops
-call solver's _implicit_solve, jump_map and lamperti_inverse, so a test's
-stand-ins reach them; the oracles' meshes come from place_jumps."""
+sums, which jumpsde runs on its lanes and coarse_block, the one-path jump
+placement, which jumpsde makes for a batch at once with place_batch, and
+numpy's seeding of a path's streams, whose keys jumpsde derives for a batch
+at once with stream_keys. The loops call solver's _implicit_solve, jump_map
+and lamperti_inverse, so a test's stand-ins reach them; the oracles' meshes
+come from place_jumps."""
 
 from __future__ import annotations
 
@@ -19,10 +21,22 @@ from jumpsde.mesh import DEDUP_RTOL, JumpAdaptedMesh, MeshError, sample_jump_tim
 from jumpsde.model import (JumpCoefficient, ModelParams, _drift_terms, _original_drift_terms,
                            drift_one_sided_lipschitz, make_drift, make_transformed_drift,
                            one_sided_lipschitz, transformed_drift)
-from jumpsde.paths import PathBundle, path_streams
+from jumpsde.paths import PathBundle
 from jumpsde.solver import (MAX_ITER, RESIDUAL_TOL, TrajectoryZ, _BRACKET_CAP, _BRACKET_FLOOR,
                             _check_step_guard)
 from jumpsde.transform import lamperti_forward
+
+
+def path_streams(
+    global_seed: int, path_index: int
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two disjoint counter-based substreams for one path: (jumps, Brownian)."""
+    jump_seq = np.random.SeedSequence(entropy=global_seed, spawn_key=(path_index, 0))
+    brownian_seq = np.random.SeedSequence(entropy=global_seed, spawn_key=(path_index, 1))
+    return (
+        np.random.Generator(np.random.Philox(jump_seq)),
+        np.random.Generator(np.random.Philox(brownian_seq)),
+    )
 
 
 @dataclass(frozen=True)

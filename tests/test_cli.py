@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpsde.paths
+import jumpsde.solver
+import oracles
 from jumpsde import generate_bundle
 from jumpsde.cli import _preset_path, load_config, main
 from jumpsde.mesh import DEDUP_RTOL
 from jumpsde.paths import path_streams
+from jumpsde.reports import write_trajectory_csv
 
 
 TINY_CONFIG = """
@@ -449,6 +453,54 @@ def test_negative_path_index_exits_1(tmp_path, capsys):
     assert "validation failure: --path-index must be at least 0" in (
         capsys.readouterr().err
     )
+
+
+def test_negative_config_seed_exits_1(tmp_path, capsys):
+    path = _write_config(tmp_path, seed=-1)
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "validation failure: global_seed must be at least 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "positivity"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    flag = "--presets" if command == "positivity" else "--preset"
+    argv = [command, flag, "set1", "--seed", "-1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "validation failure: --seed must be at least 0, got -1" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_env_seed_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("JUMPSDE_SEED", "-1")
+    assert main(["validate", "--preset", "set1"]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "validation failure: JUMPSDE_SEED must be at least 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--seed", str(2**64 + 5)],
+                                   ["--path-index", "5000000000"]])
+def test_seeds_and_indices_beyond_32_bits_simulate_numpys_streams(tmp_path, flags):
+    # the stream keys of a seed or an index of two or three 32-bit words
+    # are numpy's, so the trajectory is the one numpy's streams give
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "set1", "--lambda", "5", *flags,
+                 "--out", str(out)]) == 0
+    seed = int(flags[1]) if flags[0] == "--seed" else 12345
+    index = int(flags[1]) if flags[0] == "--path-index" else 0
+    config = load_config(_preset_path("set1"))
+    params = replace(config.params, lam=5.0)
+    bundle = oracles.generate_bundle(params, 32, seed, index)
+    assert bundle.jump_times.size
+    trajectory, _ = jumpsde.solver.tjabem_path(params, config.jump, bundle.fine_mesh,
+                                               bundle.dw_fine)
+    expected = tmp_path / "expected.csv"
+    write_trajectory_csv(params, trajectory, expected)
+    assert (out / "trajectory.csv").read_bytes() == expected.read_bytes()
 
 
 def test_empty_p_list_exits_1(tmp_path, capsys):

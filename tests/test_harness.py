@@ -257,10 +257,10 @@ def test_pool_is_capped_at_the_cpus(set1, monkeypatch):
 
 
 def _failing(build):
-    def failing(params, m, global_seed, path_index):
+    def failing(params, m, global_seed, path_index, keys=None):
         if path_index == 3:
             raise MeshError("forced bundle failure")
-        return build(params, m, global_seed, path_index)
+        return build(params, m, global_seed, path_index, keys)
 
     return failing
 
@@ -297,6 +297,24 @@ def test_bundle_failure_carries_replay_info(set1, monkeypatch, experiment,
     assert _CountingPool.starts == (1 if parallelism > 1 else 0)
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_a_negative_seed_is_rejected_before_any_path_opens(set1, monkeypatch, experiment):
+    opened = []
+    for name in ("open_path", "open_shared_path"):
+        monkeypatch.setattr(jumpsde.harness, name, lambda *args: opened.append(args))
+    seeded = {
+        "ladder": lambda: strong_error_ladder(
+            set1, linear_jump(-0.5), "both", (8, 16), 64, 6, -1),
+        "positivity": lambda: positivity_table(
+            [("set1", set1)], [linear_jump(-0.5)], [0.25], lam=1.0, n_paths=6,
+            global_seed=-1),
+        "moments": lambda: moment_probe(set1, linear_jump(-0.5), 8, 6, [1.0], -1),
+    }
+    with pytest.raises(InvalidModelError, match="global_seed must be a non-negative integer"):
+        seeded[experiment]()
+    assert opened == []
+
+
 def _positivity_oracle(param_sets, jumps, dt_list, lam, n_paths, global_seed):
     """The positivity table built cell by cell, one bundle per cell and path."""
     cells = []
@@ -330,9 +348,9 @@ def test_positivity_shares_bundles_across_cells(set1, set2, monkeypatch):
 
     calls = []
 
-    def counting_opening(lam, meshes, global_seed, path_index):
+    def counting_opening(lam, meshes, global_seed, path_index, keys=None):
         calls.append((path_index, tuple(meshes)))
-        return jumpsde.paths.open_shared_path(lam, meshes, global_seed, path_index)
+        return jumpsde.paths.open_shared_path(lam, meshes, global_seed, path_index, keys)
 
     monkeypatch.setattr(jumpsde.harness, "open_shared_path", counting_opening)
     assert positivity_table(*args, **kwargs) == expected
@@ -412,14 +430,19 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
 
 def test_positivity_failure_names_its_cell(set1, monkeypatch):
     # path 2 jumps first (t = 0.0014), path 0 later (t = 0.53): the failure
-    # named is the lowest path's, in the first failing cell
-    real_map = jumpsde.solver.jump_map
+    # named is the lowest path's, in the first failing cell. Without an
+    # array form of h, that cell's jumps go to the failing scalar map.
+    real_map, real_form = jumpsde.solver.jump_map, jumpsde.solver.array_h
 
     def failing_map(params, jump, z):
         if jump.label == "linear:0.5":
             raise SolverError("forced failure")
         return real_map(params, jump, z)
 
+    def failing_form(jump):
+        return None if jump.label == "linear:0.5" else real_form(jump)
+
+    monkeypatch.setattr(jumpsde.solver, "array_h", failing_form)
     monkeypatch.setattr(jumpsde.solver, "jump_map", failing_map)
     with pytest.raises(PathFailure) as excinfo:
         positivity_table(
@@ -443,7 +466,7 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     params = replace(set1, rho=3.0, gamma=6.0)
     jump_times = {2: [0.9], 4: [0.1]}
 
-    def staged_opening(lam, meshes, global_seed, i):
+    def staged_opening(lam, meshes, global_seed, i, keys=None):
         times = np.array(jump_times.get(i, []))
         normals = np.full(max(m + times.size for _, m in meshes), 0.01)
         return SharedPath(global_seed, i, times, normals)
@@ -665,17 +688,19 @@ def test_ladder_lanes_do_not_depend_on_their_batch(set1, spec):
 
 def test_ladder_failure_names_the_lowest_failing_path(set1, monkeypatch):
     # path 4 jumps at t = 0.1 and path 2 at t = 0.9, in one batch; every jump
-    # fails, so path 4 fails first in time, but path 2 is named
+    # goes to the failing scalar map, without an array form of h, and fails,
+    # so path 4 fails first in time, but path 2 is named
     jump_times = {2: [0.9], 4: [0.1]}
 
-    def staged_path(params, m_ref, global_seed, i):
-        path = jumpsde.paths.open_path(replace(params, lam=0.0), m_ref, global_seed, i)
+    def staged_path(params, m_ref, global_seed, i, keys=None):
+        path = jumpsde.paths.open_path(replace(params, lam=0.0), m_ref, global_seed, i, keys)
         return replace(path, jump_times=np.array(jump_times.get(i, [])))
 
     def failing_map(params, jump, z):
         raise SolverError("forced failure")
 
     monkeypatch.setattr(jumpsde.harness, "open_path", staged_path)
+    monkeypatch.setattr(jumpsde.solver, "array_h", lambda jump: None)
     monkeypatch.setattr(jumpsde.solver, "jump_map", failing_map)
     with pytest.raises(PathFailure) as excinfo:
         strong_error_ladder(set1, linear_jump(0.5), "both", (8, 16), 64, 12, 47)

@@ -1,12 +1,18 @@
 import bisect
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jumpsde
 import jumpsde.paths
 import oracles
 from jumpsde import (
@@ -29,6 +35,7 @@ from jumpsde.paths import (
     open_path,
     open_shared_path,
     path_streams,
+    stream_keys,
 )
 
 
@@ -37,6 +44,66 @@ def _left_to_right(values):
     for v in values:
         total += v
     return total
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
+INDICES = [0, 2**32 - 1, 5_000_000_000]
+
+
+def _assert_streams_are_numpys(global_seed, indices):
+    """stream_keys of a batch, and both streams of path_streams, are those
+    of numpy's SeedSequence for each path: the keys and the first draws."""
+    keys = stream_keys(global_seed, indices)
+    assert keys.shape == (len(indices), 2, 2) and keys.dtype == np.uint64
+    for i, row in zip(indices, keys):
+        expected = oracles.path_streams(global_seed, i)
+        for k, (mine, theirs) in enumerate(zip(path_streams(global_seed, i, row), expected)):
+            assert row[k].tobytes() == theirs.bit_generator.state["state"]["key"].tobytes()
+            assert mine.standard_normal(3).tobytes() == theirs.standard_normal(3).tobytes()
+        # derived on its own, a path's streams are the batch's
+        alone = path_streams(global_seed, i)
+        assert [g.bit_generator.state["state"]["key"].tobytes() for g in alone] == [
+            key.tobytes() for key in row]
+
+
+@pytest.mark.parametrize("global_seed", SEEDS)
+def test_stream_keys_are_numpys_at_word_boundaries(global_seed):
+    _assert_streams_are_numpys(global_seed, INDICES + [1, 7, 2**32, 2**64 - 1, 2**64 + 3])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(global_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+       indices=st.lists(st.one_of(st.integers(0, 10**6), st.integers(0, 2**70)),
+                        min_size=1, max_size=6))
+def test_stream_keys_are_numpys_for_drawn_seeds_and_indices(global_seed, indices):
+    _assert_streams_are_numpys(global_seed, indices + INDICES)
+
+
+def test_stream_keys_reject_a_negative_seed_or_index():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream_keys(-1, [0])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream_keys(3, [0, -2])
+
+
+def test_importing_jumpsde_does_not_import_numpy_random():
+    # the stream keys are derived without numpy.random, whose import costs
+    # every worker memory; it is imported when a first path opens
+    code = ("import sys, jumpsde, jumpsde.cli; "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'")
+    src = str(Path(jumpsde.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_streams_pickle_as_numpys():
+    jumps, brownian = path_streams(5, 3)
+    brownian.standard_normal(4)
+    copy = pickle.loads(pickle.dumps(brownian))
+    assert copy.standard_normal(5).tobytes() == brownian.standard_normal(5).tobytes()
+    assert copy.bit_generator.seed_seq.spawn_key == (3, 1)
 
 
 def test_bundle_regeneration_is_bit_identical(set1):
@@ -467,8 +534,8 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
                 assert coarse.grid[lane].tobytes() == (
                     r_dw[b * span : (b + 1) * span].tobytes()
                     + bytes(8 * (spans[-1] - span)))
-                bem = {step: dn for step, pairs in counts[b].items()
-                       for other, dn in pairs if other == lane}
+                bem = {step: int(dn[lanes == lane][0]) for step, (lanes, dn)
+                       in counts[b].items() if lane in lanes}
                 expected = r_dn[b * span : (b + 1) * span]
                 assert bem == {step: int(expected[step])
                                for step in np.flatnonzero(expected).tolist()}

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from jumpsde import (
     ModelParams,
+    custom_jump,
     SolverError,
     build_mesh,
     bem_path,
@@ -468,7 +469,9 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
     # the lanes count them as the path loop's trajectories show them (whose
     # terminal x, undefined for z <= 0, is left out). The first path jumps
     # at its last node, T, and is shorter than the second, so its negative
-    # terminal state must not be counted again on the padded steps.
+    # terminal state must not be counted again on the padded steps. Without
+    # an array form of h, every lane's jump goes to the stand-in.
+    monkeypatch.setattr(jumpsde.solver, "array_h", lambda jump: None)
     monkeypatch.setattr(jumpsde.solver, "jump_map", lambda params, jump, z: -z)
     monkeypatch.setattr(jumpsde.solver, "lamperti_inverse", lambda rho, z: z)
     sets = [replace(set1, lam=5.0), replace(set2, lam=5.0)]
@@ -485,6 +488,69 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
             trajectory, _ = oracles.tjabem_path(params, jump, mesh, dw, q)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
+
+
+def _halving_h(x):
+    return -0.5 * x
+
+
+def _halving_dh(x):
+    return -0.5
+
+
+def test_a_lanes_jump_has_the_same_bits_alone_as_with_other_lanes_and_cells(
+    set1, set2, monkeypatch
+):
+    # cells of three rhos (chained and numpy powers), every built-in family
+    # and a custom one; a lane whose x overflows and a cell whose jump
+    # underflows the forward power go to the scalar map, which fails them
+    rho2 = replace(set2, rho=2.0, gamma=5.0)
+    rho125 = replace(set1, rho=1.25)
+    rho3 = replace(set1, rho=3.0, gamma=6.0)
+    cells = [
+        (set1, linear_jump(-0.5)), (rho2, make_jump("sine", 1.0)),
+        (rho125, make_jump("rational", 0.5)), (set2, zero_jump()),
+        (rho3, make_jump("sine", -0.3)), (set1, custom_jump(_halving_h, _halving_dh)),
+        (rho3, make_jump("linear", 1e300)), (rho125, linear_jump(0.5)),
+    ]
+    n = 67
+    rng = np.random.Generator(np.random.Philox(13))
+    z0 = rng.uniform(0.05, 20.0, (len(cells), n))
+    z0[:, 5] = 1e-200
+    scalar_calls = []
+    real_map = jumpsde.solver.jump_map
+
+    def counted_map(params, jump, z):
+        scalar_calls.append(z)
+        return real_map(params, jump, z)
+
+    monkeypatch.setattr(jumpsde.solver, "jump_map", counted_map)
+    with np.errstate(all="ignore"):
+        together = TjabemLanes(cells, z0.copy(), 3)
+        together.jump_columns(list(range(n)))
+        # the custom cell's lanes, the cell whose jump underflows and the
+        # lanes of column 5 whose x overflows (all but rho = 2's x = 1/z and
+        # rho = 3's x = z^-0.5) are mapped one at a time
+        overflowing = {0, 2, 3, 5, 6, 7}
+        assert len(scalar_calls) == 2 * n + len(overflowing) - 2
+        subset = TjabemLanes(cells[::-1], z0[::-1].copy(), 3)
+        columns = [40, 3, 5, 66, 0]
+        subset.jump_columns(columns)
+        for c, (params, jump) in enumerate(cells):
+            for p in range(n):
+                alone = TjabemLanes([(params, jump)], z0[c : c + 1, p : p + 1].copy(), 3)
+                alone.jump_columns([0])
+                assert alone.z.tobytes() == together.z[c : c + 1, p : p + 1].tobytes()
+                assert ((0, 0) in alone.failures) == ((c, p) in together.failures)
+                if p in columns:
+                    assert subset.z[len(cells) - 1 - c, p] == alone.z[0, 0]
+                try:
+                    mapped = real_map(params, jump, z0[c, p])
+                except (ValueError, OverflowError):
+                    assert (c, p) in together.failures
+                else:
+                    assert together.z[c, p] == mapped
+    assert set(together.failures) == {(c, 5) for c in overflowing} | {(6, p) for p in range(n)}
 
 
 def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
