@@ -9,6 +9,13 @@ Newton's method and, for a lane that needs it, the bracketed solver
 _implicit_solve, and no lane depends on the others. tjabem_lanes runs a
 (cells, paths) grid of them on whole meshes of one grid. tjabem_path and
 bem_path, the one-path API, are one lane of tjabem_lanes and of BemLanes.
+
+Up to about a thousand lanes a numpy call costs about the same whatever its
+width, so a step costs what its number of calls does, and the lanes are
+built to make few calls: a drift makes paired powers in one call, a group
+of at most _FULL_WIDTH lanes works at full width rather than gathering the
+lanes a rule acts on, and a jump of fewer than _VECTOR_JUMPS lanes goes
+through the scalar jump_map. None of these moves a lane's bits.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .model import (
     one_sided_lipschitz,
 )
 from .paths import whole_block
-from .transform import _power, jump_map, lamperti_forward, lamperti_inverse
+from .transform import _chained, _power, jump_map, lamperti_forward, lamperti_inverse
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -143,6 +150,13 @@ def _implicit_solve(
     if not (lo <= z <= hi):
         z = math.sqrt(lo * hi)
 
+    # rtsafe's progress test (Press et al., Numerical Recipes, section 9.4),
+    # in log space: a Newton step more than half as long as the step before
+    # last is not converging fast enough, and the bracket is bisected at its
+    # geometric mean instead, which crosses decades where Newton creeps up
+    # by a constant factor (G(z) = z - dt*F(z) like -c*z^-k far below the
+    # root); near the root Newton's steps shrink fast and keep the bits
+    last = before = math.log(hi) - math.log(lo)
     for _ in range(MAX_ITER):
         res = (z - rhs) - dt * fval(z)
         if abs(res) <= tol:
@@ -156,6 +170,8 @@ def _implicit_solve(
             zn = z - res / d
             if not (lo < zn < hi):
                 zn = 0.5 * (lo + hi)
+            elif 2.0 * abs(math.log(zn / z)) > before:
+                zn = math.sqrt(lo) * math.sqrt(hi)
         else:
             zn = 0.5 * (lo + hi)
         if zn == z:
@@ -164,6 +180,7 @@ def _implicit_solve(
                 raise SolverError(
                     f"bracket collapsed with residual {res} above tolerance {tol}"
                 )
+        before, last = last, abs(math.log(zn / z))
         z = zn
     raise SolverError(
         f"implicit solve did not converge within {MAX_ITER} iterations "
@@ -262,13 +279,20 @@ class _LaneDrift:
     of it made once, and every call writes to one of them except the first
     of each sum, which makes the new array F or F' is returned in.
     The terms' powers fill consecutive rows: the slope terms', then the
-    linear terms', then the constant terms' (rows of ones), each in table
-    order, so that one call multiplies every term by its coefficient and
-    one more every slope term by its c*e. An exponent that is the same
-    integer in every row is a chain of multiplications, which rounds the
-    same way on every host; any other exponent goes to numpy's power. The
-    terms are summed in table order, and the slope is the sum of c*e*z^e
-    over z plus the linear terms' coefficients. For a given set of cells, a
+    linear terms', then the constant terms' (rows of ones), so that one
+    call multiplies every term by its coefficient and one more every slope
+    term by its c*e. An exponent that is the same integer in every row is a
+    chain of multiplications, which rounds the same way on every host; any
+    other exponent goes to numpy's power. The chain's products are made
+    depth by depth, and z^-e and z^e in one call where the rows of each
+    factor pair and of the result are adjacent: the slope terms' rows put
+    z^-e just before z^e and z^-1 last, just before z in the first linear
+    term's row, and the chain's own pairs take adjacent rows, so a drift
+    with terms in z^3, z^-3 and z^-1 makes (z^-2, z^2) and then (z^-3, z^3)
+    in two calls instead of four. A call over two rows that are not
+    adjacent would cost more than two calls over one. The terms are summed
+    in table order, and the slope is the sum of c*e*z^e over z, in table
+    order, plus the linear terms' coefficients. For a given set of cells, a
     lane gets the same operations in the same order whatever the other
     lanes are. Other cells can change them: a power is a chain only where
     its exponent is the same integer in every row, so a set1 lane's z^-3 is
@@ -283,9 +307,22 @@ class _LaneDrift:
         uniform = [bool(np.all(e == e[0])) for e in table[:, :, 1].T]
         kinds = ["constant" if same and e == 0.0 else "linear" if same and e == 1.0
                  else "slope" for e, same in zip(exponents, uniform)]
-        order = [j for kind in ("slope", "linear", "constant")
-                 for j in range(n) if kinds[j] == kind]
-        n_slope, n_plain = kinds.count("slope"), n - kinds.count("constant")
+        slopes = [j for j in range(n) if kinds[j] == "slope"]
+        # the slope terms' rows: the first term of each chained power -e
+        # just before that of e, and the first of power -1 last, just before
+        # z in the first linear term's row, so that a chain can make z^-e
+        # and z^e in one call; the sums below keep table order
+        first = {}
+        for j in slopes:
+            if uniform[j] and _chained(exponents[j]):
+                first.setdefault(int(exponents[j]), j)
+        mirrored = [j for e in sorted(first) if e > 0 and -e in first
+                    for j in (first[-e], first[e])]
+        last = [first[-1]] if -1 in first else []
+        order = ([j for j in slopes if j not in mirrored + last] + mirrored + last
+                 + [j for kind in ("linear", "constant")
+                    for j in range(n) if kinds[j] == kind])
+        n_slope, n_plain = len(slopes), n - kinds.count("constant")
         varying = [j for j in order[:n_plain] if not uniform[j]]
         # coefficient rows: each term's c in power order, the slope terms'
         # c*e, then the exponents that differ between rows
@@ -295,42 +332,65 @@ class _LaneDrift:
         k = len(columns)
         power = {j: k + r for r, j in enumerate(order)}  # the row of term j's power
         scratch = itertools.count(k + n).__next__  # the next free row
-        # slots[e] is the row of z^e: z and 1/z first, then the chained
+        # rows[e] is the row of z^e: z and 1/z first, then the chained
         # powers, each the product of two of one sign, the larger made first
         # if it can be (z^5 = z^3 * z^2), in the row of a term of that power
-        # if there is one
+        # if there is one, else in a row of its own, z^-e's just before z^e's
         chained = {}
         for j in order:
-            e = exponents[j]
-            if uniform[j] and e == round(e) and 0 < abs(e) <= 64:
-                chained.setdefault(int(e), power[j])
-        slots = {e: chained[e] if e in chained else scratch() for e in (1, -1)}
-        program = [(np.reciprocal, (slots[1], slots[-1]))]
+            if uniform[j] and _chained(exponents[j]):
+                chained.setdefault(int(exponents[j]), power[j])
+        made = {1, -1}
+        products = []  # (e, a, b): z^e = z^a * z^b
 
         def chain(e):
-            if e not in slots:
+            if e not in made:
                 sign = 1 if e > 0 else -1
                 a = max(
-                    (d for d in slots if 0 < d * sign < e * sign and e - d in slots),
+                    (d for d in made if 0 < d * sign < e * sign and e - d in made),
                     key=abs,
                     default=e // 2 if e % 2 == 0 else e - sign,
                 )
                 chain(a)
                 chain(e - a)
-                slots[e] = chained[e] if e in chained else scratch()
-                program.append((np.multiply, (slots[a], slots[e - a], slots[e])))
+                made.add(e)
+                products.append((e, a, e - a))
 
         for e in sorted(chained, key=abs):
             chain(e)
+        rows = dict(chained)
+        for e in sorted(made, key=lambda e: (abs(e), e)):
+            if e not in rows:
+                rows[e] = scratch()
+                if e < 0 and -e in made and -e not in rows:
+                    rows[-e] = scratch()
+        program = [(np.reciprocal, (rows[1], rows[-1]))]
+        # the products by depth, each once its factors are made; z^-e and
+        # z^e in one call over two rows where each operand's rows are
+        # adjacent, as the layout above makes them for a drift's own powers
+        done = {1, -1}
+        while products:
+            ready = [p for p in products if p[1] in done and p[2] in done]
+            done.update(p[0] for p in ready)
+            products = [p for p in products if p[0] not in done]
+            by_power = {p[0]: p for p in ready}
+            paired = {e for e, a, b in ready if e < 0 and -e in by_power and all(
+                rows[x] + 1 == rows[y] for x, y in zip((e, a, b), by_power[-e]))}
+            for e, a, b in ready:
+                if e in paired:
+                    program.append((np.multiply, tuple(
+                        slice(rows[x], rows[x] + 2) for x in (a, b, e))))
+                elif -e not in paired:
+                    program.append((np.multiply, (rows[a], rows[b], rows[e])))
         # every other term's power: a copy of a chained one, or numpy's
         for j in order[:n_plain]:
             e = exponents[j]
-            if uniform[j] and e in slots:
-                if slots[e] != power[j]:
-                    program.append((np.copyto, (power[j], slots[e])))
+            if uniform[j] and e in rows:
+                if rows[e] != power[j]:
+                    program.append((np.copyto, (power[j], rows[e])))
             else:
                 e = e if uniform[j] else n + n_slope + varying.index(j)
-                program.append((np.power, (slots[1], e, power[j])))
+                program.append((np.power, (rows[1], e, power[j])))
         # the terms, then the slope terms, each in rows of their own
         terms = scratch()
         slope = terms + n
@@ -344,17 +404,19 @@ class _LaneDrift:
         if n_slope:
             program.append((np.multiply, (slice(n, n + n_slope), slice(k, k + n_slope),
                                           slice(slope, slope + n_slope))))
+        # the slope terms' rows, in table order
+        slope_rows = [slope + order.index(j) for j in slopes]
         if n_slope > 1:
-            fp = [(np.add, slope, slope + 1)]
-            fp += [(np.add, slope + i) for i in range(2, n_slope)]
-            fp.append((np.multiply, slots[-1]))
+            fp = [(np.add, *slope_rows[:2])]
+            fp += [(np.add, r) for r in slope_rows[2:]]
+            fp.append((np.multiply, rows[-1]))
         elif n_slope:
-            fp = [(np.multiply, slope, slots[-1])]
+            fp = [(np.multiply, slope, rows[-1])]
         else:
-            fp = [(np.multiply, slots[-1], 0.0)]
+            fp = [(np.multiply, rows[-1], 0.0)]
         fp += [(np.add, power[j] - k) for j in order[n_slope:n_plain]]
         self._program, self._f, self._fp = program, f, fp
-        self._rows, self._ones, self._z = slope + n_slope, slice(k + n_plain, k + n), slots[1]
+        self._rows, self._ones, self._z = slope + n_slope, slice(k + n_plain, k + n), rows[1]
         full = np.empty((self._rows, math.prod(shape)))
         for r, column in enumerate(columns):
             full[r].reshape(shape)[...] = column[:, None]
@@ -392,7 +454,7 @@ class _LaneDrift:
         takes its own coefficients and exponents, so it gets the bits the
         full evaluation gives it. Both come back as new arrays."""
         if lanes is None:
-            np.copyto(self._bound[1], z)
+            self._bound[1][...] = z
             return self._run(self._bound)
         m = z.size
         size = 1 << max(m - 1, 0).bit_length()
@@ -420,6 +482,12 @@ class _LaneDrift:
         return f, fp
 
 
+# the widest lane group that refreshes moved lanes and continues pending ones
+# at full width: below it a numpy call costs about the same at any width, so
+# one full-width call beats the gathers and scatters of a subset
+_FULL_WIDTH = 1024
+
+
 class _Lanes:
     """Lanes of one scheme that take their implicit steps together.
 
@@ -427,10 +495,13 @@ class _Lanes:
     c's drift, whose term table is tables[c] and whose scalar (value, slope)
     pair is drifts[c]. f and fp hold F(z) and F'(z) as the lanes' drift
     evaluates them, so that a step's first Newton update reuses them; once a
-    lane's z is set on its own, the next step evaluates them again for the
-    lanes that were set, with the bits a full evaluation gives them. A lane
-    that fails keeps its last state, is recorded in `failures` with its
-    first error, and idles from then on.
+    lane's z is set on its own, the next step evaluates them again. A group
+    of at most _FULL_WIDTH lanes evaluates every lane then, and continues
+    its pending lanes with masked full-width updates; a wider group
+    evaluates and continues only the lanes concerned. The drift gives a lane
+    the same bits either way, so the width moves no bit. A lane that fails
+    keeps its last state, is recorded in `failures` with its first error,
+    and idles from then on.
     """
 
     def __init__(self, tables, drifts, z: np.ndarray, updates: int):
@@ -439,6 +510,7 @@ class _Lanes:
         self.z = z
         self.f = self.fp = None  # F(z) and F'(z), once evaluated
         self._moved = []  # lanes set since f and fp were evaluated
+        self._full = z.size <= _FULL_WIDTH
         self.updates = updates
         self.failures: dict[tuple[int, int], Exception] = {}
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
@@ -461,10 +533,11 @@ class _Lanes:
         self._moved.append(lane)
 
     def refresh(self) -> None:
-        """Make f and fp F(z) and F'(z): every lane's the first time, then
-        those of the lanes set since, which _moved holds as (row, column)
-        pairs of ints or of index arrays."""
-        if self.f is None:
+        """Make f and fp F(z) and F'(z): every lane's the first time, then,
+        if lanes were set since, every lane's in a group of at most
+        _FULL_WIDTH lanes, else those of the lanes set, which _moved holds
+        as (row, column) pairs of ints or of index arrays."""
+        if self.f is None or self._moved and self._full:
             self.f, self.fp = self.drift(self.z)
         elif self._moved:
             moved = tuple(map(np.hstack, zip(*self._moved)))
@@ -480,8 +553,10 @@ class _Lanes:
         `updates` Newton updates; one whose residual is then above
         RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
         updating alone until it meets that tolerance or MAX_ITER updates are
-        made. A lane goes to _implicit_solve from its previous
-        state once it leaves (0, inf), turns non-finite, meets
+        made: in a group of at most _FULL_WIDTH lanes by full-width updates
+        that only the pending lanes keep, else by updates of those lanes
+        gathered by flat index. A lane goes to _implicit_solve from its
+        previous state once it leaves (0, inf), turns non-finite, meets
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
         rhs = z therefore keeps its z exactly; so does every failed lane.
         """
@@ -518,14 +593,49 @@ class _Lanes:
         if (np.maximum.reduce(size, None) <= RESIDUAL_TOL
                 and np.minimum.reduce(z, None) > 0.0):
             return
-        # the lanes that may miss their tolerance, as flat indices, found
-        # once: only they are gathered, tested and updated from here on
-        idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
         if z is z_prev:
             # without updates z is still the previous state, which the
             # fallback below starts from
-            z = self.z = z.copy()
-        zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, res, rhs, dt))
+            self.z = z.copy()
+        handed = (self._continue_full if self._full else self._continue_flat)(
+            size, rhs, dt, used)
+        self._hand_off(handed, z_prev, rhs, dt)
+
+    def _continue_full(self, size, rhs, dt, used) -> np.ndarray:
+        """Update the pending lanes at full width, each keeping its update
+        while it is pending; returns the lanes to hand off, as sorted flat
+        indices."""
+        z, f, fp, res = self.z, self.f, self.fp, self._res
+        tol = np.maximum(1.0, np.abs(rhs)) * RESIDUAL_TOL
+        pending = ~((size <= tol) & (z > 0.0))
+        handed = np.zeros(z.shape, dtype=bool)
+        while pending.any():
+            d = 1.0 - dt * fp
+            sick = pending & ~((z > 0.0) & (d > 0.0) & np.isfinite(res))
+            if used >= MAX_ITER:
+                sick = pending
+            if sick.any():
+                handed |= sick
+                pending &= ~sick
+                if not pending.any():
+                    break
+            z_n = z - res / d
+            f_n, fp_n = self.drift(z_n)
+            r_n = (z_n - rhs) - dt * f_n
+            z, f, fp, res = (np.where(pending, new, old) for new, old in
+                             ((z_n, z), (f_n, f), (fp_n, fp), (r_n, res)))
+            used += 1
+            pending &= ~((np.abs(r_n) <= tol) & (z_n > 0.0))
+        self.z, self.f, self.fp = z, f, fp
+        return np.flatnonzero(handed)
+
+    def _continue_flat(self, size, rhs, dt, used) -> np.ndarray:
+        """Update the pending lanes alone, gathered by flat index: they are
+        found once, and only they are tested and updated from then on;
+        returns the lanes to hand off, as sorted flat indices."""
+        z, f, fp = self.z, self.f, self.fp
+        idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
+        zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, self._res, rhs, dt))
         tol = np.maximum(1.0, np.abs(rhs_c)) * RESIDUAL_TOL
         lanes = np.unravel_index(idx, z.shape)
         pending = np.flatnonzero(~((np.abs(rc) <= tol) & (zc > 0.0)))
@@ -552,9 +662,13 @@ class _Lanes:
         np.put(z, idx, zc)
         np.put(f, idx, fc)
         np.put(fp, idx, fpc)
-        if not handed:
-            return
-        for lane in zip(*np.unravel_index(np.sort(idx[np.concatenate(handed)]), z.shape)):
+        return np.sort(idx[np.concatenate(handed)]) if handed else idx[:0]
+
+    def _hand_off(self, handed: np.ndarray, z_prev, rhs, dt) -> None:
+        """Solve the lanes at these flat indices with _implicit_solve from
+        their previous states, in index order; a lane with dt = 0 keeps its
+        previous state, and a lane whose solve fails keeps it and fails."""
+        for lane in zip(*np.unravel_index(handed, self.z.shape)):
             if dt[lane] == 0.0:
                 self.set(lane, float(z_prev[lane]))
                 continue
@@ -625,6 +739,12 @@ class _LaneJump:
         return out, ok
 
 
+# the fewest lanes a jump step maps with _LaneJump: fewer go through jump_map
+# one at a time, at about 5-7 us a lane against the vector map's fixed cost
+# of about 25 us (measured on 128 lanes; the break-even is 3 to 4 lanes)
+_VECTOR_JUMPS = 4
+
+
 def _columns(rows: np.ndarray) -> np.ndarray:
     """The columns of a (lanes, steps) array, each as a (1, lanes) array."""
     return rows.T.copy()[:, None, :]
@@ -658,11 +778,18 @@ class TjabemLanes(_Lanes):
 
     def jump_columns(self, columns) -> None:
         """Apply the transformed jump map to the live lanes of the given
-        columns in every row, at once.
+        columns in every row.
 
-        The lanes that _LaneJump maps are set together; every other live
-        lane goes through jump, one at a time.
+        Fewer than _VECTOR_JUMPS lanes go through jump one at a time.
+        Otherwise the lanes that _LaneJump maps are set together, and every
+        other live lane goes through jump; jump_map gives a lane the bits
+        _LaneJump would, so the route moves no bit.
         """
+        if len(columns) * len(self.cells) < _VECTOR_JUMPS:
+            for row in range(len(self.cells)):
+                for column in columns:
+                    self.jump((row, int(column)))
+            return
         columns = np.asarray(columns)
         out, done = self._jump(self.z[:, columns])
         if self._alive is not None:
@@ -691,9 +818,10 @@ class TjabemLanes(_Lanes):
         dt and dw have one row per lane; jumps maps a step k to the lanes
         that jump at its end.
         """
-        dt, dw = _columns(dt), _columns(dw)
+        # the noise terms of every step in one call
+        dt, noise = _columns(dt), _columns(dw) * self.noise
         for k in range(dt.shape[0]):
-            self.step(dt[k], dw[k])
+            self.solve(self.z + noise[k], dt[k])
             if k in jumps:
                 self.jump_columns(jumps[k])
 

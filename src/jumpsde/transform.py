@@ -47,12 +47,17 @@ def lamperti_inverse(rho: float, z: float) -> float:
     return _checked_pow(z, 1.0 / (1.0 - rho), "inverse transform")
 
 
+def _chained(e: float) -> bool:
+    """Whether _power takes base**e as a chain of multiplications."""
+    return e == round(e) and 0 < abs(e) <= 64
+
+
 def _power(base, e: float):
     """base**e elementwise: for an integer e with 0 < |e| <= 64 a chain of
     multiplications of base or of its reciprocal, by repeated squaring,
     which rounds the same way on every host; any other e goes to numpy's
     power."""
-    if e != round(e) or not 0 < abs(e) <= 64:
+    if not _chained(e):
         return np.power(base, e)
     n, factor, out = int(abs(e)), base if e > 0 else 1.0 / base, None
     while True:
@@ -65,9 +70,15 @@ def _power(base, e: float):
 
 
 def _finite_pow(base: float, expo: float, what: str) -> float:
-    """_power(base, expo) with range errors instead of silent 0 or inf."""
-    with np.errstate(all="ignore"):
-        out = float(_power(np.float64(base), expo))
+    """_power(base, expo) on a float, with range errors instead of silent 0
+    or inf. A chained power is Python-float arithmetic, which never warns;
+    numpy's power is called without an error state where |expo*log(base)|
+    < 700 leaves it no range error to report."""
+    if _chained(expo) or abs(expo * math.log(base)) < 700.0:
+        out = float(_power(base, expo))
+    else:
+        with np.errstate(all="ignore"):
+            out = float(_power(base, expo))
     if out == 0.0:
         raise OverflowError(f"{what}: result underflowed to 0 for base {base}")
     if out == math.inf:
@@ -80,19 +91,18 @@ def jump_map(params: ModelParams, jump: JumpCoefficient, z: float) -> float:
 
     Exact identity when the jump size vanishes. A nonpositive x + h(x) means
     an invalid jump coefficient slipped past validation and raises, and so
-    does a power that overflows or underflows to 0. The powers are _power's
-    and a built-in h is its array form (model.array_h), so the result is,
-    bit for bit, what the solver's lanes give a lane in one vector jump.
+    does a power that overflows or underflows to 0. The map runs on Python
+    floats: an integer power is _power's chain of float multiplications,
+    any other power numpy's power ufunc, and a built-in h its array form
+    (model.array_h, whose sine is numpy's sin ufunc). Each of these rounds
+    as on an array, so the result is, bit for bit, what the solver's lanes
+    give a lane in one vector jump.
     """
     if not z > 0.0:
         raise ValueError(f"z must be strictly positive, got {z}")
-    x = _finite_pow(z, 1.0 / (1.0 - params.rho), "inverse transform")
+    x = _finite_pow(float(z), 1.0 / (1.0 - params.rho), "inverse transform")
     form = array_h(jump)
-    if form is None:
-        hx = jump.h(x)
-    else:
-        with np.errstate(all="ignore"):
-            hx = float(form[0](np.float64(x), form[1]))
+    hx = jump.h(x) if form is None else float(form[0](x, float(form[1])))
     if hx == 0.0:
         return z
     moved = x + hx

@@ -575,6 +575,47 @@ JUMP_COEFFICIENTS = st.one_of(
 )
 
 
+def test_a_ladder_across_the_full_width_limit_writes_the_same_bytes(tmp_path):
+    # inline and at parallelism 2 the levels group holds 3 * 400 = 1,200
+    # lanes, above the lanes' full-width limit, and continues and refreshes
+    # lanes by flat index; at 4 each of its two path chunks holds 600 and
+    # works at full width. The reports must not tell them apart
+    assert 3 * 400 > jumpsde.solver._FULL_WIDTH >= 3 * 200
+    reports = []
+    for parallelism in (1, 2, 4):
+        path = _edit_config(
+            _write_config(tmp_path, name=f"wide{parallelism}.cfg", scheme="both",
+                          m_list="8, 16, 32", m_ref=64, n_paths=400),
+            parallelism=parallelism)
+        out = tmp_path / f"out{parallelism}"
+        assert _run_quietly(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(reports[0]) == ["convergence.csv", "convergence.json",
+                                  "plotdata_bem.csv", "plotdata_tjabem.csv"]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_post_jump_state_72_decades_below_the_root_simulates(tmp_path):
+    # a rational jump with c = 9.3e72 leaves z = 1.3e-73 where the next
+    # step's root lies in (0.1, 1): G(z) = z - dt*F(z) behaves like -c*z^-k
+    # there, so Newton creeps up by a constant factor per iteration, and the
+    # bracketed solver must bisect in log space to cross the decades within
+    # MAX_ITER iterations
+    values = dict(alpha_m1=0.001, alpha0=0.01, alpha1=1.0, alpha2=0.01, alpha3=1.0,
+                  gamma=3.00006103515625, rho=2.0, x0=9.99976974414163, T=1.0,
+                  family="rational", param=9.277233155326697e+72, m_list="1, 30",
+                  global_seed=1304)
+    values["lambda"] = 17.27369731170755
+    path = tmp_path / "extreme.cfg"
+    path.write_text(_config_text({key: repr(v) if isinstance(v, float) else v
+                                  for key, v in values.items()}))
+    assert _run_quietly(["validate", "--config", str(path)]) == 0
+    argv = ["simulate", "--config", str(path), "--path-index", "384",
+            "--out", str(tmp_path / "out")]
+    assert _run_quietly(argv) == 0
+    assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 0
+
+
 @st.composite
 def finite_configs(draw):
     """Finite config-file values with gamma above 2*rho - 1 and M <= 32."""

@@ -556,11 +556,13 @@ def test_a_lanes_jump_has_the_same_bits_alone_as_with_other_lanes_and_cells(
 def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
     # jumps and a fallback set single lanes between steps; the next step's
     # F and F' of those lanes alone must be the bits of an evaluation of
-    # every lane
+    # every lane. A group this narrow evaluates every lane, unless its
+    # full-width limit is below its width, as here
     fallbacks = _count_fallbacks(monkeypatch)
     stiff = replace(_stiff_params(), T=2.0**-11)
     cells = [(stiff, zero_jump()), (set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
     z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 6 for p, _ in cells])
+    monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
     moved, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
     rng = np.random.Generator(np.random.Philox(7))
     dt = np.full(z0.shape, stiff.T)
@@ -585,13 +587,15 @@ def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
     assert all(len(lanes) < z0.size for lanes in set_lanes)
 
 
-def test_lanes_continue_only_the_pending_lanes(set1, set2):
+def test_lanes_continue_only_the_pending_lanes(set1, set2, monkeypatch):
     # after three Newton updates the lanes with large increments still miss
     # the residual contract; the updates that continue them evaluate F and
     # F' of those lanes alone, which must be the bits of an evaluation of
-    # every lane
+    # every lane. A group this narrow continues at full width, unless its
+    # full-width limit is below its width, as here
     cells = [(set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
     z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 64 for p, _ in cells])
+    monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
     subset, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
     sizes = []
     evaluate, every = subset.drift, full.drift
@@ -623,6 +627,87 @@ def test_lanes_continue_only_the_pending_lanes(set1, set2):
     # a few lanes continued, on their own
     assert sizes and max(sizes) < z0.size // 10
     assert np.all(subset.z > 0.0) and not subset.failures
+
+
+def _width_cases(set1, set2):
+    """name: (cells, lanes per cell, dt, Brownian increments per step,
+    columns that jump after each listed step)"""
+    stiff = replace(_stiff_params(), T=2.0**-11)
+    rho3 = replace(set1, rho=3.0, gamma=6.0)
+    rng = np.random.Generator(np.random.Philox(19))
+
+    def dws(shape, steps, scale, large=()):
+        dw = rng.normal(0.0, scale, (steps, *shape))
+        for k, lane, value in large:
+            dw[(k, *lane)] = value
+        return dw
+
+    sine = make_jump("sine", 1.0)
+    return {
+        "single_lane": (
+            [(set1, linear_jump(0.5))], 1, 0.05,
+            dws((1, 1), 8, 0.01, [(2, (0, 0), 0.9), (5, (0, 0), -0.5)]), {1: [0], 4: [0]}),
+        "two_cells_pending": (
+            [(set1, linear_jump(0.5)), (set2, sine)], 64, 0.05,
+            dws((2, 64), 6, 0.01, [(k, (k % 2, lane), value) for k in range(6)
+                                   for lane, value in ((3, 0.6), (17, -0.5), (40, 0.9))]),
+            {2: [3, 40], 4: list(range(64))}),
+        "forced_fallback": (
+            [(stiff, zero_jump()), (set1, linear_jump(0.5))], 6, stiff.T,
+            dws((2, 6), 8, 0.05, [(4, (0, 2), 20.0)]), {3: [1], 6: [0, 2, 5]}),
+        "failed_lane": (
+            [(set1, linear_jump(0.5)), (rho3, linear_jump(1e300))], 6, 0.05,
+            dws((2, 6), 6, 0.01), {1: [2], 3: list(range(6))}),
+        "jumps": (
+            [(set1, linear_jump(-0.5)), (set2, sine), (set1, make_jump("rational", 0.5))],
+            20, 0.05, dws((3, 20), 8, 0.05),
+            {k: list(range(k, 20, 1 + 3 * k)) for k in range(8)}),
+    }
+
+
+@pytest.mark.parametrize("case", ["single_lane", "two_cells_pending", "forced_fallback",
+                                  "failed_lane", "jumps"])
+def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
+    # the same steps, with the group's full-width limit at its width (full-
+    # width refreshes and continuations) and just below it (those of the
+    # lanes concerned alone): every step's z, F and F', the failures and
+    # the fallbacks must be the same
+    cells, n, dt, dws, jumps = _width_cases(set1, set2)[case]
+    fallbacks = _count_fallbacks(monkeypatch)
+    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * n for p, _ in cells])
+    runs = []
+    for limit in (z0.size, z0.size - 1):
+        monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", limit)
+        lanes = TjabemLanes(cells, z0.copy(), 3)
+        subsets = []
+        evaluate = lanes.drift
+
+        def counted(z, idx=None, evaluate=evaluate, subsets=subsets):
+            if idx is not None:
+                subsets.append(z.size)
+            return evaluate(z, idx)
+
+        lanes.drift = counted
+        steps = []
+        with np.errstate(all="ignore"):
+            for k, dw in enumerate(dws):
+                lanes.step(np.full(z0.shape, dt), dw)
+                if k in jumps:
+                    lanes.jump_columns(jumps[k])
+                lanes.refresh()
+                steps.append(tuple(a.tobytes() for a in (lanes.z, lanes.f, lanes.fp)))
+        failures = {lane: (type(e), str(e)) for lane, e in lanes.failures.items()}
+        runs.append((steps, failures, len(subsets), len(fallbacks)))
+        fallbacks.clear()
+    (full, full_failures, full_subsets, full_fallbacks), (flat, *rest) = runs
+    assert full == flat
+    assert [full_failures, full_fallbacks] == [rest[0], rest[2]]
+    # the full-width group evaluated no subset, the other one did
+    assert full_subsets == 0 < rest[1]
+    if case == "forced_fallback":
+        assert full_fallbacks > 0
+    if case == "failed_lane":
+        assert set(full_failures) == {(1, p) for p in range(n)}
 
 
 def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):

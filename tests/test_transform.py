@@ -1,8 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from jumpsde import (
     jump_map,
+    make_jump,
     lamperti_forward,
     lamperti_inverse,
     linear_jump,
@@ -10,6 +14,7 @@ from jumpsde import (
     validate_jump,
     zero_jump,
 )
+from jumpsde.solver import _LaneJump
 
 
 def test_forward_fixed_point_and_values():
@@ -91,3 +96,33 @@ def test_jump_map_rejects_invalid_jump(set1):
 def test_jump_map_domain_error(set1):
     with pytest.raises(ValueError):
         jump_map(set1, zero_jump(), 0.0)
+
+
+@pytest.mark.parametrize("width", [1, 128])
+@pytest.mark.parametrize("rho", [2.0, 3.0, 1.5, 1.3])
+@pytest.mark.parametrize("spec", [("linear", 0.7), ("linear", -0.5), ("sine", 1.0),
+                                  ("rational", 2.5)])
+def test_jump_map_has_the_bits_of_the_vector_map(set1, spec, rho, width):
+    # 1 - rho is an integer (-1, -2) or not (-0.5, -0.3); jump_map on one
+    # float must give every lane the bits the lanes' vector map gives it
+    # on arrays of 1 and 128 lanes, and raise on every lane that map leaves
+    # to it, from states of moderate and extreme size, without a warning
+    params, jump = replace(set1, rho=rho, gamma=2.0 * rho), make_jump(*spec)
+    rng = np.random.default_rng(23)
+    z = np.concatenate([np.exp(rng.uniform(-5.0, 5.0, 892)),
+                        np.exp(rng.uniform(-700.0, 700.0, 128)), [5e-324, 1e-310, 1e300, 1.7e308]])
+    rng.shuffle(z)
+    vector = _LaneJump([(params, jump)])
+    for lanes in z.reshape(-1, 1, width):
+        with np.errstate(all="ignore"):
+            out, ok = vector(lanes)
+        for z_lane, mapped, taken in zip(lanes[0].tolist(), out[0], ok[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    scalar = jump_map(params, jump, z_lane)
+                except (ValueError, OverflowError):
+                    assert not taken
+                    continue
+            assert taken
+            assert np.float64(scalar).tobytes() == mapped.tobytes()
