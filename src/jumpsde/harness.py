@@ -401,15 +401,15 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
         except _PATH_ERRORS as exc:
             raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         if "reference" in groups:
-            ref = TjabemLanes([(params, jump)], np.full((1, n), z0), _REF_UPDATES)
+            ref = TjabemLanes([(params, jump)], np.full(n, z0), _REF_UPDATES)
         if level_schemes:
             # lane j * n + p of the levels is path p at m_list[j]
             cuts = level_cuts(placed, place_batch(m_list, T, times), blocks)
         if "tjabem" in level_schemes:
-            coarse = TjabemLanes([(params, jump)], np.full((1, n_levels * n), z0),
+            coarse = TjabemLanes([(params, jump)], np.full(n_levels * n, z0),
                                  _LEVEL_UPDATES)
         if "bem" in level_schemes:
-            bem = BemLanes(params, jump, np.full((1, n_levels * n), params.x0),
+            bem = BemLanes(params, jump, np.full(n_levels * n, params.x0),
                            _LEVEL_UPDATES)
             bem_dt = np.zeros((n_levels * n, spans[-1]))
             for j, m in enumerate(m_list):
@@ -428,19 +428,19 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
 
         columns = []
         if ref is not None:
-            columns.append([ref.terminal((0, p)) for p in range(n)])
+            columns.append([ref.terminal(p) for p in range(n)])
         for s in level_schemes:
             for lane in range(0, n_levels * n, n):
-                columns.append([coarse.terminal((0, lane + p)) for p in range(n)]
-                               if s == "tjabem" else bem.z[0, lane : lane + n])
+                columns.append([coarse.terminal(lane + p) for p in range(n)]
+                               if s == "tjabem" else bem.z[lane : lane + n])
     # (path, what a path run on its own runs first) of each failed lane
     failures = []
     if ref is not None:
-        failures += [((p, 0), error) for (_, p), error in ref.failures.items()]
+        failures += [((p, 0), error) for p, error in ref.failures.items()]
     for k, s in enumerate(level_schemes):
         lanes = coarse if s == "tjabem" else bem
         failures += [((lane % n, 1 + (lane // n) * len(schemes) + k), error)
-                     for (_, lane), error in lanes.failures.items()]
+                     for lane, error in lanes.failures.items()]
     if failures:
         (p, _), error = min(failures, key=lambda failure: failure[0])
         raise _replay_failure(error, paths[p].global_seed, paths[p].path_index) from error

@@ -112,12 +112,20 @@ def classify_regime(gamma: float, rho: float) -> Regime:
     return Regime.INVALID
 
 
+# the smallest rho - 1 whose transformed state resolves x to at least half
+# the digits of a double: dx/x = (dz/z) / (1 - rho), so z = x^(1-rho), known
+# to a relative ulp at best, gives x to a relative ulp / (rho - 1), which
+# is at most sqrt(ulp) from here on
+RHO_MARGIN = math.sqrt(np.finfo(float).eps)
+
+
 def validate_params(params: ModelParams) -> RegimeCheck:
     """Check positivity of all constants and classify the moment regime.
 
     Raises InvalidModelError for non-finite or non-positive constants,
-    gamma/rho <= 1, the invalid regime (gamma < 2*rho - 1), or a critical
-    configuration whose moment cap is <= 1 (no usable moment order).
+    gamma/rho <= 1, rho - 1 below RHO_MARGIN, the invalid regime
+    (gamma < 2*rho - 1), or a critical configuration whose moment cap is
+    <= 1 (no usable moment order).
     """
     for field in fields(params):
         value = getattr(params, field.name)
@@ -131,6 +139,12 @@ def validate_params(params: ModelParams) -> RegimeCheck:
         raise InvalidModelError(f"gamma must exceed 1, got {params.gamma}")
     if not (params.rho > 1.0):
         raise InvalidModelError(f"rho must exceed 1, got {params.rho}")
+    if params.rho - 1.0 < RHO_MARGIN:
+        raise InvalidModelError(
+            f"rho - 1 = {params.rho - 1.0:.3g} is below {RHO_MARGIN:.3g}: the "
+            f"transformed state z = x^(1-rho) would resolve x only to a relative "
+            f"{np.finfo(float).eps / (params.rho - 1.0):.3g}"
+        )
     if not (params.x0 > 0.0):
         raise InvalidModelError(f"x0 must be strictly positive, got {params.x0}")
     if not (params.T > 0.0):

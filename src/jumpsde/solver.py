@@ -6,8 +6,9 @@ all of R), to |residual| <= RESIDUAL_TOL * max(1, |rhs|), and is refused
 when Q*dt exceeds STEP_SAFETY. The lanes are the one stepping kernel:
 TjabemLanes and BemLanes step many paths at once on numpy arrays, by
 Newton's method and, for a lane that needs it, the bracketed solver
-_implicit_solve, and no lane depends on the others. tjabem_lanes runs a
-(cells, paths) grid of them on whole meshes of one grid. tjabem_path and
+_implicit_solve, and no lane depends on the others. tjabem_lanes runs
+every (cell, path) pair of a block of whole meshes as flat lanes, with one
+lane per model and path until the path's first jump. tjabem_path and
 bem_path, the one-path API, are one lane of tjabem_lanes and of BemLanes.
 
 Up to about a thousand lanes a numpy call costs about the same whatever its
@@ -273,15 +274,15 @@ class _LaneDrift:
     """A drift and its slope on arrays of lanes, compiled once into a
     straight-line program of numpy calls over a preallocated buffer.
 
-    Row c of the lanes takes the (coefficient, exponent) table tables[c].
-    The buffer is 2-D, a row per coefficient column, power or term and a
-    column per lane, the lanes flattened; the program's operands are views
-    of it made once, and every call writes to one of them except the first
-    of each sum, which makes the new array F or F' is returned in.
-    The terms' powers fill consecutive rows: the slope terms', then the
-    linear terms', then the constant terms' (rows of ones), so that one
-    call multiplies every term by its coefficient and one more every slope
-    term by its c*e. An exponent that is the same integer in every row is a
+    Lane l takes the (coefficient, exponent) table tables[cells[l]]. The
+    program runs on the first lanes, as many as bind was last given: the
+    buffer holds them contiguous, a row per coefficient column, power or
+    term and a column per lane, and the program's operands are views of it
+    made by bind. Every call writes to one of them except the first of each
+    sum, which makes the new array F or F' is returned in. The terms'
+    powers fill consecutive rows: the slope terms', then the linear terms',
+    then the constant terms' (rows of ones), so that one call multiplies
+    every term by its coefficient and one more every slope term by its c*e. An exponent that is the same integer in every cell is a
     chain of multiplications, which rounds the same way on every host; any
     other exponent goes to numpy's power. The chain's products are made
     depth by depth, and z^-e and z^e in one call where the rows of each
@@ -295,12 +296,12 @@ class _LaneDrift:
     order, plus the linear terms' coefficients. For a given set of cells, a
     lane gets the same operations in the same order whatever the other
     lanes are. Other cells can change them: a power is a chain only where
-    its exponent is the same integer in every row, so a set1 lane's z^-3 is
+    its exponent is the same integer in every cell, so a set1 lane's z^-3 is
     a chain when set1 runs alone but numpy's power when set2, whose term
     there has exponent -4, shares its group.
     """
 
-    def __init__(self, tables, shape: tuple[int, int]):
+    def __init__(self, tables, cells: np.ndarray):
         table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
         n = table.shape[1]
         exponents = table[0, :, 1].tolist()
@@ -417,25 +418,31 @@ class _LaneDrift:
         fp += [(np.add, power[j] - k) for j in order[n_slope:n_plain]]
         self._program, self._f, self._fp = program, f, fp
         self._rows, self._ones, self._z = slope + n_slope, slice(k + n_plain, k + n), rows[1]
-        full = np.empty((self._rows, math.prod(shape)))
-        for r, column in enumerate(columns):
-            full[r].reshape(shape)[...] = column[:, None]
-        self._coefs = full[:k].reshape(k, *shape)
-        self._bound = self._bind(full, shape)
+        # each cell's coefficients, and the buffer, whose first rows * width
+        # elements hold the rows of the first `width` lanes, contiguous,
+        # once bind has bound the program for that width
+        self._cells = cells
+        self._coefs = np.array(columns)
+        self._buffer = np.empty(self._rows * cells.size)
+        self._bound = None
         # programs for subsets of lanes, by their number rounded up to a
         # power of two (an index can repeat a lane): a subset's lanes fill
         # the first columns, and the rest hold z = 1 and stale coefficients
         self._subsets: dict[int, tuple] = {}
 
-    def _bind(self, buffer: np.ndarray, shape) -> tuple:
-        """The program on this buffer, for lanes of this shape: its operands
-        made views, a row given by its index and rows by a slice."""
+    def bind(self, width: int) -> None:
+        """Evaluate the first `width` lanes from now on."""
+        buffer = self._buffer[: self._rows * width].reshape(self._rows, width)
+        buffer[: len(self._coefs)] = self._coefs[:, self._cells[:width]]
+        self._bound = self._bind(buffer)
+
+    def _bind(self, buffer: np.ndarray) -> tuple:
+        """The program on this buffer: its operands made views, a row given
+        by its index and rows by a slice."""
         buffer[self._ones] = 1.0
 
         def view(ref):
-            if type(ref) is int:
-                return buffer[ref].reshape(shape)
-            return buffer[ref] if type(ref) is slice else ref
+            return buffer[ref] if type(ref) in (int, slice) else ref
 
         (u, *f), (v, *fp) = self._f, self._fp
         return (
@@ -449,8 +456,8 @@ class _LaneDrift:
         )
 
     def __call__(self, z: np.ndarray, lanes=None) -> tuple[np.ndarray, np.ndarray]:
-        """F(z) and F'(z) on every lane, or, given an index `lanes` into the
-        lanes' shape, on those lanes only, z holding their states: each
+        """F(z) and F'(z) on the lanes bound, or, given an index
+        array `lanes`, on those lanes only, z holding their states: each
         takes its own coefficients and exponents, so it gets the bits the
         full evaluation gives it. Both come back as new arrays."""
         if lanes is None:
@@ -460,9 +467,9 @@ class _LaneDrift:
         size = 1 << max(m - 1, 0).bit_length()
         bound = self._subsets.get(size)
         if bound is None:
-            bound = self._subsets[size] = self._bind(np.ones((self._rows, size)), (size,))
+            bound = self._subsets[size] = self._bind(np.ones((self._rows, size)))
         buffer, z_in = bound[:2]
-        buffer[: len(self._coefs), :m] = self._coefs[(slice(None), *lanes)]
+        buffer[: len(self._coefs), :m] = self._coefs[:, self._cells[lanes]]
         z_in[:m] = z
         z_in[m:] = 1.0
         f, fp = self._run(bound)
@@ -491,44 +498,70 @@ _FULL_WIDTH = 1024
 class _Lanes:
     """Lanes of one scheme that take their implicit steps together.
 
-    The states z have shape (cells, n), and lane (c, l) solves with cell
-    c's drift, whose term table is tables[c] and whose scalar (value, slope)
-    pair is drifts[c]. f and fp hold F(z) and F'(z) as the lanes' drift
-    evaluates them, so that a step's first Newton update reuses them; once a
-    lane's z is set on its own, the next step evaluates them again. A group
-    of at most _FULL_WIDTH lanes evaluates every lane then, and continues
-    its pending lanes with masked full-width updates; a wider group
-    evaluates and continues only the lanes concerned. The drift gives a lane
-    the same bits either way, so the width moves no bit. A lane that fails
+    The states z are a flat array, a state per lane, and lane l solves with
+    the drift of cell cells[l] (cell 0 for every lane if cells is None),
+    whose term table is tables[cells[l]] and whose scalar (value, slope)
+    pair is drifts[cells[l]]. cells may name more lanes than z holds: widen
+    adds them later, each a copy of a lane there is. f and fp hold F(z) and
+    F'(z) as the lanes' drift evaluates them, so that a step's first Newton
+    update reuses them; once a lane's z is set on its own, the next step
+    evaluates them again. A group of at most _FULL_WIDTH lanes evaluates
+    every lane then, and continues its pending lanes with masked full-width
+    updates; a wider group evaluates and continues only the lanes
+    concerned. The drift gives a lane the same bits either way, so neither
+    the width nor the lanes beside a lane move its bits. A lane that fails
     keeps its last state, is recorded in `failures` with its first error,
     and idles from then on.
     """
 
-    def __init__(self, tables, drifts, z: np.ndarray, updates: int):
-        self.drift = _LaneDrift(tables, z.shape)
+    def __init__(self, tables, drifts, z: np.ndarray, updates: int, cells=None):
+        self.lane_cells = np.zeros(z.size, dtype=np.intp) if cells is None else cells
+        self.drift = _LaneDrift(tables, self.lane_cells)
         self.drifts = drifts
         self.z = z
         self.f = self.fp = None  # F(z) and F'(z), once evaluated
         self._moved = []  # lanes set since f and fp were evaluated
-        self._full = z.size <= _FULL_WIDTH
         self.updates = updates
-        self.failures: dict[tuple[int, int], Exception] = {}
+        self.failures: dict[int, Exception] = {}
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
-        self._one = np.ones(z.shape)
-        self._rtol = np.full(z.shape, RESIDUAL_TOL)
-        # scratch for the residuals and the Newton update's temporaries
-        self._res, self._scratch = np.empty(z.shape), np.empty(z.shape)
+        self._size()
 
-    def fail(self, lane: tuple[int, int], error: Exception) -> None:
+    def _size(self) -> None:
+        """Fit the per-lane constants and scratch to the lanes."""
+        n = self.z.size
+        self.drift.bind(n)
+        self._full = n <= _FULL_WIDTH
+        self._one = np.ones(n)
+        self._rtol = np.full(n, RESIDUAL_TOL)
+        # scratch for the residuals and the Newton update's temporaries
+        self._res, self._scratch = np.empty(n), np.empty(n)
+
+    def widen(self, source: np.ndarray) -> None:
+        """Add the next lanes of cells, one a copy of each lane of source:
+        state, F, F' and failure."""
+        if self._moved:
+            self.refresh()
+        n = self.z.size
+        self.z = np.concatenate([self.z, self.z[source]])
+        if self.f is not None:
+            self.f = np.concatenate([self.f, self.f[source]])
+            self.fp = np.concatenate([self.fp, self.fp[source]])
+        if self._alive is not None:
+            self._alive = np.concatenate([self._alive, self._alive[source]])
+            for lane in np.flatnonzero(self._alive[n:] == 0.0).tolist():
+                self.failures.setdefault(n + lane, self.failures[int(source[lane])])
+        self._size()
+
+    def fail(self, lane: int, error: Exception) -> None:
         self.failures.setdefault(lane, error)
         if self._alive is None:
-            self._alive = np.ones(self.z.shape)
+            self._alive = np.ones(self.z.size)
         self._alive[lane] = 0.0
 
-    def alive(self, lane: tuple[int, int]) -> bool:
+    def alive(self, lane: int) -> bool:
         return self._alive is None or self._alive[lane] == 1.0
 
-    def set(self, lane: tuple[int, int], z: float) -> None:
+    def set(self, lane: int, z: float) -> None:
         self.z[lane] = z
         self._moved.append(lane)
 
@@ -536,27 +569,27 @@ class _Lanes:
         """Make f and fp F(z) and F'(z): every lane's the first time, then,
         if lanes were set since, every lane's in a group of at most
         _FULL_WIDTH lanes, else those of the lanes set, which _moved holds
-        as (row, column) pairs of ints or of index arrays."""
+        as ints or index arrays."""
         if self.f is None or self._moved and self._full:
             self.f, self.fp = self.drift(self.z)
         elif self._moved:
-            moved = tuple(map(np.hstack, zip(*self._moved)))
+            moved = np.hstack(self._moved)
             self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
         self._moved = []
 
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
 
-        rhs and dt have the lanes' shape. A lane whose previous state already
-        has a residual within RESIDUAL_TOL keeps it, since the tolerance
-        RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every other lane takes
-        `updates` Newton updates; one whose residual is then above
+        rhs and dt hold a value per lane. A lane whose previous state
+        already has a residual within RESIDUAL_TOL keeps it, since the
+        tolerance RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every other lane
+        takes `updates` Newton updates; one whose residual is then above
         RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
         updating alone until it meets that tolerance or MAX_ITER updates are
         made: in a group of at most _FULL_WIDTH lanes by full-width updates
         that only the pending lanes keep, else by updates of those lanes
-        gathered by flat index. A lane goes to _implicit_solve from its
-        previous state once it leaves (0, inf), turns non-finite, meets
+        gathered by index. A lane goes to _implicit_solve from its previous
+        state once it leaves (0, inf), turns non-finite, meets
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
         rhs = z therefore keeps its z exactly; so does every failed lane.
         """
@@ -603,8 +636,7 @@ class _Lanes:
 
     def _continue_full(self, size, rhs, dt, used) -> np.ndarray:
         """Update the pending lanes at full width, each keeping its update
-        while it is pending; returns the lanes to hand off, as sorted flat
-        indices."""
+        while it is pending; returns the lanes to hand off, sorted."""
         z, f, fp, res = self.z, self.f, self.fp, self._res
         tol = np.maximum(1.0, np.abs(rhs)) * RESIDUAL_TOL
         pending = ~((size <= tol) & (z > 0.0))
@@ -630,14 +662,13 @@ class _Lanes:
         return np.flatnonzero(handed)
 
     def _continue_flat(self, size, rhs, dt, used) -> np.ndarray:
-        """Update the pending lanes alone, gathered by flat index: they are
+        """Update the pending lanes alone, gathered by index: they are
         found once, and only they are tested and updated from then on;
-        returns the lanes to hand off, as sorted flat indices."""
+        returns the lanes to hand off, sorted."""
         z, f, fp = self.z, self.f, self.fp
         idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
         zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, self._res, rhs, dt))
         tol = np.maximum(1.0, np.abs(rhs_c)) * RESIDUAL_TOL
-        lanes = np.unravel_index(idx, z.shape)
         pending = np.flatnonzero(~((np.abs(rc) <= tol) & (zc > 0.0)))
         handed = []
         while pending.size:
@@ -654,7 +685,7 @@ class _Lanes:
                     break
             # only the pending lanes move, so only theirs are evaluated again
             z_p = z_p - rc[pending] / d
-            f_p, fp_p = self.drift(z_p, tuple(axis[pending] for axis in lanes))
+            f_p, fp_p = self.drift(z_p, idx[pending])
             r_p = (z_p - rhs_c[pending]) - dt_c[pending] * f_p
             zc[pending], fc[pending], fpc[pending], rc[pending] = z_p, f_p, fp_p, r_p
             used += 1
@@ -665,14 +696,14 @@ class _Lanes:
         return np.sort(idx[np.concatenate(handed)]) if handed else idx[:0]
 
     def _hand_off(self, handed: np.ndarray, z_prev, rhs, dt) -> None:
-        """Solve the lanes at these flat indices with _implicit_solve from
-        their previous states, in index order; a lane with dt = 0 keeps its
-        previous state, and a lane whose solve fails keeps it and fails."""
-        for lane in zip(*np.unravel_index(handed, self.z.shape)):
+        """Solve the lanes handed with _implicit_solve from their previous
+        states, in index order; a lane with dt = 0 keeps its previous
+        state, and a lane whose solve fails keeps it and fails."""
+        for lane in handed.tolist():
             if dt[lane] == 0.0:
                 self.set(lane, float(z_prev[lane]))
                 continue
-            value, slope = self.drifts[lane[0]]
+            value, slope = self.drifts[self.lane_cells[lane]]
             try:
                 z_lane = _implicit_solve(
                     value, slope, float(dt[lane]), float(rhs[lane]), float(z_prev[lane])
@@ -685,57 +716,61 @@ class _Lanes:
 
 class _LaneJump:
     """The transformed jump map z -> (x + h(x))^(1-rho), x = z^(1/(1-rho)),
-    on arrays of lanes, row c by cell c's map, every row at once.
+    on arrays of lanes, each by its cell's map, every lane at once.
 
-    Both powers are _power's at the cell's exponents, taken for the rows of
+    Both powers are _power's at the cell's exponents, taken for the lanes of
     each rho together, and h is its family's array form (model.array_h) at
-    the cell's coefficient, taken on every row and kept on those of its
+    the cell's coefficient, taken on every lane and kept on those of its
     family. A lane whose h(x) is zero keeps its z, as jump_map does. A
     lane's operations thus depend on its cell alone, so it gets the same
     bits alone as with any other lanes and cells.
     """
 
     def __init__(self, cells):
-        rhos = [params.rho for params, _ in cells]
-        self._rows = [(slice(None) if len(set(rhos)) == 1
-                       else np.flatnonzero(np.array(rhos) == rho), rho)
-                      for rho in dict.fromkeys(rhos)]
+        self._rho = np.array([params.rho for params, _ in cells])
+        self._rhos = list(dict.fromkeys(self._rho.tolist()))
         forms = [array_h(jump) for _, jump in cells]
-        self._c = np.array([0.0 if form is None else form[1] for form in forms])[:, None]
-        funcs = list(dict.fromkeys(form[0] for form in forms if form is not None))
-        self._h = [(h, np.array([form is not None and form[0] is h for form in forms])[:, None])
-                   for h in funcs]
-        # rows with no array form, which jump_map maps one lane at a time
-        self._scalar = np.array([form is None for form in forms])[:, None]
-        self._any_scalar = bool(self._scalar.any())
+        self._c = np.array([0.0 if form is None else form[1] for form in forms])
+        self._funcs = list(dict.fromkeys(form[0] for form in forms if form is not None))
+        # each cell's family, -1 for a cell with no array form, whose lanes
+        # jump_map maps one at a time
+        self._family = np.array([-1 if form is None else self._funcs.index(form[0])
+                                 for form in forms])
+        self._any_scalar = bool((self._family < 0).any())
 
-    def _powers(self, values: np.ndarray, forward: bool) -> np.ndarray:
-        if len(self._rows) == 1:
-            ((_, rho),) = self._rows
+    def _powers(self, values: np.ndarray, cells: np.ndarray, forward: bool) -> np.ndarray:
+        if len(self._rhos) == 1:
+            (rho,) = self._rhos
             return _power(values, 1.0 - rho if forward else 1.0 / (1.0 - rho))
         out = np.empty_like(values)
-        for rows, rho in self._rows:
-            out[rows] = _power(values[rows], 1.0 - rho if forward else 1.0 / (1.0 - rho))
+        rho_of = self._rho[cells]
+        for rho in self._rhos:
+            lanes = rho_of == rho
+            out[lanes] = _power(values[lanes], 1.0 - rho if forward else 1.0 / (1.0 - rho))
         return out
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The mapped states of the lanes z, and where they are jump_map's:
-        where the cell's h has an array form and z, x, x + h(x) and the
-        result are all finite and positive. The other lanes are left to the
-        scalar jump_map, which maps them or raises its error."""
-        if not self._h:
+    def __call__(self, z: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mapped states of the lanes z, of cells `cells`, and where they
+        are jump_map's: where the cell's h has an array form and z, x,
+        x + h(x) and the result are all finite and positive. The other lanes
+        are left to the scalar jump_map, which maps them or raises its
+        error."""
+        if not self._funcs:
             return z, np.zeros(z.shape, dtype=bool)
-        x = self._powers(z, forward=False)
-        (h, _), *others = self._h
-        hx = h(x, self._c)
-        for h, rows in others:
-            hx = np.where(rows, h(x, self._c), hx)
+        c = self._c[cells]
+        x = self._powers(z, cells, forward=False)
+        h, *others = self._funcs
+        hx = h(x, c)
+        if others:
+            family = self._family[cells]
+            for i, h in enumerate(others, 1):
+                hx = np.where(family == i, h(x, c), hx)
         moved = x + hx
-        out = np.where(hx == 0.0, z, self._powers(moved, forward=True))
+        out = np.where(hx == 0.0, z, self._powers(moved, cells, forward=True))
         ok = ((np.minimum(np.minimum(z, x), np.minimum(moved, out)) > 0.0)
               & (np.maximum(x, out) < math.inf))
         if self._any_scalar:
-            ok &= ~self._scalar
+            ok &= self._family[cells] >= 0
         return out, ok
 
 
@@ -745,91 +780,86 @@ class _LaneJump:
 _VECTOR_JUMPS = 4
 
 
-def _columns(rows: np.ndarray) -> np.ndarray:
-    """The columns of a (lanes, steps) array, each as a (1, lanes) array."""
-    return rows.T.copy()[:, None, :]
-
-
 class TjabemLanes(_Lanes):
     """Lanes of the transformed scheme's steps.
 
-    Row c of the lanes runs cell c of cells, a (params, jump) pair, from the
-    states z of shape (cells, n).
+    cells lists (params, jump) pairs, and lane l runs cell lane_cells[l]
+    (cell 0 for every lane if lane_cells is None) from its state in z.
     """
 
-    def __init__(self, cells, z: np.ndarray, updates: int):
+    def __init__(self, cells, z: np.ndarray, updates: int, lane_cells=None):
         super().__init__(
             [_drift_terms(params) for params, _ in cells],
             [make_transformed_drift(params) for params, _ in cells],
             z,
             updates,
+            lane_cells,
         )
         self.cells = cells
         self._jump = _LaneJump(cells)
-        self.noise = np.ascontiguousarray(
-            np.broadcast_to(
-                np.array([(1.0 - p.rho) * p.alpha3 for p, _ in cells])[:, None], z.shape
-            )
-        )
+        self._noise = np.array([(1.0 - p.rho) * p.alpha3 for p, _ in cells])
+        self.noise = self._noise[self.lane_cells[: z.size]]
+
+    def widen(self, source: np.ndarray) -> None:
+        super().widen(source)
+        self.noise = self._noise[self.lane_cells[: self.z.size]]
 
     def step(self, dt: np.ndarray, dw: np.ndarray) -> None:
         """One step with these step sizes and Brownian increments per lane."""
         self.solve(self.z + self.noise * dw, dt)
 
-    def jump_columns(self, columns) -> None:
-        """Apply the transformed jump map to the live lanes of the given
-        columns in every row.
+    def jump_lanes(self, lanes) -> None:
+        """Apply the transformed jump map to the live ones of these lanes.
 
         Fewer than _VECTOR_JUMPS lanes go through jump one at a time.
         Otherwise the lanes that _LaneJump maps are set together, and every
         other live lane goes through jump; jump_map gives a lane the bits
         _LaneJump would, so the route moves no bit.
         """
-        if len(columns) * len(self.cells) < _VECTOR_JUMPS:
-            for row in range(len(self.cells)):
-                for column in columns:
-                    self.jump((row, int(column)))
+        if len(lanes) < _VECTOR_JUMPS:
+            for lane in lanes:
+                self.jump(int(lane))
             return
-        columns = np.asarray(columns)
-        out, done = self._jump(self.z[:, columns])
+        lanes = np.asarray(lanes)
+        out, done = self._jump(self.z[lanes], self.lane_cells[lanes])
         if self._alive is not None:
-            done &= self._alive[:, columns] == 1.0
-        rows, at = np.nonzero(done)
-        if rows.size:
-            lanes = (rows, columns[at])
-            self.z[lanes] = out[rows, at]
-            self._moved.append(lanes)
-        if rows.size < done.size:
-            for row, at in zip(*np.nonzero(~done)):
-                self.jump((int(row), int(columns[at])))
+            done &= self._alive[lanes] == 1.0
+        at = np.flatnonzero(done)
+        if at.size:
+            self.z[lanes[at]] = out[at]
+            self._moved.append(lanes[at])
+        if at.size < lanes.size:
+            for lane in lanes[~done].tolist():
+                self.jump(lane)
 
-    def jump(self, lane: tuple[int, int]) -> None:
-        """Apply the scalar jump map to one live lane, for jump_columns."""
+    def jump(self, lane: int) -> None:
+        """Apply the scalar jump map to one live lane, for jump_lanes."""
         if self.alive(lane):
-            params, jump = self.cells[lane[0]]
+            params, jump = self.cells[self.lane_cells[lane]]
             try:
                 self.set(lane, jump_map(params, jump, float(self.z[lane])))
             except _LANE_ERRORS as exc:
                 self.fail(lane, exc)
 
     def run(self, dt: np.ndarray, dw: np.ndarray, jumps) -> None:
-        """Step the one row of lanes through the columns of dt and dw.
+        """Step every lane through the columns of dt and dw.
 
         dt and dw have one row per lane; jumps maps a step k to the lanes
         that jump at its end.
         """
         # the noise terms of every step in one call
-        dt, noise = _columns(dt), _columns(dw) * self.noise
+        dt, noise = dt.T.copy(), dw.T.copy() * self.noise
         for k in range(dt.shape[0]):
             self.solve(self.z + noise[k], dt[k])
             if k in jumps:
-                self.jump_columns(jumps[k])
+                self.jump_lanes(jumps[k])
 
-    def terminal(self, lane: tuple[int, int]) -> float:
+    def terminal(self, lane: int) -> float:
         """The lane's state in original coordinates; nan if the lane failed."""
         if self.alive(lane):
             try:
-                return lamperti_inverse(self.cells[lane[0]][0].rho, float(self.z[lane]))
+                return lamperti_inverse(self.cells[self.lane_cells[lane]][0].rho,
+                                        float(self.z[lane]))
             except _LANE_ERRORS as exc:
                 self.fail(lane, exc)
         return math.nan
@@ -838,8 +868,8 @@ class TjabemLanes(_Lanes):
 class BemLanes(_Lanes):
     """Lanes of the baseline scheme's steps, in original coordinates, for one model.
 
-    x holds the states, of shape (1, n); jump counts enter a step's
-    right-hand side through jump.h, on arrays for a built-in family.
+    x holds the states, a flat array; jump counts enter a step's right-hand
+    side through jump.h, on arrays for a built-in family.
     """
 
     def __init__(self, params: ModelParams, jump: JumpCoefficient, x: np.ndarray,
@@ -861,7 +891,7 @@ class BemLanes(_Lanes):
         lane's h(x)*dn is added.
         """
         a3, rho = self.alpha3, self.params.rho
-        dt, dw = _columns(dt), _columns(dw)
+        dt, dw = dt.T.copy(), dw.T.copy()
         for k in range(dt.shape[0]):
             x = self.z
             rhs = x + a3 * x**rho * dw[k]
@@ -869,14 +899,14 @@ class BemLanes(_Lanes):
                 lanes, dn = counts[k]
                 if self._h is not None:
                     h, c = self._h
-                    rhs[0, lanes] += h(x[0, lanes], c) * dn
+                    rhs[lanes] += h(x[lanes], c) * dn
                 else:
                     for lane, n in zip(lanes.tolist(), dn.tolist()):
-                        if self.alive((0, lane)):
+                        if self.alive(lane):
                             try:
-                                rhs[0, lane] += self.h(float(x[0, lane])) * n
+                                rhs[lane] += self.h(float(x[lane])) * n
                             except _LANE_ERRORS as exc:
-                                self.fail((0, lane), exc)
+                                self.fail(lane, exc)
             self.solve(rhs, dt[k])
 
 
@@ -884,6 +914,63 @@ class BemLanes(_Lanes):
 # most lanes of the positivity table's steps (dt from 1/32 to 1/128), which
 # the moment probe and the one-path API take too
 _TABLE_UPDATES = 3
+
+# the most batches in which a tjabem_lanes run's lanes of other cells start
+# stepping, each batch at the first jump of its first path: each start binds
+# the drift's views again and costs about 75 us, and at the benchmark's
+# table 8 batches step 62% of the lane-steps of one lane per cell, 16
+# batches 61%, with about the same time
+_WIDTHS = 8
+
+
+class _TableLayout:
+    """The lanes of a tjabem_lanes run, flat.
+
+    The cells of one model (equal params and Q) step a path's lanes alike
+    until the path's first jump, where the jump map, the only part that
+    depends on the cell, first acts. So a model's first cell in report
+    order, its representative, steps a lane per path from the start:
+    lane m * paths + p for model m and path p. The model's other cells get
+    a lane per path that jumps, path-major in order of the first jump's
+    step, and those lanes start stepping as copies of their
+    representative's lane once their path has jumped; so the lanes that
+    step are always a prefix. lane[c, p] is the lane that holds cell c on
+    path p: the representative's one while the path never jumps.
+    """
+
+    def __init__(self, cells, block):
+        n_paths, n_steps = block.dt.shape
+        models: dict = {}
+        model = np.array([models.setdefault((params, q), len(models))
+                          for params, _, q in cells])
+        reps = [int(np.flatnonzero(model == m)[0]) for m in range(len(models))]
+        others = np.array([c for c in range(len(cells)) if c not in reps], dtype=np.intp)
+        first = np.full(n_paths, n_steps)
+        for k in sorted(block.jumps, reverse=True):
+            first[block.jumps[k]] = k
+        order = np.argsort(first, kind="stable")
+        jumping = order[: np.count_nonzero(first < n_steps)]
+        self.reps, self.n_reps = reps, len(reps) * n_paths
+        self.model = model
+        self.cells = np.concatenate([np.repeat(reps, n_paths),
+                                     np.tile(others, jumping.size)]).astype(np.intp)
+        self.paths = np.concatenate([np.tile(np.arange(n_paths), len(reps)),
+                                     np.repeat(jumping, others.size)])
+        self.lane = model[:, None] * n_paths + np.arange(n_paths)
+        self.lane[others[:, None], jumping] = (
+            self.n_reps + np.arange(jumping.size) * others.size + np.arange(others.size)[:, None])
+        # the representative's lane of every lane
+        self.source = model[self.cells] * n_paths + self.paths
+        # the lanes that step after each step that adds lanes: each path's
+        # lanes step from the end of the step of its first jump on, the
+        # paths taken in at most _WIDTHS batches
+        self.widths = {}
+        if others.size and jumping.size:
+            quantum = -(-jumping.size // _WIDTHS)
+            jumped = np.searchsorted(first[jumping], np.arange(n_steps), side="right")
+            batches = np.minimum(-(-jumped // quantum) * quantum, jumping.size)
+            for k in np.flatnonzero(np.diff(batches, prepend=0)).tolist():
+                self.widths[k] = self.n_reps + int(batches[k]) * others.size
 
 
 def tjabem_lanes(
@@ -894,60 +981,82 @@ def tjabem_lanes(
 
     Cell c is (params, jump, Q). block holds whole meshes of one M-step grid
     on [0, T] in the padded layout of a paths.Block (grid intervals 0..M-1):
-    lane (c, p) runs cell c on path p's steps, row p of block.dt and
-    block.dw, and jumps at the end of each step where block.jumps lists
-    path p. The zero steps that pad shorter meshes leave a lane as it is.
-    Returns the lanes' terminal z and their counts of nonpositive post-jump states, both of
-    shape (cells, paths), and, given states, every node's state before and
-    after its jump, of shape (cells, paths, nodes). A failure raises
-    LaneFailure for the lowest failing path and, within it, the first
-    failing cell.
+    cell c on path p runs path p's steps, row p of block.dt and block.dw,
+    and jumps at the end of each step where block.jumps lists path p. The
+    zero steps that pad shorter meshes leave a lane as it is. Cells of one
+    model share a lane per path until its first jump (_TableLayout), which
+    moves no bit, since each lane's operations are those of its own cell.
+    Returns the terminal z and the counts of nonpositive post-jump states,
+    both of shape (cells, paths), and, given states, every node's state
+    before and after its jump, of shape (cells, paths, nodes). A failure
+    raises LaneFailure for the lowest failing path and, within it, the
+    first failing cell.
     """
     if block.lo != 0:
         raise ValueError(
             f"tjabem_lanes needs whole meshes, got a block from interval {block.lo}"
         )
-    n_cells, n_paths = len(cells), block.dt.shape[0]
-    shape = (n_cells, n_paths)
-    z = np.ones(shape)
+    layout = _TableLayout(cells, block)
+    n_paths, n_steps = block.dt.shape
+    n_lanes, n_reps = layout.cells.size, layout.n_reps
+    z0 = np.ones(len(layout.reps))
     failures = {}
-    for c, (params, _, q) in enumerate(cells):
+    for m, c in enumerate(layout.reps):
+        params, _, q = cells[c]
         try:
             # the guard, then the initial state
             _check_step_guard(q, block.T / block.hi)
-            z[c] = lamperti_forward(params.rho, params.x0)
+            z0[m] = lamperti_forward(params.rho, params.x0)
         except _LANE_ERRORS as exc:
-            failures.update(((c, p), exc) for p in range(n_paths))
-    n_nonpositive = (z <= 0.0).astype(int)
+            failures.update((m * n_paths + p, exc) for p in range(n_paths))
+    n_nonpositive = np.zeros((len(cells), n_paths), dtype=int)
+    n_nonpositive += (z0[layout.model] <= 0.0)[:, None]
+    z = np.repeat(z0, n_paths)
     if states:
-        z_pre = np.empty((*shape, block.dt.shape[1] + 1))
-        z_pre[..., 0] = z
+        z_pre = np.empty((n_lanes, n_steps + 1))
+        z_pre[:n_reps, 0] = z
         z_post = z_pre.copy()
-    dt_k, dw_k = np.empty(shape), np.empty(shape)
+    # each step's sizes and increments per lane: the representatives' rows
+    # are the block's columns, the other lanes' gathered by path
+    dt_k, dw_k = np.empty(n_lanes), np.empty(n_lanes)
+    rep_dt, rep_dw = (a[:n_reps].reshape(len(layout.reps), n_paths) for a in (dt_k, dw_k))
+    other_paths = layout.paths[n_reps:]
     with np.errstate(all="ignore"):
-        lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES)
+        lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES, layout.cells)
         for lane, exc in failures.items():
             lanes.fail(lane, exc)
-        for k in range(block.dt.shape[1]):
-            dt_k[:] = block.dt[:, k]
-            dw_k[:] = block.dw[:, k]
-            lanes.step(dt_k, dw_k)
+        for k in range(n_steps):
+            w = lanes.z.size
+            rep_dt[...] = block.dt[:, k]
+            rep_dw[...] = block.dw[:, k]
+            if w > n_reps:
+                block.dt[:, k].take(other_paths[: w - n_reps], out=dt_k[n_reps:w])
+                block.dw[:, k].take(other_paths[: w - n_reps], out=dw_k[n_reps:w])
+            lanes.step(dt_k[:w], dw_k[:w])
             if states:
-                z_pre[..., k + 1] = lanes.z
+                z_pre[:w, k + 1] = lanes.z
+            if k in layout.widths:
+                # before any jump map acts, the lanes of the paths that
+                # jumped first start from their representatives' states
+                source = layout.source[w : layout.widths[k]]
+                lanes.widen(source)
+                if states:
+                    z_pre[w : lanes.z.size, : k + 2] = z_pre[source, : k + 2]
+                    z_post[w : lanes.z.size, : k + 1] = z_post[source, : k + 1]
             if k in block.jumps:
-                jumped = np.array(block.jumps[k])
-                lanes.jump_columns(jumped)
-                # each path is listed once per step
-                n_nonpositive[:, jumped] += lanes.z[:, jumped] <= 0.0
+                # each path is listed once per step, and all its lanes step
+                jumped = layout.lane[:, block.jumps[k]]
+                lanes.jump_lanes(jumped.ravel())
+                n_nonpositive[:, block.jumps[k]] += lanes.z[jumped] <= 0.0
             if states:
-                z_post[..., k + 1] = lanes.z
+                z_post[: lanes.z.size, k + 1] = lanes.z
     if lanes.failures:
-        c, p = min(lanes.failures, key=lambda lane: lane[::-1])
-        error = lanes.failures[c, p]
-        raise LaneFailure(error, c, p) from error
+        lane = min(lanes.failures, key=lambda lane: (layout.paths[lane], layout.cells[lane]))
+        error = lanes.failures[lane]
+        raise LaneFailure(error, int(layout.cells[lane]), int(layout.paths[lane])) from error
     if states:
-        return lanes.z, n_nonpositive, z_pre, z_post
-    return lanes.z, n_nonpositive
+        return lanes.z[layout.lane], n_nonpositive, z_pre[layout.lane], z_post[layout.lane]
+    return lanes.z[layout.lane], n_nonpositive
 
 
 def bem_path(
@@ -973,14 +1082,14 @@ def bem_path(
         q_drift = drift_one_sided_lipschitz(params)
     dt = params.T / M
     _check_step_guard(q_drift, dt)
-    lanes = BemLanes(params, jump, np.full((1, 1), params.x0), _TABLE_UPDATES)
+    lanes = BemLanes(params, jump, np.full(1, params.x0), _TABLE_UPDATES)
     dn = np.asarray(jump_counts, dtype=np.int64)
     counts = {k: (np.zeros(1, dtype=np.intp), dn[k : k + 1]) for k in np.flatnonzero(dn).tolist()}
     with np.errstate(all="ignore"):
         lanes.run(np.full((1, M), dt), np.asarray(increments, dtype=float)[None], counts)
     for error in lanes.failures.values():
         raise error
-    return float(lanes.z[0, 0])
+    return float(lanes.z[0])
 
 
 def _epsilon_bound(params: ModelParams) -> float:

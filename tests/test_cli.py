@@ -387,11 +387,10 @@ def test_validate_runs_the_bem_step_size_gate(tmp_path, capsys):
 
 
 def test_zero_mean_error_exits_2(tmp_path, capsys):
-    # rho one ulp above 1 leaves every level on the reference: no order fit
+    # on a horizon of 1e-30 no step moves a state by a rounding unit, so
+    # every level stays on the reference: no order fit
     path = _edit_config(
-        _write_config(tmp_path, lam=0.0, m_list="2, 4", m_ref=32, n_paths=4),
-        alpha_m1="1.0", alpha2="1.0", alpha1="1.0",
-        rho="1.0000000000000002", gamma="2.0000000000000004",
+        _write_config(tmp_path, lam=0.0, m_list="2, 4", m_ref=32, n_paths=4), T="1e-30"
     )
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["convergence", "--config", str(path),
@@ -399,6 +398,19 @@ def test_zero_mean_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: scheme tjabem: no order fit to mean "
                           "errors [0.0, 0.0]: all errors must be strictly positive")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "positivity"])
+def test_rho_one_ulp_above_1_exits_1(tmp_path, capsys, command):
+    # z = x^(1-rho) would resolve x only to a relative ulp / (rho - 1) = 1
+    path = _edit_config(_write_config(tmp_path), rho=repr(1.0 + 2.0**-52),
+                        gamma="2.0000000000000004")
+    flag = "--presets" if command == "positivity" else "--config"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "all gates passed" not in captured.out
+    assert "rho - 1 = 2.22e-16 is below 1.49e-08" in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_without_m_ref_exits_1(tmp_path, capsys):

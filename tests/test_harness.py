@@ -715,8 +715,8 @@ def _failing_lanes(lanes, name, fail_path, n_paths):
     class Failing(lanes):
         def run(self, dt, dw, jumps):
             super().run(dt, dw, jumps)
-            for lane in range(fail_path, self.z.shape[1], n_paths):
-                self.fail((0, lane), SolverError(f"forced {name} failure"))
+            for lane in range(fail_path, self.z.size, n_paths):
+                self.fail(lane, SolverError(f"forced {name} failure"))
 
     return Failing
 

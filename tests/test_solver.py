@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from jumpsde.model import (
 )
 from jumpsde.solver import (
     BemLanes,
+    LaneFailure,
     RESIDUAL_TOL,
     TjabemLanes,
     _implicit_solve,
@@ -464,6 +466,118 @@ def test_lanes_do_not_depend_on_their_chunk(set1, set2):
         assert np.array_equal(n1[:, 0], n125[:, 124 - p])
 
 
+def _fan_out_block(params, M, seed):
+    """Paths on the M-step grid of params' horizon: one that never jumps,
+    one that jumps in its first step and one in its last (at T), with
+    increments of both signs, then bundles' paths at lambda 5 and 1."""
+    T = params.T
+    meshes = [build_mesh(M, T, []), build_mesh(M, T, [0.3 * T / M]),
+              build_mesh(M, T, [T - 1e-13 * T])]
+    rng = np.random.Generator(np.random.Philox(seed))
+    increments = [rng.normal(0.0, np.sqrt(mesh.dt)) for mesh in meshes]
+    for lam, i in itertools.product((5.0, 1.0), range(4)):
+        bundle = generate_bundle(replace(params, lam=lam), M, seed, i)
+        meshes.append(bundle.fine_mesh)
+        increments.append(bundle.dw_fine)
+    block = whole_block(meshes, increments)
+    assert 1 in block.jumps[0] and 2 in block.jumps[M - 1]
+    assert not any(0 in paths for paths in block.jumps.values())
+    return block
+
+
+def _stiff_fan_out_block(params, M):
+    """The fan-out block of the stiff model, whose first path's step 2 sends
+    its lane to the bracketed solver before the path's first jump (step 7)."""
+    T = params.T
+    mesh = build_mesh(M, T, [0.45 * T])
+    dw = np.full(mesh.n_intervals, 1e-3)
+    dw[2] = 20.0
+    return whole_block([mesh, build_mesh(M, T, [])], [dw, np.full(M, -1e-3)])
+
+
+@pytest.mark.parametrize("case", ["sets", "stiff"])
+def test_a_models_cells_share_lanes_bit_for_bit(set1, set2, monkeypatch, case):
+    # cells [A/h1, A/h2, A/h3, B/h1, B/h2, B/h3] step one lane per model and
+    # path until the path's first jump. Every lane, count and state must
+    # have the bits of the runs [A/hj, B/hj], whose cells are each the only
+    # one of its model; those hold the same models, so each run's drift
+    # makes the same chain and power choices
+    fallbacks = _count_fallbacks(monkeypatch)
+    if case == "sets":
+        models, block = (set1, set2), _fan_out_block(set1, 16, 88)
+    else:
+        stiff = replace(_stiff_params(), T=2.0**-11)
+        models = (stiff, replace(set1, T=stiff.T))
+        block = _stiff_fan_out_block(stiff, 16)
+    cells = _lane_cells(models, DEFAULT_JUMPS)
+    z, n_nonpositive, z_pre, z_post = tjabem_lanes(cells, block, states=True)
+    shared = len(fallbacks)
+    for j in range(len(DEFAULT_JUMPS)):
+        runs = tjabem_lanes([cells[j], cells[3 + j]], block, states=True)
+        for i in range(2):
+            c = 3 * i + j
+            for fanned, alone in zip((z, n_nonpositive, z_pre, z_post), runs):
+                assert fanned[c].tobytes() == alone[i].tobytes()
+    if case == "stiff":
+        # each model's fallback ran once for its three cells, and once per
+        # cell in the runs of one cell each
+        assert shared == 2 and len(fallbacks) == 4 * shared
+
+
+def test_a_model_whose_guard_fails_fails_every_cell(set1, set2, monkeypatch):
+    # set2 with a Q whose step guard fails at dt = 1/16 is a model of its
+    # own: its three cells fail on every path, each cell with the guard's
+    # error, and the failure is named for its first family at path 0
+    groups = []
+
+    class Recorded(TjabemLanes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            groups.append(self)
+
+    monkeypatch.setattr(jumpsde.solver, "TjabemLanes", Recorded)
+    block = _fan_out_block(set1, 16, 89)
+    cells = _lane_cells([set1], DEFAULT_JUMPS) + [
+        (set2, make_jump(*spec), 100.0) for spec in DEFAULT_JUMPS]
+    with pytest.raises(LaneFailure, match="step-size guard violated") as excinfo:
+        tjabem_lanes(cells, block)
+    assert (excinfo.value.cell, excinfo.value.path) == (3, 0)
+    (lanes,) = groups
+    lane = jumpsde.solver._TableLayout(cells, block).lane
+    assert lanes.z.size > 2 * block.dt.shape[0]
+    for c in range(len(cells)):
+        for p in range(block.dt.shape[0]):
+            failure = lanes.failures.get(int(lane[c, p]))
+            assert (failure is not None) == (c >= 3)
+            if failure is not None:
+                assert "step-size guard violated" in str(failure)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_a_models_cells_step_one_lane_until_the_first_jump(set1, set2, monkeypatch, lam):
+    # the lanes stepped: at lambda 0 no path jumps, so each of the two
+    # models steps one lane per path and step; at lambda 1 the other cells'
+    # lanes step only from their paths' first jumps on
+    sets = [replace(set1, lam=lam), replace(set2, lam=lam)]
+    cells = _lane_cells(sets, DEFAULT_JUMPS)
+    bundles = [generate_bundle(sets[0], 32, 87, i) for i in range(40)]
+    block = whole_block([b.fine_mesh for b in bundles], [b.dw_fine for b in bundles])
+    stepped = []
+    solve = TjabemLanes.solve
+
+    def counted(self, rhs, dt):
+        stepped.append(rhs.size)
+        solve(self, rhs, dt)
+
+    monkeypatch.setattr(TjabemLanes, "solve", counted)
+    tjabem_lanes(cells, block)
+    n_paths, n_steps = block.dt.shape
+    if lam == 0.0:
+        assert sum(stepped) == 2 * n_paths * n_steps
+    else:
+        assert 2 * n_paths * n_steps < sum(stepped) < len(cells) * n_paths * n_steps
+
+
 def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
     # a stand-in jump map that flips the sign of z makes nonpositive states;
     # the lanes count them as the path loop's trajectories show them (whose
@@ -488,6 +602,13 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
             trajectory, _ = oracles.tjabem_path(params, jump, mesh, dw, q)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
+
+
+def _grid_lanes(cells, z0):
+    """TjabemLanes of cells on the rows of z0, row c's lane p being lane
+    c * n + p of the group, n lanes per row."""
+    n = z0.shape[1]
+    return TjabemLanes(cells, z0.ravel().copy(), 3, np.repeat(np.arange(len(cells)), n))
 
 
 def _halving_h(x):
@@ -526,31 +647,32 @@ def test_a_lanes_jump_has_the_same_bits_alone_as_with_other_lanes_and_cells(
 
     monkeypatch.setattr(jumpsde.solver, "jump_map", counted_map)
     with np.errstate(all="ignore"):
-        together = TjabemLanes(cells, z0.copy(), 3)
-        together.jump_columns(list(range(n)))
+        together = _grid_lanes(cells, z0)
+        together.jump_lanes(np.arange(z0.size))
         # the custom cell's lanes, the cell whose jump underflows and the
         # lanes of column 5 whose x overflows (all but rho = 2's x = 1/z and
         # rho = 3's x = z^-0.5) are mapped one at a time
         overflowing = {0, 2, 3, 5, 6, 7}
         assert len(scalar_calls) == 2 * n + len(overflowing) - 2
-        subset = TjabemLanes(cells[::-1], z0[::-1].copy(), 3)
+        subset = _grid_lanes(cells[::-1], z0[::-1])
         columns = [40, 3, 5, 66, 0]
-        subset.jump_columns(columns)
+        subset.jump_lanes([c * n + p for c in range(len(cells)) for p in columns])
         for c, (params, jump) in enumerate(cells):
             for p in range(n):
-                alone = TjabemLanes([(params, jump)], z0[c : c + 1, p : p + 1].copy(), 3)
-                alone.jump_columns([0])
-                assert alone.z.tobytes() == together.z[c : c + 1, p : p + 1].tobytes()
-                assert ((0, 0) in alone.failures) == ((c, p) in together.failures)
+                lane = c * n + p
+                alone = TjabemLanes([(params, jump)], z0[c, p : p + 1].copy(), 3)
+                alone.jump_lanes([0])
+                assert alone.z.tobytes() == together.z[lane : lane + 1].tobytes()
+                assert (0 in alone.failures) == (lane in together.failures)
                 if p in columns:
-                    assert subset.z[len(cells) - 1 - c, p] == alone.z[0, 0]
+                    assert subset.z[(len(cells) - 1 - c) * n + p] == alone.z[0]
                 try:
                     mapped = real_map(params, jump, z0[c, p])
                 except (ValueError, OverflowError):
-                    assert (c, p) in together.failures
+                    assert lane in together.failures
                 else:
-                    assert together.z[c, p] == mapped
-    assert set(together.failures) == {(c, 5) for c in overflowing} | {(6, p) for p in range(n)}
+                    assert together.z[lane] == mapped
+    assert set(together.failures) == {c * n + 5 for c in overflowing} | {6 * n + p for p in range(n)}
 
 
 def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
@@ -563,9 +685,9 @@ def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
     cells = [(stiff, zero_jump()), (set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
     z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 6 for p, _ in cells])
     monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
-    moved, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
+    moved, full = (_grid_lanes(cells, z0) for _ in range(2))
     rng = np.random.Generator(np.random.Philox(7))
-    dt = np.full(z0.shape, stiff.T)
+    dt = np.full(z0.size, stiff.T)
     set_lanes = []
     with np.errstate(all="ignore"):
         for k in range(12):
@@ -573,8 +695,8 @@ def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
             if k == 4:
                 dw[0, 2] = 20.0  # the stiff lane's step leaves Newton's bracket
             for lanes in (moved, full):
-                lanes.step(dt, dw)
-                for lane in ((1, k % 6), (2, (k + 3) % 6), (0, 5)):
+                lanes.step(dt, dw.ravel())
+                for lane in (6 + k % 6, 12 + (k + 3) % 6, 5):
                     lanes.jump(lane)
             set_lanes.append(sorted(set(moved._moved)))
             moved.refresh()
@@ -583,7 +705,7 @@ def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
             for a, b in ((moved.z, full.z), (moved.f, full.f), (moved.fp, full.fp)):
                 assert a.tobytes() == b.tobytes()
     # the stiff lane's step 4 went to the bracketed solver, once per object
-    assert len(fallbacks) == 2 and (0, 2) in set_lanes[4]
+    assert len(fallbacks) == 2 and 2 in set_lanes[4]
     assert all(len(lanes) < z0.size for lanes in set_lanes)
 
 
@@ -596,7 +718,7 @@ def test_lanes_continue_only_the_pending_lanes(set1, set2, monkeypatch):
     cells = [(set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
     z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 64 for p, _ in cells])
     monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
-    subset, full = (TjabemLanes(cells, z0.copy(), 3) for _ in range(2))
+    subset, full = (_grid_lanes(cells, z0) for _ in range(2))
     sizes = []
     evaluate, every = subset.drift, full.drift
 
@@ -608,20 +730,20 @@ def test_lanes_continue_only_the_pending_lanes(set1, set2, monkeypatch):
     def every_lane(z, lanes=None):
         if lanes is None:
             return every(z)
-        whole = np.ones(z0.shape)
+        whole = np.ones(z0.size)
         whole[lanes] = z
         f, fp = every(whole)
         return f[lanes], fp[lanes]
 
     subset.drift, full.drift = counted, every_lane
     rng = np.random.Generator(np.random.Philox(11))
-    dt = np.full(z0.shape, 0.05)
+    dt = np.full(z0.size, 0.05)
     with np.errstate(all="ignore"):
         for k in range(6):
             dw = rng.normal(0.0, 0.01, z0.shape)
             dw[k % 2, [3, 17, 40]] = (0.6, -0.5, 0.9)
             for lanes in (subset, full):
-                lanes.step(dt, dw)
+                lanes.step(dt, dw.ravel())
             for a, b in ((subset.z, full.z), (subset.f, full.f), (subset.fp, full.fp)):
                 assert a.tobytes() == b.tobytes()
     # a few lanes continued, on their own
@@ -678,7 +800,7 @@ def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
     runs = []
     for limit in (z0.size, z0.size - 1):
         monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", limit)
-        lanes = TjabemLanes(cells, z0.copy(), 3)
+        lanes = _grid_lanes(cells, z0)
         subsets = []
         evaluate = lanes.drift
 
@@ -691,9 +813,9 @@ def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
         steps = []
         with np.errstate(all="ignore"):
             for k, dw in enumerate(dws):
-                lanes.step(np.full(z0.shape, dt), dw)
+                lanes.step(np.full(z0.size, dt), dw.ravel())
                 if k in jumps:
-                    lanes.jump_columns(jumps[k])
+                    lanes.jump_lanes([c * n + p for c in range(len(cells)) for p in jumps[k]])
                 lanes.refresh()
                 steps.append(tuple(a.tobytes() for a in (lanes.z, lanes.f, lanes.fp)))
         failures = {lane: (type(e), str(e)) for lane, e in lanes.failures.items()}
@@ -707,7 +829,7 @@ def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
     if case == "forced_fallback":
         assert full_fallbacks > 0
     if case == "failed_lane":
-        assert set(full_failures) == {(1, p) for p in range(n)}
+        assert set(full_failures) == {n + p for p in range(n)}
 
 
 def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
@@ -718,11 +840,11 @@ def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monke
     params = replace(set1, lam=0.0, T=2.0**-10)
     fval, _ = make_drift(params)
     dws = np.array([[-50.0, 0.01, -0.02, 0.0]])
-    lanes = BemLanes(params, zero_jump(), np.ones((1, 4)), 4)
+    lanes = BemLanes(params, zero_jump(), np.ones(4), 4)
     with np.errstate(all="ignore"):
         lanes.run(np.full((4, 1), params.T), dws.T, {})
     assert [call[3] for call in fallbacks] == [-49.0]
-    for x_lane, dw in zip(lanes.z[0].tolist(), dws[0].tolist()):
+    for x_lane, dw in zip(lanes.z.tolist(), dws[0].tolist()):
         assert x_lane > 0.0
         x_path = oracles.bem_path(params, zero_jump(), 1, [dw], [0])
         rhs = 1.0 + dw
@@ -738,7 +860,7 @@ class _PerTermDrift:
     """The lanes' drift evaluated term by term, each term a new array: the
     evaluation that the compiled program must reproduce bit for bit."""
 
-    def __init__(self, tables, shape):
+    def __init__(self, tables, cells):
         table = np.array(tables, dtype=float).reshape(len(tables), -1, 2)
         columns = []
 
@@ -783,12 +905,10 @@ class _PerTermDrift:
                 self._linear.append(spread(c))
             else:
                 self._slope.append((slot, spread(c * e)))
-        self._coefs = np.ascontiguousarray(
-            np.broadcast_to(np.array(columns)[:, :, None], (len(columns), *shape))
-        )
+        self._coefs = np.array(columns)[:, cells]
 
     def __call__(self, z, lanes=None):
-        cols = self._coefs if lanes is None else self._coefs[(slice(None), *lanes)]
+        cols = self._coefs[:, : z.size] if lanes is None else self._coefs[:, lanes]
         powers = [z, np.reciprocal(z)]
         for a, b in self._chain:
             powers.append(powers[a] * powers[b])
@@ -844,8 +964,10 @@ def test_compiled_drift_equals_the_per_term_evaluation(drawn, seed):
     # results are new arrays that a later call leaves
     cells, n, tables = drawn
     rng = np.random.default_rng(seed)
-    shape = (cells, n)
-    compiled, oracle = _LaneDrift(tables, shape), _PerTermDrift(tables, shape)
+    shape = (cells * n,)
+    lane_cells = np.repeat(np.arange(cells), n)
+    compiled, oracle = _LaneDrift(tables, lane_cells), _PerTermDrift(tables, lane_cells)
+    compiled.bind(lane_cells.size)
 
     def states():
         z = np.exp(rng.uniform(-6.0, 6.0, shape)) * rng.choice([1.0, 1.0, 1.0, -1.0], shape)
@@ -859,10 +981,16 @@ def test_compiled_drift_equals_the_per_term_evaluation(drawn, seed):
         f_ref, fp_ref = oracle(z)
         assert f.shape == fp.shape == shape
         assert f.tobytes() == f_ref.tobytes() and fp.tobytes() == fp_ref.tobytes()
+        # the first lanes, as many as step, on views bound for that width
+        for width in (rng.integers(1, z.size + 1), z.size):
+            zw = states()[:width]
+            compiled.bind(width)
+            fw, fpw = compiled(zw)
+            fw_ref, fpw_ref = oracle(zw)
+            assert fw.tobytes() == fw_ref.tobytes() and fpw.tobytes() == fpw_ref.tobytes()
         # a subset, then lanes drawn with repeats, up to twice as many as lanes
         size = rng.integers(1, 2 * z.size + 1)
-        for idx in (np.nonzero(rng.random(shape) < 0.5),
-                    tuple(rng.integers(0, k, size) for k in shape)):
+        for idx in (np.flatnonzero(rng.random(shape) < 0.5), rng.integers(0, z.size, size)):
             zs = states()[idx]
             fs, fps = compiled(zs, idx)
             fs_ref, fps_ref = oracle(zs, idx)

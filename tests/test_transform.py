@@ -113,10 +113,10 @@ def test_jump_map_has_the_bits_of_the_vector_map(set1, spec, rho, width):
                         np.exp(rng.uniform(-700.0, 700.0, 128)), [5e-324, 1e-310, 1e300, 1.7e308]])
     rng.shuffle(z)
     vector = _LaneJump([(params, jump)])
-    for lanes in z.reshape(-1, 1, width):
+    for lanes in z.reshape(-1, width):
         with np.errstate(all="ignore"):
-            out, ok = vector(lanes)
-        for z_lane, mapped, taken in zip(lanes[0].tolist(), out[0], ok[0]):
+            out, ok = vector(lanes, np.zeros(width, dtype=np.intp))
+        for z_lane, mapped, taken in zip(lanes.tolist(), out, ok):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:

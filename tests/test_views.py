@@ -29,10 +29,17 @@ from jumpsde import (
     tjabem_path,
 )
 from jumpsde.cli import load_config, main
-from jumpsde.model import drift_one_sided_lipschitz, one_sided_lipschitz
+from jumpsde.model import (
+    InvalidModelError,
+    custom_jump,
+    drift_one_sided_lipschitz,
+    make_jump,
+    one_sided_lipschitz,
+    validate_jump,
+)
 from jumpsde.paths import mesh_block, open_shared_path
 from jumpsde.solver import RESIDUAL_TOL, tjabem_lanes
-from test_cli import _config_text, finite_configs
+from test_cli import JUMP_COEFFICIENTS, _config_text, finite_configs
 
 # a path's runtime errors; anything else is a bug
 _ERRORS = (SolverError, ValueError, OverflowError)
@@ -153,28 +160,17 @@ def test_views_equal_the_oracles(values, refine, path_index):
     _check_bem(params, jump, M, grid_dw, dn)
 
 
-@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(drawn=st.lists(finite_configs(), min_size=2, max_size=3),
-       first_path=st.integers(0, 1000))
-def test_lane_table_equals_the_oracle_lane_by_lane(drawn, first_path):
-    # validated configs on the first one's horizon and grid are the cells,
-    # the first one's intensity and seed open four paths, and every
-    # (cell, path) lane of one tjabem_lanes run on their mesh_block is the
-    # oracle's path within its bounds. Cells where the oracle fails on some
-    # path are left out, so that the run's lanes all step to the end
-    shared = {key: drawn[0][key] for key in ("T", "m_list")}
-    configs = [config for config in (_validated({**values, **shared}) for values in drawn)
-               if config is not None]
-    if not configs:
-        return
-    first = configs[0]
+def _check_lane_table(first, candidates, first_path):
+    """Every (cell, path) lane of one tjabem_lanes run is the oracle's path
+    within its bounds: the cells are the candidate (params, jump) pairs on
+    the first config's horizon and grid, and the first config's intensity
+    and seed open four paths. Cells where the oracle fails on some path are
+    left out, so that the run's lanes all step to the end."""
     T, M, lam, seed = first.params.T, first.m_list[0], first.params.lam, first.global_seed
     indices = range(first_path, first_path + 4)
     bundles = [oracles.generate_bundle(first.params, M, seed, i) for i in indices]
     cells, expected = [], []
-    for config in configs:
-        params, jump = config.params, config.jump
+    for params, jump in candidates:
         q = one_sided_lipschitz(params)
         runs = [_outcome(oracles.tjabem_path, params, jump, bundle.fine_mesh, bundle.dw_fine, q)
                 for bundle in bundles]
@@ -194,3 +190,70 @@ def test_lane_table_equals_the_oracle_lane_by_lane(drawn, first_path):
             assert np.all(np.abs(z_post[c, p, : n + 1] - trajectory.z_post) <= post)
             # the padding repeats the terminal state
             assert np.all(z_post[c, p, n:] == z[c, p])
+
+
+def _validated_on(drawn):
+    """The drawn configs that validate on the first one's horizon and grid."""
+    shared = {key: drawn[0][key] for key in ("T", "m_list")}
+    return [config for config in (_validated({**values, **shared}) for values in drawn)
+            if config is not None]
+
+
+@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn=st.lists(finite_configs(), min_size=2, max_size=3),
+       first_path=st.integers(0, 1000))
+def test_lane_table_equals_the_oracle_lane_by_lane(drawn, first_path):
+    # validated configs on the first one's horizon and grid are the cells
+    configs = _validated_on(drawn)
+    if configs:
+        _check_lane_table(configs[0], [(c.params, c.jump) for c in configs], first_path)
+
+
+def _halving_h(x):
+    return -0.5 * x
+
+
+def _halving_dh(x):
+    return -0.5
+
+
+# the jump families a drawn model repeats with: the built-in ones at drawn
+# coefficients, and a custom h, which the lanes map one lane at a time
+_FAMILIES = st.one_of(
+    st.tuples(st.sampled_from(["linear", "sine", "rational", "zero"]), JUMP_COEFFICIENTS),
+    st.just(("custom", None)),
+)
+
+
+def _jump_or_none(family, param, params):
+    """The family's jump at param, if validate_jump passes it for params."""
+    if family == "custom":
+        return custom_jump(_halving_h, _halving_dh)
+    try:
+        jump = make_jump(family) if family == "zero" else make_jump(family, param)
+        validate_jump(jump, params)
+    except InvalidModelError:
+        return None
+    return jump
+
+
+@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn=st.lists(finite_configs(), min_size=1, max_size=2),
+       families=st.lists(_FAMILIES, min_size=1, max_size=2),
+       first_path=st.integers(0, 1000))
+def test_shared_model_table_equals_the_oracle_lane_by_lane(drawn, families, first_path):
+    # the first validated config's model repeats with 2-3 jump families, its
+    # own first, beside the other configs' cells: its cells step one lane
+    # per path until the path's first jump, and every lane is still the
+    # oracle's path
+    configs = _validated_on(drawn)
+    if not configs:
+        return
+    params = configs[0].params
+    repeated = [jump for jump in (_jump_or_none(*family, params) for family in families)
+                if jump is not None]
+    _check_lane_table(configs[0], [(params, configs[0].jump)]
+                      + [(params, jump) for jump in repeated]
+                      + [(c.params, c.jump) for c in configs[1:]], first_path)
