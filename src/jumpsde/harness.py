@@ -432,7 +432,7 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
         for s in level_schemes:
             for lane in range(0, n_levels * n, n):
                 columns.append([coarse.terminal(lane + p) for p in range(n)]
-                               if s == "tjabem" else bem.z[lane : lane + n])
+                               if s == "tjabem" else bem.z[lane : lane + n].copy())
     # (path, what a path run on its own runs first) of each failed lane
     failures = []
     if ref is not None:

@@ -118,12 +118,24 @@ def classify_regime(gamma: float, rho: float) -> Regime:
 # is at most sqrt(ulp) from here on
 RHO_MARGIN = math.sqrt(np.finfo(float).eps)
 
+# the most jumps a path may expect on its horizon, lam * T. Each jump time
+# is a node of the path's mesh, drawn, placed and stepped one at a time, so
+# a run's time and memory grow with it: one-path simulate took 3.2 s at 1e4
+# and 27 s at 1e5 on a 2-vCPU Xeon host, about 0.3 ms per expected jump, and
+# the positivity table's batch of 512 paths holds arrays of a column per node
+# (400 MB each at 1e5). Far above it, at 1 / DEDUP_RTOL = 1e12, the mean
+# spacing between jumps, T / (lam * T), falls below the mesh's dedup
+# tolerance DEDUP_RTOL * T, and at lam = 1e308 sample_jump_times' t stops
+# moving near 1e-292 while its list of times grows without end
+MAX_MEAN_JUMPS = 1e5
+
 
 def validate_params(params: ModelParams) -> RegimeCheck:
     """Check positivity of all constants and classify the moment regime.
 
     Raises InvalidModelError for non-finite or non-positive constants,
-    gamma/rho <= 1, rho - 1 below RHO_MARGIN, the invalid regime
+    gamma/rho <= 1, rho - 1 below RHO_MARGIN, lam * T above
+    MAX_MEAN_JUMPS, the invalid regime
     (gamma < 2*rho - 1), or a critical configuration whose moment cap is
     <= 1 (no usable moment order).
     """
@@ -151,6 +163,11 @@ def validate_params(params: ModelParams) -> RegimeCheck:
         raise InvalidModelError(f"T must be strictly positive, got {params.T}")
     if not (params.lam >= 0.0):
         raise InvalidModelError(f"lambda must be nonnegative, got {params.lam}")
+    if params.lam * params.T > MAX_MEAN_JUMPS:
+        raise InvalidModelError(
+            f"lambda * T = {params.lam * params.T:.3g} expected jumps per path is above "
+            f"{MAX_MEAN_JUMPS:.3g}: every jump is a node that a path draws and steps"
+        )
 
     regime = classify_regime(params.gamma, params.rho)
     if regime is Regime.INVALID:
@@ -170,9 +187,11 @@ def validate_params(params: ModelParams) -> RegimeCheck:
 def moment_admissible(params: ModelParams, p: float) -> RegimeCheck:
     """Validate a moment order p for this configuration's regime.
 
-    All real p are admissible in the supercritical regime; in the critical
-    regime p must stay below the moment cap.
+    All finite p are admissible in the supercritical regime; in the
+    critical regime p must stay below the moment cap.
     """
+    if not math.isfinite(p):
+        raise InvalidModelError(f"moment order p must be finite, got {p}")
     check = validate_params(params)
     if check.regime is Regime.CRITICAL and p >= check.critical_moment_cap:
         raise InvalidModelError(

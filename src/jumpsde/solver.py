@@ -12,11 +12,14 @@ lane per model and path until the path's first jump. tjabem_path and
 bem_path, the one-path API, are one lane of tjabem_lanes and of BemLanes.
 
 Up to about a thousand lanes a numpy call costs about the same whatever its
-width, so a step costs what its number of calls does, and the lanes are
-built to make few calls: a drift makes paired powers in one call, a group
-of at most _FULL_WIDTH lanes works at full width rather than gathering the
-lanes a rule acts on, and a jump of fewer than _VECTOR_JUMPS lanes goes
-through the scalar jump_map. None of these moves a lane's bits.
+width, so a step costs what its number of calls and the Python between them
+do, and the lanes are built to make few of both: a step writes every array
+to its group's workspace and runs the drift's program inline (a reference
+step is 54 numpy calls, one copy and no new array), a drift makes paired
+powers in one call, a group of at most _FULL_WIDTH lanes works at full
+width rather than gathering the lanes a rule acts on, and a jump of fewer
+than _VECTOR_JUMPS lanes goes through the scalar jump_map. None of these
+moves a lane's bits.
 """
 
 from __future__ import annotations
@@ -278,8 +281,8 @@ class _LaneDrift:
     program runs on the first lanes, as many as bind was last given: the
     buffer holds them contiguous, a row per coefficient column, power or
     term and a column per lane, and the program's operands are views of it
-    made by bind. Every call writes to one of them except the first of each
-    sum, which makes the new array F or F' is returned in. The terms'
+    made by bind. Every call writes to one of them but the first of each
+    sum, which writes F or F' to the array it is given. The terms'
     powers fill consecutive rows: the slope terms', then the linear terms',
     then the constant terms' (rows of ones), so that one call multiplies
     every term by its coefficient and one more every slope term by its c*e. An exponent that is the same integer in every cell is a
@@ -430,11 +433,13 @@ class _LaneDrift:
         # the first columns, and the rest hold z = 1 and stale coefficients
         self._subsets: dict[int, tuple] = {}
 
-    def bind(self, width: int) -> None:
-        """Evaluate the first `width` lanes from now on."""
+    def bind(self, width: int) -> tuple:
+        """Evaluate the first `width` lanes from now on; returns the program
+        bound, which a lane group's step runs inline."""
         buffer = self._buffer[: self._rows * width].reshape(self._rows, width)
         buffer[: len(self._coefs)] = self._coefs[:, self._cells[:width]]
         self._bound = self._bind(buffer)
+        return self._bound
 
     def _bind(self, buffer: np.ndarray) -> tuple:
         """The program on this buffer: its operands made views, a row given
@@ -455,14 +460,16 @@ class _LaneDrift:
             [(ufunc, view(x)) for ufunc, x in fp],
         )
 
-    def __call__(self, z: np.ndarray, lanes=None) -> tuple[np.ndarray, np.ndarray]:
-        """F(z) and F'(z) on the lanes bound, or, given an index
-        array `lanes`, on those lanes only, z holding their states: each
-        takes its own coefficients and exponents, so it gets the bits the
-        full evaluation gives it. Both come back as new arrays."""
+    def __call__(self, z: np.ndarray, lanes=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """F(z) and F'(z) on the lanes bound, into the pair of arrays out
+        or new ones, z being any array or the program's z row; or, given an
+        index array `lanes`, on those lanes only, z holding their states,
+        into new arrays: each takes its own coefficients and exponents, so
+        it gets the bits the full evaluation gives it."""
         if lanes is None:
-            self._bound[1][...] = z
-            return self._run(self._bound)
+            if z is not self._bound[1]:
+                self._bound[1][...] = z
+            return self._run(self._bound, *(out or (None, None)))
         m = z.size
         size = 1 << max(m - 1, 0).bit_length()
         bound = self._subsets.get(size)
@@ -476,14 +483,14 @@ class _LaneDrift:
         return f[:m], fp[:m]
 
     @staticmethod
-    def _run(bound: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def _run(bound: tuple, f=None, fp=None) -> tuple[np.ndarray, np.ndarray]:
         _, _, program, (u, a, b), f_rest, (v, c, d), fp_rest = bound
         for ufunc, args in program:
             ufunc(*args)
-        f = u(a, b)
+        f = u(a, b, f)
         for ufunc, x in f_rest:
             ufunc(f, x, f)
-        fp = v(c, d)
+        fp = v(c, d, fp)
         for ufunc, x in fp_rest:
             ufunc(fp, x, fp)
         return f, fp
@@ -493,6 +500,10 @@ class _LaneDrift:
 # at full width: below it a numpy call costs about the same at any width, so
 # one full-width call beats the gathers and scatters of a subset
 _FULL_WIDTH = 1024
+
+# a step's comparison operands: numpy converts a float on every call, which
+# costs half as much again as a comparison of 128 lanes with a 0-d array
+_TOL, _ZERO = np.array(RESIDUAL_TOL), np.array(0.0)
 
 
 class _Lanes:
@@ -512,29 +523,45 @@ class _Lanes:
     the width nor the lanes beside a lane move its bits. A lane that fails
     keeps its last state, is recorded in `failures` with its first error,
     and idles from then on.
+
+    The lanes step in a workspace of rows with a column per lane, which
+    _size lays out: two (z, F, F') triples, used in turn for a step's start
+    and its iterate (z, f and fp are views of the one that holds the state),
+    and rows for the right-hand side, the residual and scratch. A step's
+    Newton updates run the drift's program inline, each z in the program's
+    z row and F and F' in the iterate triple, and make no new array.
     """
 
     def __init__(self, tables, drifts, z: np.ndarray, updates: int, cells=None):
         self.lane_cells = np.zeros(z.size, dtype=np.intp) if cells is None else cells
         self.drift = _LaneDrift(tables, self.lane_cells)
         self.drifts = drifts
-        self.z = z
-        self.f = self.fp = None  # F(z) and F'(z), once evaluated
         self._moved = []  # lanes set since f and fp were evaluated
-        self.updates = updates
+        self._updates = min(updates, MAX_ITER)
         self.failures: dict[int, Exception] = {}
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
-        self._size()
+        self._size(z)
 
-    def _size(self) -> None:
-        """Fit the per-lane constants and scratch to the lanes."""
-        n = self.z.size
-        self.drift.bind(n)
+    def _size(self, z: np.ndarray, f=None, fp=None) -> None:
+        """Lay the workspace out for the lanes of z, whose F and F' are f
+        and fp if they are evaluated, and bind the drift to their width."""
+        n = z.size
+        self._program = self.drift.bind(n)
         self._full = n <= _FULL_WIDTH
+        work = self._work = np.empty((11, n))
+        self._triples = (work[0], work[1], work[2]), (work[3], work[4], work[5])
+        self._at = 0  # the triple that holds the state
+        # the right-hand side, the residual, the Newton update's scratch, a
+        # failed group's step sizes and the continuation's residual
+        self._rhs, self._res, self._scratch, self._dt, self._next = work[6:11]
+        self._kept = np.empty((2, n), dtype=bool)
         self._one = np.ones(n)
-        self._rtol = np.full(n, RESIDUAL_TOL)
-        # scratch for the residuals and the Newton update's temporaries
-        self._res, self._scratch = np.empty(n), np.empty(n)
+        self.z, self.f, self.fp = self._triples[0]
+        self.z[...] = z
+        if f is None:
+            self.f = self.fp = None  # until evaluated
+        else:
+            self.f[...], self.fp[...] = f, fp
 
     def widen(self, source: np.ndarray) -> None:
         """Add the next lanes of cells, one a copy of each lane of source:
@@ -542,15 +569,16 @@ class _Lanes:
         if self._moved:
             self.refresh()
         n = self.z.size
-        self.z = np.concatenate([self.z, self.z[source]])
+        z = np.concatenate([self.z, self.z[source]])
+        f = fp = None
         if self.f is not None:
-            self.f = np.concatenate([self.f, self.f[source]])
-            self.fp = np.concatenate([self.fp, self.fp[source]])
+            f = np.concatenate([self.f, self.f[source]])
+            fp = np.concatenate([self.fp, self.fp[source]])
         if self._alive is not None:
             self._alive = np.concatenate([self._alive, self._alive[source]])
             for lane in np.flatnonzero(self._alive[n:] == 0.0).tolist():
                 self.failures.setdefault(n + lane, self.failures[int(source[lane])])
-        self._size()
+        self._size(z, f, fp)
 
     def fail(self, lane: int, error: Exception) -> None:
         self.failures.setdefault(lane, error)
@@ -571,7 +599,8 @@ class _Lanes:
         _FULL_WIDTH lanes, else those of the lanes set, which _moved holds
         as ints or index arrays."""
         if self.f is None or self._moved and self._full:
-            self.f, self.fp = self.drift(self.z)
+            _, self.f, self.fp = self._triples[self._at]
+            self.drift(self.z, out=(self.f, self.fp))
         elif self._moved:
             moved = np.hstack(self._moved)
             self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
@@ -593,51 +622,71 @@ class _Lanes:
         1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
         rhs = z therefore keeps its z exactly; so does every failed lane.
         """
-        self.refresh()
-        z_prev, one, res, tmp = self.z, self._one, self._res, self._scratch
+        if self._moved or self.f is None:
+            self.refresh()
+        subtract, multiply = np.subtract, np.multiply
+        # the triple that holds the state, then the other one
+        (z_prev, f_prev, fp_prev), (z_it, f_it, fp_it) = self._triples[:: 1 - 2 * self._at]
+        one, res, tmp = self._one, self._res, self._scratch
         if self._alive is not None:
-            dt = dt * self._alive
-            rhs = np.where(self._alive == 1.0, rhs, z_prev)
-        z, f, fp = z_prev, self.f, self.fp
-        # res = (z - rhs) - dt*f, in place (the reductions below are the
-        # ufuncs' own, without the ndarray methods' wrappers)
-        np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
+            dt = multiply(dt, self._alive, self._dt)
+            np.copyto(self._rhs, rhs)
+            np.copyto(self._rhs, z_prev, where=self._alive != 1.0)
+            rhs = self._rhs
+        # res = (z - rhs) - dt*f
+        subtract(subtract(z_prev, rhs, res), multiply(dt, f_prev, tmp), res)
         # a lane whose previous state already has a residual within
         # RESIDUAL_TOL keeps it; one at an exact root (a padded or failed
         # lane) stays there under Newton anyway, so it needs no keeping
         size = np.abs(res, tmp)
         kept = None
         if np.minimum.reduce(size, None) <= RESIDUAL_TOL:
-            kept = (size <= self._rtol) & (size > 0.0)
-        used = min(self.updates, MAX_ITER)
-        for _ in range(used):
-            # z - res / (1 - dt*fp)
-            np.multiply(dt, fp, tmp)
-            z = z - np.divide(res, np.subtract(one, tmp, tmp), tmp)
-            f, fp = self.drift(z)
-            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
-        if kept is not None and kept.any():
-            z, f, fp = (np.where(kept, old, new) for old, new in
-                        ((z_prev, z), (self.f, f), (self.fp, fp)))
-            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
-        self.z, self.f, self.fp = z, f, fp
-        # max(1, |rhs|) >= 1, so this is within the tolerance
-        size = np.abs(res, tmp)
-        if (np.maximum.reduce(size, None) <= RESIDUAL_TOL
-                and np.minimum.reduce(z, None) > 0.0):
+            kept, positive = self._kept
+            np.logical_and(np.less_equal(size, _TOL, kept),
+                           np.greater(size, _ZERO, positive), kept)
+        _, z, program, (u, a, b), f_rest, (v, c, d), fp_rest = self._program
+        z_n, fp = z_prev, fp_prev
+        for _ in range(self._updates):
+            # z - res / (1 - dt*fp), in the program's z row
+            multiply(dt, fp, tmp)
+            np.divide(res, subtract(one, tmp, tmp), tmp)
+            z_n = subtract(z_n, tmp, z)
+            for ufunc, args in program:
+                ufunc(*args)
+            u(a, b, f_it)
+            for ufunc, x in f_rest:
+                ufunc(f_it, x, f_it)
+            fp = v(c, d, fp_it)
+            for ufunc, x in fp_rest:
+                ufunc(fp, x, fp)
+            subtract(subtract(z, rhs, res), multiply(dt, f_it, tmp), res)
+        if z_n is z:
+            z_it[...] = z
+        else:
+            z_it[...], f_it[...], fp_it[...] = z_prev, f_prev, fp_prev
+        if kept is not None and np.count_nonzero(kept):
+            for new, old in ((z_it, z_prev), (f_it, f_prev), (fp_it, fp_prev)):
+                np.copyto(new, old, where=kept)
+            subtract(subtract(z_it, rhs, res), multiply(dt, f_it, tmp), res)
+        self._at = 1 - self._at
+        self.z, self.f, self.fp = z_it, f_it, fp_it
+        # max(1, |rhs|) >= 1, so this is within the tolerance; a comparison
+        # and a count cost less than a reduction, and nan fails both
+        size, done = np.abs(res, tmp), self._kept
+        np.less_equal(size, _TOL, done[0])
+        np.greater(z_it, _ZERO, done[1])
+        if np.count_nonzero(done) == done.size:
             return
-        if z is z_prev:
-            # without updates z is still the previous state, which the
-            # fallback below starts from
-            self.z = z.copy()
         handed = (self._continue_full if self._full else self._continue_flat)(
-            size, rhs, dt, used)
+            size, rhs, dt, self._updates)
         self._hand_off(handed, z_prev, rhs, dt)
 
     def _continue_full(self, size, rhs, dt, used) -> np.ndarray:
         """Update the pending lanes at full width, each keeping its update
         while it is pending; returns the lanes to hand off, sorted."""
         z, f, fp, res = self.z, self.f, self.fp, self._res
+        _, f_n, fp_n = self._triples[1 - self._at]  # the hand-off needs its z
+        z_n, r_n = self._program[1], self._next
         tol = np.maximum(1.0, np.abs(rhs)) * RESIDUAL_TOL
         pending = ~((size <= tol) & (z > 0.0))
         handed = np.zeros(z.shape, dtype=bool)
@@ -651,14 +700,13 @@ class _Lanes:
                 pending &= ~sick
                 if not pending.any():
                     break
-            z_n = z - res / d
-            f_n, fp_n = self.drift(z_n)
-            r_n = (z_n - rhs) - dt * f_n
-            z, f, fp, res = (np.where(pending, new, old) for new, old in
-                             ((z_n, z), (f_n, f), (fp_n, fp), (r_n, res)))
+            np.subtract(z, res / d, z_n)
+            self.drift(z_n, out=(f_n, fp_n))
+            np.subtract(np.subtract(z_n, rhs, r_n), dt * f_n, r_n)
+            for new, old in ((z_n, z), (f_n, f), (fp_n, fp), (r_n, res)):
+                np.copyto(old, new, where=pending)
             used += 1
             pending &= ~((np.abs(r_n) <= tol) & (z_n > 0.0))
-        self.z, self.f, self.fp = z, f, fp
         return np.flatnonzero(handed)
 
     def _continue_flat(self, size, rhs, dt, used) -> np.ndarray:
@@ -806,7 +854,8 @@ class TjabemLanes(_Lanes):
 
     def step(self, dt: np.ndarray, dw: np.ndarray) -> None:
         """One step with these step sizes and Brownian increments per lane."""
-        self.solve(self.z + self.noise * dw, dt)
+        rhs = np.multiply(self.noise, dw, self._rhs)
+        self.solve(np.add(self.z, rhs, rhs), dt)
 
     def jump_lanes(self, lanes) -> None:
         """Apply the transformed jump map to the live ones of these lanes.
@@ -849,8 +898,9 @@ class TjabemLanes(_Lanes):
         """
         # the noise terms of every step in one call
         dt, noise = dt.T.copy(), dw.T.copy() * self.noise
+        rhs = self._rhs
         for k in range(dt.shape[0]):
-            self.solve(self.z + noise[k], dt[k])
+            self.solve(np.add(self.z, noise[k], rhs), dt[k])
             if k in jumps:
                 self.jump_lanes(jumps[k])
 
@@ -892,9 +942,12 @@ class BemLanes(_Lanes):
         """
         a3, rho = self.alpha3, self.params.rho
         dt, dw = dt.T.copy(), dw.T.copy()
+        rhs, tmp = self._rhs, self._scratch
         for k in range(dt.shape[0]):
+            # x + a3 * x**rho * dw
             x = self.z
-            rhs = x + a3 * x**rho * dw[k]
+            np.multiply(np.multiply(a3, np.power(x, rho, tmp), tmp), dw[k], tmp)
+            np.add(x, tmp, rhs)
             if k in counts:
                 lanes, dn = counts[k]
                 if self._h is not None:

@@ -2,7 +2,8 @@
 sums, which jumpsde runs on its lanes and coarse_block, the one-path jump
 placement, which jumpsde makes for a batch at once with place_batch, and
 numpy's seeding of a path's streams, whose keys jumpsde derives for a batch
-at once with stream_keys. The loops call solver's _implicit_solve, jump_map
+at once with stream_keys, and the lane kernels as they stepped on new arrays
+before their workspace. The loops call solver's _implicit_solve, jump_map
 and lamperti_inverse, so a test's stand-ins reach them; the oracles' meshes
 come from place_jumps."""
 
@@ -387,3 +388,358 @@ def lamperti_euler(params, mesh, increments, xtol=1e-14, maxiter=200):
             hi *= 2.0
         z = brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=maxiter)
     return z ** (1.0 / (1.0 - rho))
+
+
+# The lane kernels as they stepped before their workspace: each Newton update
+# makes new arrays for z, F and F', and the kept lanes are chosen with
+# np.where. The differential kernel tests step them beside jumpsde's lanes and
+# compare every step's bits. They share jumpsde's compiled drift and vector
+# jump map, and reach _implicit_solve, jump_map, lamperti_inverse, array_h and
+# _FULL_WIDTH through the solver module, so a test's stand-ins reach them.
+
+class _Lanes:
+    """Lanes of one scheme that take their implicit steps together.
+
+    The states z are a flat array, a state per lane, and lane l solves with
+    the drift of cell cells[l] (cell 0 for every lane if cells is None),
+    whose term table is tables[cells[l]] and whose scalar (value, slope)
+    pair is drifts[cells[l]]. cells may name more lanes than z holds: widen
+    adds them later, each a copy of a lane there is. f and fp hold F(z) and
+    F'(z) as the lanes' drift evaluates them, so that a step's first Newton
+    update reuses them; once a lane's z is set on its own, the next step
+    evaluates them again. A group of at most _FULL_WIDTH lanes evaluates
+    every lane then, and continues its pending lanes with masked full-width
+    updates; a wider group evaluates and continues only the lanes
+    concerned. The drift gives a lane the same bits either way, so neither
+    the width nor the lanes beside a lane move its bits. A lane that fails
+    keeps its last state, is recorded in `failures` with its first error,
+    and idles from then on.
+    """
+
+    def __init__(self, tables, drifts, z: np.ndarray, updates: int, cells=None):
+        self.lane_cells = np.zeros(z.size, dtype=np.intp) if cells is None else cells
+        self.drift = solver._LaneDrift(tables, self.lane_cells)
+        self.drifts = drifts
+        self.z = z
+        self.f = self.fp = None  # F(z) and F'(z), once evaluated
+        self._moved = []  # lanes set since f and fp were evaluated
+        self.updates = updates
+        self.failures: dict[int, Exception] = {}
+        self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
+        self._size()
+
+    def _size(self) -> None:
+        """Fit the per-lane constants and scratch to the lanes."""
+        n = self.z.size
+        self.drift.bind(n)
+        self._full = n <= solver._FULL_WIDTH
+        self._one = np.ones(n)
+        self._rtol = np.full(n, RESIDUAL_TOL)
+        # scratch for the residuals and the Newton update's temporaries
+        self._res, self._scratch = np.empty(n), np.empty(n)
+
+    def widen(self, source: np.ndarray) -> None:
+        """Add the next lanes of cells, one a copy of each lane of source:
+        state, F, F' and failure."""
+        if self._moved:
+            self.refresh()
+        n = self.z.size
+        self.z = np.concatenate([self.z, self.z[source]])
+        if self.f is not None:
+            self.f = np.concatenate([self.f, self.f[source]])
+            self.fp = np.concatenate([self.fp, self.fp[source]])
+        if self._alive is not None:
+            self._alive = np.concatenate([self._alive, self._alive[source]])
+            for lane in np.flatnonzero(self._alive[n:] == 0.0).tolist():
+                self.failures.setdefault(n + lane, self.failures[int(source[lane])])
+        self._size()
+
+    def fail(self, lane: int, error: Exception) -> None:
+        self.failures.setdefault(lane, error)
+        if self._alive is None:
+            self._alive = np.ones(self.z.size)
+        self._alive[lane] = 0.0
+
+    def alive(self, lane: int) -> bool:
+        return self._alive is None or self._alive[lane] == 1.0
+
+    def set(self, lane: int, z: float) -> None:
+        self.z[lane] = z
+        self._moved.append(lane)
+
+    def refresh(self) -> None:
+        """Make f and fp F(z) and F'(z): every lane's the first time, then,
+        if lanes were set since, every lane's in a group of at most
+        _FULL_WIDTH lanes, else those of the lanes set, which _moved holds
+        as ints or index arrays."""
+        if self.f is None or self._moved and self._full:
+            self.f, self.fp = self.drift(self.z)
+        elif self._moved:
+            moved = np.hstack(self._moved)
+            self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
+        self._moved = []
+
+    def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
+        """Step every lane to the root of z - dt*F(z) = rhs.
+
+        rhs and dt hold a value per lane. A lane whose previous state
+        already has a residual within RESIDUAL_TOL keeps it, since the
+        tolerance RESIDUAL_TOL*max(1, |rhs|) is no smaller. Every other lane
+        takes `updates` Newton updates; one whose residual is then above
+        RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
+        updating alone until it meets that tolerance or MAX_ITER updates are
+        made: in a group of at most _FULL_WIDTH lanes by full-width updates
+        that only the pending lanes keep, else by updates of those lanes
+        gathered by index. A lane goes to _implicit_solve from its previous
+        state once it leaves (0, inf), turns non-finite, meets
+        1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
+        rhs = z therefore keeps its z exactly; so does every failed lane.
+        """
+        self.refresh()
+        z_prev, one, res, tmp = self.z, self._one, self._res, self._scratch
+        if self._alive is not None:
+            dt = dt * self._alive
+            rhs = np.where(self._alive == 1.0, rhs, z_prev)
+        z, f, fp = z_prev, self.f, self.fp
+        # res = (z - rhs) - dt*f, in place (the reductions below are the
+        # ufuncs' own, without the ndarray methods' wrappers)
+        np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
+        # a lane whose previous state already has a residual within
+        # RESIDUAL_TOL keeps it; one at an exact root (a padded or failed
+        # lane) stays there under Newton anyway, so it needs no keeping
+        size = np.abs(res, tmp)
+        kept = None
+        if np.minimum.reduce(size, None) <= RESIDUAL_TOL:
+            kept = (size <= self._rtol) & (size > 0.0)
+        used = min(self.updates, MAX_ITER)
+        for _ in range(used):
+            # z - res / (1 - dt*fp)
+            np.multiply(dt, fp, tmp)
+            z = z - np.divide(res, np.subtract(one, tmp, tmp), tmp)
+            f, fp = self.drift(z)
+            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
+        if kept is not None and kept.any():
+            z, f, fp = (np.where(kept, old, new) for old, new in
+                        ((z_prev, z), (self.f, f), (self.fp, fp)))
+            np.subtract(np.subtract(z, rhs, res), np.multiply(dt, f, tmp), res)
+        self.z, self.f, self.fp = z, f, fp
+        # max(1, |rhs|) >= 1, so this is within the tolerance
+        size = np.abs(res, tmp)
+        if (np.maximum.reduce(size, None) <= RESIDUAL_TOL
+                and np.minimum.reduce(z, None) > 0.0):
+            return
+        if z is z_prev:
+            # without updates z is still the previous state, which the
+            # fallback below starts from
+            self.z = z.copy()
+        handed = (self._continue_full if self._full else self._continue_flat)(
+            size, rhs, dt, used)
+        self._hand_off(handed, z_prev, rhs, dt)
+
+    def _continue_full(self, size, rhs, dt, used) -> np.ndarray:
+        """Update the pending lanes at full width, each keeping its update
+        while it is pending; returns the lanes to hand off, sorted."""
+        z, f, fp, res = self.z, self.f, self.fp, self._res
+        tol = np.maximum(1.0, np.abs(rhs)) * RESIDUAL_TOL
+        pending = ~((size <= tol) & (z > 0.0))
+        handed = np.zeros(z.shape, dtype=bool)
+        while pending.any():
+            d = 1.0 - dt * fp
+            sick = pending & ~((z > 0.0) & (d > 0.0) & np.isfinite(res))
+            if used >= MAX_ITER:
+                sick = pending
+            if sick.any():
+                handed |= sick
+                pending &= ~sick
+                if not pending.any():
+                    break
+            z_n = z - res / d
+            f_n, fp_n = self.drift(z_n)
+            r_n = (z_n - rhs) - dt * f_n
+            z, f, fp, res = (np.where(pending, new, old) for new, old in
+                             ((z_n, z), (f_n, f), (fp_n, fp), (r_n, res)))
+            used += 1
+            pending &= ~((np.abs(r_n) <= tol) & (z_n > 0.0))
+        self.z, self.f, self.fp = z, f, fp
+        return np.flatnonzero(handed)
+
+    def _continue_flat(self, size, rhs, dt, used) -> np.ndarray:
+        """Update the pending lanes alone, gathered by index: they are
+        found once, and only they are tested and updated from then on;
+        returns the lanes to hand off, sorted."""
+        z, f, fp = self.z, self.f, self.fp
+        idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
+        zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, self._res, rhs, dt))
+        tol = np.maximum(1.0, np.abs(rhs_c)) * RESIDUAL_TOL
+        pending = np.flatnonzero(~((np.abs(rc) <= tol) & (zc > 0.0)))
+        handed = []
+        while pending.size:
+            z_p = zc[pending]
+            d = 1.0 - dt_c[pending] * fpc[pending]
+            sick = ~((z_p > 0.0) & (d > 0.0) & np.isfinite(rc[pending]))
+            if used >= MAX_ITER:
+                sick[:] = True
+            if sick.any():
+                handed.append(pending[sick])
+                well = ~sick
+                pending, z_p, d = pending[well], z_p[well], d[well]
+                if not pending.size:
+                    break
+            # only the pending lanes move, so only theirs are evaluated again
+            z_p = z_p - rc[pending] / d
+            f_p, fp_p = self.drift(z_p, idx[pending])
+            r_p = (z_p - rhs_c[pending]) - dt_c[pending] * f_p
+            zc[pending], fc[pending], fpc[pending], rc[pending] = z_p, f_p, fp_p, r_p
+            used += 1
+            pending = pending[~((np.abs(r_p) <= tol[pending]) & (z_p > 0.0))]
+        np.put(z, idx, zc)
+        np.put(f, idx, fc)
+        np.put(fp, idx, fpc)
+        return np.sort(idx[np.concatenate(handed)]) if handed else idx[:0]
+
+    def _hand_off(self, handed: np.ndarray, z_prev, rhs, dt) -> None:
+        """Solve the lanes handed with _implicit_solve from their previous
+        states, in index order; a lane with dt = 0 keeps its previous
+        state, and a lane whose solve fails keeps it and fails."""
+        for lane in handed.tolist():
+            if dt[lane] == 0.0:
+                self.set(lane, float(z_prev[lane]))
+                continue
+            value, slope = self.drifts[self.lane_cells[lane]]
+            try:
+                z_lane = solver._implicit_solve(
+                    value, slope, float(dt[lane]), float(rhs[lane]), float(z_prev[lane])
+                )
+            except solver._LANE_ERRORS as exc:
+                z_lane = float(z_prev[lane])
+                self.fail(lane, exc)
+            self.set(lane, z_lane)
+
+class TjabemLanes(_Lanes):
+    """Lanes of the transformed scheme's steps.
+
+    cells lists (params, jump) pairs, and lane l runs cell lane_cells[l]
+    (cell 0 for every lane if lane_cells is None) from its state in z.
+    """
+
+    def __init__(self, cells, z: np.ndarray, updates: int, lane_cells=None):
+        super().__init__(
+            [_drift_terms(params) for params, _ in cells],
+            [make_transformed_drift(params) for params, _ in cells],
+            z,
+            updates,
+            lane_cells,
+        )
+        self.cells = cells
+        self._jump = solver._LaneJump(cells)
+        self._noise = np.array([(1.0 - p.rho) * p.alpha3 for p, _ in cells])
+        self.noise = self._noise[self.lane_cells[: z.size]]
+
+    def widen(self, source: np.ndarray) -> None:
+        super().widen(source)
+        self.noise = self._noise[self.lane_cells[: self.z.size]]
+
+    def step(self, dt: np.ndarray, dw: np.ndarray) -> None:
+        """One step with these step sizes and Brownian increments per lane."""
+        self.solve(self.z + self.noise * dw, dt)
+
+    def jump_lanes(self, lanes) -> None:
+        """Apply the transformed jump map to the live ones of these lanes.
+
+        Fewer than _VECTOR_JUMPS lanes go through jump one at a time.
+        Otherwise the lanes that _LaneJump maps are set together, and every
+        other live lane goes through jump; jump_map gives a lane the bits
+        _LaneJump would, so the route moves no bit.
+        """
+        if len(lanes) < solver._VECTOR_JUMPS:
+            for lane in lanes:
+                self.jump(int(lane))
+            return
+        lanes = np.asarray(lanes)
+        out, done = self._jump(self.z[lanes], self.lane_cells[lanes])
+        if self._alive is not None:
+            done &= self._alive[lanes] == 1.0
+        at = np.flatnonzero(done)
+        if at.size:
+            self.z[lanes[at]] = out[at]
+            self._moved.append(lanes[at])
+        if at.size < lanes.size:
+            for lane in lanes[~done].tolist():
+                self.jump(lane)
+
+    def jump(self, lane: int) -> None:
+        """Apply the scalar jump map to one live lane, for jump_lanes."""
+        if self.alive(lane):
+            params, jump = self.cells[self.lane_cells[lane]]
+            try:
+                self.set(lane, solver.jump_map(params, jump, float(self.z[lane])))
+            except solver._LANE_ERRORS as exc:
+                self.fail(lane, exc)
+
+    def run(self, dt: np.ndarray, dw: np.ndarray, jumps) -> None:
+        """Step every lane through the columns of dt and dw.
+
+        dt and dw have one row per lane; jumps maps a step k to the lanes
+        that jump at its end.
+        """
+        # the noise terms of every step in one call
+        dt, noise = dt.T.copy(), dw.T.copy() * self.noise
+        for k in range(dt.shape[0]):
+            self.solve(self.z + noise[k], dt[k])
+            if k in jumps:
+                self.jump_lanes(jumps[k])
+
+    def terminal(self, lane: int) -> float:
+        """The lane's state in original coordinates; nan if the lane failed."""
+        if self.alive(lane):
+            try:
+                return solver.lamperti_inverse(self.cells[self.lane_cells[lane]][0].rho,
+                                        float(self.z[lane]))
+            except solver._LANE_ERRORS as exc:
+                self.fail(lane, exc)
+        return math.nan
+
+
+class BemLanes(_Lanes):
+    """Lanes of the baseline scheme's steps, in original coordinates, for one model.
+
+    x holds the states, a flat array; jump counts enter a step's right-hand
+    side through jump.h, on arrays for a built-in family.
+    """
+
+    def __init__(self, params: ModelParams, jump: JumpCoefficient, x: np.ndarray,
+                 updates: int):
+        super().__init__(
+            [_original_drift_terms(params)], [make_drift(params)], x, updates
+        )
+        self.params = params
+        self.h = jump.h
+        self._h = solver.array_h(jump)
+        self.alpha3 = np.full(x.shape, params.alpha3)
+
+    def run(self, dt: np.ndarray, dw: np.ndarray, counts) -> None:
+        """Step the lanes through the columns of dt and dw.
+
+        dt and dw have one row per lane; counts maps a step k to two
+        arrays, the lanes with jumps in its interval and their numbers of
+        jumps. A failed lane's right-hand side is not used, so every listed
+        lane's h(x)*dn is added.
+        """
+        a3, rho = self.alpha3, self.params.rho
+        dt, dw = dt.T.copy(), dw.T.copy()
+        for k in range(dt.shape[0]):
+            x = self.z
+            rhs = x + a3 * x**rho * dw[k]
+            if k in counts:
+                lanes, dn = counts[k]
+                if self._h is not None:
+                    h, c = self._h
+                    rhs[lanes] += h(x[lanes], c) * dn
+                else:
+                    for lane, n in zip(lanes.tolist(), dn.tolist()):
+                        if self.alive(lane):
+                            try:
+                                rhs[lane] += self.h(float(x[lane])) * n
+                            except solver._LANE_ERRORS as exc:
+                                self.fail(lane, exc)
+            self.solve(rhs, dt[k])

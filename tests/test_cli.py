@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -410,6 +413,36 @@ def test_rho_one_ulp_above_1_exits_1(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "all gates passed" not in captured.out
     assert "rho - 1 = 2.22e-16 is below 1.49e-08" in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "positivity"])
+def test_a_huge_jump_intensity_exits_1_at_once(tmp_path, command):
+    # at lambda = 1e308 sample_jump_times' t stops moving near 1e-292 while
+    # its list of times grows, so a run past validation would not end: each
+    # command runs in a process of its own, under a timeout
+    path = _write_config(tmp_path)
+    flag = "--presets" if command == "positivity" else "--config"
+    src = str(Path(jumpsde.paths.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "jumpsde.cli", command, flag, str(path), "--lambda", "1e308",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 1
+    assert "all gates passed" not in result.stdout
+    assert "lambda * T = 1e+308 expected jumps per path is above 1e+05" in (
+        result.stdout + result.stderr)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("order", ["nan", "inf", "-inf"])
+def test_a_non_finite_moment_order_exits_1(tmp_path, capsys, order):
+    argv = ["moments", "--preset", "set1", "--fast", "--p-list", f"2,{order}",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert (f"validation failure: moment order p must be finite, got {float(order)}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

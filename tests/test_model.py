@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from jumpsde import (
     zero_jump,
 )
 from jumpsde.model import (
+    MAX_MEAN_JUMPS,
     default_probe_grid,
     drift_one_sided_lipschitz,
     sampled_jump_bounds,
@@ -219,6 +221,20 @@ def test_moment_admissibility():
 def test_moment_admissible_supercritical_any_p(set1):
     for p in (-50.0, -2.0, 0.0, 2.0, 50.0):
         moment_admissible(set1, p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_moment_admissible_rejects_a_non_finite_order(set1, p):
+    with pytest.raises(InvalidModelError, match=f"moment order p must be finite, got {p}"):
+        moment_admissible(set1, p)
+
+
+def test_validate_bounds_the_expected_jumps_per_path(set1):
+    # lam * T, not lam, is what a path's mesh holds; 1e308 * 10 overflows
+    validate_params(replace(set1, lam=MAX_MEAN_JUMPS / 2.0, T=2.0))
+    for lam, T in ((MAX_MEAN_JUMPS, 1.0 + 2.0**-52), (1e308, 1.0), (1e308, 10.0)):
+        with pytest.raises(InvalidModelError, match="expected jumps per path is above 1e"):
+            validate_params(replace(set1, lam=lam, T=T))
 
 
 def test_validate_jump_linear_minus_half(set1):

@@ -28,6 +28,7 @@ from jumpsde import (
     transformed_drift,
     zero_jump,
 )
+import jumpsde.harness
 import jumpsde.solver
 import oracles
 from jumpsde.mesh import JumpAdaptedMesh
@@ -722,14 +723,14 @@ def test_lanes_continue_only_the_pending_lanes(set1, set2, monkeypatch):
     sizes = []
     evaluate, every = subset.drift, full.drift
 
-    def counted(z, lanes=None):
+    def counted(z, lanes=None, out=None):
         if lanes is not None:
             sizes.append(z.size)
-        return evaluate(z, lanes)
+        return evaluate(z, lanes, out)
 
-    def every_lane(z, lanes=None):
+    def every_lane(z, lanes=None, out=None):
         if lanes is None:
-            return every(z)
+            return every(z, out=out)
         whole = np.ones(z0.size)
         whole[lanes] = z
         f, fp = every(whole)
@@ -804,10 +805,10 @@ def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
         subsets = []
         evaluate = lanes.drift
 
-        def counted(z, idx=None, evaluate=evaluate, subsets=subsets):
+        def counted(z, idx=None, out=None, evaluate=evaluate, subsets=subsets):
             if idx is not None:
                 subsets.append(z.size)
-            return evaluate(z, idx)
+            return evaluate(z, idx, out)
 
         lanes.drift = counted
         steps = []
@@ -853,6 +854,265 @@ def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monke
         assert abs(x_lane - x_path) <= 2.0 * tol / (
             1.0 - drift_one_sided_lipschitz(params) * params.T
         )
+
+
+def _kernel_cells(set1, set2, n):
+    """The cells of a differential kernel run of n lanes: the stiff model
+    alone for one lane, else set1, set2, the stiff model, a rho = 3 cell
+    whose jump fails its lanes, and set1 with another jump (one model with
+    cell 0, so widened lanes of cell 4 start as copies of cell 0's)."""
+    stiff = replace(_stiff_params(), T=2.0**-11)
+    if n == 1:
+        return [(stiff, zero_jump())]
+    rho3 = replace(set1, rho=3.0, gamma=6.0)
+    return [(set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0)), (stiff, zero_jump()),
+            (rho3, linear_jump(1e300)), (set1, make_jump("sine", 1.0))]
+
+
+def _kernel_steps(cells, n, steps, seed):
+    """(dt, dw) per lane and step, and the lanes that jump after each step.
+    The stiff lanes step by its T and the others by 0.05, so large
+    increments leave the others' lanes pending after three updates, and a
+    stiff lane's increment of 20 sends it to the bracketed solver; every
+    seventh lane is padding from step 4 on (dt = dw = 0), and every
+    eleventh takes steps of 1e-14 without noise at steps 2 and 5, which its
+    previous state meets within RESIDUAL_TOL, so the kept rule keeps it."""
+    cell = np.arange(n) % len(cells)
+    stiff = np.array([params.alpha0 == 50.0 for params, _ in cells])[cell]
+    rng = np.random.Generator(np.random.Philox(seed))
+    dt = np.where(stiff, 2.0**-11, 0.05)[:, None].repeat(steps, 1)
+    dw = rng.normal(0.0, 1.0, (n, steps)) * np.where(stiff, 0.05, 0.01)[:, None]
+    for k in range(steps):
+        dw[(3 * k + np.arange(0, n, 97)) % n, k] = (0.6, -0.5, 0.9, 0.7)[k % 4]
+    dw[np.flatnonzero(stiff)[::5], 3] = 20.0
+    dt[::7, 4:] = dw[::7, 4:] = 0.0
+    dt[::11, [2, 5]], dw[::11, [2, 5]] = 1e-14, 0.0
+    jumps = {1: [0, 1, 2][:n], 2: np.flatnonzero(cell == 3).tolist(),
+             4: list(range(0, n, 3)), 6: [n - 1]}
+    return dt, dw, jumps
+
+
+def _step_side_by_side(kernel, oracle, actions, monkeypatch):
+    """Run each action on the kernel's lane group and then on the oracle's,
+    and compare after every one: z, F and F' bit for bit, the failures'
+    types and messages, and the bracketed solver's calls (dt, rhs, start).
+    Returns the kernel group, its fallback calls and the continuations of
+    pending lanes it ran on each width route."""
+    calls, stepping = ([], []), []
+    routes = {"_continue_full": 0, "_continue_flat": 0}
+
+    def recorded(*args):
+        stepping[-1].append(args[2:])
+        return _implicit_solve(*args)
+
+    def counted(name):
+        route = getattr(jumpsde.solver._Lanes, name)
+
+        def count(self, *args):
+            routes[name] += 1
+            return route(self, *args)
+        return count
+
+    monkeypatch.setattr(jumpsde.solver, "_implicit_solve", recorded)
+    for name in routes:
+        monkeypatch.setattr(jumpsde.solver._Lanes, name, counted(name))
+    for k, action in enumerate(actions):
+        seen = []
+        for lanes, made in zip((kernel, oracle), calls):
+            stepping.append([])
+            with np.errstate(all="ignore"):
+                action(lanes)
+            made += stepping[-1]
+            seen.append((lanes.z.tobytes(), lanes.f.tobytes(), lanes.fp.tobytes(),
+                         {lane: (type(e), str(e)) for lane, e in lanes.failures.items()},
+                         stepping[-1]))
+        assert seen[0] == seen[1], f"action {k}"
+    return kernel, calls[0], routes
+
+
+@pytest.mark.parametrize("n", [1, 128, 640, 1024, 1025, 3000])
+def test_tjabem_lane_steps_have_the_oracles_bits(set1, set2, monkeypatch, n):
+    # the workspace kernel beside the kernel of new arrays (oracles), on both
+    # width routes (at most _FULL_WIDTH = 1024 lanes, and more), through
+    # step and run, with jumps of few and many lanes, a failing jump, the
+    # kept rule, padding, pending lanes, fallbacks and a widening
+    cells = _kernel_cells(set1, set2, n)
+    steps = 8
+    dt, dw, jumps = _kernel_steps(cells, n, steps, seed=n)
+    start = n - n // 4  # lanes from the start; the others are added after step 3
+    lane_cells = np.arange(n) % len(cells)
+    lane_cells[start:] = np.where(lane_cells[start:] == 4, 4, 0)
+    source = np.resize(np.flatnonzero(lane_cells[:start] == 0), n - start)
+    z0 = np.array([lamperti_forward(params.rho, params.x0) for params, _ in cells])
+
+    def make(module):
+        return module.TjabemLanes(cells, z0[lane_cells[:start]], 3, lane_cells)
+
+    def action(k):
+        # even steps through run, which jumps too, odd ones through step,
+        # then the widening after step 3 and the step's jumps
+        def act(lanes):
+            w = lanes.z.size
+            jumped = [lane for lane in jumps.get(k, ()) if lane < w]
+            if k % 2 == 0:
+                lanes.run(dt[:w, k : k + 1], dw[:w, k : k + 1], {0: jumped} if jumped else {})
+                return
+            lanes.step(dt[:w, k], dw[:w, k])
+            if k == 3 and n > 1:
+                lanes.widen(source)
+            lanes.jump_lanes(jumped)
+        return act
+
+    lanes, fallbacks, routes = _step_side_by_side(
+        make(jumpsde.solver), make(oracles), [action(k) for k in range(steps)], monkeypatch)
+    assert lanes.z.size == n and fallbacks
+    # the continuations ran on the group's width route
+    assert routes["_continue_full" if n <= 1024 else "_continue_flat"] > 0
+    if n > 1:
+        # the rho = 3 cell's lanes failed; every other lane is live
+        assert set(lanes.failures) == set(np.flatnonzero(lane_cells == 3).tolist())
+
+
+def test_bem_lane_steps_have_the_oracles_bits(set1, monkeypatch):
+    # 640 bem lanes, five levels of 128 as in the ladder: the coarser levels'
+    # lanes are padded with zero steps, jump counts of one to three enter the
+    # right-hand side, and an increment of -50 sends a lane to the bracketed
+    # solver
+    params = replace(set1, lam=5.0)
+    n, steps = 640, 8
+    rng = np.random.Generator(np.random.Philox(23))
+    span = np.repeat([1, 2, 4, 8, 8], 128)
+    dt = np.where(np.arange(steps) < span[:, None], params.T / (8 * span[:, None]), 0.0)
+    dw = rng.normal(0.0, 1.0, (n, steps)) * np.sqrt(dt)
+    dw[600, 2] = -50.0
+    counts = {}
+    for k in range(steps):
+        lanes = np.flatnonzero((rng.random(n) < 0.05) & (dt[:, k] > 0.0))
+        counts[k] = (lanes, rng.integers(1, 4, lanes.size))
+
+    def make(module):
+        return module.BemLanes(params, linear_jump(0.5), np.full(n, params.x0), 4)
+
+    def action(k):
+        return lambda lanes: lanes.run(dt[:, k : k + 1], dw[:, k : k + 1], {0: counts[k]})
+
+    lanes, fallbacks, _ = _step_side_by_side(
+        make(jumpsde.solver), make(oracles), [action(k) for k in range(steps)], monkeypatch)
+    # lane 600's step 2 went to the bracketed solver, once
+    assert len(fallbacks) == 1 and fallbacks[0][1] < -49.0
+    assert all(counts[k][0].size for k in range(steps)) and not lanes.failures
+
+
+@pytest.mark.parametrize("case", ["sets", "stiff"])
+def test_a_widened_table_has_the_oracles_bits(set1, set2, monkeypatch, case):
+    # tjabem_lanes on the oracle's kernel and on the workspace kernel: the
+    # table widens its group as paths first jump, and every output, every
+    # node's state and every fallback must be the same
+    fallbacks = _count_fallbacks(monkeypatch)
+    if case == "sets":
+        models, block = (set1, set2), _fan_out_block(set1, 16, 90)
+    else:
+        stiff = replace(_stiff_params(), T=2.0**-11)
+        models = (stiff, replace(set1, T=stiff.T))
+        block = _stiff_fan_out_block(stiff, 16)
+    cells = _lane_cells(models, DEFAULT_JUMPS)
+    runs = []
+    for kernel in (jumpsde.solver.TjabemLanes, oracles.TjabemLanes):
+        monkeypatch.setattr(jumpsde.solver, "TjabemLanes", kernel)
+        runs.append(([a.tobytes() for a in tjabem_lanes(cells, block, states=True)],
+                     [call[2:] for call in fallbacks]))
+        fallbacks.clear()
+    assert runs[0] == runs[1]
+    assert len(jumpsde.solver._TableLayout(cells, block).widths) > 0
+    if case == "stiff":
+        assert runs[0][1]
+
+
+def _recorded_groups(monkeypatch, module):
+    """The lane groups that module makes from now on."""
+    groups = []
+    for name in ("TjabemLanes", "BemLanes"):
+        kernel = getattr(module, name)
+
+        class Recorded(kernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                groups.append(self)
+
+        monkeypatch.setattr(module, name, Recorded)
+    return groups
+
+
+def _workspace(lanes):
+    """Every array a lane group steps in."""
+    return [lanes._work, lanes._kept, lanes._one, lanes.drift._buffer]
+
+
+def test_no_result_shares_memory_with_a_workspace(set1, set2, monkeypatch):
+    # what tjabem_lanes returns or records and the columns _ladder_batch
+    # stacks are arrays of their own, so later steps, runs and groups leave
+    # them as they were read
+    harness = jumpsde.harness
+    groups = _recorded_groups(monkeypatch, jumpsde.solver)
+    cells = _lane_cells((set1, set2), DEFAULT_JUMPS)
+    block = _fan_out_block(set1, 16, 91)
+    results = [tjabem_lanes(cells, block, states=True), tjabem_lanes(cells, block)]
+    stacked = []
+    column_stack = np.column_stack
+
+    def recorded(columns):
+        stacked.append([(column, np.array(column).tobytes()) for column in columns])
+        return column_stack(columns)
+
+    monkeypatch.setattr(harness, "TjabemLanes", jumpsde.solver.TjabemLanes)
+    monkeypatch.setattr(harness, "BemLanes", jumpsde.solver.BemLanes)
+    monkeypatch.setattr(harness.np, "column_stack", recorded)
+    monkeypatch.setattr(harness, "_LADDER_CELLS", 64)
+    params = replace(set1, lam=5.0)
+    q, q_drift = one_sided_lipschitz(params), drift_one_sided_lipschitz(params)
+    rows = harness._ladder_rows(0, 8, ("reference", "levels"), params, linear_jump(1.0),
+                                ("tjabem", "bem"), (4, 8), 64, q, q_drift, 92)
+    monkeypatch.undo()
+    assert rows.shape == (8, 5) and len(stacked) == 2
+    kept = [(a, a.tobytes()) for result in results for a in result]
+    assert len(groups) == 2 + 3 * len(stacked)
+    for lanes in groups:
+        for work in _workspace(lanes):
+            for a, _ in kept:
+                assert not np.shares_memory(a, work)
+            for column, _ in itertools.chain(*stacked):
+                assert not isinstance(column, np.ndarray) or not np.shares_memory(column, work)
+    # what the first batch's groups gave is unchanged after the second's run
+    for a, data in kept:
+        assert a.tobytes() == data
+    for column, data in itertools.chain(*stacked):
+        assert np.array(column).tobytes() == data
+
+
+def test_a_step_without_pending_lanes_allocates_no_lane_array(set1):
+    # a step of 4,096 lanes writes every array it makes to its workspace: the
+    # traced peak rises by less than one lane array (32,768 bytes), where
+    # the kernel of new arrays raises it by about six
+    import tracemalloc
+
+    n = 4096
+    z0 = lamperti_forward(set1.rho, set1.x0)
+    lanes = TjabemLanes([(set1, linear_jump(0.5))], np.full(n, z0), 2)
+    rng = np.random.Generator(np.random.Philox(29))
+    dt = np.full(n, 2.0**-13)
+    dt[::3] = 0.0  # padding, which the kept rule's test sees
+    dws = rng.normal(0.0, 2.0**-6.5, (3, n)) * (dt > 0.0)
+    lanes.step(dt, dws[0])
+    tracemalloc.start()
+    try:
+        for dw in dws[1:]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lanes.step(dt, dw)
+            assert tracemalloc.get_traced_memory()[1] - before < 8 * n
+    finally:
+        tracemalloc.stop()
+    assert not lanes.failures and np.all(lanes.z > 0.0)
 
 
 
