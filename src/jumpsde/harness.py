@@ -45,6 +45,7 @@ from .model import (
 # module, with validate_params, validate_jump, one_sided_lipschitz,
 # drift_one_sided_lipschitz and ProcessPoolExecutor
 from .paths import (  # noqa: F401
+    _keyed_seed,
     coarse_block,
     coarsen_increments,
     fine_blocks,
@@ -55,6 +56,7 @@ from .paths import (  # noqa: F401
     open_shared_path,
     regular_increments,
     stream_keys,
+    stream_pair,
 )
 from .solver import (  # noqa: F401
     BemLanes,
@@ -263,6 +265,9 @@ def _map_runs(runs: list, n_paths: int, n_chunks: int, parallelism: int) -> list
         outcomes = [_run_chunk(task) for task in tasks]
     else:
         workers = min(parallelism, os.cpu_count() or 1)
+        # numpy.random, imported here once, is inherited by forked workers,
+        # each of which would otherwise import it to open its first path
+        _keyed_seed()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_chunk, tasks))
     n = len(ranges)
@@ -341,9 +346,19 @@ _LADDER_CELLS = 2**15
 # the ladder's lane groups: a task steps one of them or, inline, both
 _LADDER_GROUPS = ("reference", "levels")
 # Newton updates each lane takes before its residual is checked: the
-# reference's short steps converge in two, the levels' longer steps in four
+# reference's short steps converge in two, the levels' longer steps in four.
+# The positivity table's steps (dt from 1/32 to 1/128) take four: at three,
+# some lane of its groups of thousands of lanes is pending after almost every
+# step, and continuing the pending lanes by index costs more than a fourth
+# update of every lane. On one worker's 500 paths of the benchmark's table
+# (global seed 1003, lambda 1, a 2-vCPU host) the meshes of 32, 64 and 128
+# steps continued pending lanes on 35, 67 and 111 steps at three updates and
+# on 18, 3 and 1 at four, which took 0.86-0.93, 0.90-0.94 and 0.92-0.99 of
+# the time of three; five took longer than four at 64 and 128 steps. The
+# table's counts are the same at any count
 _REF_UPDATES = 2
 _LEVEL_UPDATES = 4
+_POSITIVITY_UPDATES = 4
 
 
 def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
@@ -587,7 +602,8 @@ def _lane_counts(paths, cells, groups) -> np.ndarray:
     for mesh, members in groups:
         block = mesh_block(paths, *mesh)
         try:
-            _, nonpositive = tjabem_lanes([cells[c][:3] for c in members], block)
+            _, nonpositive = tjabem_lanes([cells[c][:3] for c in members], block,
+                                          updates=_POSITIVITY_UPDATES)
             counts[members, 0] = int(block.n.sum()) + len(paths)
             counts[members, 1] = nonpositive.sum(axis=1)
         except LaneFailure as exc:
@@ -606,14 +622,17 @@ def _positivity_rows(lo, hi, cells, groups, lam, global_seed) -> np.ndarray:
     """(n_values, n_nonpositive) per cell, summed over paths lo..hi-1.
 
     groups lists each (T, M) mesh with the indices of its cells. Every path
-    is opened once, by open_shared_path, for all the meshes. The paths step
-    through tjabem_lanes in path order, at most _LANE_PATHS at a time, so a
-    failure names the lowest failing path and, within it, the first failing
-    cell in report order. The result is one row of shape (cells, 2).
+    is opened once, by open_shared_path on the chunk's one stream_pair, for
+    all the meshes. The paths step through tjabem_lanes in path order, at
+    most _LANE_PATHS at a time, so a failure names the lowest failing path
+    and, within it, the first failing cell in report order. The result is
+    one row of shape (cells, 2).
     """
     meshes = [mesh for mesh, _ in groups]
+    streams = stream_pair()
     counts = _batches(lo, hi, _LANE_PATHS, global_seed,
-                      lambda i, keys: open_shared_path(lam, meshes, global_seed, i, keys),
+                      lambda i, keys: open_shared_path(lam, meshes, global_seed, i, keys,
+                                                       streams),
                       lambda paths: _lane_counts(paths, cells, groups))
     return sum(counts)[None]
 
@@ -679,10 +698,11 @@ def positivity_table(
 def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
     """(sup, terminal) of x**p per order p, for each path lo..hi-1.
 
-    The paths are opened by open_shared_path for the one (T, M) mesh and
-    step through tjabem_lanes in path order, at most _LANE_PATHS at a time,
-    so a failure names the lowest failing path. The zero steps that pad a
-    shorter mesh repeat its terminal state, so that neither moment moves.
+    The paths are opened by open_shared_path on the chunk's one stream_pair
+    for the one (T, M) mesh and step through tjabem_lanes in path order, at
+    most _LANE_PATHS at a time, so a failure names the lowest failing path.
+    The zero steps that pad a shorter mesh repeat its terminal state, so
+    that neither moment moves.
     """
     def rows(paths):
         try:
@@ -699,9 +719,11 @@ def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
             out[:, j, 1] = powered[:, -1]
         return out
 
+    streams = stream_pair()
     return np.concatenate(_batches(
         lo, hi, _LANE_PATHS, global_seed,
-        lambda i, keys: open_shared_path(params.lam, [(params.T, M)], global_seed, i, keys),
+        lambda i, keys: open_shared_path(params.lam, [(params.T, M)], global_seed, i, keys,
+                                         streams),
         rows))
 
 

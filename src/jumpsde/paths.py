@@ -8,7 +8,9 @@ Stream k of path i is a Philox generator keyed by numpy's
 SeedSequence(global_seed, spawn_key=(i, k)).generate_state(2, np.uint64):
 stream_keys runs that hash, plain uint32 arithmetic whose constants do not
 depend on the data, for a whole batch of path indices at once, and each
-generator is built from its key, without a SeedSequence.
+generator is built from its key, without a SeedSequence. open_path builds
+each path's pair, which the path keeps for its later blocks; a chunk of
+open_shared_path's paths builds one stream_pair and re-keys it for each.
 Coarse-resolution increments are left-to-right sums of fine increments, so
 every resolution of a path sees exactly the same Brownian path. Every mesh
 and block comes from the flat jump placement of mesh.place_batch, with the
@@ -51,6 +53,7 @@ __all__ = [
     "Block",
     "stream_keys",
     "path_streams",
+    "stream_pair",
     "open_path",
     "open_shared_path",
     "fine_blocks",
@@ -272,6 +275,29 @@ def path_streams(
     )
 
 
+def stream_pair() -> tuple[np.random.Generator, np.random.Generator]:
+    """A (jumps, Brownian) pair of generators, keyed with zeros, for
+    open_shared_path to re-key for each path a chunk opens, so that the
+    chunk builds two in all."""
+    return path_streams(0, 0, np.zeros((2, 2), dtype=np.uint64))
+
+
+# a fresh Philox's counter and buffer, four uint64 words of zeros each
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def _rekey(streams, keys: np.ndarray):
+    """streams, a stream_pair, re-keyed to the streams whose stream_keys row
+    is keys: each Philox starts from its key with a zero counter and an
+    empty buffer, as Philox(SeedSequence) does, so the pair draws what
+    path_streams' would, bit for bit."""
+    for rng, key in zip(streams, keys.tolist()):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
+            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return streams
+
+
 def open_path(
     params: ModelParams, m_ref: int, global_seed: int, path_index: int,
     keys: np.ndarray | None = None,
@@ -344,7 +370,7 @@ def fine_blocks(paths: Sequence[PathNoise], placed: GridJumps, blocks: int):
 
 def open_shared_path(
     lam: float, meshes: Sequence[tuple[float, int]], global_seed: int, path_index: int,
-    keys: np.ndarray | None = None,
+    keys: np.ndarray | None = None, streams=None,
 ) -> SharedPath:
     """Open a path once for several (T, M) meshes.
 
@@ -353,9 +379,12 @@ def open_shared_path(
     are drawn for the mesh with the most steps it could have, and a mesh
     takes the first ones it needs. So mesh_block gives each mesh
     generate_bundle's result at that (T, M), bit for bit. keys is the
-    path's row of stream_keys, derived here if not given.
+    path's row of stream_keys, derived here if not given. The path's streams
+    are streams, a stream_pair, re-keyed to keys: a new pair if not given.
     """
-    jump_rng, brownian_rng = path_streams(global_seed, path_index, keys)
+    if keys is None:
+        keys = stream_keys(global_seed, (path_index,))[0]
+    jump_rng, brownian_rng = _rekey(streams or stream_pair(), keys)
     horizons = [T for T, _ in meshes]
     times = sample_jump_times(lam, max(horizons), jump_rng)
     normals = brownian_rng.standard_normal(

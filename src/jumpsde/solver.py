@@ -8,8 +8,9 @@ TjabemLanes and BemLanes step many paths at once on numpy arrays, by
 Newton's method and, for a lane that needs it, the bracketed solver
 _implicit_solve, and no lane depends on the others. tjabem_lanes runs
 every (cell, path) pair of a block of whole meshes as flat lanes, with one
-lane per model and path until the path's first jump. tjabem_path and
-bem_path, the one-path API, are one lane of tjabem_lanes and of BemLanes.
+lane per model and path until the path's first jump, at the Newton count
+its caller asks for. tjabem_path and bem_path, the one-path API, are one
+lane of tjabem_lanes and of BemLanes.
 
 Up to about a thousand lanes a numpy call costs about the same whatever its
 width, so a step costs what its number of calls and the Python between them
@@ -637,10 +638,11 @@ class _Lanes:
         subtract(subtract(z_prev, rhs, res), multiply(dt, f_prev, tmp), res)
         # a lane whose previous state already has a residual within
         # RESIDUAL_TOL keeps it; one at an exact root (a padded or failed
-        # lane) stays there under Newton anyway, so it needs no keeping
+        # lane) stays there under Newton anyway, so it needs no keeping;
+        # fmin passes over a nan residual, which keeps no other lane from it
         size = np.abs(res, tmp)
         kept = None
-        if np.minimum.reduce(size, None) <= RESIDUAL_TOL:
+        if np.fmin.reduce(size, None) <= RESIDUAL_TOL:
             kept, positive = self._kept
             np.logical_and(np.less_equal(size, _TOL, kept),
                            np.greater(size, _ZERO, positive), kept)
@@ -963,9 +965,11 @@ class BemLanes(_Lanes):
             self.solve(rhs, dt[k])
 
 
-# Newton updates every lane takes before its residual is checked: enough for
-# most lanes of the positivity table's steps (dt from 1/32 to 1/128), which
-# the moment probe and the one-path API take too
+# Newton updates every lane of a tjabem_lanes run takes before its residual
+# is checked, unless the run asks for another count: the moment probe and
+# the one-path API take three, and the positivity table, whose groups of
+# thousands of lanes almost always leave some lane pending after three,
+# takes its own count (harness._POSITIVITY_UPDATES)
 _TABLE_UPDATES = 3
 
 # the most batches in which a tjabem_lanes run's lanes of other cells start
@@ -1028,7 +1032,7 @@ class _TableLayout:
 
 def tjabem_lanes(
     cells: Sequence[tuple[ModelParams, JumpCoefficient, float]], block,
-    states: bool = False,
+    states: bool = False, updates: int = _TABLE_UPDATES,
 ) -> tuple[np.ndarray, ...]:
     """Run the transformed scheme on every (cell, path) lane at once.
 
@@ -1039,6 +1043,9 @@ def tjabem_lanes(
     zero steps that pad shorter meshes leave a lane as it is. Cells of one
     model share a lane per path until its first jump (_TableLayout), which
     moves no bit, since each lane's operations are those of its own cell.
+    Every lane takes `updates` Newton updates a step before its residual is
+    checked (_Lanes.solve); the count moves a lane's bits within the
+    residual contract, so it is the caller's, never the group's width.
     Returns the terminal z and the counts of nonpositive post-jump states,
     both of shape (cells, paths), and, given states, every node's state
     before and after its jump, of shape (cells, paths, nodes). A failure
@@ -1075,7 +1082,7 @@ def tjabem_lanes(
     rep_dt, rep_dw = (a[:n_reps].reshape(len(layout.reps), n_paths) for a in (dt_k, dw_k))
     other_paths = layout.paths[n_reps:]
     with np.errstate(all="ignore"):
-        lanes = TjabemLanes([cell[:2] for cell in cells], z, _TABLE_UPDATES, layout.cells)
+        lanes = TjabemLanes([cell[:2] for cell in cells], z, updates, layout.cells)
         for lane, exc in failures.items():
             lanes.fail(lane, exc)
         for k in range(n_steps):

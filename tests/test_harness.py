@@ -257,10 +257,10 @@ def test_pool_is_capped_at_the_cpus(set1, monkeypatch):
 
 
 def _failing(build):
-    def failing(params, m, global_seed, path_index, keys=None):
-        if path_index == 3:
+    def failing(*args, **kwargs):
+        if args[3] == 3:  # the path index
             raise MeshError("forced bundle failure")
-        return build(params, m, global_seed, path_index, keys)
+        return build(*args, **kwargs)
 
     return failing
 
@@ -301,7 +301,7 @@ def test_bundle_failure_carries_replay_info(set1, monkeypatch, experiment,
 def test_a_negative_seed_is_rejected_before_any_path_opens(set1, monkeypatch, experiment):
     opened = []
     for name in ("open_path", "open_shared_path"):
-        monkeypatch.setattr(jumpsde.harness, name, lambda *args: opened.append(args))
+        monkeypatch.setattr(jumpsde.harness, name, lambda *args, **_: opened.append(args))
     seeded = {
         "ladder": lambda: strong_error_ladder(
             set1, linear_jump(-0.5), "both", (8, 16), 64, 6, -1),
@@ -348,9 +348,10 @@ def test_positivity_shares_bundles_across_cells(set1, set2, monkeypatch):
 
     calls = []
 
-    def counting_opening(lam, meshes, global_seed, path_index, keys=None):
+    def counting_opening(lam, meshes, global_seed, path_index, *args, **kwargs):
         calls.append((path_index, tuple(meshes)))
-        return jumpsde.paths.open_shared_path(lam, meshes, global_seed, path_index, keys)
+        return jumpsde.paths.open_shared_path(lam, meshes, global_seed, path_index,
+                                              *args, **kwargs)
 
     monkeypatch.setattr(jumpsde.harness, "open_shared_path", counting_opening)
     assert positivity_table(*args, **kwargs) == expected
@@ -400,12 +401,36 @@ def test_positivity_table_equals_per_cell_oracle(
     assert positivity_table(*args) == _positivity_oracle(*args)
 
 
+@pytest.mark.parametrize("lam", [1.0, 5.0])
+def test_the_table_does_not_depend_on_the_newton_count(set1, set2, monkeypatch, lam):
+    # both presets, every default jump and the benchmark's step sizes: the
+    # same report at three Newton updates a step as at the table's four,
+    # though the lanes continue pending lanes more often at three
+    jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
+    args = ([("set1", set1), ("set2", set2)], jumps, [2.0**-5, 2.0**-6, 2.0**-7], lam, 300, 43)
+    continued = []
+    route = jumpsde.solver._Lanes._continue_flat
+
+    def counted(self, *rest):
+        continued[-1] += 1
+        return route(self, *rest)
+
+    monkeypatch.setattr(jumpsde.solver._Lanes, "_continue_flat", counted)
+    reports = []
+    for updates in (3, jumpsde.harness._POSITIVITY_UPDATES):
+        monkeypatch.setattr(jumpsde.harness, "_POSITIVITY_UPDATES", updates)
+        continued.append(0)
+        reports.append(positivity_table(*args))
+    assert reports[0] == reports[1]
+    assert continued[0] > continued[1] > 0
+
+
 def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
     # real cells of one (T, M) group all count the same mesh nodes and no
     # nonpositive value; stand-in lanes give every cell its own count
     jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
 
-    def marked_lanes(cells, block):
+    def marked_lanes(cells, block, **_):
         counts = [
             [3 * int(params.alpha_m1) + jumps.index(jump) + n
              for n in block.n.tolist()]
@@ -466,7 +491,7 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     params = replace(set1, rho=3.0, gamma=6.0)
     jump_times = {2: [0.9], 4: [0.1]}
 
-    def staged_opening(lam, meshes, global_seed, i, keys=None):
+    def staged_opening(lam, meshes, global_seed, i, *_, **__):
         times = np.array(jump_times.get(i, []))
         normals = np.full(max(m + times.size for _, m in meshes), 0.01)
         return SharedPath(global_seed, i, times, normals)

@@ -1,5 +1,6 @@
 import bisect
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpsde
+import jumpsde.harness
 import jumpsde.paths
 import oracles
 from jumpsde import (
@@ -22,10 +24,13 @@ from jumpsde import (
     build_mesh,
     coarsen_increments,
     generate_bundle,
+    linear_jump,
+    moment_probe,
+    positivity_table,
     regular_increments,
 )
 from jumpsde.harness import _jump_counts, check_ladder
-from jumpsde.mesh import DEDUP_RTOL, place_batch
+from jumpsde.mesh import DEDUP_RTOL, place_batch, sample_jump_times
 from jumpsde.paths import (
     PathNoise,
     coarse_block,
@@ -36,6 +41,7 @@ from jumpsde.paths import (
     open_shared_path,
     path_streams,
     stream_keys,
+    stream_pair,
 )
 
 
@@ -427,6 +433,84 @@ def test_shared_opening_places_edge_jumps_as_each_bundle(set1, monkeypatch):
             _assert_block_is_the_bundles(block, p, bundle)
     jumping = [lanes for lanes in mesh_block(paths, *SHARED_MESHES[0]).jumps.values()]
     assert any(0 in lanes for lanes in jumping) and not any(3 in lanes for lanes in jumping)
+
+
+def test_a_rekeyed_pair_opens_every_path_as_numpys_streams():
+    # one stream_pair opens path after path: each path's jump times and
+    # normals are those of numpy's own seeding of its streams, bit for bit,
+    # and so are the float32 draws after them, which leave half a word
+    # buffered for the next path's re-keying to drop. The first batch of
+    # indices takes stream_keys' uint64 route, beyond 2**32 too; the
+    # second, beyond 2**64, its word-by-word route
+    streams = stream_pair()
+    batches = (list(range(40)) + [2**32 - 1, 2**32, 5_000_000_000, 2**64 - 1],
+               [2**64, 7, 2**64 + 3, 2**70])
+    for global_seed in (0, 2**32 + 5):
+        for indices in batches:
+            for i, keys in zip(indices, stream_keys(global_seed, indices)):
+                shared = open_shared_path(5.0, SHARED_MESHES, global_seed, i, keys, streams)
+                jumps, brownian = oracles.path_streams(global_seed, i)
+                assert shared.jump_times.tobytes() == sample_jump_times(5.0, 1.0, jumps).tobytes()
+                assert shared.normals.tobytes() == brownian.standard_normal(
+                    shared.normals.size).tobytes()
+                for mine, theirs in zip(streams, (jumps, brownian)):
+                    assert mine.random(3, dtype=np.float32).tobytes() == theirs.random(
+                        3, dtype=np.float32).tobytes()
+
+
+@pytest.mark.parametrize("experiment", ["positivity", "moments"])
+def test_a_chunk_opens_its_paths_on_one_stream_pair(set1, monkeypatch, experiment):
+    # one chunk of 40 paths, in batches of 7, builds two generators, not 80
+    built = []
+    generator = np.random.Generator
+
+    def counted(bit_generator):
+        built.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    monkeypatch.setattr(jumpsde.harness, "_LANE_PATHS", 7)
+    if experiment == "positivity":
+        positivity_table([("set1", set1)], [linear_jump(-0.5)], [0.125, 0.25], 5.0, 40, 3)
+    else:
+        moment_probe(set1, linear_jump(-0.5), 8, 40, [1.0], 3)
+    assert len(built) == 2
+
+
+_WATCHED_WORKERS = """
+import sys
+import jumpsde.harness as harness
+from jumpsde import ModelParams, linear_jump, positivity_table
+
+run_chunk = harness._run_chunk
+
+def watched_chunk(task):
+    before = set(sys.modules)
+    outcome = run_chunk(task)
+    new = sorted(m for m in set(sys.modules) - before if m.startswith("numpy.random"))
+    print("chunk imported", new, file=sys.stderr, flush=True)
+    return outcome
+
+harness._run_chunk = watched_chunk
+assert "numpy.random" not in sys.modules
+params = ModelParams(alpha_m1=2.0, alpha0=1.0, alpha1=1.5, alpha2=5.0, alpha3=1.0,
+                     gamma=3.0, rho=1.5, lam=1.0, x0=1.0, T=1.0)
+positivity_table([("set1", params)], [linear_jump(-0.5)], [0.125], 1.0, 6, 3, parallelism=2)
+"""
+
+
+def test_forked_workers_inherit_numpy_random():
+    # the pool's parent imports numpy.random before it forks, so no worker
+    # imports a numpy.random module while it runs its chunk
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("the workers are not forked")
+    src = str(Path(jumpsde.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", _WATCHED_WORKERS],
+                            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    chunks = [line for line in result.stderr.splitlines() if line.startswith("chunk imported")]
+    assert chunks == ["chunk imported []"] * 2
 
 
 def _params(T):

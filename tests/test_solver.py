@@ -1016,16 +1016,19 @@ def test_a_widened_table_has_the_oracles_bits(set1, set2, monkeypatch, case):
         models = (stiff, replace(set1, T=stiff.T))
         block = _stiff_fan_out_block(stiff, 16)
     cells = _lane_cells(models, DEFAULT_JUMPS)
-    runs = []
-    for kernel in (jumpsde.solver.TjabemLanes, oracles.TjabemLanes):
-        monkeypatch.setattr(jumpsde.solver, "TjabemLanes", kernel)
-        runs.append(([a.tobytes() for a in tjabem_lanes(cells, block, states=True)],
-                     [call[2:] for call in fallbacks]))
-        fallbacks.clear()
-    assert runs[0] == runs[1]
+    # at the default Newton count and at the positivity table's
+    for updates in (jumpsde.solver._TABLE_UPDATES, jumpsde.harness._POSITIVITY_UPDATES):
+        runs = []
+        for kernel in (jumpsde.solver.TjabemLanes, oracles.TjabemLanes):
+            monkeypatch.setattr(jumpsde.solver, "TjabemLanes", kernel)
+            runs.append(([a.tobytes() for a in
+                          tjabem_lanes(cells, block, states=True, updates=updates)],
+                         [call[2:] for call in fallbacks]))
+            fallbacks.clear()
+        assert runs[0] == runs[1]
+        if case == "stiff":
+            assert runs[0][1]
     assert len(jumpsde.solver._TableLayout(cells, block).widths) > 0
-    if case == "stiff":
-        assert runs[0][1]
 
 
 def _recorded_groups(monkeypatch, module):
@@ -1114,6 +1117,49 @@ def test_a_step_without_pending_lanes_allocates_no_lane_array(set1):
         tracemalloc.stop()
     assert not lanes.failures and np.all(lanes.z > 0.0)
 
+
+def test_a_nan_start_residual_keeps_no_other_lane_from_its_state(set1):
+    # a lane at z = 1 whose step of 1e-14 without noise starts within the
+    # residual tolerance keeps z = 1 exactly. Beside it, a zero-step lane at
+    # z = 1e-300, whose F is inf, starts with the residual 0 * inf = nan; it
+    # must not stop the first lane from keeping its state
+    cells = [(set1, linear_jump(-0.5))]
+    with np.errstate(all="ignore"):
+        alone = TjabemLanes(cells, np.array([1.0]), 3)
+        alone.step(np.array([1e-14]), np.array([0.0]))
+        beside = TjabemLanes(cells, np.array([1.0, 1e-300]), 3)
+        assert np.isinf(beside.drift(beside.z)[0][1])
+        beside.step(np.array([1e-14, 0.0]), np.zeros(2))
+    assert alone.z[0] == beside.z[0] == 1.0 and beside.z[1] == 1e-300
+
+
+def test_each_experiment_steps_at_its_own_newton_count(set1):
+    # the positivity table's lanes take _POSITIVITY_UPDATES updates a step,
+    # the moment probe's and the one-path view's the default _TABLE_UPDATES
+    counts = []
+
+    class Counted(jumpsde.solver.TjabemLanes):
+        def __init__(self, cells, z, updates, lane_cells=None):
+            counts[-1].add(updates)
+            super().__init__(cells, z, updates, lane_cells)
+
+    def run(experiment):
+        counts.append(set())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jumpsde.solver, "TjabemLanes", Counted)
+            experiment()
+        return counts[-1]
+
+    jump = linear_jump(-0.5)
+    table = jumpsde.harness.positivity_table
+    assert jumpsde.harness._POSITIVITY_UPDATES != jumpsde.solver._TABLE_UPDATES
+    assert run(lambda: table([("set1", set1)], [jump], [0.125], 1.0, 4, 7)) == {
+        jumpsde.harness._POSITIVITY_UPDATES}
+    assert run(lambda: jumpsde.harness.moment_probe(set1, jump, 8, 4, [1.0], 7)) == {
+        jumpsde.solver._TABLE_UPDATES}
+    bundle = generate_bundle(set1, 8, 7, 0)
+    assert run(lambda: tjabem_path(set1, jump, bundle.fine_mesh, bundle.dw_fine)) == {
+        jumpsde.solver._TABLE_UPDATES}
 
 
 class _PerTermDrift:

@@ -19,12 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jumpsde.harness as harness
 import oracles
 from jumpsde import (
+    PathFailure,
     SolverError,
     bem_path,
     coarsen_increments,
     generate_bundle,
+    positivity_table,
     regular_increments,
     tjabem_path,
 )
@@ -257,3 +260,28 @@ def test_shared_model_table_equals_the_oracle_lane_by_lane(drawn, families, firs
     _check_lane_table(configs[0], [(params, configs[0].jump)]
                       + [(params, jump) for jump in repeated]
                       + [(c.params, c.jump) for c in configs[1:]], first_path)
+
+
+@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=finite_configs())
+def test_drawn_tables_do_not_depend_on_the_newton_count(values):
+    # a validated config's table over its step sizes, on 12 paths (about a
+    # quarter of the drawn configs pass validate): the same
+    # counts at three Newton updates a step as at the table's count, or a
+    # failure of the same path at both
+    config = _validated(values)
+    if config is None:
+        return
+    params = config.params
+    args = ([("drawn", params)], [config.jump], [params.T / m for m in config.m_list],
+            params.lam, 12, config.global_seed)
+    outcomes = []
+    for updates in (3, harness._POSITIVITY_UPDATES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_POSITIVITY_UPDATES", updates)
+            try:
+                outcomes.append(positivity_table(*args))
+            except PathFailure as failure:
+                outcomes.append(failure.path_index)
+    assert outcomes[0] == outcomes[1]
