@@ -349,13 +349,14 @@ _LADDER_GROUPS = ("reference", "levels")
 # reference's short steps converge in two, the levels' longer steps in four.
 # The positivity table's steps (dt from 1/32 to 1/128) take four: at three,
 # some lane of its groups of thousands of lanes is pending after almost every
-# step, and continuing the pending lanes by index costs more than a fourth
-# update of every lane. On one worker's 500 paths of the benchmark's table
-# (global seed 1003, lambda 1, a 2-vCPU host) the meshes of 32, 64 and 128
-# steps continued pending lanes on 35, 67 and 111 steps at three updates and
-# on 18, 3 and 1 at four, which took 0.86-0.93, 0.90-0.94 and 0.92-0.99 of
-# the time of three; five took longer than four at 64 and 128 steps. The
-# table's counts are the same at any count
+# step, and continuing the pending lanes costs more than a fourth update of
+# every lane. Measured when wide groups still continued by index, on one
+# worker's 500 paths of the benchmark's table (global seed 1003, lambda 1, a
+# 2-vCPU host) the meshes of 32, 64 and 128 steps continued pending lanes on
+# 35, 67 and 111 steps at three updates and on 18, 3 and 1 at four, which
+# took 0.86-0.93, 0.90-0.94 and 0.92-0.99 of the time of three; five took
+# longer than four at 64 and 128 steps. The table's counts are the same at
+# any count
 _REF_UPDATES = 2
 _LEVEL_UPDATES = 4
 _POSITIVITY_UPDATES = 4

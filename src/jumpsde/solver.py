@@ -17,10 +17,10 @@ width, so a step costs what its number of calls and the Python between them
 do, and the lanes are built to make few of both: a step writes every array
 to its group's workspace and runs the drift's program inline (a reference
 step is 54 numpy calls, one copy and no new array), a drift makes paired
-powers in one call, a group of at most _FULL_WIDTH lanes works at full
-width rather than gathering the lanes a rule acts on, and a jump of fewer
-than _VECTOR_JUMPS lanes goes through the scalar jump_map. None of these
-moves a lane's bits.
+powers in one call, a group refreshes F and F' and continues its pending
+lanes at full width, at any width, rather than gathering the lanes a rule
+acts on, and a jump of fewer than _VECTOR_JUMPS lanes goes through the
+scalar jump_map. None of these moves a lane's bits.
 """
 
 from __future__ import annotations
@@ -283,12 +283,13 @@ class _LaneDrift:
     buffer holds them contiguous, a row per coefficient column, power or
     term and a column per lane, and the program's operands are views of it
     made by bind. Every call writes to one of them but the first of each
-    sum, which writes F or F' to the array it is given. The terms'
-    powers fill consecutive rows: the slope terms', then the linear terms',
-    then the constant terms' (rows of ones), so that one call multiplies
-    every term by its coefficient and one more every slope term by its c*e. An exponent that is the same integer in every cell is a
-    chain of multiplications, which rounds the same way on every host; any
-    other exponent goes to numpy's power. The chain's products are made
+    sum, which writes F or F' to the array it is given. The terms' powers
+    fill consecutive rows: the slope terms', then the linear terms', then
+    the constant terms' (rows of ones), so that one call multiplies every
+    term by its coefficient and one more every slope term by its c*e. An
+    exponent that is the same integer in every cell is a chain of
+    multiplications, which rounds the same way on every host; any other
+    exponent goes to numpy's power. The chain's products are made
     depth by depth, and z^-e and z^e in one call where the rows of each
     factor pair and of the result are adjacent: the slope terms' rows put
     z^-e just before z^e and z^-1 last, just before z in the first linear
@@ -429,29 +430,20 @@ class _LaneDrift:
         self._coefs = np.array(columns)
         self._buffer = np.empty(self._rows * cells.size)
         self._bound = None
-        # programs for subsets of lanes, by their number rounded up to a
-        # power of two (an index can repeat a lane): a subset's lanes fill
-        # the first columns, and the rest hold z = 1 and stale coefficients
-        self._subsets: dict[int, tuple] = {}
 
     def bind(self, width: int) -> tuple:
         """Evaluate the first `width` lanes from now on; returns the program
-        bound, which a lane group's step runs inline."""
+        bound, its operands made views of the buffer, which a lane group's
+        step runs inline."""
         buffer = self._buffer[: self._rows * width].reshape(self._rows, width)
         buffer[: len(self._coefs)] = self._coefs[:, self._cells[:width]]
-        self._bound = self._bind(buffer)
-        return self._bound
-
-    def _bind(self, buffer: np.ndarray) -> tuple:
-        """The program on this buffer: its operands made views, a row given
-        by its index and rows by a slice."""
         buffer[self._ones] = 1.0
 
         def view(ref):
             return buffer[ref] if type(ref) in (int, slice) else ref
 
         (u, *f), (v, *fp) = self._f, self._fp
-        return (
+        self._bound = (
             buffer,
             view(self._z),
             [(ufunc, tuple(map(view, args))) for ufunc, args in self._program],
@@ -460,32 +452,15 @@ class _LaneDrift:
             (v[0], *map(view, v[1:])),
             [(ufunc, view(x)) for ufunc, x in fp],
         )
+        return self._bound
 
-    def __call__(self, z: np.ndarray, lanes=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """F(z) and F'(z) on the lanes bound, into the pair of arrays out
-        or new ones, z being any array or the program's z row; or, given an
-        index array `lanes`, on those lanes only, z holding their states,
-        into new arrays: each takes its own coefficients and exponents, so
-        it gets the bits the full evaluation gives it."""
-        if lanes is None:
-            if z is not self._bound[1]:
-                self._bound[1][...] = z
-            return self._run(self._bound, *(out or (None, None)))
-        m = z.size
-        size = 1 << max(m - 1, 0).bit_length()
-        bound = self._subsets.get(size)
-        if bound is None:
-            bound = self._subsets[size] = self._bind(np.ones((self._rows, size)))
-        buffer, z_in = bound[:2]
-        buffer[: len(self._coefs), :m] = self._coefs[:, self._cells[lanes]]
-        z_in[:m] = z
-        z_in[m:] = 1.0
-        f, fp = self._run(bound)
-        return f[:m], fp[:m]
-
-    @staticmethod
-    def _run(bound: tuple, f=None, fp=None) -> tuple[np.ndarray, np.ndarray]:
-        _, _, program, (u, a, b), f_rest, (v, c, d), fp_rest = bound
+        or new ones, z being any array or the program's z row."""
+        _, z_row, program, (u, a, b), f_rest, (v, c, d), fp_rest = self._bound
+        if z is not z_row:
+            z_row[...] = z
+        f, fp = out or (None, None)
         for ufunc, args in program:
             ufunc(*args)
         f = u(a, b, f)
@@ -496,11 +471,6 @@ class _LaneDrift:
             ufunc(fp, x, fp)
         return f, fp
 
-
-# the widest lane group that refreshes moved lanes and continues pending ones
-# at full width: below it a numpy call costs about the same at any width, so
-# one full-width call beats the gathers and scatters of a subset
-_FULL_WIDTH = 1024
 
 # a step's comparison operands: numpy converts a float on every call, which
 # costs half as much again as a comparison of 128 lanes with a 0-d array
@@ -517,13 +487,11 @@ class _Lanes:
     adds them later, each a copy of a lane there is. f and fp hold F(z) and
     F'(z) as the lanes' drift evaluates them, so that a step's first Newton
     update reuses them; once a lane's z is set on its own, the next step
-    evaluates them again. A group of at most _FULL_WIDTH lanes evaluates
-    every lane then, and continues its pending lanes with masked full-width
-    updates; a wider group evaluates and continues only the lanes
-    concerned. The drift gives a lane the same bits either way, so neither
-    the width nor the lanes beside a lane move its bits. A lane that fails
-    keeps its last state, is recorded in `failures` with its first error,
-    and idles from then on.
+    evaluates them again on every lane. Lanes still pending after a step's
+    Newton updates continue by masked updates of every lane. Every call is
+    elementwise, so neither the width nor the lanes beside a lane move its
+    bits. A lane that fails keeps its last state, is recorded in `failures`
+    with its first error, and idles from then on.
 
     The lanes step in a workspace of rows with a column per lane, which
     _size lays out: two (z, F, F') triples, used in turn for a step's start
@@ -537,7 +505,6 @@ class _Lanes:
         self.lane_cells = np.zeros(z.size, dtype=np.intp) if cells is None else cells
         self.drift = _LaneDrift(tables, self.lane_cells)
         self.drifts = drifts
-        self._moved = []  # lanes set since f and fp were evaluated
         self._updates = min(updates, MAX_ITER)
         self.failures: dict[int, Exception] = {}
         self._alive = None  # 1.0 per live lane and 0.0 per failed one, once any failed
@@ -548,7 +515,6 @@ class _Lanes:
         and fp if they are evaluated, and bind the drift to their width."""
         n = z.size
         self._program = self.drift.bind(n)
-        self._full = n <= _FULL_WIDTH
         work = self._work = np.empty((11, n))
         self._triples = (work[0], work[1], work[2]), (work[3], work[4], work[5])
         self._at = 0  # the triple that holds the state
@@ -559,22 +525,18 @@ class _Lanes:
         self._one = np.ones(n)
         self.z, self.f, self.fp = self._triples[0]
         self.z[...] = z
-        if f is None:
-            self.f = self.fp = None  # until evaluated
-        else:
+        # whether f and fp are stale: unevaluated, or a lane was set since
+        self._stale = f is None
+        if f is not None:
             self.f[...], self.fp[...] = f, fp
 
     def widen(self, source: np.ndarray) -> None:
         """Add the next lanes of cells, one a copy of each lane of source:
         state, F, F' and failure."""
-        if self._moved:
+        if self._stale:
             self.refresh()
         n = self.z.size
-        z = np.concatenate([self.z, self.z[source]])
-        f = fp = None
-        if self.f is not None:
-            f = np.concatenate([self.f, self.f[source]])
-            fp = np.concatenate([self.fp, self.fp[source]])
+        z, f, fp = (np.concatenate([a, a[source]]) for a in (self.z, self.f, self.fp))
         if self._alive is not None:
             self._alive = np.concatenate([self._alive, self._alive[source]])
             for lane in np.flatnonzero(self._alive[n:] == 0.0).tolist():
@@ -592,20 +554,12 @@ class _Lanes:
 
     def set(self, lane: int, z: float) -> None:
         self.z[lane] = z
-        self._moved.append(lane)
+        self._stale = True
 
     def refresh(self) -> None:
-        """Make f and fp F(z) and F'(z): every lane's the first time, then,
-        if lanes were set since, every lane's in a group of at most
-        _FULL_WIDTH lanes, else those of the lanes set, which _moved holds
-        as ints or index arrays."""
-        if self.f is None or self._moved and self._full:
-            _, self.f, self.fp = self._triples[self._at]
-            self.drift(self.z, out=(self.f, self.fp))
-        elif self._moved:
-            moved = np.hstack(self._moved)
-            self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
-        self._moved = []
+        """Make f and fp F(z) and F'(z), evaluated on every lane."""
+        self.drift(self.z, out=(self.f, self.fp))
+        self._stale = False
 
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
@@ -616,14 +570,13 @@ class _Lanes:
         takes `updates` Newton updates; one whose residual is then above
         RESIDUAL_TOL*max(1, |rhs|), or whose z is not positive, keeps
         updating alone until it meets that tolerance or MAX_ITER updates are
-        made: in a group of at most _FULL_WIDTH lanes by full-width updates
-        that only the pending lanes keep, else by updates of those lanes
-        gathered by index. A lane goes to _implicit_solve from its previous
-        state once it leaves (0, inf), turns non-finite, meets
-        1 - dt*F' <= 0 or runs out of updates. A lane with dt = 0 and
-        rhs = z therefore keeps its z exactly; so does every failed lane.
+        made, by updates of every lane that only the pending lanes keep. A
+        lane goes to _implicit_solve from its previous state once it leaves
+        (0, inf), turns non-finite, meets 1 - dt*F' <= 0 or runs out of
+        updates. A lane with dt = 0 and rhs = z therefore keeps its z
+        exactly; so does every failed lane.
         """
-        if self._moved or self.f is None:
+        if self._stale:
             self.refresh()
         subtract, multiply = np.subtract, np.multiply
         # the triple that holds the state, then the other one
@@ -679,13 +632,12 @@ class _Lanes:
         np.greater(z_it, _ZERO, done[1])
         if np.count_nonzero(done) == done.size:
             return
-        handed = (self._continue_full if self._full else self._continue_flat)(
-            size, rhs, dt, self._updates)
+        handed = self._continue(size, rhs, dt, self._updates)
         self._hand_off(handed, z_prev, rhs, dt)
 
-    def _continue_full(self, size, rhs, dt, used) -> np.ndarray:
-        """Update the pending lanes at full width, each keeping its update
-        while it is pending; returns the lanes to hand off, sorted."""
+    def _continue(self, size, rhs, dt, used) -> np.ndarray:
+        """Update every lane, each pending lane keeping its update while it
+        is pending; returns the lanes to hand off, sorted."""
         z, f, fp, res = self.z, self.f, self.fp, self._res
         _, f_n, fp_n = self._triples[1 - self._at]  # the hand-off needs its z
         z_n, r_n = self._program[1], self._next
@@ -710,40 +662,6 @@ class _Lanes:
             used += 1
             pending &= ~((np.abs(r_n) <= tol) & (z_n > 0.0))
         return np.flatnonzero(handed)
-
-    def _continue_flat(self, size, rhs, dt, used) -> np.ndarray:
-        """Update the pending lanes alone, gathered by index: they are
-        found once, and only they are tested and updated from then on;
-        returns the lanes to hand off, sorted."""
-        z, f, fp = self.z, self.f, self.fp
-        idx = np.flatnonzero(~((size <= RESIDUAL_TOL) & (z > 0.0)))
-        zc, fc, fpc, rc, rhs_c, dt_c = (np.take(a, idx) for a in (z, f, fp, self._res, rhs, dt))
-        tol = np.maximum(1.0, np.abs(rhs_c)) * RESIDUAL_TOL
-        pending = np.flatnonzero(~((np.abs(rc) <= tol) & (zc > 0.0)))
-        handed = []
-        while pending.size:
-            z_p = zc[pending]
-            d = 1.0 - dt_c[pending] * fpc[pending]
-            sick = ~((z_p > 0.0) & (d > 0.0) & np.isfinite(rc[pending]))
-            if used >= MAX_ITER:
-                sick[:] = True
-            if sick.any():
-                handed.append(pending[sick])
-                well = ~sick
-                pending, z_p, d = pending[well], z_p[well], d[well]
-                if not pending.size:
-                    break
-            # only the pending lanes move, so only theirs are evaluated again
-            z_p = z_p - rc[pending] / d
-            f_p, fp_p = self.drift(z_p, idx[pending])
-            r_p = (z_p - rhs_c[pending]) - dt_c[pending] * f_p
-            zc[pending], fc[pending], fpc[pending], rc[pending] = z_p, f_p, fp_p, r_p
-            used += 1
-            pending = pending[~((np.abs(r_p) <= tol[pending]) & (z_p > 0.0))]
-        np.put(z, idx, zc)
-        np.put(f, idx, fc)
-        np.put(fp, idx, fpc)
-        return np.sort(idx[np.concatenate(handed)]) if handed else idx[:0]
 
     def _hand_off(self, handed: np.ndarray, z_prev, rhs, dt) -> None:
         """Solve the lanes handed with _implicit_solve from their previous
@@ -878,7 +796,7 @@ class TjabemLanes(_Lanes):
         at = np.flatnonzero(done)
         if at.size:
             self.z[lanes[at]] = out[at]
-            self._moved.append(lanes[at])
+            self._stale = True
         if at.size < lanes.size:
             for lane in lanes[~done].tolist():
                 self.jump(lane)

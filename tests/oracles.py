@@ -392,10 +392,17 @@ def lamperti_euler(params, mesh, increments, xtol=1e-14, maxiter=200):
 
 # The lane kernels as they stepped before their workspace: each Newton update
 # makes new arrays for z, F and F', and the kept lanes are chosen with
-# np.where. The differential kernel tests step them beside jumpsde's lanes and
+# np.where, and a group wider than _FULL_WIDTH refreshes and continues only
+# the lanes concerned, gathered by index. The differential kernel tests step
+# them beside jumpsde's lanes, which work at full width at every width, and
 # compare every step's bits. They share jumpsde's compiled drift and vector
-# jump map, and reach _implicit_solve, jump_map, lamperti_inverse, array_h and
-# _FULL_WIDTH through the solver module, so a test's stand-ins reach them.
+# jump map, and reach _implicit_solve, jump_map, lamperti_inverse and array_h
+# through the solver module, so a test's stand-ins reach them.
+
+# the widest lane group that refreshes moved lanes and continues pending ones
+# at full width; a wider one gathers them
+_FULL_WIDTH = 1024
+
 
 class _Lanes:
     """Lanes of one scheme that take their implicit steps together.
@@ -418,6 +425,7 @@ class _Lanes:
 
     def __init__(self, tables, drifts, z: np.ndarray, updates: int, cells=None):
         self.lane_cells = np.zeros(z.size, dtype=np.intp) if cells is None else cells
+        self.tables = tables
         self.drift = solver._LaneDrift(tables, self.lane_cells)
         self.drifts = drifts
         self.z = z
@@ -432,7 +440,7 @@ class _Lanes:
         """Fit the per-lane constants and scratch to the lanes."""
         n = self.z.size
         self.drift.bind(n)
-        self._full = n <= solver._FULL_WIDTH
+        self._full = n <= _FULL_WIDTH
         self._one = np.ones(n)
         self._rtol = np.full(n, RESIDUAL_TOL)
         # scratch for the residuals and the Newton update's temporaries
@@ -476,8 +484,16 @@ class _Lanes:
             self.f, self.fp = self.drift(self.z)
         elif self._moved:
             moved = np.hstack(self._moved)
-            self.f[moved], self.fp[moved] = self.drift(self.z[moved], moved)
+            self.f[moved], self.fp[moved] = self.gathered(self.z[moved], moved)
         self._moved = []
+
+    def gathered(self, z: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F(z) and F'(z) of these lanes alone, z holding their states, by a
+        drift over their cells: the tables are the group's, so each lane
+        gets its cell's program and the bits the group's drift gives it."""
+        drift = solver._LaneDrift(self.tables, self.lane_cells[lanes])
+        drift.bind(lanes.size)
+        return drift(z)
 
     def solve(self, rhs: np.ndarray, dt: np.ndarray) -> None:
         """Step every lane to the root of z - dt*F(z) = rhs.
@@ -587,7 +603,7 @@ class _Lanes:
                     break
             # only the pending lanes move, so only theirs are evaluated again
             z_p = z_p - rc[pending] / d
-            f_p, fp_p = self.drift(z_p, idx[pending])
+            f_p, fp_p = self.gathered(z_p, idx[pending])
             r_p = (z_p - rhs_c[pending]) - dt_c[pending] * f_p
             zc[pending], fc[pending], fpc[pending], rc[pending] = z_p, f_p, fp_p, r_p
             used += 1

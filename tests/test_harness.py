@@ -409,13 +409,13 @@ def test_the_table_does_not_depend_on_the_newton_count(set1, set2, monkeypatch, 
     jumps = [make_jump(f, p) for f, p in DEFAULT_JUMPS]
     args = ([("set1", set1), ("set2", set2)], jumps, [2.0**-5, 2.0**-6, 2.0**-7], lam, 300, 43)
     continued = []
-    route = jumpsde.solver._Lanes._continue_flat
+    route = jumpsde.solver._Lanes._continue
 
     def counted(self, *rest):
         continued[-1] += 1
         return route(self, *rest)
 
-    monkeypatch.setattr(jumpsde.solver._Lanes, "_continue_flat", counted)
+    monkeypatch.setattr(jumpsde.solver._Lanes, "_continue", counted)
     reports = []
     for updates in (3, jumpsde.harness._POSITIVITY_UPDATES):
         monkeypatch.setattr(jumpsde.harness, "_POSITIVITY_UPDATES", updates)

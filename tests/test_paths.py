@@ -488,7 +488,9 @@ def watched_chunk(task):
     before = set(sys.modules)
     outcome = run_chunk(task)
     new = sorted(m for m in set(sys.modules) - before if m.startswith("numpy.random"))
-    print("chunk imported", new, file=sys.stderr, flush=True)
+    # one write of the whole line: the two workers share the pipe, and
+    # stderr writes each piece of a print through at once
+    sys.stderr.write(f"chunk imported {new}\\n")
     return outcome
 
 harness._run_chunk = watched_chunk

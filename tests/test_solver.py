@@ -676,163 +676,6 @@ def test_a_lanes_jump_has_the_same_bits_alone_as_with_other_lanes_and_cells(
     assert set(together.failures) == {c * n + 5 for c in overflowing} | {6 * n + p for p in range(n)}
 
 
-def test_lanes_refresh_only_the_lanes_that_moved(set1, set2, monkeypatch):
-    # jumps and a fallback set single lanes between steps; the next step's
-    # F and F' of those lanes alone must be the bits of an evaluation of
-    # every lane. A group this narrow evaluates every lane, unless its
-    # full-width limit is below its width, as here
-    fallbacks = _count_fallbacks(monkeypatch)
-    stiff = replace(_stiff_params(), T=2.0**-11)
-    cells = [(stiff, zero_jump()), (set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
-    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 6 for p, _ in cells])
-    monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
-    moved, full = (_grid_lanes(cells, z0) for _ in range(2))
-    rng = np.random.Generator(np.random.Philox(7))
-    dt = np.full(z0.size, stiff.T)
-    set_lanes = []
-    with np.errstate(all="ignore"):
-        for k in range(12):
-            dw = rng.normal(0.0, 0.05, z0.shape)
-            if k == 4:
-                dw[0, 2] = 20.0  # the stiff lane's step leaves Newton's bracket
-            for lanes in (moved, full):
-                lanes.step(dt, dw.ravel())
-                for lane in (6 + k % 6, 12 + (k + 3) % 6, 5):
-                    lanes.jump(lane)
-            set_lanes.append(sorted(set(moved._moved)))
-            moved.refresh()
-            full.f = None
-            full.refresh()
-            for a, b in ((moved.z, full.z), (moved.f, full.f), (moved.fp, full.fp)):
-                assert a.tobytes() == b.tobytes()
-    # the stiff lane's step 4 went to the bracketed solver, once per object
-    assert len(fallbacks) == 2 and 2 in set_lanes[4]
-    assert all(len(lanes) < z0.size for lanes in set_lanes)
-
-
-def test_lanes_continue_only_the_pending_lanes(set1, set2, monkeypatch):
-    # after three Newton updates the lanes with large increments still miss
-    # the residual contract; the updates that continue them evaluate F and
-    # F' of those lanes alone, which must be the bits of an evaluation of
-    # every lane. A group this narrow continues at full width, unless its
-    # full-width limit is below its width, as here
-    cells = [(set1, linear_jump(0.5)), (set2, make_jump("sine", 1.0))]
-    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * 64 for p, _ in cells])
-    monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", z0.size - 1)
-    subset, full = (_grid_lanes(cells, z0) for _ in range(2))
-    sizes = []
-    evaluate, every = subset.drift, full.drift
-
-    def counted(z, lanes=None, out=None):
-        if lanes is not None:
-            sizes.append(z.size)
-        return evaluate(z, lanes, out)
-
-    def every_lane(z, lanes=None, out=None):
-        if lanes is None:
-            return every(z, out=out)
-        whole = np.ones(z0.size)
-        whole[lanes] = z
-        f, fp = every(whole)
-        return f[lanes], fp[lanes]
-
-    subset.drift, full.drift = counted, every_lane
-    rng = np.random.Generator(np.random.Philox(11))
-    dt = np.full(z0.size, 0.05)
-    with np.errstate(all="ignore"):
-        for k in range(6):
-            dw = rng.normal(0.0, 0.01, z0.shape)
-            dw[k % 2, [3, 17, 40]] = (0.6, -0.5, 0.9)
-            for lanes in (subset, full):
-                lanes.step(dt, dw.ravel())
-            for a, b in ((subset.z, full.z), (subset.f, full.f), (subset.fp, full.fp)):
-                assert a.tobytes() == b.tobytes()
-    # a few lanes continued, on their own
-    assert sizes and max(sizes) < z0.size // 10
-    assert np.all(subset.z > 0.0) and not subset.failures
-
-
-def _width_cases(set1, set2):
-    """name: (cells, lanes per cell, dt, Brownian increments per step,
-    columns that jump after each listed step)"""
-    stiff = replace(_stiff_params(), T=2.0**-11)
-    rho3 = replace(set1, rho=3.0, gamma=6.0)
-    rng = np.random.Generator(np.random.Philox(19))
-
-    def dws(shape, steps, scale, large=()):
-        dw = rng.normal(0.0, scale, (steps, *shape))
-        for k, lane, value in large:
-            dw[(k, *lane)] = value
-        return dw
-
-    sine = make_jump("sine", 1.0)
-    return {
-        "single_lane": (
-            [(set1, linear_jump(0.5))], 1, 0.05,
-            dws((1, 1), 8, 0.01, [(2, (0, 0), 0.9), (5, (0, 0), -0.5)]), {1: [0], 4: [0]}),
-        "two_cells_pending": (
-            [(set1, linear_jump(0.5)), (set2, sine)], 64, 0.05,
-            dws((2, 64), 6, 0.01, [(k, (k % 2, lane), value) for k in range(6)
-                                   for lane, value in ((3, 0.6), (17, -0.5), (40, 0.9))]),
-            {2: [3, 40], 4: list(range(64))}),
-        "forced_fallback": (
-            [(stiff, zero_jump()), (set1, linear_jump(0.5))], 6, stiff.T,
-            dws((2, 6), 8, 0.05, [(4, (0, 2), 20.0)]), {3: [1], 6: [0, 2, 5]}),
-        "failed_lane": (
-            [(set1, linear_jump(0.5)), (rho3, linear_jump(1e300))], 6, 0.05,
-            dws((2, 6), 6, 0.01), {1: [2], 3: list(range(6))}),
-        "jumps": (
-            [(set1, linear_jump(-0.5)), (set2, sine), (set1, make_jump("rational", 0.5))],
-            20, 0.05, dws((3, 20), 8, 0.05),
-            {k: list(range(k, 20, 1 + 3 * k)) for k in range(8)}),
-    }
-
-
-@pytest.mark.parametrize("case", ["single_lane", "two_cells_pending", "forced_fallback",
-                                  "failed_lane", "jumps"])
-def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
-    # the same steps, with the group's full-width limit at its width (full-
-    # width refreshes and continuations) and just below it (those of the
-    # lanes concerned alone): every step's z, F and F', the failures and
-    # the fallbacks must be the same
-    cells, n, dt, dws, jumps = _width_cases(set1, set2)[case]
-    fallbacks = _count_fallbacks(monkeypatch)
-    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * n for p, _ in cells])
-    runs = []
-    for limit in (z0.size, z0.size - 1):
-        monkeypatch.setattr(jumpsde.solver, "_FULL_WIDTH", limit)
-        lanes = _grid_lanes(cells, z0)
-        subsets = []
-        evaluate = lanes.drift
-
-        def counted(z, idx=None, out=None, evaluate=evaluate, subsets=subsets):
-            if idx is not None:
-                subsets.append(z.size)
-            return evaluate(z, idx, out)
-
-        lanes.drift = counted
-        steps = []
-        with np.errstate(all="ignore"):
-            for k, dw in enumerate(dws):
-                lanes.step(np.full(z0.size, dt), dw.ravel())
-                if k in jumps:
-                    lanes.jump_lanes([c * n + p for c in range(len(cells)) for p in jumps[k]])
-                lanes.refresh()
-                steps.append(tuple(a.tobytes() for a in (lanes.z, lanes.f, lanes.fp)))
-        failures = {lane: (type(e), str(e)) for lane, e in lanes.failures.items()}
-        runs.append((steps, failures, len(subsets), len(fallbacks)))
-        fallbacks.clear()
-    (full, full_failures, full_subsets, full_fallbacks), (flat, *rest) = runs
-    assert full == flat
-    assert [full_failures, full_fallbacks] == [rest[0], rest[2]]
-    # the full-width group evaluated no subset, the other one did
-    assert full_subsets == 0 < rest[1]
-    if case == "forced_fallback":
-        assert full_fallbacks > 0
-    if case == "failed_lane":
-        assert set(full_failures) == {n + p for p in range(n)}
-
-
 def test_bem_lanes_hand_a_failed_newton_step_to_the_bracketed_solver(set1, monkeypatch):
     # the lanes of test_bem_hands_a_failed_newton_step_to_the_bracketed_solver
     # beside ones that Newton solves: rhs = 1 + 1*(-50) = -49 sends Newton
@@ -897,25 +740,27 @@ def _step_side_by_side(kernel, oracle, actions, monkeypatch):
     and compare after every one: z, F and F' bit for bit, the failures'
     types and messages, and the bracketed solver's calls (dt, rhs, start).
     Returns the kernel group, its fallback calls and the continuations of
-    pending lanes it ran on each width route."""
+    pending lanes run on each route: the kernel's one and the oracle's
+    full-width and gather routes."""
     calls, stepping = ([], []), []
-    routes = {"_continue_full": 0, "_continue_flat": 0}
+    routes = {(jumpsde.solver._Lanes, "_continue"): 0,
+              (oracles._Lanes, "_continue_full"): 0, (oracles._Lanes, "_continue_flat"): 0}
 
     def recorded(*args):
         stepping[-1].append(args[2:])
         return _implicit_solve(*args)
 
-    def counted(name):
-        route = getattr(jumpsde.solver._Lanes, name)
+    def counted(owner, name):
+        route = getattr(owner, name)
 
         def count(self, *args):
-            routes[name] += 1
+            routes[owner, name] += 1
             return route(self, *args)
         return count
 
     monkeypatch.setattr(jumpsde.solver, "_implicit_solve", recorded)
-    for name in routes:
-        monkeypatch.setattr(jumpsde.solver._Lanes, name, counted(name))
+    for owner, name in routes:
+        monkeypatch.setattr(owner, name, counted(owner, name))
     for k, action in enumerate(actions):
         seen = []
         for lanes, made in zip((kernel, oracle), calls):
@@ -927,15 +772,16 @@ def _step_side_by_side(kernel, oracle, actions, monkeypatch):
                          {lane: (type(e), str(e)) for lane, e in lanes.failures.items()},
                          stepping[-1]))
         assert seen[0] == seen[1], f"action {k}"
-    return kernel, calls[0], routes
+    return kernel, calls[0], {name: count for (_, name), count in routes.items()}
 
 
 @pytest.mark.parametrize("n", [1, 128, 640, 1024, 1025, 3000])
 def test_tjabem_lane_steps_have_the_oracles_bits(set1, set2, monkeypatch, n):
-    # the workspace kernel beside the kernel of new arrays (oracles), on both
-    # width routes (at most _FULL_WIDTH = 1024 lanes, and more), through
-    # step and run, with jumps of few and many lanes, a failing jump, the
-    # kept rule, padding, pending lanes, fallbacks and a widening
+    # the workspace kernel beside the kernel of new arrays (oracles), whose
+    # groups of more than 1,024 lanes refresh and continue only the lanes
+    # concerned, through step and run, with jumps of few and many lanes, a
+    # failing jump, the kept rule, padding, pending lanes, fallbacks and a
+    # widening
     cells = _kernel_cells(set1, set2, n)
     steps = 8
     dt, dw, jumps = _kernel_steps(cells, n, steps, seed=n)
@@ -966,11 +812,93 @@ def test_tjabem_lane_steps_have_the_oracles_bits(set1, set2, monkeypatch, n):
     lanes, fallbacks, routes = _step_side_by_side(
         make(jumpsde.solver), make(oracles), [action(k) for k in range(steps)], monkeypatch)
     assert lanes.z.size == n and fallbacks
-    # the continuations ran on the group's width route
-    assert routes["_continue_full" if n <= 1024 else "_continue_flat"] > 0
+    # the kernel continued pending lanes on its one route as often as the
+    # oracle on its two, which gathered them once its group was widened
+    # past 1,024 lanes
+    full, flat = routes["_continue_full"], routes["_continue_flat"]
+    assert routes["_continue"] == full + flat > 0
+    assert (flat > 0) == (n > oracles._FULL_WIDTH)
     if n > 1:
         # the rho = 3 cell's lanes failed; every other lane is live
         assert set(lanes.failures) == set(np.flatnonzero(lane_cells == 3).tolist())
+
+
+def _width_cases(set1, set2):
+    """name: (cells, lanes per cell, dt, Brownian increments per step,
+    columns that jump after each listed step)"""
+    stiff = replace(_stiff_params(), T=2.0**-11)
+    rho3 = replace(set1, rho=3.0, gamma=6.0)
+    rng = np.random.Generator(np.random.Philox(19))
+
+    def dws(shape, steps, scale, large=()):
+        dw = rng.normal(0.0, scale, (steps, *shape))
+        for k, lane, value in large:
+            dw[(k, *lane)] = value
+        return dw
+
+    sine = make_jump("sine", 1.0)
+    return {
+        "single_lane": (
+            [(set1, linear_jump(0.5))], 1, 0.05,
+            dws((1, 1), 8, 0.01, [(2, (0, 0), 0.9), (5, (0, 0), -0.5)]), {1: [0], 4: [0]}),
+        "two_cells_pending": (
+            [(set1, linear_jump(0.5)), (set2, sine)], 64, 0.05,
+            dws((2, 64), 6, 0.01, [(k, (k % 2, lane), value) for k in range(6)
+                                   for lane, value in ((3, 0.6), (17, -0.5), (40, 0.9))]),
+            {2: [3, 40], 4: list(range(64))}),
+        "forced_fallback": (
+            [(stiff, zero_jump()), (set1, linear_jump(0.5))], 6, stiff.T,
+            dws((2, 6), 8, 0.05, [(4, (0, 2), 20.0)]), {3: [1], 6: [0, 2, 5]}),
+        "failed_lane": (
+            [(set1, linear_jump(0.5)), (rho3, linear_jump(1e300))], 6, 0.05,
+            dws((2, 6), 6, 0.01), {1: [2], 3: list(range(6))}),
+        "jumps": (
+            [(set1, linear_jump(-0.5)), (set2, sine), (set1, make_jump("rational", 0.5))],
+            20, 0.05, dws((3, 20), 8, 0.05),
+            {k: list(range(k, 20, 1 + 3 * k)) for k in range(8)}),
+    }
+
+
+@pytest.mark.parametrize("case", ["single_lane", "two_cells_pending", "forced_fallback",
+                                  "failed_lane", "jumps"])
+def test_the_width_rule_moves_no_bit(set1, set2, monkeypatch, case):
+    # the kernel's one route beside the oracle kernel with its full-width
+    # limit at the group's width (full-width refreshes and continuations)
+    # and just below it (refreshes and continuations of the lanes concerned
+    # alone, gathered by index): after every step, jump and refresh, z, F
+    # and F', the failures and the fallbacks must be the kernel's
+    cells, n, dt, dws, jumps = _width_cases(set1, set2)[case]
+    z0 = np.array([[lamperti_forward(p.rho, p.x0)] * n for p, _ in cells])
+    gathered = []
+    evaluate = oracles._Lanes.gathered
+
+    def counted(self, z, lanes):
+        gathered.append(z.size)
+        return evaluate(self, z, lanes)
+
+    def action(k, dw):
+        def act(lanes):
+            lanes.step(np.full(z0.size, dt), dw.ravel())
+            if k in jumps:
+                lanes.jump_lanes([c * n + p for c in range(len(cells)) for p in jumps[k]])
+            lanes.refresh()
+        return act
+
+    monkeypatch.setattr(oracles._Lanes, "gathered", counted)
+    for limit in (z0.size, z0.size - 1):
+        monkeypatch.setattr(oracles, "_FULL_WIDTH", limit)
+        gathered.clear()
+        oracle = oracles.TjabemLanes(cells, z0.ravel().copy(), 3,
+                                     np.repeat(np.arange(len(cells)), n))
+        lanes, fallbacks, _ = _step_side_by_side(
+            _grid_lanes(cells, z0), oracle, [action(k, dw) for k, dw in enumerate(dws)],
+            monkeypatch)
+        # the oracle gathered lanes below its limit only
+        assert bool(gathered) == (limit < z0.size)
+        if case == "forced_fallback":
+            assert fallbacks
+        if case == "failed_lane":
+            assert set(lanes.failures) == {n + p for p in range(n)}
 
 
 def test_bem_lane_steps_have_the_oracles_bits(set1, monkeypatch):
@@ -1264,8 +1192,9 @@ def _drift_tables(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_drift_tables(), st.integers(0, 2**32 - 1))
 def test_compiled_drift_equals_the_per_term_evaluation(drawn, seed):
-    # every lane's F and F', on all lanes and on subsets (whose lanes can
-    # repeat, as a refresh's can), bit for bit as the per-term evaluation,
+    # every lane's F and F', on all lanes and on subsets by a drift over
+    # their cells (whose lanes can repeat, as the oracle kernel's gathered
+    # refresh's can), bit for bit as the per-term evaluation,
     # at states of every sign and size (so nan and inf too); each call's
     # results are new arrays that a later call leaves
     cells, n, tables = drawn
@@ -1298,7 +1227,9 @@ def test_compiled_drift_equals_the_per_term_evaluation(drawn, seed):
         size = rng.integers(1, 2 * z.size + 1)
         for idx in (np.flatnonzero(rng.random(shape) < 0.5), rng.integers(0, z.size, size)):
             zs = states()[idx]
-            fs, fps = compiled(zs, idx)
+            subset = _LaneDrift(tables, lane_cells[idx])
+            subset.bind(idx.size)
+            fs, fps = subset(zs)
             fs_ref, fps_ref = oracle(zs, idx)
             assert fs.tobytes() == fs_ref.tobytes() and fps.tobytes() == fps_ref.tobytes()
         f2, fp2 = compiled(states())
