@@ -22,6 +22,8 @@ from .harness import (
     _replay_failure,
     check_band,
     check_ladder,
+    check_paths,
+    check_schemes,
     moment_probe,
     positivity_table,
     strong_error_ladder,
@@ -32,7 +34,6 @@ from .model import (
     JumpCoefficient,
     ModelParams,
     Regime,
-    drift_one_sided_lipschitz,
     make_jump,
     one_sided_lipschitz,
     validate_jump,
@@ -46,13 +47,7 @@ from .reports import (
     write_positivity_report,
     write_trajectory_csv,
 )
-from .solver import (
-    STEP_SAFETY,
-    SolverError,
-    _epsilon_bound,
-    step_size_diagnostics,
-    tjabem_path,
-)
+from .solver import SolverError, _epsilon_bound, step_size_diagnostics, tjabem_path
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -234,7 +229,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, global_seed=seed)
     if getattr(args, "out", None):
         config = replace(config, out_dir=args.out)
-    if getattr(args, "fast", False):
+    if getattr(args, "fast", False) or config.fast_mode:
         half = config.m_list[: max(2, math.ceil(len(config.m_list) / 2))]
         config = replace(
             config, n_paths=FAST_N_PATHS, m_list=half, fast_mode=True
@@ -256,75 +251,54 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(config: ExperimentConfig) -> int:
-    """Print the validation gates; exit 0 only if every gate passes."""
+    """Print the validation gates; exit 0 only if every gate passes. They
+    are the checks that the commands run before any path, for every step
+    that the config's commands take."""
+    params, label = config.params, "parameter"
     try:
-        check = validate_params(config.params)
-    except InvalidModelError as exc:
-        print(f"FAIL parameter gate: {exc}")
-        return 1
-    print(f"regime: {check.regime.value}")
-    if check.critical_moment_cap is not None:
-        print(f"critical moment cap: {check.critical_moment_cap!r}")
-
-    try:
-        bounds = validate_jump(config.jump, config.params)
-    except InvalidModelError as exc:
-        print(f"FAIL jump gate: {exc}")
-        return 1
-    print(
-        f"jump {config.jump.label}: mu={bounds.mu!r} r={bounds.r!r} "
-        f"band=[{bounds.mu1!r}, {bounds.mu2!r}]"
-        + (" (sampled only)" if bounds.sampled else "")
-    )
-    if config.m_ref is not None:
-        # the config has a ladder, which convergence refuses to run
-        try:
-            check_band(config.jump, bounds)
-        except InvalidModelError as exc:
-            print(f"FAIL band gate: {exc}")
-            return 1
-    elif not bounds.band_positive:
+        check = validate_params(params)
+        print(f"regime: {check.regime.value}")
+        if check.critical_moment_cap is not None:
+            print(f"critical moment cap: {check.critical_moment_cap!r}")
+        label = "jump"
+        bounds = validate_jump(config.jump, params)
         print(
-            "warning: transform band not bounded away from zero; convergence "
-            "theory unavailable (positivity unaffected)"
+            f"jump {config.jump.label}: mu={bounds.mu!r} r={bounds.r!r} "
+            f"band=[{bounds.mu1!r}, {bounds.mu2!r}]"
+            + (" (sampled only)" if bounds.sampled else "")
         )
-
-    if config.m_ref is not None:
-        try:
+        steps = [("tjabem", m) for m in config.m_list]
+        if config.m_ref is not None:
+            # the config has a ladder: convergence's own gates
+            label = "band"
+            check_band(config.jump, bounds)
+            label = "ladder"
             check_ladder(config.m_list, config.m_ref)
-        except (InvalidModelError, MeshError) as exc:
-            print(f"FAIL ladder gate: {exc}")
-            return 1
-
-    q = one_sided_lipschitz(config.params)
-    print(f"Q: {q!r}")
-    for m in config.m_list:
-        q_dt = q * config.params.T / m
-        status = "ok" if q_dt <= STEP_SAFETY else "FAIL"
-        print(f"M={m}: Q*dt={q_dt!r} {status}")
-        if q_dt > STEP_SAFETY:
+            check_schemes(config.scheme, config.n_paths)
+            steps.append(("tjabem", config.m_ref))
+        elif not bounds.band_positive:
             print(
-                f"FAIL step-size gate: Q*dt = {q_dt} exceeds step_safety "
-                f"{STEP_SAFETY} at M={m}"
+                "warning: transform band not bounded away from zero; convergence "
+                "theory unavailable (positivity unaffected)"
             )
-            return 1
-    if config.scheme in ("bem", "both"):
-        # bem steps the original drift, guarded by its own one-sided bound
-        m = min(config.m_list)
-        q_dt = drift_one_sided_lipschitz(config.params) * config.params.T / m
-        if q_dt > STEP_SAFETY:
-            print(
-                f"FAIL step-size gate: bem's drift bound gives Q*dt = {q_dt}, "
-                f"which exceeds step_safety {STEP_SAFETY} at M={m}"
-            )
-            return 1
+        if config.scheme in ("bem", "both"):
+            steps.append(("bem", config.m_list[0]))
+        label = "initial-state"
+        check_paths(params, [])
+        q = one_sided_lipschitz(params)
+        print(f"Q: {q!r}")
+        label = "step-size"
+        for scheme, m in steps:
+            (q_dt,) = check_paths(params, [(scheme, m)])
+            print(f"{'' if scheme == 'tjabem' else 'bem '}M={m}: Q*dt={q_dt!r} ok")
+    except (InvalidModelError, MeshError) as exc:
+        print(f"FAIL {label} gate: {exc}")
+        return 1
 
-    epsilon = _epsilon_bound(config.params) / 2.0
+    epsilon = _epsilon_bound(params) / 2.0
     # gamma barely above 2*rho - 1 can round the epsilon interval to empty
     if check.regime is Regime.SUPERCRITICAL and epsilon > 0.0:
-        diag = step_size_diagnostics(
-            config.params, q, config.params.T / config.m_list[0], epsilon
-        )
+        diag = step_size_diagnostics(params, q, params.T / config.m_list[0], epsilon)
         print(
             f"small-step diagnostics (epsilon={epsilon!r}): "
             f"power_condition={diag.power_condition_ok} "
@@ -341,6 +315,8 @@ def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> 
     validate_params(config.params)
     validate_jump(config.jump, config.params)
     m = config.m_list[0]
+    if not mesh_only:
+        check_paths(config.params, [("tjabem", m)])
     out_dir = Path(config.out_dir)
     try:
         bundle = generate_bundle(config.params, m, config.global_seed, path_index)
@@ -398,6 +374,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
             ns = argparse.Namespace(**{**vars(args), "preset": None, "config": name})
             name = Path(name).stem
         configs.append((name, _resolve(ns)))
+    if not configs:
+        raise InvalidModelError(f"--presets {args.presets!r} names no preset or config file")
     base = configs[0][1]
     if args.h:
         jumps = [_parse_jump_flag(args.h)]

@@ -8,7 +8,10 @@ the reference and the levels, drawing the noise block by block in time;
 the positivity table and the moment probe through tjabem_lanes, each path
 opened once for all of its (T, M) meshes. Rows are assembled in chunk order
 before reduction, and no lane depends on the others of its batch, so
-reports are bit-identical regardless of the worker count. A failed path
+reports are bit-identical regardless of the worker count. Before it opens
+a path, an experiment checks once what its configuration alone decides,
+its initial state and its steps' guard among them (check_paths), and
+raises InvalidModelError for a refusal. A path that fails at run time
 aborts the experiment carrying its (global_seed, path_index) for replay;
 every chunk runs to its end or its first failure, and the lowest failing
 path is named, within it the first run's failure. With parallelism > 1 the
@@ -82,6 +85,8 @@ __all__ = [
     "check_band",
     "check_ladder",
     "check_seed",
+    "check_paths",
+    "check_schemes",
     "strong_error_ladder",
     "positivity_table",
     "moment_probe",
@@ -339,6 +344,37 @@ def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     return m_list
 
 
+def check_schemes(scheme: str, n_paths: int) -> tuple[str, ...]:
+    """The schemes a ladder runs for scheme, "tjabem", "bem" or "both",
+    once n_paths is at least 2, which a standard error needs."""
+    if scheme not in (*SCHEMES, "both"):
+        raise InvalidModelError(f"unknown scheme {scheme!r}; expected tjabem, bem or both")
+    if n_paths < 2:
+        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
+    return SCHEMES if scheme == "both" else (scheme,)
+
+
+def check_paths(params: ModelParams, steps: Sequence[tuple[str, int]]) -> list[float]:
+    """Q*dt for each (scheme, M) of steps, once every path of params can
+    start and take those steps: lamperti_forward must give z0 = x0^(1-rho),
+    where every tjabem path starts, and then _check_step_guard must accept
+    each scheme's step on the M-step grid of [0, T] with its one-sided bound
+    Q (tjabem's in z, bem's in x). A refusal raises InvalidModelError with
+    the transform's or the guard's message."""
+    try:
+        lamperti_forward(params.rho, params.x0)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidModelError(f"initial state z0 = x0^(1-rho): {exc}") from None
+    q_dt = []
+    for scheme, m in steps:
+        bound = one_sided_lipschitz if scheme == "tjabem" else drift_one_sided_lipschitz
+        try:
+            q_dt.append(_check_step_guard(bound(params), params.T / m))
+        except SolverError as exc:
+            raise InvalidModelError(f"{scheme} at M = {m}: {exc}") from None
+    return q_dt
+
+
 # fine grid intervals per block of a ladder kernel call, which sets how many
 # paths it takes: a memory bound, since each (paths, steps) float array of a
 # block is then 256 KiB however long the block is
@@ -362,8 +398,7 @@ _LEVEL_UPDATES = 4
 _POSITIVITY_UPDATES = 4
 
 
-def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
-                 q_transformed, q_drift, global_seed) -> np.ndarray:
+def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref, global_seed) -> np.ndarray:
     """The terminal states of paths lo..hi-1 from the lane groups in groups.
 
     The paths step through _ladder_batch in path order, in batches of
@@ -371,15 +406,14 @@ def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref,
     failing path.
     """
     batch = max(1, _LADDER_CELLS * math.gcd(*m_list) // m_ref)
-    args = (groups, params, jump, schemes, m_list, m_ref, q_transformed, q_drift)
+    args = (groups, params, jump, schemes, m_list, m_ref)
     return np.concatenate(_batches(
         lo, hi, batch, global_seed,
         lambda i, keys: open_path(params, m_ref, global_seed, i, keys),
         lambda paths: _ladder_batch(paths, *args)))
 
 
-def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
-                  q_transformed, q_drift) -> np.ndarray:
+def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref) -> np.ndarray:
     """Terminal states per path from the lane groups in groups, stepping the
     paths as lanes.
 
@@ -404,18 +438,8 @@ def _ladder_batch(paths, groups, params, jump, schemes, m_list, m_ref,
     level_schemes = schemes if "levels" in groups else ()
     times = [path.jump_times for path in paths]
     placed = place_batch((m_ref,), T, times)
+    z0 = lamperti_forward(params.rho, params.x0)
     with np.errstate(all="ignore"):
-        try:
-            # the guards in the order a path run on its own meets them; each
-            # group's longest step binds
-            if "reference" in groups:
-                _check_step_guard(q_transformed, T / m_ref)
-            z0 = lamperti_forward(params.rho, params.x0)
-            for s in level_schemes:
-                _check_step_guard(q_transformed if s == "tjabem" else q_drift,
-                                  T / m_list[0])
-        except _PATH_ERRORS as exc:
-            raise _replay_failure(exc, paths[0].global_seed, paths[0].path_index) from exc
         if "reference" in groups:
             ref = TjabemLanes([(params, jump)], np.full(n, z0), _REF_UPDATES)
         if level_schemes:
@@ -511,26 +535,16 @@ def strong_error_ladder(
     state with the transformed jump-adapted scheme on the fine mesh, then
     reruns each requested scheme on coarsened versions of the same noise.
     scheme is "tjabem", "bem", or "both"; the result maps scheme name to its
-    report (both schemes see identical bundles).
+    report (both schemes see identical bundles). The initial state, each
+    scheme's longest step and the reference's are checked before any path.
     """
     check_seed(global_seed)
     validate_params(params)
     check_band(jump, validate_jump(jump, params))
-    if scheme == "both":
-        schemes: tuple[str, ...] = SCHEMES
-    elif scheme in SCHEMES:
-        schemes = (scheme,)
-    else:
-        raise InvalidModelError(
-            f"unknown scheme {scheme!r}; expected tjabem, bem or both"
-        )
     m_list = check_ladder(m_list, m_ref)
-    if n_paths < 2:
-        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
-
-    q_transformed = one_sided_lipschitz(params)
-    q_drift = drift_one_sided_lipschitz(params) if "bem" in schemes else 0.0
-    args = (params, jump, schemes, m_list, m_ref, q_transformed, q_drift, global_seed)
+    schemes = check_schemes(scheme, n_paths)
+    check_paths(params, [*((s, m_list[0]) for s in schemes), ("tjabem", m_ref)])
+    args = (params, jump, schemes, m_list, m_ref, global_seed)
     # lanes even out the work, so one chunk per worker balances the load: one
     # task for both groups inline, else each group's own chunks, a worker each
     if parallelism <= 1:
@@ -603,7 +617,7 @@ def _lane_counts(paths, cells, groups) -> np.ndarray:
     for mesh, members in groups:
         block = mesh_block(paths, *mesh)
         try:
-            _, nonpositive = tjabem_lanes([cells[c][:3] for c in members], block,
+            _, nonpositive = tjabem_lanes([cells[c][:2] for c in members], block,
                                           updates=_POSITIVITY_UPDATES)
             counts[members, 0] = int(block.n.sum()) + len(paths)
             counts[members, 1] = nonpositive.sum(axis=1)
@@ -613,8 +627,7 @@ def _lane_counts(paths, cells, groups) -> np.ndarray:
         del block
     if failures:
         p, c, exc = min(failures, key=lambda failure: failure[:2])
-        set_name, label, dt = cells[c][3]
-        error = SolverError(f"in cell (set={set_name}, jump={label}, dt={dt!r}): {exc}")
+        error = SolverError(_in_cell(cells[c][2], exc))
         raise _replay_failure(error, paths[p].global_seed, paths[p].path_index) from exc
     return counts
 
@@ -636,6 +649,11 @@ def _positivity_rows(lo, hi, cells, groups, lam, global_seed) -> np.ndarray:
                                                        streams),
                       lambda paths: _lane_counts(paths, cells, groups))
     return sum(counts)[None]
+
+
+def _in_cell(cell, exc) -> str:
+    """exc's message, naming the cell (set, jump label, dt) it failed in."""
+    return f"in cell (set={cell[0]}, jump={cell[1]}, dt={cell[2]!r}): {exc}"
 
 
 def _steps_for_dt(T: float, dt: float) -> int:
@@ -662,29 +680,33 @@ def positivity_table(
     are grouped by (T, M = T/dt), and each path is opened once for every
     group: one mesh per path and group serves every (set, jump) cell of the
     group, since it depends only on lam, T, M, the seed and the path index.
-    A failure names the lowest failing path and, within it, the first
-    failing cell in report order.
+    Each cell's initial state and step are checked in report order before
+    any path, and a refusal names its cell. A failure names the lowest
+    failing path and, within it, the first failing cell in report order.
     """
     if n_paths < 1:
         raise InvalidModelError(f"n_paths must be at least 1, got {n_paths}")
     check_seed(global_seed)
-    cells = []  # (params, jump, q, (set, jump label, dt)) in report order
+    cells = []  # (params, jump, (set, jump label, dt)) in report order
     groups: dict[tuple[float, int], list[int]] = {}  # (T, M) -> cell indices
     for set_name, base_params in param_sets:
         params = replace(base_params, lam=lam)
         validate_params(params)
-        q = one_sided_lipschitz(params)
         for jump in jumps:
             validate_jump(jump, params)
             for dt in dt_list:
-                m = _steps_for_dt(params.T, dt)
+                m, cell = _steps_for_dt(params.T, dt), (set_name, jump.label, dt)
+                try:
+                    check_paths(params, [("tjabem", m)])
+                except InvalidModelError as exc:
+                    raise InvalidModelError(_in_cell(cell, exc)) from None
                 groups.setdefault((params.T, m), []).append(len(cells))
-                cells.append((params, jump, q, (set_name, jump.label, dt)))
+                cells.append((params, jump, cell))
     # lanes even out the work, so one chunk per worker balances the load
     args = (tuple(cells), tuple(groups.items()), lam, global_seed)
     (rows,) = _map_runs([(_positivity_rows, args)], n_paths, parallelism, parallelism)
     report_cells = tuple(
-        PositivityCell(*cell[3], n_values, n_nonpositive)
+        PositivityCell(*cell[2], n_values, n_nonpositive)
         for cell, (n_values, n_nonpositive) in zip(cells, rows.sum(axis=0).tolist())
     )
     return PositivityReport(
@@ -696,7 +718,7 @@ def positivity_table(
 # Moment probe
 # ---------------------------------------------------------------------------
 
-def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
+def _moment_rows(lo, hi, params, jump, p_list, M, global_seed) -> np.ndarray:
     """(sup, terminal) of x**p per order p, for each path lo..hi-1.
 
     The paths are opened by open_shared_path on the chunk's one stream_pair
@@ -708,7 +730,7 @@ def _moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
     def rows(paths):
         try:
             block = mesh_block(paths, params.T, M)
-            *_, z_post = tjabem_lanes([(params, jump, q)], block, states=True)
+            *_, z_post = tjabem_lanes([(params, jump)], block, states=True)
         except LaneFailure as exc:
             path = paths[exc.path]
             raise _replay_failure(exc, path.global_seed, path.path_index) from exc
@@ -741,7 +763,8 @@ def moment_probe(
 
     Negative orders probe the inverse moments that control error propagation
     through the inverse transform. Every order must be admissible for the
-    configuration's regime.
+    configuration's regime, and the initial state and the step are checked
+    before any path.
     """
     if n_paths < 2:
         raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
@@ -752,8 +775,8 @@ def moment_probe(
     for p in p_list:
         moment_admissible(params, p)
     validate_jump(jump, params)
-    q = one_sided_lipschitz(params)
-    args = (params, jump, p_list, q, M, global_seed)
+    check_paths(params, [("tjabem", M)])
+    args = (params, jump, p_list, M, global_seed)
     # lanes even out the work, so one chunk per worker balances the load
     (samples,) = _map_runs([(_moment_rows, args)], n_paths, parallelism, parallelism)
     rows = []

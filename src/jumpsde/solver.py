@@ -9,8 +9,10 @@ Newton's method and, for a lane that needs it, the bracketed solver
 _implicit_solve, and no lane depends on the others. tjabem_lanes runs
 every (cell, path) pair of a block of whole meshes as flat lanes, with one
 lane per model and path until the path's first jump, at the Newton count
-its caller asks for. tjabem_path and bem_path, the one-path API, are one
-lane of tjabem_lanes and of BemLanes.
+its caller asks for. The lanes never guard a step: an experiment checks
+its initial state and its steps once, before it opens a path
+(harness.check_paths). tjabem_path and bem_path, the one-path API, guard
+their own step and are one lane of tjabem_lanes and of BemLanes.
 
 Up to about a thousand lanes a numpy call costs about the same whatever its
 width, so a step costs what its number of calls and the Python between them
@@ -243,7 +245,8 @@ def tjabem_path(
     z_pre[k+1] - dt_k*F(z_pre[k+1]) = z_post[k] + (1-rho)*a3*dW_k, then applies
     the transformed jump update at jump nodes. Returns the transformed
     trajectory and the terminal state mapped back to original coordinates.
-    The path is one lane of tjabem_lanes, and a failure raises its error.
+    The step is guarded here, and the path is one lane of tjabem_lanes,
+    whose failure raises its error.
     """
     if Q is None:
         Q = one_sided_lipschitz(params)
@@ -252,9 +255,10 @@ def tjabem_path(
         raise ValueError(
             f"increments length {len(increments)} != mesh intervals {n}"
         )
+    _check_step_guard(Q, mesh.base_dt)
     try:
         block = whole_block([mesh], [increments])
-        *_, z_pre, z_post = tjabem_lanes([(params, jump, Q)], block, states=True)
+        *_, z_pre, z_post = tjabem_lanes([(params, jump)], block, states=True)
     except LaneFailure as exc:
         raise exc.__cause__ from None
     trajectory = TrajectoryZ(mesh=mesh, z_pre=z_pre[0, 0], z_post=z_post[0, 0])
@@ -270,7 +274,8 @@ class LaneFailure(SolverError):
         self.path = path
 
 
-# errors of one lane's guard, fallback solve or jump; anything else is a bug
+# errors of one lane's fallback solve, jump or inverse transform; anything
+# else is a bug
 _LANE_ERRORS = (SolverError, ValueError, OverflowError)
 
 
@@ -901,7 +906,7 @@ _WIDTHS = 8
 class _TableLayout:
     """The lanes of a tjabem_lanes run, flat.
 
-    The cells of one model (equal params and Q) step a path's lanes alike
+    The cells of one model (equal params) step a path's lanes alike
     until the path's first jump, where the jump map, the only part that
     depends on the cell, first acts. So a model's first cell in report
     order, its representative, steps a lane per path from the start:
@@ -916,8 +921,7 @@ class _TableLayout:
     def __init__(self, cells, block):
         n_paths, n_steps = block.dt.shape
         models: dict = {}
-        model = np.array([models.setdefault((params, q), len(models))
-                          for params, _, q in cells])
+        model = np.array([models.setdefault(params, len(models)) for params, _ in cells])
         reps = [int(np.flatnonzero(model == m)[0]) for m in range(len(models))]
         others = np.array([c for c in range(len(cells)) if c not in reps], dtype=np.intp)
         first = np.full(n_paths, n_steps)
@@ -926,7 +930,6 @@ class _TableLayout:
         order = np.argsort(first, kind="stable")
         jumping = order[: np.count_nonzero(first < n_steps)]
         self.reps, self.n_reps = reps, len(reps) * n_paths
-        self.model = model
         self.cells = np.concatenate([np.repeat(reps, n_paths),
                                      np.tile(others, jumping.size)]).astype(np.intp)
         self.paths = np.concatenate([np.tile(np.arange(n_paths), len(reps)),
@@ -949,12 +952,12 @@ class _TableLayout:
 
 
 def tjabem_lanes(
-    cells: Sequence[tuple[ModelParams, JumpCoefficient, float]], block,
+    cells: Sequence[tuple[ModelParams, JumpCoefficient]], block,
     states: bool = False, updates: int = _TABLE_UPDATES,
 ) -> tuple[np.ndarray, ...]:
     """Run the transformed scheme on every (cell, path) lane at once.
 
-    Cell c is (params, jump, Q). block holds whole meshes of one M-step grid
+    Cell c is (params, jump). block holds whole meshes of one M-step grid
     on [0, T] in the padded layout of a paths.Block (grid intervals 0..M-1):
     cell c on path p runs path p's steps, row p of block.dt and block.dw,
     and jumps at the end of each step where block.jumps lists path p. The
@@ -964,11 +967,14 @@ def tjabem_lanes(
     Every lane takes `updates` Newton updates a step before its residual is
     checked (_Lanes.solve); the count moves a lane's bits within the
     residual contract, so it is the caller's, never the group's width.
-    Returns the terminal z and the counts of nonpositive post-jump states,
-    both of shape (cells, paths), and, given states, every node's state
-    before and after its jump, of shape (cells, paths, nodes). A failure
-    raises LaneFailure for the lowest failing path and, within it, the
-    first failing cell.
+    Each lane starts from its model's z0 = x0^(1-rho), and no step is
+    guarded: the caller has checked both (harness.check_paths), and an
+    initial state that lamperti_forward refuses raises its error. Returns
+    the terminal z and the counts of nonpositive post-jump states, both of
+    shape (cells, paths), and, given states, every node's state before and
+    after its jump, of shape (cells, paths, nodes). A failure raises
+    LaneFailure for the lowest failing path and, within it, the first
+    failing cell.
     """
     if block.lo != 0:
         raise ValueError(
@@ -977,19 +983,9 @@ def tjabem_lanes(
     layout = _TableLayout(cells, block)
     n_paths, n_steps = block.dt.shape
     n_lanes, n_reps = layout.cells.size, layout.n_reps
-    z0 = np.ones(len(layout.reps))
-    failures = {}
-    for m, c in enumerate(layout.reps):
-        params, _, q = cells[c]
-        try:
-            # the guard, then the initial state
-            _check_step_guard(q, block.T / block.hi)
-            z0[m] = lamperti_forward(params.rho, params.x0)
-        except _LANE_ERRORS as exc:
-            failures.update((m * n_paths + p, exc) for p in range(n_paths))
+    z = np.repeat([lamperti_forward(cells[c][0].rho, cells[c][0].x0) for c in layout.reps],
+                  n_paths)
     n_nonpositive = np.zeros((len(cells), n_paths), dtype=int)
-    n_nonpositive += (z0[layout.model] <= 0.0)[:, None]
-    z = np.repeat(z0, n_paths)
     if states:
         z_pre = np.empty((n_lanes, n_steps + 1))
         z_pre[:n_reps, 0] = z
@@ -1000,9 +996,7 @@ def tjabem_lanes(
     rep_dt, rep_dw = (a[:n_reps].reshape(len(layout.reps), n_paths) for a in (dt_k, dw_k))
     other_paths = layout.paths[n_reps:]
     with np.errstate(all="ignore"):
-        lanes = TjabemLanes([cell[:2] for cell in cells], z, updates, layout.cells)
-        for lane, exc in failures.items():
-            lanes.fail(lane, exc)
+        lanes = TjabemLanes(cells, z, updates, layout.cells)
         for k in range(n_steps):
             w = lanes.z.size
             rep_dt[...] = block.dt[:, k]

@@ -358,12 +358,12 @@ def regular_increments(bundle: PathBundle, M: int) -> tuple[np.ndarray, np.ndarr
     return dw, counts.astype(np.int64)
 
 
-def moment_rows(lo, hi, params, jump, p_list, q, M, global_seed) -> np.ndarray:
+def moment_rows(lo, hi, params, jump, p_list, M, global_seed) -> np.ndarray:
     """(sup, terminal) of x**p per order p, for each path lo..hi-1 in turn."""
     rows = []
     for i in range(lo, hi):
         bundle = generate_bundle(params, M, global_seed, i)
-        trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine, q)
+        trajectory, _ = tjabem_path(params, jump, bundle.fine_mesh, bundle.dw_fine)
         x = trajectory.z_post ** (1.0 / (1.0 - params.rho))
         row = np.empty((len(p_list), 2))
         for j, p in enumerate(p_list):

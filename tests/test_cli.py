@@ -260,6 +260,29 @@ def test_unknown_preset_fails(capsys):
     assert main(["validate", "--preset", "set9"]) == 1
 
 
+def test_an_empty_preset_list_exits_1(tmp_path, capsys):
+    assert main(["positivity", "--presets", ",", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "validation failure: --presets ',' names no preset or config file\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_configs_fast_mode_runs_as_the_fast_flag(tmp_path):
+    # the config's fast_mode and --fast make one run, applied once when both ask
+    path = _write_config(tmp_path, m_list="8, 16, 32, 64")
+    fast = _edit_config(_write_config(tmp_path, name="fast.cfg", m_list="8, 16, 32, 64"),
+                        fast_mode="true")
+    runs = [[str(path), "--fast"], [str(fast)], [str(fast), "--fast"]]
+    reports = []
+    for k, (config, *flags) in enumerate(runs):
+        out_dir = tmp_path / f"out{k}"
+        assert main(["moments", "--config", config, *flags, "--out", str(out_dir)]) == 0
+        reports.append([(out_dir / f).read_bytes() for f in ("moments.csv", "moments.json")])
+    assert reports[0] == reports[1] == reports[2]
+    config = json.loads(reports[0][1])["config"]
+    assert (config["n_paths"], config["ladder"]["m_list"]) == (1000, [8, 16])
+
+
 @pytest.mark.parametrize(
     "spec", ["linear:nan", "sine:nan", "linear:inf", "rational:-inf", "zero:nan"]
 )
@@ -380,13 +403,48 @@ def test_validate_runs_the_bem_step_size_gate(tmp_path, capsys):
     # original drift a one-sided bound of 29.05, which bem steps with
     path = _edit_config(_write_config(tmp_path, scheme="both"), alpha1="40")
     assert main(["convergence", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "step-size guard violated" in capsys.readouterr().err
+                 "--out", str(tmp_path / "out")]) == 1
+    message = "bem at M = 8: step-size guard violated: Q*dt = 3.63"
+    assert capsys.readouterr().err.startswith(f"validation failure: {message}")
+    assert not (tmp_path / "out").exists()
     assert main(["validate", "--config", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL step-size gate: bem's drift bound gives Q*dt = 3.63" in out
+    assert f"FAIL step-size gate: {message}" in out
     assert "all gates passed" not in out
     assert main(["validate", "--config", str(path), "--scheme", "tjabem"]) == 0
+
+
+# a config that fails one check each experiment makes before any path, the
+# edits to the tiny config that make it, and the commands that run the check
+GATES = {
+    "tjabem_step": ({"alpha0": "50"}, ["simulate", "moments", "positivity", "convergence"]),
+    "bem_step": ({"alpha1": "40", "scheme": "both"}, ["convergence"]),
+    "initial_state": ({"rho": "3", "gamma": "6", "x0": "1e300"},
+                      ["simulate", "moments", "positivity", "convergence"]),
+    "scheme": ({"scheme": "euler"}, ["convergence"]),
+    "one_path": ({"n_paths": "1"}, ["convergence", "moments"]),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_each_gate_fails_validate_and_its_commands_before_any_path(tmp_path, capsys, gate):
+    # validate fails the gate with the message each command that runs it
+    # exits 1 with, before it makes its output directory; the table names
+    # the first cell of its report
+    values, commands = GATES[gate]
+    path = _edit_config(_write_config(tmp_path), **values)
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "all gates passed" not in out
+    (failure,) = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    message = failure.split(" gate: ", 1)[1]
+    for command in commands:
+        flag = "--presets" if command == "positivity" else "--config"
+        out_dir = tmp_path / command
+        assert main([command, flag, str(path), "--out", str(out_dir)]) == 1
+        cell = "in cell (set=tiny, jump=linear:-0.5, dt=0.125): " if command == "positivity" else ""
+        assert capsys.readouterr().err == f"validation failure: {cell}{message}\n"
+        assert not out_dir.exists()
 
 
 def test_zero_mean_error_exits_2(tmp_path, capsys):
@@ -732,7 +790,6 @@ def test_validated_configs_converge_or_exit_cleanly(values, m_ref, ladder):
                 status = main(["convergence", "--config", str(path),
                                "--out", str(Path(tmp) / "out")])
             assert status in (0, 2)
-            assert not (status == 2 and "step-size guard" in err.getvalue())
 
 
 def test_moments_default_orders_stay_below_the_critical_cap(tmp_path, capsys):

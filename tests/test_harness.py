@@ -14,7 +14,6 @@ import oracles
 from jumpsde import (
     InvalidModelError,
     MeshError,
-    ModelParams,
     PathFailure,
     PositivityReport,
     SolverError,
@@ -434,7 +433,7 @@ def test_positivity_counts_reach_their_own_cells(set1, set2, monkeypatch):
         counts = [
             [3 * int(params.alpha_m1) + jumps.index(jump) + n
              for n in block.n.tolist()]
-            for params, jump, _ in cells
+            for params, jump in cells
         ]
         return np.ones((len(cells), len(block.n))), np.array(counts)
 
@@ -508,22 +507,44 @@ def test_positivity_failure_names_the_lowest_failing_path(set1, monkeypatch,
     assert "forward transform" in message
 
 
-def test_positivity_failure_in_two_meshes_names_the_first_cell_in_report_order():
-    # step-size guards: Q*dt is 0.34 at (A, 2^-7), 0.68 at (A, 2^-6) and
-    # above 0.5 for both of B's cells, so path 0 fails in both meshes. The
-    # 128-step mesh runs first and fails at (B, 2^-7), the 64-step one at
-    # (A, 2^-6), which comes first in the report
-    stiff = ModelParams(alpha_m1=2.0, alpha0=20.0, alpha1=1.5, alpha2=5.0,
-                        alpha3=1.0, gamma=3.0, rho=1.5, lam=0.0, x0=1.0, T=1.0)
-    sets = [("A", stiff), ("B", replace(stiff, alpha0=50.0))]
-    with pytest.warns(RuntimeWarning, match="above 0.25"):
-        with pytest.raises(PathFailure) as excinfo:
-            positivity_table(sets, [linear_jump(0.5)], [2.0**-7, 2.0**-6],
-                             lam=1.0, n_paths=3, global_seed=41)
+def test_positivity_failure_in_two_meshes_names_the_first_cell_in_report_order(
+        set1, monkeypatch):
+    # with rho = 3 the jump x -> (1 + 1e162) x underflows the transform back
+    # to z where x > 0.64 before it. Path 0 jumps at T; from step 64 on its
+    # normals are -3, which leave x at T near 0.48 on the 128-step mesh for
+    # A and near 0.86 on the 64-step one, and near 0.88 on both for B, whose
+    # noise is small. The 128-step mesh runs first and fails at (B, 2^-7),
+    # the 64-step one at (A, 2^-6), which comes first in the report
+    stiff = replace(set1, rho=3.0, gamma=6.0)
+    sets = [("A", stiff), ("B", replace(stiff, alpha3=0.01))]
+
+    def staged_opening(lam, meshes, global_seed, i, *_, **__):
+        times = np.array([1.0 - 1e-13] if i == 0 else [])
+        normals = np.concatenate([np.full(64, 0.01), np.full(66, -3.0 if i == 0 else 0.01)])
+        return SharedPath(global_seed, i, times, normals)
+
+    monkeypatch.setattr(jumpsde.harness, "open_shared_path", staged_opening)
+    groups = []
+    lane_counts = jumpsde.harness._lane_counts
+
+    def recorded(paths, cells, mesh_groups):
+        groups.extend(mesh for mesh, _ in mesh_groups)
+        return lane_counts(paths, cells, mesh_groups)
+
+    monkeypatch.setattr(jumpsde.harness, "_lane_counts", recorded)
+    with pytest.raises(PathFailure) as excinfo:
+        positivity_table(sets, [make_jump("linear", 1e162)], [2.0**-7, 2.0**-6],
+                         lam=1.0, n_paths=3, global_seed=41)
+    assert groups == [(1.0, 128), (1.0, 64)]
     assert (excinfo.value.global_seed, excinfo.value.path_index) == (41, 0)
     message = str(excinfo.value)
-    assert "in cell (set=A, jump=linear:0.5, dt=0.015625)" in message
-    assert "step-size guard" in message
+    assert "in cell (set=A, jump=linear:1e+162, dt=0.015625)" in message
+    assert "forward transform: result underflowed to 0" in message
+    # each mesh fails on its own at the cell named above
+    for dt, name in ((2.0**-7, "B"), (2.0**-6, "A")):
+        with pytest.raises(PathFailure, match=rf"in cell \(set={name}, "):
+            positivity_table(sets, [make_jump("linear", 1e162)], [dt],
+                             lam=1.0, n_paths=3, global_seed=41)
 
 
 @pytest.mark.parametrize("n_paths", [0, -1, 1])
@@ -581,7 +602,7 @@ def test_moment_rows_match_the_oracle_loop(set1, set2, lam, monkeypatch):
     p_list = (4.0, 2.0, 1.0, -1.0, -2.0)
     for params in (replace(set1, lam=lam), replace(set2, lam=lam)):
         for spec in DEFAULT_JUMPS:
-            args = (params, make_jump(*spec), p_list, one_sided_lipschitz(params), 32, 61)
+            args = (params, make_jump(*spec), p_list, 32, 61)
             lanes = jumpsde.harness._moment_rows(0, 40, *args)
             loop = oracles.moment_rows(0, 40, *args)
             assert lanes.shape == loop.shape == (40, 5, 2)
@@ -670,8 +691,7 @@ def _lane_rows(params, jump, m_list, m_ref, global_seed, lo, hi):
     stepped by one task, as the inline ladder steps them."""
     x = jumpsde.harness._ladder_rows(
         lo, hi, ("reference", "levels"), params, jump, ("tjabem", "bem"), m_list,
-        m_ref, one_sided_lipschitz(params), drift_one_sided_lipschitz(params),
-        global_seed,
+        m_ref, global_seed,
     )
     return np.abs(x[:, :1] - x[:, 1:]).reshape(hi - lo, 2, len(m_list))
 

@@ -386,11 +386,7 @@ DEFAULT_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 
 
 def _lane_cells(param_sets, jump_specs):
-    return [
-        (params, make_jump(*spec), one_sided_lipschitz(params))
-        for params in param_sets
-        for spec in jump_specs
-    ]
+    return [(params, make_jump(*spec)) for params in param_sets for spec in jump_specs]
 
 
 def _run_lanes(cells, bundles):
@@ -408,16 +404,16 @@ def test_lanes_match_the_path_loop(set1, set2, lam, M):
     # at most doubles a z-difference (|dz'/dz| = |1 + h'(x)| (x/(x+h(x)))^rho)
     sets = [replace(set1, lam=lam), replace(set2, lam=lam)]
     cells = _lane_cells(sets, DEFAULT_JUMPS + (("zero",),))
-    assert all(q == 0.0 for _, _, q in cells)
+    assert all(one_sided_lipschitz(params) == 0.0 for params, _ in cells)
     bundles = [generate_bundle(sets[0], M, 83, i) for i in range(12)]
     z_lanes, n_nonpositive = _run_lanes(cells, bundles)
     assert z_lanes.shape == n_nonpositive.shape == (len(cells), len(bundles))
     assert not n_nonpositive.any()
-    for c, (params, jump, q) in enumerate(cells):
+    for c, (params, jump) in enumerate(cells):
         noise_coef = (1.0 - params.rho) * params.alpha3
         for p, bundle in enumerate(bundles):
             mesh = bundle.fine_mesh
-            trajectory, _ = oracles.tjabem_path(params, jump, mesh, bundle.dw_fine, q)
+            trajectory, _ = oracles.tjabem_path(params, jump, mesh, bundle.dw_fine)
             rhs = trajectory.z_post[:-1] + noise_coef * bundle.dw_fine
             n_jumps = int(mesh.is_jump.sum())
             bound = (2.0**n_jumps * mesh.n_intervals * 2.0 * RESIDUAL_TOL
@@ -438,7 +434,7 @@ def test_lanes_fall_back_on_the_stiff_model(monkeypatch):
     dws = [0.0, 1.0, 2.5, 20.0]
     mesh = build_mesh(1, params.T, [])
     z, n_nonpositive = tjabem_lanes(
-        [(params, zero_jump(), q)], whole_block([mesh] * 4, [[dw] for dw in dws])
+        [(params, zero_jump())], whole_block([mesh] * 4, [[dw] for dw in dws])
     )
     assert not n_nonpositive.any()
     z0 = lamperti_forward(params.rho, params.x0)
@@ -525,10 +521,13 @@ def test_a_models_cells_share_lanes_bit_for_bit(set1, set2, monkeypatch, case):
         assert shared == 2 and len(fallbacks) == 4 * shared
 
 
-def test_a_model_whose_guard_fails_fails_every_cell(set1, set2, monkeypatch):
-    # set2 with a Q whose step guard fails at dt = 1/16 is a model of its
-    # own: its three cells fail on every path, each cell with the guard's
-    # error, and the failure is named for its first family at path 0
+def test_a_lane_that_fails_before_its_paths_first_jump_fails_its_models_cells(
+        set1, monkeypatch):
+    # on the stiff fan-out block, path 0's step 2 sends each model's lane to
+    # the bracketed solver, which fails here, before the path's first jump
+    # (step 7): the model's other cells start there as copies of the failed
+    # lane, so every cell fails on path 0, each with that error, and is
+    # named for its first cell, while path 1 never fails
     groups = []
 
     class Recorded(TjabemLanes):
@@ -536,22 +535,26 @@ def test_a_model_whose_guard_fails_fails_every_cell(set1, set2, monkeypatch):
             super().__init__(*args)
             groups.append(self)
 
+    def failing_solve(*args):
+        raise SolverError("forced failure")
+
     monkeypatch.setattr(jumpsde.solver, "TjabemLanes", Recorded)
-    block = _fan_out_block(set1, 16, 89)
-    cells = _lane_cells([set1], DEFAULT_JUMPS) + [
-        (set2, make_jump(*spec), 100.0) for spec in DEFAULT_JUMPS]
-    with pytest.raises(LaneFailure, match="step-size guard violated") as excinfo:
+    monkeypatch.setattr(jumpsde.solver, "_implicit_solve", failing_solve)
+    stiff = replace(_stiff_params(), T=2.0**-11)
+    block = _stiff_fan_out_block(stiff, 16)
+    cells = _lane_cells((stiff, replace(set1, T=stiff.T)), DEFAULT_JUMPS)
+    with pytest.raises(LaneFailure, match="forced failure") as excinfo:
         tjabem_lanes(cells, block)
-    assert (excinfo.value.cell, excinfo.value.path) == (3, 0)
+    assert (excinfo.value.cell, excinfo.value.path) == (0, 0)
     (lanes,) = groups
     lane = jumpsde.solver._TableLayout(cells, block).lane
-    assert lanes.z.size > 2 * block.dt.shape[0]
+    assert lanes.z.size == 2 * 2 + 4
     for c in range(len(cells)):
-        for p in range(block.dt.shape[0]):
+        for p in range(2):
             failure = lanes.failures.get(int(lane[c, p]))
-            assert (failure is not None) == (c >= 3)
+            assert (failure is not None) == (p == 0)
             if failure is not None:
-                assert "step-size guard violated" in str(failure)
+                assert str(failure) == "forced failure"
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -598,9 +601,9 @@ def test_lanes_count_their_nonpositive_states(set1, set2, monkeypatch):
         meshes.append(bundle.fine_mesh)
         increments.append(bundle.dw_fine)
     _, n_nonpositive = tjabem_lanes(cells, whole_block(meshes, increments))
-    for c, (params, jump, q) in enumerate(cells):
+    for c, (params, jump) in enumerate(cells):
         for p, (mesh, dw) in enumerate(zip(meshes, increments)):
-            trajectory, _ = oracles.tjabem_path(params, jump, mesh, dw, q)
+            trajectory, _ = oracles.tjabem_path(params, jump, mesh, dw)
             assert n_nonpositive[c, p] == np.count_nonzero(trajectory.z_post <= 0.0)
     assert n_nonpositive.min() > 0
 
@@ -1000,9 +1003,8 @@ def test_no_result_shares_memory_with_a_workspace(set1, set2, monkeypatch):
     monkeypatch.setattr(harness.np, "column_stack", recorded)
     monkeypatch.setattr(harness, "_LADDER_CELLS", 64)
     params = replace(set1, lam=5.0)
-    q, q_drift = one_sided_lipschitz(params), drift_one_sided_lipschitz(params)
     rows = harness._ladder_rows(0, 8, ("reference", "levels"), params, linear_jump(1.0),
-                                ("tjabem", "bem"), (4, 8), 64, q, q_drift, 92)
+                                ("tjabem", "bem"), (4, 8), 64, 92)
     monkeypatch.undo()
     assert rows.shape == (8, 5) and len(stacked) == 2
     kept = [(a, a.tobytes()) for result in results for a in result]

@@ -178,17 +178,18 @@ def _check_lane_table(first, candidates, first_path):
         runs = [_outcome(oracles.tjabem_path, params, jump, bundle.fine_mesh, bundle.dw_fine, q)
                 for bundle in bundles]
         if not any(isinstance(run, type) for run in runs):
-            cells.append((params, jump, q))
+            cells.append((params, jump))
             expected.append(runs)
     if not cells:
         return
     block = mesh_block([open_shared_path(lam, [(T, M)], seed, i) for i in indices], T, M)
     z, _, z_pre, z_post = tjabem_lanes(cells, block, states=True)
-    for c, ((params, jump, q), runs) in enumerate(zip(cells, expected)):
+    for c, ((params, jump), runs) in enumerate(zip(cells, expected)):
         for p, (bundle, (trajectory, _)) in enumerate(zip(bundles, runs)):
             mesh, n = bundle.fine_mesh, block.n[p]
             assert n == mesh.n_intervals
-            pre, post = _tjabem_bounds(params, jump, mesh, bundle.dw_fine, trajectory, q)
+            pre, post = _tjabem_bounds(params, jump, mesh, bundle.dw_fine, trajectory,
+                                       one_sided_lipschitz(params))
             assert np.all(np.abs(z_pre[c, p, : n + 1] - trajectory.z_pre) <= pre)
             assert np.all(np.abs(z_post[c, p, : n + 1] - trajectory.z_post) <= post)
             # the padding repeats the terminal state
