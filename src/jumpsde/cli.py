@@ -22,13 +22,14 @@ from .harness import (
     _replay_failure,
     check_band,
     check_ladder,
+    check_moments,
     check_paths,
     check_schemes,
     moment_probe,
     positivity_table,
     strong_error_ladder,
 )
-from .mesh import MeshError
+from .mesh import MeshError, build_mesh
 from .model import (
     InvalidModelError,
     JumpCoefficient,
@@ -39,7 +40,7 @@ from .model import (
     validate_jump,
     validate_params,
 )
-from .paths import generate_bundle
+from .paths import mesh_block, open_shared_path
 from .reports import (
     write_convergence_reports,
     write_mesh_csv,
@@ -47,7 +48,8 @@ from .reports import (
     write_positivity_report,
     write_trajectory_csv,
 )
-from .solver import SolverError, _epsilon_bound, step_size_diagnostics, tjabem_path
+from .solver import SolverError, TrajectoryZ, _epsilon_bound, step_size_diagnostics, tjabem_lanes
+from .transform import lamperti_inverse
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -283,6 +285,8 @@ def cmd_validate(config: ExperimentConfig) -> int:
             )
         if config.scheme in ("bem", "both"):
             steps.append(("bem", config.m_list[0]))
+        label = "moments"
+        check_moments(params, config.n_paths, _default_orders(params))
         label = "initial-state"
         check_paths(params, [])
         q = one_sided_lipschitz(params)
@@ -309,31 +313,34 @@ def cmd_validate(config: ExperimentConfig) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig, path_index: int, mesh_only: bool) -> int:
-    """Write one trajectory (or just its mesh) for inspection."""
+    """Write one trajectory (or just its mesh) for inspection. The path is
+    opened and stepped as the moment probe opens and steps its paths."""
     if path_index < 0:
         raise InvalidModelError(f"--path-index must be at least 0, got {path_index}")
-    validate_params(config.params)
-    validate_jump(config.jump, config.params)
+    params = config.params
+    validate_params(params)
+    validate_jump(config.jump, params)
     m = config.m_list[0]
     if not mesh_only:
-        check_paths(config.params, [("tjabem", m)])
+        check_paths(params, [("tjabem", m)])
     out_dir = Path(config.out_dir)
     try:
-        bundle = generate_bundle(config.params, m, config.global_seed, path_index)
+        path = open_shared_path(params.lam, [(params.T, m)], config.global_seed, path_index)
+        mesh = build_mesh(m, params.T, path.jump_times)
         if mesh_only:
-            path = write_mesh_csv(bundle.fine_mesh, out_dir / "mesh.csv")
-            print(f"wrote {path}")
+            written = write_mesh_csv(mesh, out_dir / "mesh.csv")
+            print(f"wrote {written}")
             return 0
-        trajectory, x_terminal = tjabem_path(
-            config.params, config.jump, bundle.fine_mesh, bundle.dw_fine
-        )
-        path = write_trajectory_csv(
-            config.params, trajectory, out_dir / "trajectory.csv"
+        *_, z_pre, z_post = tjabem_lanes([(params, config.jump)],
+                                         mesh_block([path], params.T, m), states=True)
+        x_terminal = lamperti_inverse(params.rho, float(z_post[0, 0, -1]))
+        written = write_trajectory_csv(
+            params, TrajectoryZ(mesh, z_pre[0, 0], z_post[0, 0]), out_dir / "trajectory.csv"
         )
     except _PATH_ERRORS as exc:
         # a path that fails after validation is a runtime failure (exit 2)
         raise _replay_failure(exc, config.global_seed, path_index) from exc
-    print(f"wrote {path} (terminal x = {x_terminal!r})")
+    print(f"wrote {written} (terminal x = {x_terminal!r})")
     return 0
 
 

@@ -48,7 +48,6 @@ from .model import (
 # module, with validate_params, validate_jump, one_sided_lipschitz,
 # drift_one_sided_lipschitz and ProcessPoolExecutor
 from .paths import (  # noqa: F401
-    _keyed_seed,
     coarse_block,
     coarsen_increments,
     fine_blocks,
@@ -87,6 +86,7 @@ __all__ = [
     "check_seed",
     "check_paths",
     "check_schemes",
+    "check_moments",
     "strong_error_ladder",
     "positivity_table",
     "moment_probe",
@@ -271,8 +271,9 @@ def _map_runs(runs: list, n_paths: int, n_chunks: int, parallelism: int) -> list
     else:
         workers = min(parallelism, os.cpu_count() or 1)
         # numpy.random, imported here once, is inherited by forked workers,
-        # each of which would otherwise import it to open its first path
-        _keyed_seed()
+        # each of which would otherwise import it to build its first
+        # generator; importing jumpsde does not import it
+        import numpy.random  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_chunk, tasks))
     n = len(ranges)
@@ -354,6 +355,20 @@ def check_schemes(scheme: str, n_paths: int) -> tuple[str, ...]:
     return SCHEMES if scheme == "both" else (scheme,)
 
 
+def check_moments(params: ModelParams, n_paths: int, p_list: Sequence[float]) -> tuple[float, ...]:
+    """The moment probe's orders as floats, once n_paths is at least 2,
+    which a standard error needs, and the orders are one or more, each
+    admissible for params' regime."""
+    if n_paths < 2:
+        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
+    p_list = tuple(float(p) for p in p_list)
+    if not p_list:
+        raise InvalidModelError("p_list needs at least one moment order")
+    for p in p_list:
+        moment_admissible(params, p)
+    return p_list
+
+
 def check_paths(params: ModelParams, steps: Sequence[tuple[str, int]]) -> list[float]:
     """Q*dt for each (scheme, M) of steps, once every path of params can
     start and take those steps: lamperti_forward must give z0 = x0^(1-rho),
@@ -409,7 +424,7 @@ def _ladder_rows(lo, hi, groups, params, jump, schemes, m_list, m_ref, global_se
     args = (groups, params, jump, schemes, m_list, m_ref)
     return np.concatenate(_batches(
         lo, hi, batch, global_seed,
-        lambda i, keys: open_path(params, m_ref, global_seed, i, keys),
+        lambda i, keys: open_path(params, global_seed, i, keys),
         lambda paths: _ladder_batch(paths, *args)))
 
 
@@ -766,14 +781,8 @@ def moment_probe(
     configuration's regime, and the initial state and the step are checked
     before any path.
     """
-    if n_paths < 2:
-        raise InvalidModelError(f"n_paths must be at least 2, got {n_paths}")
+    p_list = check_moments(params, n_paths, p_list)
     check_seed(global_seed)
-    p_list = tuple(float(p) for p in p_list)
-    if not p_list:
-        raise InvalidModelError("p_list needs at least one moment order")
-    for p in p_list:
-        moment_admissible(params, p)
     validate_jump(jump, params)
     check_paths(params, [("tjabem", M)])
     args = (params, jump, p_list, M, global_seed)

@@ -8,9 +8,11 @@ Stream k of path i is a Philox generator keyed by numpy's
 SeedSequence(global_seed, spawn_key=(i, k)).generate_state(2, np.uint64):
 stream_keys runs that hash, plain uint32 arithmetic whose constants do not
 depend on the data, for a whole batch of path indices at once, and each
-generator is built from its key, without a SeedSequence. open_path builds
-each path's pair, which the path keeps for its later blocks; a chunk of
-open_shared_path's paths builds one stream_pair and re-keys it for each.
+generator is numpy's Philox(key=...) of its key, without a SeedSequence.
+A path opens one of two ways, one per draw regime. open_path builds the
+path's pair and keeps its Brownian generator, from which the ladder draws
+block by block. open_shared_path draws all of a path's normals at once, on
+a stream_pair that a chunk builds once and re-keys for each of its paths.
 Coarse-resolution increments are left-to-right sums of fine increments, so
 every resolution of a path sees exactly the same Brownian path. Every mesh
 and block comes from the flat jump placement of mesh.place_batch, with the
@@ -26,7 +28,6 @@ generate_bundle at that (T, M).
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -52,7 +53,6 @@ __all__ = [
     "SharedPath",
     "Block",
     "stream_keys",
-    "path_streams",
     "stream_pair",
     "open_path",
     "open_shared_path",
@@ -93,8 +93,6 @@ class PathNoise:
 
     global_seed: int
     path_index: int
-    m_ref: int
-    T: float
     jump_times: np.ndarray
     brownian: np.random.Generator
 
@@ -227,59 +225,11 @@ def stream_keys(global_seed: int, indices: Sequence[int]) -> np.ndarray:
     return keys
 
 
-@functools.cache
-def _keyed_seed() -> type:
-    """A seed sequence that hands a Philox a stream's derived key.
-
-    It is made on first use, so that importing jumpsde does not import
-    numpy.random. It pickles as numpy's SeedSequence of the same stream,
-    which derives the same key.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeyedSeed(ISeedSequence):
-        __slots__ = ("key", "stream")
-
-        def __init__(self, key: np.ndarray, stream: tuple[int, int, int]):
-            self.key, self.stream = key, stream
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                return _seed_sequence(*self.stream).generate_state(n_words, dtype)
-            return self.key.copy()
-
-        def __reduce__(self):
-            return _seed_sequence, self.stream
-
-    return KeyedSeed
-
-
-def _seed_sequence(global_seed: int, path_index: int, stream: int):
-    """numpy's SeedSequence of one stream of a path."""
-    return np.random.SeedSequence(global_seed, spawn_key=(path_index, stream))
-
-
-def path_streams(
-    global_seed: int, path_index: int, keys: np.ndarray | None = None
-) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two disjoint counter-based substreams for one path: (jumps, Brownian).
-
-    keys is the path's row of stream_keys, derived here if not given.
-    """
-    if keys is None:
-        keys = stream_keys(global_seed, (path_index,))[0]
-    seed = _keyed_seed()
-    return tuple(
-        np.random.Generator(np.random.Philox(seed(key, (global_seed, path_index, k))))
-        for k, key in enumerate(keys)
-    )
-
-
 def stream_pair() -> tuple[np.random.Generator, np.random.Generator]:
     """A (jumps, Brownian) pair of generators, keyed with zeros, for
     open_shared_path to re-key for each path a chunk opens, so that the
     chunk builds two in all."""
-    return path_streams(0, 0, np.zeros((2, 2), dtype=np.uint64))
+    return tuple(np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
 
 
 # a fresh Philox's counter and buffer, four uint64 words of zeros each
@@ -289,8 +239,8 @@ _ZERO_WORDS = (0, 0, 0, 0)
 def _rekey(streams, keys: np.ndarray):
     """streams, a stream_pair, re-keyed to the streams whose stream_keys row
     is keys: each Philox starts from its key with a zero counter and an
-    empty buffer, as Philox(SeedSequence) does, so the pair draws what
-    path_streams' would, bit for bit."""
+    empty buffer, as a new Philox does, so the pair draws what
+    Philox(key=keys[k]) of stream k would, bit for bit."""
     for rng, key in zip(streams, keys.tolist()):
         rng.bit_generator.state = {
             "bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
@@ -299,17 +249,17 @@ def _rekey(streams, keys: np.ndarray):
 
 
 def open_path(
-    params: ModelParams, m_ref: int, global_seed: int, path_index: int,
-    keys: np.ndarray | None = None,
+    params: ModelParams, global_seed: int, path_index: int, keys: np.ndarray | None = None,
 ) -> PathNoise:
-    """Sample a path's jump times and keep its Brownian stream; keys is the
-    path's row of stream_keys, derived here if not given."""
-    if m_ref < 1:
-        raise ValueError(f"m_ref must be a positive integer, got {m_ref}")
-    jump_rng, brownian_rng = path_streams(global_seed, path_index, keys)
+    """Sample a path's jump times and keep its Brownian stream. keys is the
+    path's row of stream_keys, derived here if not given; stream k is a
+    Philox keyed by its row k."""
+    if keys is None:
+        keys = stream_keys(global_seed, (path_index,))[0]
+    jump_rng, brownian_rng = (np.random.Generator(np.random.Philox(key=key)) for key in keys)
     jump_times = sample_jump_times(params.lam, params.T, jump_rng)
     jump_times.setflags(write=False)
-    return PathNoise(global_seed, path_index, m_ref, params.T, jump_times, brownian_rng)
+    return PathNoise(global_seed, path_index, jump_times, brownian_rng)
 
 
 def _blocks(placed: GridJumps, blocks: int, draw):
@@ -412,7 +362,7 @@ def generate_bundle(
     params: ModelParams, m_ref: int, global_seed: int, path_index: int
 ) -> PathBundle:
     """Sample jump times, build the reference mesh, then sample increments."""
-    path = open_path(params, m_ref, global_seed, path_index)
+    path = open_path(params, global_seed, path_index)
     mesh = build_mesh(m_ref, params.T, path.jump_times)
     dw = path.brownian.standard_normal(mesh.n_intervals) * np.sqrt(mesh.dt)
     dw.setflags(write=False)

@@ -20,7 +20,6 @@ import oracles
 from jumpsde import generate_bundle
 from jumpsde.cli import _preset_path, load_config, main
 from jumpsde.mesh import DEDUP_RTOL
-from jumpsde.paths import path_streams
 from jumpsde.reports import write_trajectory_csv
 
 
@@ -308,10 +307,12 @@ def test_non_finite_parameter_exits_1(tmp_path, capsys, key, command):
 
 
 def _edit_config(path, **values):
+    """path with each key's line set to its value, or dropped for None."""
     lines = path.read_text().splitlines()
     for key, value in values.items():
         lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
                  for line in lines]
+    lines = [line for line in lines if not line.endswith(" = None")]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -423,6 +424,8 @@ GATES = {
                       ["simulate", "moments", "positivity", "convergence"]),
     "scheme": ({"scheme": "euler"}, ["convergence"]),
     "one_path": ({"n_paths": "1"}, ["convergence", "moments"]),
+    # without m_ref there is no ladder gate, and the moment probe's refuses
+    "one_path_without_a_ladder": ({"n_paths": "1", "m_ref": None}, ["moments"]),
 }
 
 
@@ -519,6 +522,20 @@ def test_single_path_moments_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "validation failure: n_paths must be at least 2" in captured.err
     assert "se nan" not in captured.out
+
+
+def test_simulate_warns_once_of_a_poorly_conditioned_step(tmp_path):
+    # alpha0 = 20 gives set1 Q*dt = 0.3383 on 128 steps: well posed, but
+    # above 0.25, and the one check before the path says so once
+    path = _edit_config(_write_config(tmp_path, m_list="128, 256"), alpha0="20")
+    src = str(Path(jumpsde.paths.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "jumpsde.cli", "simulate", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("Q*dt = 0.3383 above 0.25") == 1
 
 
 @pytest.mark.parametrize(
@@ -637,7 +654,7 @@ def test_a_jump_within_the_tolerance_of_zero_fails_its_path(tmp_path, capsys,
     # path 3's first jump time lies within DEDUP_RTOL * T of 0, which the
     # jump placement rejects; every other path samples its own times
     sample = jumpsde.paths.sample_jump_times
-    staged = path_streams(11, 3)[0].bit_generator.state["state"]["key"]
+    staged = oracles.path_streams(11, 3)[0].bit_generator.state["state"]["key"]
 
     def sample_jump_times(lam, T, rng):
         if np.array_equal(rng.bit_generator.state["state"]["key"], staged):

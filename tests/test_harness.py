@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 from dataclasses import replace
@@ -31,6 +32,8 @@ from jumpsde.harness import PositivityCell
 from jumpsde.paths import SharedPath
 from jumpsde.model import drift_one_sided_lipschitz
 from jumpsde.solver import RESIDUAL_TOL
+from test_cli import finite_configs
+from test_views import _validated
 
 DEFAULT_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 
@@ -257,7 +260,7 @@ def test_pool_is_capped_at_the_cpus(set1, monkeypatch):
 
 def _failing(build):
     def failing(*args, **kwargs):
-        if args[3] == 3:  # the path index
+        if inspect.signature(build).bind(*args, **kwargs).arguments["path_index"] == 3:
             raise MeshError("forced bundle failure")
         return build(*args, **kwargs)
 
@@ -716,6 +719,21 @@ def test_ladder_lanes_match_the_path_loops(set1, set2, spec, lam, ladder):
         assert bounds.max() < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=finite_configs(), lam=st.floats(0.0, 5.0), n_paths=st.integers(2, 3))
+def test_ladder_lanes_match_the_path_loops_on_drawn_configs(values, lam, n_paths):
+    # a tiny ladder of both schemes on each drawn config that validate passes
+    m_list, m_ref = (8, 16), 64
+    config = _validated({**values, "lambda": repr(lam), "m_list": "8, 16", "m_ref": m_ref})
+    if config is not None:
+        args = (config.params, config.jump, m_list, m_ref, config.global_seed)
+        rows, bounds = _oracle_rows(*args, n_paths)
+        lanes = _lane_rows(*args, 0, n_paths)
+        assert lanes.shape == rows.shape
+        assert np.all(np.abs(lanes - rows) <= bounds)
+
+
 @pytest.mark.parametrize("spec", [("linear", 1.0), ("linear", -0.5)])
 def test_ladder_lanes_do_not_depend_on_their_batch(set1, spec):
     # every path of a 64-path batch alone, in batches of 8 and in a batch of
@@ -737,8 +755,8 @@ def test_ladder_failure_names_the_lowest_failing_path(set1, monkeypatch):
     # so path 4 fails first in time, but path 2 is named
     jump_times = {2: [0.9], 4: [0.1]}
 
-    def staged_path(params, m_ref, global_seed, i, keys=None):
-        path = jumpsde.paths.open_path(replace(params, lam=0.0), m_ref, global_seed, i, keys)
+    def staged_path(params, global_seed, i, keys=None):
+        path = jumpsde.paths.open_path(replace(params, lam=0.0), global_seed, i, keys)
         return replace(path, jump_times=np.array(jump_times.get(i, [])))
 
     def failing_map(params, jump, z):

@@ -39,7 +39,6 @@ from jumpsde.paths import (
     mesh_block,
     open_path,
     open_shared_path,
-    path_streams,
     stream_keys,
     stream_pair,
 )
@@ -53,23 +52,39 @@ def _left_to_right(values):
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
+# a model whose paths jump about five times each, so that the draws of a
+# jump stream show
+_JUMPING = ModelParams(alpha_m1=2.0, alpha0=1.0, alpha1=1.5, alpha2=5.0, alpha3=1.0,
+                       gamma=3.0, rho=1.5, lam=5.0, x0=1.0, T=1.0)
 INDICES = [0, 2**32 - 1, 5_000_000_000]
 
 
 def _assert_streams_are_numpys(global_seed, indices):
-    """stream_keys of a batch, and both streams of path_streams, are those
-    of numpy's SeedSequence for each path: the keys and the first draws."""
+    """stream_keys of a batch, open_path's two generators and a stream_pair
+    that open_shared_path re-keys are those of numpy's SeedSequence for each
+    path: the keys, the jump times and the normals after them."""
     keys = stream_keys(global_seed, indices)
     assert keys.shape == (len(indices), 2, 2) and keys.dtype == np.uint64
+    lam, T = _JUMPING.lam, _JUMPING.T
+    streams = stream_pair()
     for i, row in zip(indices, keys):
-        expected = oracles.path_streams(global_seed, i)
-        for k, (mine, theirs) in enumerate(zip(path_streams(global_seed, i, row), expected)):
+        jumps, brownian = oracles.path_streams(global_seed, i)
+        for k, theirs in enumerate((jumps, brownian)):
             assert row[k].tobytes() == theirs.bit_generator.state["state"]["key"].tobytes()
+        times = sample_jump_times(lam, T, jumps).tobytes()
+        normals = brownian.standard_normal(3).tobytes()
+        # derived on its own, a path's keys are the batch's
+        for path in (open_path(_JUMPING, global_seed, i, row),
+                     open_path(_JUMPING, global_seed, i)):
+            assert path.jump_times.tobytes() == times
+            assert path.brownian.standard_normal(3).tobytes() == normals
+        shared = open_shared_path(lam, [(T, 1)], global_seed, i, row, streams)
+        jumps, brownian = oracles.path_streams(global_seed, i)
+        assert shared.jump_times.tobytes() == sample_jump_times(lam, T, jumps).tobytes()
+        assert shared.normals.tobytes() == brownian.standard_normal(shared.normals.size).tobytes()
+        # the re-keyed pair goes on drawing numpy's streams
+        for mine, theirs in zip(streams, (jumps, brownian)):
             assert mine.standard_normal(3).tobytes() == theirs.standard_normal(3).tobytes()
-        # derived on its own, a path's streams are the batch's
-        alone = path_streams(global_seed, i)
-        assert [g.bit_generator.state["state"]["key"].tobytes() for g in alone] == [
-            key.tobytes() for key in row]
 
 
 @pytest.mark.parametrize("global_seed", SEEDS)
@@ -105,11 +120,10 @@ def test_importing_jumpsde_does_not_import_numpy_random():
 
 
 def test_streams_pickle_as_numpys():
-    jumps, brownian = path_streams(5, 3)
+    brownian = open_path(_JUMPING, 5, 3).brownian
     brownian.standard_normal(4)
     copy = pickle.loads(pickle.dumps(brownian))
     assert copy.standard_normal(5).tobytes() == brownian.standard_normal(5).tobytes()
-    assert copy.bit_generator.seed_seq.spawn_key == (3, 1)
 
 
 def test_bundle_regeneration_is_bit_identical(set1):
@@ -288,11 +302,10 @@ def test_coarse_and_regular_sums_are_sequential(set1):
         assert dw.tobytes() == np.array(expected).tobytes()
 
 
-def _staged_path(params, m_ref, global_seed, i, jump_times):
+def _staged_path(global_seed, i, jump_times):
     """open_path's result for given jump times, with the path's own stream."""
-    _, brownian = path_streams(global_seed, i)
-    times = np.asarray(jump_times, dtype=float)
-    return PathNoise(global_seed, i, m_ref, params.T, times, brownian)
+    _, brownian = oracles.path_streams(global_seed, i)
+    return PathNoise(global_seed, i, np.asarray(jump_times, dtype=float), brownian)
 
 
 def _assert_block_is_the_oracles(block, T, M, staged, lo, hi):
@@ -321,8 +334,8 @@ def _assert_block_is_the_oracles(block, T, M, staged, lo, hi):
 def test_streamed_blocks_equal_the_bundle_and_its_sums(set1, m_ref, m_list, staged):
     # the staged jumps, then sampled paths at lambda = 5
     params = replace(set1, lam=5.0)
-    paths = [_staged_path(params, m_ref, 5, i, times) for i, times in enumerate(staged)]
-    paths += [open_path(params, m_ref, 5, i) for i in range(len(staged), 12)]
+    paths = [_staged_path(5, i, times) for i, times in enumerate(staged)]
+    paths += [open_path(params, 5, i) for i in range(len(staged), 12)]
     times = [path.jump_times for path in paths]
     bundles = [oracles.generate_bundle(params, m_ref, 5, i, t) for i, t in enumerate(times)]
     blocks = math.gcd(*m_list)
@@ -588,7 +601,7 @@ def test_level_cuts_equal_the_bundles_coarsenings(ladder):
             assert (placed.index[on] - placed.interval[on] - 1).tolist() == [
                 bisect.bisect_left(jumps.cells, q) for q in jumps.on_grid]
     params = _params(T)
-    paths = [_staged_path(params, m_ref, 9, p, times) for p, times in enumerate(staged)]
+    paths = [_staged_path(9, p, times) for p, times in enumerate(staged)]
     bundles = [oracles.generate_bundle(params, m_ref, 9, p, times)
                for p, times in enumerate(staged)]
     cuts = level_cuts(fine, levels, blocks)
