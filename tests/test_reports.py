@@ -1,3 +1,5 @@
+import numpy as np
+
 from jumpsde.harness import (
     ConvergenceReport,
     MomentReport,
@@ -5,11 +7,16 @@ from jumpsde.harness import (
     PositivityCell,
     PositivityReport,
 )
+from jumpsde.mesh import JumpAdaptedMesh
+from jumpsde.model import ModelParams
 from jumpsde.reports import (
     write_convergence_reports,
+    write_mesh_csv,
     write_moment_report,
     write_positivity_report,
+    write_trajectory_csv,
 )
+from jumpsde.solver import TrajectoryZ
 
 ECHO = {"n_paths": 10, "jump": "linear:-0.5", "model": {"T": 1.0}}
 
@@ -197,3 +204,27 @@ def test_writers_produce_expected_bytes(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED)
     for name, expected in EXPECTED.items():
         assert (tmp_path / name).read_bytes() == expected, name
+
+
+# three nodes, the middle one a jump: z_pre is the left limit, z_post the
+# jump-mapped state, and x = z^(1/(1-rho)) = z^-2 of z_post at rho = 1.5
+MESH = JumpAdaptedMesh(
+    np.array([0.0, 0.25, 1.0]), np.array([False, True, False]),
+    np.array([0.25, 0.75]), 1.0,
+)
+TRAJECTORY = TrajectoryZ(MESH, np.array([1.0, 0.5, 0.5]), np.array([1.0, 2.0, 0.5]))
+PARAMS = ModelParams(2.0, 1.0, 1.5, 5.0, 1.0, 3.0, 1.5, 5.0, 1.0, 1.0)
+
+
+def test_trajectory_and_mesh_writers_produce_expected_bytes(tmp_path):
+    trajectory = write_trajectory_csv(PARAMS, TRAJECTORY, tmp_path / "sim" / "trajectory.csv")
+    mesh = write_mesh_csv(MESH, tmp_path / "mesh" / "mesh.csv")
+    assert trajectory == tmp_path / "sim" / "trajectory.csv"
+    assert mesh == tmp_path / "mesh" / "mesh.csv"
+    assert trajectory.read_bytes() == _csv(
+        "t,is_jump,z_pre,z_post,x",
+        "0.0,0,1.0,1.0,1.0",
+        "0.25,1,0.5,2.0,0.25",
+        "1.0,0,0.5,0.5,4.0",
+    )
+    assert mesh.read_bytes() == _csv("t,is_jump", "0.0,0", "0.25,1", "1.0,0")
