@@ -13,7 +13,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -79,18 +79,8 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Result-affecting fields only; parallelism is execution detail."""
         return {
-            "model": {
-                "alpha_m1": self.params.alpha_m1,
-                "alpha0": self.params.alpha0,
-                "alpha1": self.params.alpha1,
-                "alpha2": self.params.alpha2,
-                "alpha3": self.params.alpha3,
-                "gamma": self.params.gamma,
-                "rho": self.params.rho,
-                "lambda": self.params.lam,
-                "x0": self.params.x0,
-                "T": self.params.T,
-            },
+            "model": {("lambda" if key == "lam" else key): value
+                      for key, value in asdict(self.params).items()},
             "jump": self.jump.label,
             "scheme": self.scheme,
             "ladder": {"m_list": list(self.m_list), "m_ref": self.m_ref},
@@ -115,19 +105,11 @@ def load_config(path: Path) -> ExperimentConfig:
     if not read:
         raise InvalidModelError(f"config file not found: {path}")
     try:
-        model = parser["model"]
-        params = ModelParams(
-            alpha_m1=model.getfloat("alpha_m1"),
-            alpha0=model.getfloat("alpha0"),
-            alpha1=model.getfloat("alpha1"),
-            alpha2=model.getfloat("alpha2"),
-            alpha3=model.getfloat("alpha3"),
-            gamma=model.getfloat("gamma"),
-            rho=model.getfloat("rho"),
-            lam=model.getfloat("lambda"),
-            x0=model.getfloat("x0"),
-            T=model.getfloat("T"),
-        )
+        # every [model] key is required; the file calls lam lambda
+        params = ModelParams(**{
+            f.name: parser.getfloat("model", "lambda" if f.name == "lam" else f.name)
+            for f in fields(ModelParams)
+        })
         jump_section = parser["jump"]
         family = jump_section.get("family", "zero").strip()
         param = jump_section.getfloat("param", fallback=None)

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import io
@@ -865,3 +866,70 @@ def test_non_finite_or_malformed_values_exit_1(values, key, bad, command):
         path.write_text(_config_text({**values, key: bad}))
         argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
         assert _run_quietly(argv) == 1
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+def test_a_missing_model_key_exits_1_from_every_command(tmp_path, capsys, key):
+    path = _write_config(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith(f"{key} =")) + "\n")
+    assert f"\n{key} =" not in path.read_text()
+    for command in ("validate", "simulate", "moments", "convergence", "positivity"):
+        flag = "--presets" if command == "positivity" else "--config"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1, command
+        captured = capsys.readouterr()
+        assert "validation failure: malformed config" in captured.err, command
+        assert "all gates passed" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+
+# the layout of the benchmark's generated configs: every value a repr, lambda
+# last, and no two keys with one value, so that a swapped key shows
+WORKLOAD_CONFIG = """[model]
+alpha_m1 = 2.0
+alpha0 = 1.25
+alpha1 = 1.5
+alpha2 = 5.5
+alpha3 = 0.75
+gamma = 3.0
+rho = 1.75
+x0 = 0.5
+T = 2.0
+lambda = 5.0
+
+[jump]
+family = linear
+param = 1.0
+
+[scheme]
+scheme = both
+
+[ladder]
+m_list = 64, 128
+m_ref = 8192
+
+[run]
+n_paths = 128
+global_seed = 1001
+parallelism = 2
+fast_mode = false
+
+[output]
+directory = out
+formats = csv, json
+"""
+
+
+@pytest.mark.parametrize("source", ["set1", "set2", "workload"])
+def test_the_config_echo_writes_the_model_block_it_read(tmp_path, source):
+    if source == "workload":
+        path = tmp_path / "set1.cfg"
+        path.write_text(WORKLOAD_CONFIG)
+    else:
+        path = _preset_path(source)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str  # keep T's case, as the echo writes it
+    parser.read(path)
+    block = {key: float(value) for key, value in parser["model"].items()}
+    assert sorted(block) == sorted(MODEL_KEYS)
+    assert load_config(path).echo()["model"] == block
