@@ -61,6 +61,28 @@ POSITIVITY_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 DEFAULT_P_LIST = (1.0, 2.0, -1.0, -2.0)
 
 
+# ModelParams' fields by their [model] keys: the file writes lam as lambda
+MODEL_KEYS = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(ModelParams)}
+# Every config key once: (section, key) -> (kind, default, floor). The value
+# parses with the ConfigParser method get<kind>; a default of ... marks a
+# required key, and a floor of None an unbounded one. No key is in two
+# sections. load_config refuses any key or section not listed here.
+CONFIG_KEYS = {
+    **{("model", key): ("float", ..., None) for key in MODEL_KEYS.values()},
+    ("jump", "family"): ("", "zero", None),
+    ("jump", "param"): ("float", None, None),
+    ("scheme", "scheme"): ("lower", "tjabem", None),
+    ("ladder", "m_list"): ("steps", ..., 1),
+    ("ladder", "m_ref"): ("int", None, 1),
+    ("run", "n_paths"): ("int", 5000, 1),
+    ("run", "parallelism"): ("int", 1, 1),
+    ("run", "global_seed"): ("int", 0, 0),
+    ("run", "fast_mode"): ("boolean", False, None),
+    ("output", "directory"): ("", "out", None),
+    ("output", "formats"): ("", "csv, json", None),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment configuration."""
@@ -79,8 +101,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Result-affecting fields only; parallelism is execution detail."""
         return {
-            "model": {("lambda" if key == "lam" else key): value
-                      for key, value in asdict(self.params).items()},
+            "model": {MODEL_KEYS[name]: value for name, value in asdict(self.params).items()},
             "jump": self.jump.label,
             "scheme": self.scheme,
             "ladder": {"m_list": list(self.m_list), "m_ref": self.m_ref},
@@ -99,69 +120,48 @@ def _preset_path(name: str) -> Path:
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    """Parse a block-structured key=value config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    """Parse a block-structured key=value config file: each key of
+    CONFIG_KEYS from its section, or its default when the file omits it."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), converters={
+        "steps": lambda text: tuple(int(tok) for tok in text.replace(",", " ").split()),
+        "lower": str.lower,
+    })
+    if not parser.read(path):
         raise InvalidModelError(f"config file not found: {path}")
+    for section in parser:  # [DEFAULT] first, then the file's sections
+        declared = {parser.optionxform(key) for sec, key in CONFIG_KEYS if sec == section}
+        unknown = [f"key [{section}] {key}" for key in parser[section] if key not in declared]
+        if section != parser.default_section and not declared:
+            unknown.append(f"section [{section}]")
+        if unknown:
+            raise InvalidModelError(f"malformed config {path}: unknown {unknown[0]}")
     try:
-        # every [model] key is required; the file calls lam lambda
-        params = ModelParams(**{
-            f.name: parser.getfloat("model", "lambda" if f.name == "lam" else f.name)
-            for f in fields(ModelParams)
-        })
-        jump_section = parser["jump"]
-        family = jump_section.get("family", "zero").strip()
-        param = jump_section.getfloat("param", fallback=None)
-        jump = make_jump(family, param)
-        scheme = parser.get("scheme", "scheme", fallback="tjabem").strip().lower()
-        ladder = parser["ladder"]
-        m_list = tuple(
-            int(tok) for tok in ladder["m_list"].replace(",", " ").split()
-        )
-        m_ref = ladder.getint("m_ref")
-        n_paths = parser.getint("run", "n_paths", fallback=5000)
-        global_seed = parser.getint("run", "global_seed", fallback=0)
-        parallelism = parser.getint("run", "parallelism", fallback=1)
-        fast_mode = parser.getboolean("run", "fast_mode", fallback=False)
-        out_dir = parser.get("output", "directory", fallback="out")
-        formats = parser.get("output", "formats", fallback="csv, json")
-    except (KeyError, configparser.Error, TypeError, ValueError) as exc:
+        if not parser.has_section("jump"):  # a config names its jump, zero or not
+            raise configparser.NoSectionError("jump")
+        values = {}
+        for (section, key), (kind, default, _) in CONFIG_KEYS.items():
+            read = getattr(parser, f"get{kind}")
+            values[key] = (read(section, key) if default is ...
+                           else read(section, key, fallback=default))
+        params = ModelParams(**{name: values[key] for name, key in MODEL_KEYS.items()})
+        jump = make_jump(values["family"], values["param"])
+    except (configparser.Error, ValueError) as exc:
         raise InvalidModelError(f"malformed config {path}: {exc}") from exc
-    if [tok.strip() for tok in formats.split(",")] != ["csv", "json"]:
+    if [tok.strip() for tok in values["formats"].split(",")] != ["csv", "json"]:
         raise InvalidModelError(
             f"formats must be 'csv, json' in {path} (every report is written "
-            f"as both), got {formats!r}"
+            f"as both), got {values['formats']!r}"
         )
-    if not m_list or min(m_list) < 1:
-        raise InvalidModelError(
-            f"m_list must be one or more step counts >= 1 in {path}, got {m_list}"
-        )
-    if m_ref is not None and m_ref < 1:
-        raise InvalidModelError(f"m_ref must be at least 1 in {path}, got {m_ref}")
-    if n_paths < 1:
-        raise InvalidModelError(f"n_paths must be at least 1 in {path}, got {n_paths}")
-    if parallelism < 1:
-        raise InvalidModelError(
-            f"parallelism must be at least 1 in {path}, got {parallelism}"
-        )
-    if global_seed < 0:
-        raise InvalidModelError(
-            f"global_seed must be at least 0 in {path}, got {global_seed}"
-        )
-
-    return ExperimentConfig(
-        params=params,
-        jump=jump,
-        scheme=scheme,
-        m_list=m_list,
-        m_ref=m_ref,
-        n_paths=n_paths,
-        global_seed=global_seed,
-        parallelism=parallelism,
-        fast_mode=fast_mode,
-        out_dir=out_dir,
-    )
+    for (_, key), (_, _, floor) in CONFIG_KEYS.items():
+        value = values[key]
+        if isinstance(value, tuple) and (not value or min(value) < floor):
+            raise InvalidModelError(
+                f"{key} must be one or more step counts >= {floor} in {path}, got {value}"
+            )
+        if isinstance(value, int) and floor is not None and value < floor:
+            raise InvalidModelError(f"{key} must be at least {floor} in {path}, got {value}")
+    return ExperimentConfig(params=params, jump=jump, out_dir=values["directory"], **{
+        f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in values})
 
 
 def _parse_jump_flag(spec: str) -> JumpCoefficient:
@@ -351,28 +351,23 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 
 def cmd_positivity(args: argparse.Namespace) -> int:
-    preset_names = [
-        tok.strip() for tok in (args.presets or "set1,set2").split(",") if tok.strip()
-    ]
-    configs = []
-    for name in preset_names:
-        if name in PRESET_NAMES:
-            ns = argparse.Namespace(**{**vars(args), "preset": name, "config": None})
-        else:
-            # allow config file paths alongside bundled preset names
-            ns = argparse.Namespace(**{**vars(args), "preset": None, "config": name})
-            name = Path(name).stem
-        configs.append((name, _resolve(ns)))
-    if not configs:
+    names = [tok.strip() for tok in (args.presets or "set1,set2").split(",") if tok.strip()]
+    if not names:
         raise InvalidModelError(f"--presets {args.presets!r} names no preset or config file")
-    base = configs[0][1]
+    # config file paths are allowed alongside bundled preset names
+    paths = [_preset_path(name) if name in PRESET_NAMES else Path(name) for name in names]
+    # the first set's run settings and flags make the run: positivity_table
+    # reads only the other sets' parameters, at the first set's lambda
+    base = _resolve(argparse.Namespace(**{**vars(args), "config": paths[0]}))
+    param_sets = [(paths[0].stem, base.params)]
+    param_sets += [(path.stem, load_config(path).params) for path in paths[1:]]
     if args.h:
         jumps = [_parse_jump_flag(args.h)]
     else:
         jumps = [make_jump(f, p) for f, p in POSITIVITY_JUMPS]
     dt_list = [base.params.T / m for m in base.m_list[:3]]
     report = positivity_table(
-        [(name, cfg.params) for name, cfg in configs],
+        param_sets,
         jumps,
         dt_list,
         base.params.lam,

@@ -325,13 +325,15 @@ def check_band(jump: JumpCoefficient, bounds: JumpBounds) -> None:
 def check_ladder(m_list: Sequence[int], m_ref: int) -> tuple[int, ...]:
     """The ladder's step counts as ints, once they pass the ladder's checks.
 
-    m_list needs at least two strictly increasing entries, each dividing
-    m_ref, so that every coarse mesh is made of fine-mesh intervals, and each
-    below m_ref, so that no level is the reference itself.
+    m_list needs at least two strictly increasing entries, each at least 1
+    and dividing m_ref, so that every coarse mesh is made of fine-mesh
+    intervals, and each below m_ref, so that no level is the reference itself.
     """
     m_list = tuple(int(m) for m in m_list)
     if len(m_list) < 2:
         raise InvalidModelError("the ladder needs at least two step counts")
+    if min(m_list) < 1:
+        raise InvalidModelError(f"ladder entry M = {min(m_list)} is below 1")
     if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
         raise InvalidModelError("m_list must be strictly increasing")
     for m in m_list:
@@ -372,16 +374,18 @@ def check_moments(params: ModelParams, n_paths: int, p_list: Sequence[float]) ->
 def check_paths(params: ModelParams, steps: Sequence[tuple[str, int]]) -> list[float]:
     """Q*dt for each (scheme, M) of steps, once every path of params can
     start and take those steps: lamperti_forward must give z0 = x0^(1-rho),
-    where every tjabem path starts, and then _check_step_guard must accept
-    each scheme's step on the M-step grid of [0, T] with its one-sided bound
-    Q (tjabem's in z, bem's in x). A refusal raises InvalidModelError with
-    the transform's or the guard's message."""
+    where every tjabem path starts, each M must be at least 1, and then
+    _check_step_guard must accept each scheme's step on the M-step grid of
+    [0, T] with its one-sided bound Q (tjabem's in z, bem's in x). A refusal
+    raises InvalidModelError with the transform's or the guard's message."""
     try:
         lamperti_forward(params.rho, params.x0)
     except (ValueError, OverflowError) as exc:
         raise InvalidModelError(f"initial state z0 = x0^(1-rho): {exc}") from None
     q_dt = []
     for scheme, m in steps:
+        if m < 1:
+            raise InvalidModelError(f"{scheme} at M = {m}: the step count must be at least 1")
         bound = one_sided_lipschitz if scheme == "tjabem" else drift_one_sided_lipschitz
         try:
             q_dt.append(_check_step_guard(bound(params), params.T / m))

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import jumpsde.paths
 import jumpsde.solver
 import oracles
-from jumpsde import generate_bundle
-from jumpsde.cli import _preset_path, load_config, main
+from jumpsde import ModelParams, generate_bundle
+from jumpsde.cli import CONFIG_KEYS, _preset_path, load_config, main
 from jumpsde.mesh import DEDUP_RTOL
 from jumpsde.reports import write_trajectory_csv
 
@@ -883,6 +883,145 @@ def test_a_missing_model_key_exits_1_from_every_command(tmp_path, capsys, key):
         assert not (tmp_path / "out").exists()
 
 
+UNKNOWN_ENTRIES = {
+    # the misspellings that used to load as 5000 paths at seed 0
+    "misspelled-run-key": (("n_paths = 30\nglobal_seed = 11", "n_path = 10\nglobl_seed = 7"),
+                           "key [run] n_path"),
+    "extra-model-key": (("T = 1.0\n", "T = 1.0\nalpha4 = 1.0\n"), "key [model] alpha4"),
+    "declared-key-in-another-section": (("m_ref = 128\n", "m_ref = 128\nn_paths = 10\n"),
+                                        "key [ladder] n_paths"),
+    "undeclared-section": (("[output]", "[outputs]\nformat = csv\n\n[output]"),
+                           "key [outputs] format"),
+    "default-section": (("[model]", "[DEFAULT]\nn_paths = 10\n\n[model]"),
+                        "key [DEFAULT] n_paths"),
+    "empty-undeclared-section": (("[output]", "[extras]\n\n[output]"), "section [extras]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_ENTRIES))
+def test_an_unknown_key_exits_1_from_every_command(tmp_path, capsys, case):
+    (old, new), named = UNKNOWN_ENTRIES[case]
+    path = _write_config(tmp_path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    for command in ("validate", "simulate", "moments", "convergence", "positivity"):
+        flag, target = ("--presets", f"set1,{path}") if command == "positivity" else (
+            "--config", str(path))
+        assert main([command, flag, target, "--out", str(tmp_path / "out")]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation failure: malformed config {path}: unknown {named}\n"), command
+        assert "all gates passed" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_config_without_a_jump_section_exits_1(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().replace("[jump]\nfamily = linear\nparam = -0.5\n", ""))
+    assert "[jump]" not in path.read_text()
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "validation failure: malformed config" in capsys.readouterr().err
+
+
+# every declared key at a value other than its default, each in its own
+# section, with keys in any case and m_list's two separators
+EVERY_KEY_CONFIG = """[model]
+alpha_m1 = 2.5
+alpha0 = 1.25
+alpha1 = 1.75
+alpha2 = 5.5
+alpha3 = 0.75
+gamma = 3.25
+rho = 1.5
+Lambda = 4.5
+x0 = 0.5
+T = 2.0
+
+[jump]
+family = Sine
+param = 0.25
+
+[scheme]
+scheme = Both
+
+[ladder]
+m_list = 8 16, 32
+m_ref = 64
+
+[run]
+n_paths = 7
+parallelism = 3
+global_seed = 99
+FAST_MODE = yes
+
+[output]
+directory = elsewhere
+formats = csv,json
+"""
+
+
+def test_every_declared_key_loads_from_its_section(tmp_path):
+    path = tmp_path / "every.cfg"
+    path.write_text(EVERY_KEY_CONFIG)
+    parser = configparser.ConfigParser()
+    parser.read_string(EVERY_KEY_CONFIG)
+    given = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert given == {(section, key.lower()) for section, key in CONFIG_KEYS}
+    config = load_config(path)
+    assert config.params == ModelParams(
+        alpha_m1=2.5, alpha0=1.25, alpha1=1.75, alpha2=5.5, alpha3=0.75,
+        gamma=3.25, rho=1.5, lam=4.5, x0=0.5, T=2.0,
+    )
+    assert config.jump.label == "sine:0.25"
+    expected = {"scheme": "both", "m_list": (8, 16, 32), "m_ref": 64, "n_paths": 7,
+                "global_seed": 99, "parallelism": 3, "fast_mode": True, "out_dir": "elsewhere"}
+    assert {key: getattr(config, key) for key in expected} == expected
+    for key, value in expected.items():
+        assert type(getattr(config, key)) is type(value), key
+    assert all(type(m) is int for m in config.m_list)
+    assert all(type(v) is float for v in asdict(config.params).values())
+
+
+def test_omitted_keys_load_their_defaults(tmp_path):
+    path = tmp_path / "least.cfg"
+    model = "\n".join(EVERY_KEY_CONFIG.splitlines()[:11])
+    path.write_text(f"{model}\n\n[jump]\n\n[ladder]\nm_list = 8\n")
+    config = load_config(path)
+    assert config.jump.label == "zero"
+    assert (config.scheme, config.m_list, config.m_ref, config.n_paths, config.global_seed,
+            config.parallelism, config.fast_mode, config.out_dir) == (
+        "tjabem", (8,), None, 5000, 0, 1, False, "out")
+
+
+# the config CI's console-script step writes as both.cfg
+BOTH_CONFIG = """[model]
+alpha_m1 = 2.0
+alpha0 = 1.0
+alpha1 = 1.5
+alpha2 = 5.0
+alpha3 = 1.0
+gamma = 3.0
+rho = 1.5
+lambda = 1.0
+x0 = 1.0
+T = 1.0
+
+[jump]
+family = linear
+param = -0.5
+
+[scheme]
+scheme = both
+
+[ladder]
+m_list = 8, 16, 32
+m_ref = 64
+
+[run]
+n_paths = 4
+"""
+
+
 # the layout of the benchmark's generated configs: every value a repr, lambda
 # last, and no two keys with one value, so that a swapped key shows
 WORKLOAD_CONFIG = """[model]
@@ -918,6 +1057,42 @@ fast_mode = false
 directory = out
 formats = csv, json
 """
+
+
+SET1_MODEL = dict(alpha_m1=2.0, alpha0=1.0, alpha1=1.5, alpha2=5.0, alpha3=1.0,
+                  gamma=3.0, rho=1.5, lam=1.0, x0=1.0, T=1.0)
+# what each config loads to: its model, its jump's label and the other fields
+LOADED = {
+    "set1": (SET1_MODEL, "linear:-0.5", dict(
+        scheme="tjabem", m_list=(32, 64, 128, 256, 512), m_ref=4096, n_paths=5000,
+        global_seed=12345, parallelism=1, fast_mode=False, out_dir="out")),
+    "set2": ({**SET1_MODEL, "alpha_m1": 1.0, "alpha0": 2.0, "alpha2": 3.0, "gamma": 3.5},
+             "linear:-0.5", dict(
+        scheme="tjabem", m_list=(32, 64, 128, 256, 512), m_ref=4096, n_paths=5000,
+        global_seed=12345, parallelism=1, fast_mode=False, out_dir="out")),
+    "workload": ({**SET1_MODEL, "alpha0": 1.25, "alpha2": 5.5, "alpha3": 0.75, "rho": 1.75,
+                  "lam": 5.0, "x0": 0.5, "T": 2.0}, "linear:1", dict(
+        scheme="both", m_list=(64, 128), m_ref=8192, n_paths=128, global_seed=1001,
+        parallelism=2, fast_mode=False, out_dir="out")),
+    "both": (SET1_MODEL, "linear:-0.5", dict(
+        scheme="both", m_list=(8, 16, 32), m_ref=64, n_paths=4, global_seed=0,
+        parallelism=1, fast_mode=False, out_dir="out")),
+}
+
+
+@pytest.mark.parametrize("source", sorted(LOADED))
+def test_the_presets_and_the_generated_configs_load_as_declared(tmp_path, source):
+    texts = {"workload": WORKLOAD_CONFIG, "both": BOTH_CONFIG}
+    if source in texts:
+        path = tmp_path / f"{source}.cfg"
+        path.write_text(texts[source])
+    else:
+        path = _preset_path(source)
+    model, label, rest = LOADED[source]
+    config = load_config(path)
+    assert config.params == ModelParams(**model)
+    assert config.jump.label == label
+    assert {key: getattr(config, key) for key in rest} == rest
 
 
 @pytest.mark.parametrize("source", ["set1", "set2", "workload"])

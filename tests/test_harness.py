@@ -131,6 +131,20 @@ def test_ladder_validates_inputs(set1):
         strong_error_ladder(set1, zero_jump(), "euler", (8, 16), 64, 4, 0)
 
 
+def test_ladder_refuses_a_step_count_below_1(set1):
+    # (0, 8) is strictly increasing; m_ref % 0 used to raise ZeroDivisionError
+    with pytest.raises(InvalidModelError, match="ladder entry M = 0 is below 1"):
+        strong_error_ladder(set1, linear_jump(-0.5), "tjabem", (0, 8), 64, 4, 1)
+
+
+@pytest.mark.parametrize("M", [0, -4])
+def test_moment_probe_refuses_a_step_count_below_1(set1, M):
+    # M = 0 used to divide T by zero; M = -4 passed every gate and failed
+    # inside the run with place_batch's bare ValueError
+    with pytest.raises(InvalidModelError, match=f"tjabem at M = {M}: the step count must be"):
+        moment_probe(set1, linear_jump(-0.5), M, 4, (1.0,), 1)
+
+
 def test_ladder_rejects_degenerate_band(set1):
     with pytest.raises(InvalidModelError, match="band"):
         strong_error_ladder(set1, sine_jump(1.0), "tjabem", (8, 16), 64, 4, 0)
