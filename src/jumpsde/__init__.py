@@ -1,5 +1,10 @@
 """Positivity-preserving implicit schemes for a jump-extended mean-reverting
-interest-rate model, with a reproducible Monte Carlo experiment harness."""
+interest-rate model, with a reproducible Monte Carlo experiment harness.
+
+The package exports the batch route that every command runs: the model and
+its validators, the mesh, the transform, the step-size diagnostics and the
+three experiments. The lanes and the path batches are in jumpsde.solver and
+jumpsde.paths."""
 
 from .harness import (
     ConvergenceReport,
@@ -21,30 +26,21 @@ from .model import (
     Regime,
     RegimeCheck,
     custom_jump,
-    diffusion,
-    drift,
     linear_jump,
     make_jump,
     moment_admissible,
     one_sided_lipschitz,
     rational_jump,
     sine_jump,
-    transformed_drift,
-    transformed_drift_prime,
-    transformed_drift_second,
     validate_jump,
     validate_params,
     zero_jump,
 )
-from .paths import PathBundle, coarsen_increments, generate_bundle, regular_increments
 from .solver import (
     SolverError,
     StepSizeDiagnostics,
     TrajectoryZ,
-    bem_path,
-    implicit_step_z,
     step_size_diagnostics,
-    tjabem_path,
 )
 from .transform import jump_map, lamperti_forward, lamperti_inverse
 

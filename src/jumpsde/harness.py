@@ -43,10 +43,14 @@ from .model import (
     validate_params,
 )
 # generate_bundle, coarsen_increments, regular_increments, tjabem_path and
-# bem_path have no caller here, since every experiment steps lanes; the
-# benchmark's tracer (perfbench/tracing.py) looks them up as names of this
-# module, with validate_params, validate_jump, one_sided_lipschitz,
-# drift_one_sided_lipschitz and ProcessPoolExecutor
+# bem_path have no caller here, since every experiment steps lanes, and no
+# other command calls them. They are imported, and kept in paths and solver,
+# only because the benchmark's tracer (perfbench/tracing.py) and reference
+# script (perfbench/make_refs.py) look them up as names of this module, with
+# validate_params, validate_jump, one_sided_lipschitz,
+# drift_one_sided_lipschitz and ProcessPoolExecutor; they go once those two
+# files stop looking them up (tests/test_perfbench_names.py checks every
+# name they pin)
 from .paths import (  # noqa: F401
     coarse_block,
     coarsen_increments,

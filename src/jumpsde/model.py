@@ -1,4 +1,4 @@
-"""Model coefficients, transformed drift, and assumption validators.
+"""Model constants, drift term tables, and assumption validators.
 
 The underlying dynamics feature a mean-reverting drift with superlinear terms,
 a power-law diffusion, and a deterministic jump coefficient driven by a
@@ -6,7 +6,10 @@ Poisson process:
 
     dX = (a_m1/X - a0 + a1*X - a2*X^gamma) dt + a3*X^rho dW + h(X-) dN
 
-Everything here is a pure function of its inputs; no shared mutable state.
+Each drift, the original f and the transformed F, is one (coefficient,
+exponent) table, which the solver's lanes compile and make_drift and
+make_transformed_drift evaluate on floats. Everything here is a pure
+function of its inputs; no shared mutable state.
 """
 
 from __future__ import annotations
@@ -27,11 +30,6 @@ __all__ = [
     "JumpBounds",
     "InvalidModelError",
     "AssumptionViolation",
-    "drift",
-    "diffusion",
-    "transformed_drift",
-    "transformed_drift_prime",
-    "transformed_drift_second",
     "make_transformed_drift",
     "make_drift",
     "one_sided_lipschitz",
@@ -142,7 +140,9 @@ def validate_params(params: ModelParams) -> RegimeCheck:
     for field in fields(params):
         value = getattr(params, field.name)
         if not math.isfinite(value):
-            raise InvalidModelError(f"{field.name} must be finite, got {value}")
+            # lam is the config key and flag `lambda`, as the messages below say
+            name = "lambda" if field.name == "lam" else field.name
+            raise InvalidModelError(f"{name} must be finite, got {value}")
     for name in ("alpha_m1", "alpha0", "alpha1", "alpha2", "alpha3"):
         value = getattr(params, name)
         if not (value > 0.0):
@@ -202,13 +202,8 @@ def moment_admissible(params: ModelParams, p: float) -> RegimeCheck:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient functions
+# Drift term tables
 # ---------------------------------------------------------------------------
-
-def _require_positive(x: float, name: str) -> None:
-    if not (x > 0.0):
-        raise ValueError(f"{name} must be strictly positive, got {x}")
-
 
 def _original_drift_terms(params: ModelParams) -> tuple[tuple[float, float], ...]:
     """(coefficient, exponent) pairs of the original drift."""
@@ -257,40 +252,6 @@ def _powsum(terms: Sequence[tuple[float, float]], z: float) -> float:
     if overflow_t is not None:
         return math.copysign(math.inf, overflow_c)
     return acc
-
-
-def drift(params: ModelParams, x: float) -> float:
-    """a_m1/x - a0 + a1*x - a2*x^gamma for x > 0."""
-    _require_positive(x, "x")
-    return _powsum(_original_drift_terms(params), x)
-
-
-def diffusion(params: ModelParams, x: float) -> float:
-    """a3 * x^rho for x > 0."""
-    _require_positive(x, "x")
-    return _powsum(((params.alpha3, params.rho),), x)
-
-
-def transformed_drift(params: ModelParams, z: float) -> float:
-    """Drift of the transformed (additive-noise) process at z > 0.
-
-    (rho-1) * (-a_m1*z^((rho+1)/(rho-1)) + a0*z^(rho/(rho-1)) - a1*z
-               + a2*z^(-(gamma-rho)/(rho-1)) + rho*a3^2/2 * z^(-1))
-    """
-    _require_positive(z, "z")
-    return _powsum(_drift_terms(params), z)
-
-
-def transformed_drift_prime(params: ModelParams, z: float) -> float:
-    """First derivative of the transformed drift at z > 0."""
-    _require_positive(z, "z")
-    return _powsum(_diff_terms(_drift_terms(params)), z)
-
-
-def transformed_drift_second(params: ModelParams, z: float) -> float:
-    """Second derivative of the transformed drift at z > 0."""
-    _require_positive(z, "z")
-    return _powsum(_diff_terms(_diff_terms(_drift_terms(params))), z)
 
 
 def _value_and_slope(

@@ -19,11 +19,14 @@ and block comes from the flat jump placement of mesh.place_batch, with the
 steps at whose ends each lane jumps: fine_blocks draws a batch's blocks of
 consecutive grid intervals in time order, bit for bit as their bundles;
 level_cuts finds by index arithmetic where several coarser levels cut each
-block, and coarse_block sums a block for all of them at once, also for
-coarsen_increments and regular_increments on a one-path batch.
+block, and coarse_block sums a block for all of them at once.
 open_shared_path opens a path once for several (T, M) meshes, and
-mesh_block lays one of them out for many paths, bit for bit as
-generate_bundle at that (T, M).
+mesh_block lays one of them out for many paths, bit for bit as a path
+opened for that (T, M) alone. The one-path generate_bundle,
+coarsen_increments and regular_increments, with PathBundle, whole_block
+and _coarsened, which only they use, are these on a one-path batch; no
+command calls them, and they are kept, unexported, only because the
+benchmark's tracer looks them up as names of jumpsde.harness.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .mesh import (
 from .model import ModelParams
 
 __all__ = [
-    "PathBundle",
     "PathNoise",
     "SharedPath",
     "Block",
@@ -58,14 +60,10 @@ __all__ = [
     "open_shared_path",
     "fine_blocks",
     "mesh_block",
-    "whole_block",
     "LevelCuts",
     "Levels",
     "level_cuts",
     "coarse_block",
-    "generate_bundle",
-    "coarsen_increments",
-    "regular_increments",
 ]
 
 
@@ -327,8 +325,8 @@ def open_shared_path(
     The jump times are sampled for the longest horizon; a horizon T keeps
     those before T, which are the times its own draw gives. The normals
     are drawn for the mesh with the most steps it could have, and a mesh
-    takes the first ones it needs. So mesh_block gives each mesh
-    generate_bundle's result at that (T, M), bit for bit. keys is the
+    takes the first ones it needs. So mesh_block gives each mesh what a
+    path opened for that (T, M) alone gives, bit for bit. keys is the
     path's row of stream_keys, derived here if not given. The path's streams
     are streams, a stream_pair, re-keyed to keys: a new pair if not given.
     """

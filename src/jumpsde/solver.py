@@ -11,8 +11,10 @@ every (cell, path) pair of a block of whole meshes as flat lanes, with one
 lane per model and path until the path's first jump, at the Newton count
 its caller asks for. The lanes never guard a step: an experiment checks
 its initial state and its steps once, before it opens a path
-(harness.check_paths). tjabem_path and bem_path, the one-path API, guard
-their own step and are one lane of tjabem_lanes and of BemLanes.
+(harness.check_paths). The one-path tjabem_path and bem_path guard their
+own step and are one lane of tjabem_lanes and of BemLanes; no command
+calls them, and they are kept, unexported, only because the benchmark's
+tracer and reference script look them up as names of jumpsde.harness.
 
 Up to about a thousand lanes a numpy call costs about the same whatever its
 width, so a step costs what its number of calls and the Python between them
@@ -59,13 +61,10 @@ __all__ = [
     "SolverError",
     "TrajectoryZ",
     "StepSizeDiagnostics",
-    "implicit_step_z",
-    "tjabem_path",
     "tjabem_lanes",
     "TjabemLanes",
     "BemLanes",
     "LaneFailure",
-    "bem_path",
     "step_size_diagnostics",
 ]
 
@@ -210,26 +209,6 @@ def _check_step_guard(q: float, base_dt: float) -> float:
             stacklevel=3,
         )
     return q_dt
-
-
-def implicit_step_z(
-    params: ModelParams,
-    Q: float,
-    rhs: float,
-    dt: float,
-    z_init: float | None = None,
-) -> float:
-    """Solve z - dt*F(z) = rhs for the unique positive z.
-
-    Existence and uniqueness hold for every real rhs because G(z) = z - dt*F(z)
-    is strictly increasing (G' >= 1 - Q*dt > 0) with G -> -inf as z -> 0+ and
-    G -> +inf as z -> inf. z_init seeds the bracket (defaults to a heuristic).
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be strictly positive, got {dt}")
-    _check_step_guard(Q, dt)
-    value, slope = make_transformed_drift(params)
-    return _implicit_solve(value, slope, dt, rhs, z_init)
 
 
 def tjabem_path(

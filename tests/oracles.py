@@ -1,10 +1,11 @@
-"""The tests' oracles: scalar loops of jumpsde's one-path schemes and increment
-sums, which jumpsde runs on its lanes and coarse_block, the one-path jump
-placement, which jumpsde makes for a batch at once with place_batch, and
-numpy's seeding of a path's streams, whose keys jumpsde derives for a batch
-at once with stream_keys, and the lane kernels as they stepped on new arrays
-before their workspace. The loops call solver's _implicit_solve, jump_map
-and lamperti_inverse, so a test's stand-ins reach them; the oracles' meshes
+"""The tests' oracles: the scalar drifts, written over jumpsde's own term
+tables, scalar loops of jumpsde's one-path schemes and increment sums, which
+jumpsde runs on its lanes and coarse_block, the one-path jump placement,
+which jumpsde makes for a batch at once with place_batch, and numpy's
+seeding of a path's streams, whose keys jumpsde derives for a batch at once
+with stream_keys, and the lane kernels as they stepped on new arrays before
+their workspace. The loops call solver's _implicit_solve, jump_map and
+lamperti_inverse, so a test's stand-ins reach them; the oracles' meshes
 come from place_jumps."""
 
 from __future__ import annotations
@@ -19,13 +20,44 @@ from scipy.optimize import brentq
 
 from jumpsde import paths, solver
 from jumpsde.mesh import DEDUP_RTOL, JumpAdaptedMesh, MeshError, sample_jump_times
-from jumpsde.model import (JumpCoefficient, ModelParams, _drift_terms, _original_drift_terms,
-                           drift_one_sided_lipschitz, make_drift, make_transformed_drift,
-                           one_sided_lipschitz, transformed_drift)
+from jumpsde.model import (JumpCoefficient, ModelParams, _diff_terms, _drift_terms,
+                           _original_drift_terms, _powsum, drift_one_sided_lipschitz,
+                           make_drift, make_transformed_drift, one_sided_lipschitz)
 from jumpsde.paths import PathBundle
 from jumpsde.solver import (MAX_ITER, RESIDUAL_TOL, TrajectoryZ, _BRACKET_CAP, _BRACKET_FLOOR,
                             _check_step_guard)
 from jumpsde.transform import lamperti_forward
+
+
+# The model's coefficients at one state, each the term table that the lanes
+# compile and the fallback solve evaluates, through model's _powsum: a test
+# of these checks those tables.
+
+def drift(params: ModelParams, x: float) -> float:
+    """a_m1/x - a0 + a1*x - a2*x^gamma."""
+    return _powsum(_original_drift_terms(params), x)
+
+
+def diffusion(params: ModelParams, x: float) -> float:
+    """a3 * x^rho."""
+    return _powsum(((params.alpha3, params.rho),), x)
+
+
+def transformed_drift(params: ModelParams, z: float) -> float:
+    """The drift F of z = x^(1-rho):
+    (rho-1) * (-a_m1*z^((rho+1)/(rho-1)) + a0*z^(rho/(rho-1)) - a1*z
+               + a2*z^(-(gamma-rho)/(rho-1)) + rho*a3^2/2 * z^(-1))."""
+    return _powsum(_drift_terms(params), z)
+
+
+def transformed_drift_prime(params: ModelParams, z: float) -> float:
+    """F'(z)."""
+    return _powsum(_diff_terms(_drift_terms(params)), z)
+
+
+def transformed_drift_second(params: ModelParams, z: float) -> float:
+    """F''(z)."""
+    return _powsum(_diff_terms(_diff_terms(_drift_terms(params))), z)
 
 
 def path_streams(

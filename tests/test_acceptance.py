@@ -13,30 +13,26 @@ import pytest
 
 from jumpsde import (
     ModelParams,
-    coarsen_increments,
-    drift,
-    diffusion,
-    generate_bundle,
-    implicit_step_z,
+    build_mesh,
+    lamperti_inverse,
     linear_jump,
     make_jump,
     moment_probe,
     one_sided_lipschitz,
     positivity_table,
     strong_error_ladder,
-    tjabem_path,
-    transformed_drift,
-    transformed_drift_prime,
-    transformed_drift_second,
     zero_jump,
 )
 import oracles
-from jumpsde.mesh import JumpAdaptedMesh
+from jumpsde.mesh import grid_nodes, place_batch
+from jumpsde.model import make_transformed_drift
+from jumpsde.paths import coarse_block, fine_blocks, level_cuts, open_path, stream_keys
 from jumpsde.reports import (
     write_convergence_reports,
     write_moment_report,
     write_positivity_report,
 )
+from jumpsde.solver import _check_step_guard, _implicit_solve, tjabem_lanes
 
 SET1 = ModelParams(
     alpha_m1=2.0, alpha0=1.0, alpha1=1.5, alpha2=5.0, alpha3=1.0,
@@ -127,8 +123,11 @@ def test_criterion_4_solver_property_suite():
     total = 0
     for params in (SET1, SET2):
         q = one_sided_lipschitz(params)
+        # the bracketed solve of the lanes' fallback on F's term table
+        value, slope = make_transformed_drift(params)
         for k in range(5, 13):
             dt = 2.0**-k
+            _check_step_guard(q, dt)
             # jittered grid: random values with a guaranteed minimum gap, so
             # strict monotonicity is meaningful at solver resolution
             base = np.linspace(-10.0, 10.0, n_per_combo)
@@ -137,9 +136,9 @@ def test_criterion_4_solver_property_suite():
             rhs_values.sort()
             prev_z = None
             for rhs in rhs_values:
-                z = implicit_step_z(params, q, float(rhs), dt, z_init=prev_z)
+                z = _implicit_solve(value, slope, dt, float(rhs), prev_z)
                 assert z > 0.0
-                residual = z - dt * transformed_drift(params, z) - rhs
+                residual = z - dt * oracles.transformed_drift(params, z) - rhs
                 assert abs(residual) <= 1e-12 * max(1.0, abs(rhs))
                 if prev_z is not None:
                     assert z > prev_z
@@ -152,24 +151,21 @@ def test_criterion_4_solver_property_suite():
 
 def test_criterion_5_formula_oracles():
     """Derivative stencils, chain-rule identity, and the clamped bound."""
+    F, F1, F2 = (oracles.transformed_drift, oracles.transformed_drift_prime,
+                 oracles.transformed_drift_second)
     for params in (SET1, SET2):
         for z in (0.25, 0.5, 1.0, 2.0, 4.0):
             eps = 1e-6 * z
-            fd1 = (
-                transformed_drift(params, z + eps) - transformed_drift(params, z - eps)
-            ) / (2 * eps)
-            assert fd1 == pytest.approx(transformed_drift_prime(params, z), rel=1e-5)
-            fd2 = (
-                transformed_drift_prime(params, z + eps)
-                - transformed_drift_prime(params, z - eps)
-            ) / (2 * eps)
-            assert fd2 == pytest.approx(transformed_drift_second(params, z), rel=1e-5)
+            fd1 = (F(params, z + eps) - F(params, z - eps)) / (2 * eps)
+            assert fd1 == pytest.approx(F1(params, z), rel=1e-5)
+            fd2 = (F1(params, z + eps) - F1(params, z - eps)) / (2 * eps)
+            assert fd2 == pytest.approx(F2(params, z), rel=1e-5)
         rho = params.rho
         for x in np.logspace(-2, 2, 33):
-            lhs = transformed_drift(params, x ** (1.0 - rho))
-            rhs = (1.0 - rho) * x ** (-rho) * drift(params, x) + 0.5 * (1.0 - rho) * (
+            lhs = F(params, x ** (1.0 - rho))
+            rhs = (1.0 - rho) * x ** (-rho) * oracles.drift(params, x) + 0.5 * (1.0 - rho) * (
                 -rho
-            ) * x ** (-rho - 1.0) * diffusion(params, x) ** 2
+            ) * x ** (-rho - 1.0) * oracles.diffusion(params, x) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-9)
     assert one_sided_lipschitz(SET1) == 0.0
     assert (SET1.gamma - SET1.rho) / (SET1.rho - 1.0) == 3.0
@@ -179,28 +175,60 @@ def test_criterion_5_formula_oracles():
     )
 
 
+def _fine_batch(params, m_ref, global_seed, indices):
+    """The paths of these indices, opened as the ladder opens them, and
+    their m_ref-step meshes' placement and one whole Block."""
+    paths = [open_path(params, global_seed, i, keys)
+             for i, keys in zip(indices, stream_keys(global_seed, indices))]
+    placed = place_batch((m_ref,), params.T, [path.jump_times for path in paths])
+    (block,) = fine_blocks(paths, placed, 1)
+    return paths, placed, block
+
+
+def _mesh_nodes(placed):
+    """The whole mesh of each path of a one-grid placement, a row per path
+    padded with nan: the grid's nodes and the path's inserted times, each at
+    its index in the path's mesh."""
+    (M,) = placed.M.tolist()
+    inserted = ~placed.on_grid
+    extra = np.bincount(placed.lane[inserted], minlength=placed.n)
+    nodes = np.full((placed.n, M + 1 + int(extra.max(initial=0))), np.nan)
+    path = np.arange(placed.n)[:, None]
+    nodes[path, placed.grid_index(path, np.arange(M + 1))] = grid_nodes(M, placed.T)
+    nodes[placed.lane[inserted], placed.index[inserted]] = placed.times[inserted]
+    return nodes
+
+
+def _row_sums(values):
+    """Each row's left-to-right sum from 0.0, a column at a time; the zeros
+    that pad a row add nothing."""
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total
+
+
 def test_criterion_6_coupling_and_mesh_suite():
     """Node-subset, telescoping, and max-step invariants on 1e4 bundles."""
     n_bundles = 0
     for lam, count in ((0.0, 3334), (1.0, 3333), (5.0, 3333)):
         params = replace(SET1, lam=lam)
-        for i in range(count):
-            bundle = generate_bundle(params, 64, 20240806, i)
-            mesh = bundle.fine_mesh
-            assert mesh.dt.max() <= mesh.base_dt
-            flat = 0.0
-            for v in bundle.dw_fine.tolist():
-                flat += v
-            m = (8, 16, 32)[i % 3]
-            coarse, inc = coarsen_increments(bundle, m)
-            assert coarse.dt.max() <= coarse.base_dt
-            pos = np.searchsorted(mesh.nodes, coarse.nodes)
-            assert np.array_equal(mesh.nodes[pos], coarse.nodes)
-            total = 0.0
-            for v in inc.tolist():
-                total += v
-            assert abs(total - flat) <= 1e-10
-            n_bundles += 1
+        # path i coarsens to (8, 16, 32)[i % 3] steps: a batch per coarse grid
+        for first, m in enumerate((8, 16, 32)):
+            paths, placed, block = _fine_batch(params, 64, 20240806, range(first, count, 3))
+            coarse = place_batch((m,), params.T, [path.jump_times for path in paths])
+            levels = coarse_block(block, level_cuts(placed, coarse, 1))
+            assert block.dt.max() <= params.T / 64
+            assert levels.dt.max() <= params.T / m
+            fine_nodes, coarse_nodes = _mesh_nodes(placed), _mesh_nodes(coarse)
+            for p in range(placed.n):
+                mesh = fine_nodes[p, : block.n[p] + 1]
+                nodes = coarse_nodes[p, : levels.steps[p] + 1]
+                pos = np.searchsorted(mesh, nodes)
+                assert np.array_equal(mesh[pos], nodes)
+            flat, total = _row_sums(block.dw), _row_sums(levels.dw)
+            assert np.all(np.abs(total - flat) <= 1e-10)
+            n_bundles += placed.n
     assert n_bundles == 10_000
     print(
         "ACCEPTANCE 6: PASS - 10000 bundles over lambda in {0, 1, 5}: "
@@ -212,31 +240,26 @@ def test_criterion_7_degeneration_suite():
     """Zero intensity reduces to the no-jump scheme; zero jumps are neutral."""
     params = replace(SET1, lam=0.0)
 
+    paths, _, block = _fine_batch(params, 128, 20240807, range(20))
+    z, _ = tjabem_lanes([(params, zero_jump())], block)
     worst = 0.0
-    for i in range(20):
-        bundle = generate_bundle(params, 128, 20240807, i)
-        _, x_fast = tjabem_path(params, zero_jump(), bundle.fine_mesh, bundle.dw_fine)
-        x_oracle = oracles.lamperti_euler(params, bundle.fine_mesh, bundle.dw_fine,
-                                           xtol=1e-15, maxiter=300)
+    for p, path in enumerate(paths):
+        x_fast = lamperti_inverse(params.rho, float(z[0, p]))
+        x_oracle = oracles.lamperti_euler(params, build_mesh(128, params.T, path.jump_times),
+                                          block.dw[p], xtol=1e-15, maxiter=300)
         worst = max(worst, abs(x_fast - x_oracle))
     assert worst <= 1e-10
 
     jumped = replace(SET1, lam=2.0)
-    neutral_worst = 0.0
-    for i in range(20):
-        bundle = generate_bundle(jumped, 64, 20240808, i)
-        mesh = bundle.fine_mesh
-        flat = JumpAdaptedMesh(
-            nodes=mesh.nodes,
-            is_jump=np.zeros_like(mesh.is_jump),
-            dt=mesh.dt,
-            base_dt=mesh.base_dt,
-        )
-        t_a, _ = tjabem_path(jumped, zero_jump(), mesh, bundle.dw_fine)
-        t_b, _ = tjabem_path(jumped, zero_jump(), flat, bundle.dw_fine)
-        neutral_worst = max(
-            neutral_worst, float(np.abs(t_a.z_post - t_b.z_post).max())
-        )
+    _, _, block = _fine_batch(jumped, 64, 20240808, range(20))
+    cells = [(jumped, zero_jump())]
+    # the same steps with their jump nodes flagged, and with none flagged
+    *_, z_jump = tjabem_lanes(cells, block, states=True)
+    *_, z_flat = tjabem_lanes(cells, replace(block, jumps={}), states=True)
+    neutral_worst = max(
+        float(np.abs(a[: n + 1] - b[: n + 1]).max())
+        for a, b, n in zip(z_jump[0], z_flat[0], block.n.tolist())
+    )
     assert neutral_worst <= 1e-12
     print(
         f"ACCEPTANCE 7: PASS - zero-intensity deviation {worst:.2e} <= 1e-10, "

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import jumpsde.paths
 import jumpsde.solver
 import oracles
-from jumpsde import ModelParams, generate_bundle
+from jumpsde import ModelParams
 from jumpsde.cli import CONFIG_KEYS, _preset_path, load_config, main
 from jumpsde.mesh import DEDUP_RTOL
+from jumpsde.paths import generate_bundle
 from jumpsde.reports import write_trajectory_csv
 
 
@@ -300,11 +301,15 @@ def test_non_finite_parameter_exits_1(tmp_path, capsys, key, command):
     lines = path.read_text().splitlines()
     lines = [f"{key} = inf" if line.startswith(f"{key} =") else line for line in lines]
     path.write_text("\n".join(lines) + "\n")
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "all gates passed" not in captured.out
-    assert "must be finite" in captured.out + captured.err
+    inputs = [["--config", str(path)]]
+    if key == "lambda":
+        # the flag's value meets the same gate, which names the flag's key
+        inputs.append(["--preset", "set1", "--lambda", "nan"])
+    for flags in inputs:
+        assert main([command, *flags, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "all gates passed" not in captured.out
+        assert f"{key} must be finite" in captured.out + captured.err
 
 
 def _edit_config(path, **values):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import os
@@ -643,6 +644,12 @@ def test_moment_empty_order_list_rejected(set1):
         moment_probe(set1, linear_jump(-0.5), 8, 4, [], global_seed=0)
 
 
+# the largest bound of each _oracle_rows call, in call order, which
+# _reports_meaningful_draws counts: the drawn-config test cannot take a
+# recorder, since a change to its source would change its draws
+_ORACLE_BOUNDS: list[float] = []
+
+
 def _oracle_rows(params, jump, m_list, m_ref, global_seed, n_paths):
     """The ladder's rows from the one-path loops, with a bound on each row's
     distance from the lanes' row, fixed by the residual contract.
@@ -700,6 +707,7 @@ def _oracle_rows(params, jump, m_list, m_ref, global_seed, n_paths):
                                         bem(m, *oracles.regular_increments(bundle, m)))):
                 rows[i, s, j] = abs(x_ref - x)
                 bounds[i, s, j] = e_ref + e
+    _ORACLE_BOUNDS.append(float(bounds.max()))
     return rows, bounds
 
 
@@ -733,6 +741,26 @@ def test_ladder_lanes_match_the_path_loops(set1, set2, spec, lam, ladder):
         assert bounds.max() < 1e-6
 
 
+def _reports_meaningful_draws(test):
+    """test, then a printed count of the drawn configs whose rows it checked
+    against bounds below 1e-6, out of all it checked. A residual bound far
+    above 1e-6 checks little, so a count that falls shows the drawn ladders
+    checking less. The count is kept outside the test's body, whose source
+    seeds hypothesis's derandomized draws."""
+
+    @functools.wraps(test)
+    def run():
+        start = len(_ORACLE_BOUNDS)
+        test()
+        drawn = _ORACLE_BOUNDS[start:]
+        tight = sum(bound < 1e-6 for bound in drawn)
+        print(f"\ndrawn ladders: {tight} of {len(drawn)} validated configs checked "
+              f"against bounds below 1e-6")
+
+    return run
+
+
+@_reports_meaningful_draws
 @pytest.mark.filterwarnings("ignore:Q\\*dt = .* above 0.25")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=finite_configs(), lam=st.floats(0.0, 5.0), n_paths=st.integers(2, 3))

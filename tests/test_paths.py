@@ -20,25 +20,25 @@ import oracles
 from jumpsde import (
     MeshError,
     ModelParams,
-    PathBundle,
     build_mesh,
-    coarsen_increments,
-    generate_bundle,
     linear_jump,
     moment_probe,
     positivity_table,
-    regular_increments,
 )
 from jumpsde.harness import _jump_counts, check_ladder
 from jumpsde.mesh import DEDUP_RTOL, place_batch, sample_jump_times
 from jumpsde.paths import (
+    PathBundle,
     PathNoise,
     coarse_block,
+    coarsen_increments,
     fine_blocks,
+    generate_bundle,
     level_cuts,
     mesh_block,
     open_path,
     open_shared_path,
+    regular_increments,
     stream_keys,
     stream_pair,
 )

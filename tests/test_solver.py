@@ -12,27 +12,20 @@ from jumpsde import (
     custom_jump,
     SolverError,
     build_mesh,
-    bem_path,
-    drift,
-    generate_bundle,
-    implicit_step_z,
     jump_map,
     lamperti_forward,
     lamperti_inverse,
     linear_jump,
     make_jump,
     one_sided_lipschitz,
-    regular_increments,
     step_size_diagnostics,
-    tjabem_path,
-    transformed_drift,
     zero_jump,
 )
 import jumpsde.harness
 import jumpsde.solver
 import oracles
 from jumpsde.mesh import JumpAdaptedMesh
-from jumpsde.paths import whole_block
+from jumpsde.paths import generate_bundle, regular_increments, whole_block
 from jumpsde.model import (
     drift_one_sided_lipschitz,
     make_drift,
@@ -43,27 +36,38 @@ from jumpsde.solver import (
     LaneFailure,
     RESIDUAL_TOL,
     TjabemLanes,
+    _check_step_guard,
     _implicit_solve,
     _LaneDrift,
+    bem_path,
     tjabem_lanes,
+    tjabem_path,
 )
+
+
+def _step(params, q, rhs, dt, z_init=None):
+    """The root z of z - dt*F(z) = rhs, by the bracketed solve of the lanes'
+    fallback on F's term table, its step guarded by q*dt."""
+    _check_step_guard(q, dt)
+    value, slope = make_transformed_drift(params)
+    return _implicit_solve(value, slope, dt, rhs, z_init)
 
 
 def test_constructed_root(set1):
     for dt in (2.0**-5, 2.0**-8):
-        rhs = 1.0 - dt * transformed_drift(set1, 1.0)
-        z = implicit_step_z(set1, 0.0, rhs, dt)
+        rhs = 1.0 - dt * oracles.transformed_drift(set1, 1.0)
+        z = _step(set1, 0.0, rhs, dt)
         assert abs(z - 1.0) <= 1e-11
 
 
 def test_vanishing_implicit_term(set1):
-    z = implicit_step_z(set1, 0.0, 2.0, 1e-14)
+    z = _step(set1, 0.0, 2.0, 1e-14)
     assert abs(z - 2.0) <= 1e-10
 
 
 def test_frozen_regression_root(set1):
     # bisection oracle on [1e-8, 10] run before the build, 200 halvings
-    z = implicit_step_z(set1, 0.0, 1.0, 2.0**-5)
+    z = _step(set1, 0.0, 1.0, 2.0**-5)
     assert z == pytest.approx(1.0370017918908809876, abs=1e-11)
     assert z > 1.0
 
@@ -74,15 +78,15 @@ def test_residual_contract_random_battery(set1, set2):
         for _ in range(250):
             rhs = float(rng.uniform(-10.0, 10.0))
             dt = float(2.0 ** -rng.integers(5, 13))
-            z = implicit_step_z(params, 0.0, rhs, dt)
+            z = _step(params, 0.0, rhs, dt)
             assert z > 0.0
-            residual = z - dt * transformed_drift(params, z) - rhs
+            residual = z - dt * oracles.transformed_drift(params, z) - rhs
             assert abs(residual) <= RESIDUAL_TOL * max(1.0, abs(rhs))
 
 
 def test_monotone_in_rhs(set1):
     zs = [
-        implicit_step_z(set1, 0.0, rhs, 2.0**-6)
+        _step(set1, 0.0, rhs, 2.0**-6)
         for rhs in np.linspace(-10.0, 10.0, 101)
     ]
     assert all(a < b for a, b in zip(zs, zs[1:]))
@@ -101,9 +105,9 @@ def test_step_guard_violation_and_warning():
     q = one_sided_lipschitz(params)
     assert q > 0.0
     with pytest.raises(SolverError, match="step-size guard"):
-        implicit_step_z(params, q, 1.0, 0.6 / q)
+        _step(params, q, 1.0, 0.6 / q)
     with pytest.warns(RuntimeWarning, match="above 0.25"):
-        implicit_step_z(params, q, 1.0, 0.3 / q)
+        _step(params, q, 1.0, 0.3 / q)
 
 
 def test_single_step_unrolled(set1):
@@ -112,7 +116,7 @@ def test_single_step_unrolled(set1):
     trajectory, x_terminal = tjabem_path(params, zero_jump(), mesh, [0.0])
     z0 = lamperti_forward(params.rho, params.x0)
     expected = lamperti_inverse(
-        params.rho, implicit_step_z(params, 0.0, z0, 1.0)
+        params.rho, _step(params, 0.0, z0, 1.0)
     )
     assert x_terminal == pytest.approx(expected, rel=1e-14)
     assert trajectory.z_pre[0] == z0
@@ -188,10 +192,10 @@ def test_increment_length_mismatch(set1):
 
 def test_bem_unrolled_single_step(set1):
     x1 = bem_path(set1, zero_jump(), 1, [0.0], [0])
-    residual = x1 - 1.0 * drift(set1, x1) - set1.x0
+    residual = x1 - 1.0 * oracles.drift(set1, x1) - set1.x0
     assert abs(residual) <= RESIDUAL_TOL
     oracle = brentq(
-        lambda x: x - drift(set1, x) - set1.x0, 1e-8, 10.0, xtol=1e-14, rtol=8.9e-16
+        lambda x: x - oracles.drift(set1, x) - set1.x0, 1e-8, 10.0, xtol=1e-14, rtol=8.9e-16
     )
     assert x1 == pytest.approx(oracle, abs=1e-11)
 
@@ -207,7 +211,7 @@ def test_bem_zero_jump_matches_drift_implicit_euler(set1):
     for k in range(16):
         rhs = x + params.alpha3 * x**params.rho * dw[k]
         x = brentq(
-            lambda y: y - dt * drift(params, y) - rhs,
+            lambda y: y - dt * oracles.drift(params, y) - rhs,
             1e-10, 50.0, xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
     assert abs(x_fast - x) <= 1e-10

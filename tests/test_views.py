@@ -1,11 +1,13 @@
 """The one-path API and the lane table against the scalar loops of
 tests/oracles.py.
 
-tjabem_path and bem_path are one lane of the lane kernels,
+tjabem_path and bem_path are one lane of the lane kernels, and
 coarsen_increments and regular_increments are coarse_block on a one-path
-batch, and every lane of a tjabem_lanes run on a mesh_block is one path. Configs are drawn as the CLI's property tests draw them and kept if
-`validate` passes them; each one's bounds are fixed from the oracle's run
-before the view runs.
+batch; no command calls them, and they are kept, unexported, while the
+benchmark looks them up in jumpsde.harness. Every lane of a tjabem_lanes
+run on a mesh_block is one path. Configs are drawn as the CLI's property
+tests draw them and kept if `validate` passes them; each one's bounds are
+fixed from the oracle's run before the view runs.
 """
 
 import contextlib
@@ -21,16 +23,7 @@ from hypothesis import strategies as st
 
 import jumpsde.harness as harness
 import oracles
-from jumpsde import (
-    PathFailure,
-    SolverError,
-    bem_path,
-    coarsen_increments,
-    generate_bundle,
-    positivity_table,
-    regular_increments,
-    tjabem_path,
-)
+from jumpsde import PathFailure, SolverError, positivity_table
 from jumpsde.cli import load_config, main
 from jumpsde.model import (
     InvalidModelError,
@@ -40,8 +33,9 @@ from jumpsde.model import (
     one_sided_lipschitz,
     validate_jump,
 )
-from jumpsde.paths import mesh_block, open_shared_path
-from jumpsde.solver import RESIDUAL_TOL, tjabem_lanes
+from jumpsde.paths import (coarsen_increments, generate_bundle, mesh_block, open_shared_path,
+                           regular_increments)
+from jumpsde.solver import RESIDUAL_TOL, bem_path, tjabem_lanes, tjabem_path
 from test_cli import JUMP_COEFFICIENTS, _config_text, finite_configs
 
 # a path's runtime errors; anything else is a bug
