@@ -59,6 +59,15 @@ FAST_N_PATHS = 1000
 # default positivity sweep: contracting, expanding, and oscillating jumps
 POSITIVITY_JUMPS = (("linear", -0.5), ("linear", 0.5), ("sine", 1.0))
 DEFAULT_P_LIST = (1.0, 2.0, -1.0, -2.0)
+# common flags that a command parses but does not read: each is refused
+# (exit 1) with its reason rather than ignored
+UNREAD_FLAGS = {
+    ("simulate", "scheme"): "it steps tjabem only",
+    ("moments", "scheme"): "it steps tjabem only",
+    ("positivity", "scheme"): "it steps tjabem only",
+    ("positivity", "config"): "it reads its parameter sets from --presets",
+    ("positivity", "preset"): "it reads its parameter sets from --presets",
+}
 
 
 # ModelParams' fields by their [model] keys: the file writes lam as lambda
@@ -351,7 +360,8 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 
 def cmd_positivity(args: argparse.Namespace) -> int:
-    names = [tok.strip() for tok in (args.presets or "set1,set2").split(",") if tok.strip()]
+    spec = "set1,set2" if args.presets is None else args.presets
+    names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not names:
         raise InvalidModelError(f"--presets {args.presets!r} names no preset or config file")
     # config file paths are allowed alongside bundled preset names
@@ -454,6 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for (command, dest), reason in UNREAD_FLAGS.items():
+            if command == args.command and getattr(args, dest) is not None:
+                raise InvalidModelError(f"{command} does not read --{dest}: {reason}")
         if args.command == "positivity":
             return cmd_positivity(args)
         config = _resolve(args)

@@ -534,20 +534,17 @@ def _closed_form_bounds(jump: JumpCoefficient, rho: float) -> JumpBounds | None:
         raise InvalidModelError(
             f"{jump.family} jump coefficient must be finite, got {c}"
         )
+    if jump.family not in ("linear", "sine", "rational"):
+        return None  # sampled_jump_bounds probes any other h
+    if c <= -1.0:
+        raise AssumptionViolation(
+            f"{jump.family} jump with coefficient {c} <= -1 violates x + h(x) >= r*x",
+            assumption="growth",
+        )
     if jump.family == "linear":
-        if c <= -1.0:
-            raise AssumptionViolation(
-                f"linear jump with coefficient {c} <= -1 violates x + h(x) >= r*x",
-                assumption="growth",
-            )
         band = (1.0 + c) ** (1.0 - rho)
         return JumpBounds(mu=abs(c), r=1.0 + c, mu1=band, mu2=band)
     if jump.family == "sine":
-        if c <= -1.0:
-            raise AssumptionViolation(
-                f"sine jump with coefficient {c} <= -1 violates x + h(x) >= r*x",
-                assumption="growth",
-            )
         r = 1.0 + c if c <= 0.0 else 1.0 + c * _SINC_MIN
         if r <= 0.0:
             raise AssumptionViolation(
@@ -557,16 +554,10 @@ def _closed_form_bounds(jump: JumpCoefficient, rho: float) -> JumpBounds | None:
         a = abs(c)
         mu1, mu2 = _band_from_intervals(1.0 - a, 1.0 + a, 1.0 - a, 1.0 + a, rho)
         return JumpBounds(mu=a, r=r, mu1=mu1, mu2=mu2)
-    if jump.family == "rational":
-        if c <= -1.0:
-            raise AssumptionViolation(
-                f"rational jump with coefficient {c} <= -1 violates x + h(x) >= r*x",
-                assumption="growth",
-            )
-        lo, hi = min(0.0, c), max(0.0, c)
-        mu1, mu2 = _band_from_intervals(1.0 + lo, 1.0 + hi, 1.0 + lo, 1.0 + hi, rho)
-        return JumpBounds(mu=abs(c), r=1.0 + lo, mu1=mu1, mu2=mu2)
-    return None
+    # rational
+    lo, hi = min(0.0, c), max(0.0, c)
+    mu1, mu2 = _band_from_intervals(1.0 + lo, 1.0 + hi, 1.0 + lo, 1.0 + hi, rho)
+    return JumpBounds(mu=abs(c), r=1.0 + lo, mu1=mu1, mu2=mu2)
 
 
 def sampled_jump_bounds(

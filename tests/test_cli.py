@@ -19,7 +19,7 @@ import jumpsde.paths
 import jumpsde.solver
 import oracles
 from jumpsde import ModelParams
-from jumpsde.cli import CONFIG_KEYS, _preset_path, load_config, main
+from jumpsde.cli import CONFIG_KEYS, PRESET_NAMES, _preset_path, load_config, main
 from jumpsde.mesh import DEDUP_RTOL
 from jumpsde.paths import generate_bundle
 from jumpsde.reports import write_trajectory_csv
@@ -169,6 +169,13 @@ def test_simulate_mesh_only(tmp_path):
     ) == 0
     rows = list(csv.DictReader(open(out_dir / "mesh.csv")))
     assert set(rows[0].keys()) == {"t", "is_jump"}
+    # at lambda 5 the preset's path 0 jumps, and the mesh flags the nodes
+    # its jumps were placed on
+    out_dir = tmp_path / "mesh5"
+    assert main(["simulate", "--preset", "set1", "--mesh-only", "--lambda", "5",
+                 "--out", str(out_dir)]) == 0
+    rows = list(csv.DictReader(open(out_dir / "mesh.csv")))
+    assert {row["is_jump"] for row in rows} == {"0", "1"}
 
 
 def test_convergence_writes_reports(tmp_path, capsys):
@@ -262,10 +269,19 @@ def test_unknown_preset_fails(capsys):
 
 
 def test_an_empty_preset_list_exits_1(tmp_path, capsys):
-    assert main(["positivity", "--presets", ",", "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "validation failure: --presets ',' names no preset or config file\n")
-    assert not (tmp_path / "out").exists()
+    # so does a table whose parameter sets are named other than by --presets
+    cases = [
+        (["--presets", ","], "--presets ',' names no preset or config file"),
+        (["--presets", ""], "--presets '' names no preset or config file"),
+        (["--config", "/nonexistent.cfg", "--fast", "--lambda", "0"],
+         "positivity does not read --config: it reads its parameter sets from --presets"),
+        (["--preset", "set2", "--presets", "set1"],
+         "positivity does not read --preset: it reads its parameter sets from --presets"),
+    ]
+    for flags, message in cases:
+        assert main(["positivity", *flags, "--out", str(tmp_path / "out")]) == 1, flags
+        assert capsys.readouterr().err == f"validation failure: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_configs_fast_mode_runs_as_the_fast_flag(tmp_path):
@@ -316,6 +332,7 @@ def _edit_config(path, **values):
     """path with each key's line set to its value, or dropped for None."""
     lines = path.read_text().splitlines()
     for key, value in values.items():
+        assert any(line.startswith(f"{key} =") for line in lines), key
         lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
                  for line in lines]
     lines = [line for line in lines if not line.endswith(" = None")]
@@ -554,18 +571,28 @@ def test_simulate_warns_once_of_a_poorly_conditioned_step(tmp_path):
         ("moments", {"m_list": "0, 32"}, "m_list must be one or more step counts"),
         ("positivity", {"m_list": ""}, "m_list must be one or more step counts"),
         ("validate", {"formats": "csv"}, "formats must be 'csv, json'"),
+        # a command that does not read a flag refuses it; the config's own
+        # [scheme] key stays accepted
+        ("simulate", {"--scheme": "bem"}, "simulate does not read --scheme"),
+        ("moments", {"--scheme": "bem"}, "moments does not read --scheme"),
+        ("positivity", {"--scheme": "tjabem"}, "positivity does not read --scheme"),
     ],
     ids=[
         "validate-empty-m_list", "validate-zero-m", "validate-negative-m",
         "validate-zero-m_ref", "moments-zero-m", "positivity-empty-m_list",
-        "validate-formats=csv",
+        "validate-formats=csv", "simulate-scheme-flag", "moments-scheme-flag",
+        "positivity-scheme-flag",
     ],
 )
 def test_bad_config_exits_1(tmp_path, capsys, command, values, message):
-    path = _edit_config(_write_config(tmp_path), **values)
+    # a key that starts with -- is a flag, any other a config edit
+    flags = [tok for key, value in values.items() if key.startswith("--")
+             for tok in (key, value)]
+    path = _edit_config(_write_config(tmp_path), **{
+        key: value for key, value in values.items() if not key.startswith("--")})
     target = f"set1,{path}" if command == "positivity" else str(path)
     flag = "--presets" if command == "positivity" else "--config"
-    assert main([command, flag, target, "--out", str(tmp_path / "out")]) == 1
+    assert main([command, flag, target, *flags, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert f"validation failure: {message}" in captured.err
     assert "all gates passed" not in captured.out
@@ -701,22 +728,63 @@ JUMP_COEFFICIENTS = st.one_of(
 )
 
 
-def test_a_400_path_ladder_writes_the_same_bytes_at_any_parallelism(tmp_path):
+# ladders whose reports must not depend on the parallelism: the keyword
+# arguments of _write_config for each
+LADDERS = {
     # inline and at parallelism 2 the levels group holds 3 * 400 = 1,200
-    # lanes; at 4 each of its two path chunks holds 600. The reports at
-    # parallelism 1, 2 and 4 must not tell them apart
-    reports = []
-    for parallelism in (1, 2, 4):
-        path = _edit_config(
-            _write_config(tmp_path, name=f"wide{parallelism}.cfg", scheme="both",
-                          m_list="8, 16, 32", m_ref=64, n_paths=400),
-            parallelism=parallelism)
-        out = tmp_path / f"out{parallelism}"
-        assert _run_quietly(["convergence", "--config", str(path), "--out", str(out)]) == 0
-        reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert sorted(reports[0]) == ["convergence.csv", "convergence.json",
-                                  "plotdata_bem.csv", "plotdata_tjabem.csv"]
-    assert reports[0] == reports[1] == reports[2]
+    # lanes; at 4 each of its two path chunks holds 600
+    "wide": dict(m_list="8, 16, 32", m_ref=64, n_paths=400),
+    # at 2 each lane group is one task, as inline; at 4 each group has two
+    # chunks of two paths, whose lane batches differ from the inline one's
+    "narrow": dict(m_list="8, 16, 32", m_ref=64, n_paths=4),
+    # a ladder that is not nested, at lambda 5: its blocks are the 8
+    # intervals of the grid of gcd(16, 24) steps
+    "uneven": dict(m_list="16, 24", m_ref=48, n_paths=4, lam=5.0),
+}
+
+
+def test_a_400_path_ladder_writes_the_same_bytes_at_any_parallelism(tmp_path):
+    # and so do the other LADDERS: the reports at parallelism 1, 2 and 4
+    # must not tell their chunks and lane batches apart
+    for name, ladder in LADDERS.items():
+        reports = []
+        for parallelism in (1, 2, 4):
+            path = _edit_config(
+                _write_config(tmp_path, name=f"{name}{parallelism}.cfg", scheme="both",
+                              **ladder),
+                parallelism=parallelism)
+            reports.append(_reports(["convergence", "--config", str(path)],
+                                    tmp_path / f"{name}{parallelism}"))
+        assert sorted(reports[0]) == ["convergence.csv", "convergence.json",
+                                      "plotdata_bem.csv", "plotdata_tjabem.csv"], name
+        assert all(reports[0].values()), name
+        assert reports[0] == reports[1] == reports[2], name
+
+
+@pytest.mark.parametrize("lam", ["0", "1", "5"])
+def test_the_table_and_the_moment_probe_write_the_same_bytes_over_two_workers(tmp_path,
+                                                                              lam):
+    # the presets' copies at parallelism 2 keep their file names, which name
+    # the table's parameter sets. At lambda 0 no path jumps, so each cell's
+    # lanes stay those of its model's first cell to the end; at 5 most paths
+    # jump on every mesh, so each lane batch places many jump times at once
+    copies = []
+    for name in PRESET_NAMES:
+        copy = tmp_path / "par2" / f"{name}.cfg"
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_text(_preset_path(name).read_text())
+        copies.append(str(_edit_config(copy, parallelism=2)))
+    runs = {
+        "positivity": (["--presets", "set1,set2"], ["--presets", ",".join(copies)]),
+        "moments": (["--preset", "set1"], ["--config", copies[0]]),
+    }
+    for command, (inline, pooled) in runs.items():
+        reports = [_reports([command, *flags, "--fast", "--lambda", lam],
+                            tmp_path / f"{command}{k}")
+                   for k, flags in enumerate((inline, pooled))]
+        assert sorted(reports[0]) == [f"{command}.csv", f"{command}.json"]
+        assert all(reports[0].values()), command
+        assert reports[0] == reports[1], command
 
 
 def test_a_post_jump_state_72_decades_below_the_root_simulates(tmp_path):
@@ -777,6 +845,12 @@ def _run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
+
+
+def _reports(argv, out):
+    """Each file's bytes that a successful run of argv writes to out."""
+    assert _run_quietly([*argv, "--out", str(out)]) == 0, argv
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
@@ -998,7 +1072,8 @@ def test_omitted_keys_load_their_defaults(tmp_path):
         "tjabem", (8,), None, 5000, 0, 1, False, "out")
 
 
-# the config CI's console-script step writes as both.cfg
+# a short config that names its scheme and leaves [run]'s other keys and
+# [output] at their defaults
 BOTH_CONFIG = """[model]
 alpha_m1 = 2.0
 alpha0 = 1.0
